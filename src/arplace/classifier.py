@@ -307,7 +307,7 @@ def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
 
     # keep loops that enclose positive decision values
     positive_loops = []
-    pos_pts = pts[model.decision_values(pts) > 0]
+    pos_pts = pts[values.ravel() > 0]
     for loop in loops:
         if points_in_polygon(loop, pos_pts).any():
             positive_loops.append(loop)

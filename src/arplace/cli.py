@@ -110,15 +110,22 @@ def _load_belief(path) -> GaussianBelief:
             raw = json.load(f)
     except FileNotFoundError:
         raise MissingInputError(f"belief file not found: {path}")
-    mean = raw["mean"]
-    if "cov" in raw:
-        cov = np.asarray(raw["cov"], dtype=float)
-        if cov.ndim == 1:
-            cov = np.diag(cov)
-    else:
-        cov = np.diag([raw["sigma_xy"] ** 2, raw["sigma_xy"] ** 2,
-                       raw["sigma_psi"] ** 2])
-    return GaussianBelief(tuple(mean), cov)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise BadConfigError(f"malformed belief {path}: {e}")
+    try:
+        mean = raw["mean"]
+        if "cov" in raw:
+            cov = np.asarray(raw["cov"], dtype=float)
+            if cov.ndim == 1:
+                cov = np.diag(cov)
+        else:
+            cov = np.diag([raw["sigma_xy"] ** 2, raw["sigma_xy"] ** 2,
+                           raw["sigma_psi"] ** 2])
+        return GaussianBelief(tuple(mean), cov)
+    except KeyError as e:
+        raise BadConfigError(f"belief {path} lacks the key {e}")
+    except (TypeError, ValueError) as e:
+        raise BadConfigError(f"invalid belief {path}: {e}")
 
 
 def _load_grid(path, frame="gsm"):
@@ -126,6 +133,8 @@ def _load_grid(path, frame="gsm"):
         return load_grid_text(path, frame=frame)
     except FileNotFoundError:
         raise MissingInputError(f"grid file not found: {path}")
+    except ValueError as e:
+        raise BadConfigError(f"invalid grid {path}: {e}")
 
 
 # ---------------------------------------------------------------------------

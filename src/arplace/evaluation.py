@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .classifier import LabeledSet, train_svm
 from .geometry import ObjectFeatures, RobotOffset
@@ -37,6 +36,9 @@ def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[
         return 0.0, 1.0
     expected = np.outer(rows, cols) / total
     stat = float(np.sum((table - expected) ** 2 / expected))
+    # imported here: loading scipy.stats adds ~70 MB of resident memory to
+    # every process that imports the package, and only this test needs it
+    from scipy.stats import chi2
     return stat, float(chi2.sf(stat, df=1))
 
 

@@ -105,17 +105,44 @@ def save_grid_text(grid, path, header_lines: list[str] | None = None):
             f.write(" ".join(f"{v:.17g}" for v in values[i]) + "\n")
 
 
+_GRID_HEADER = ("origin_x", "origin_y", "cell_size", "nx_ny")
+
+
+def _parse_line(no: int, text: str, count: int, kind=float) -> list:
+    try:
+        values = [kind(t) for t in text.split()]
+    except ValueError:
+        raise ValueError(f"line {no}: not a number in {text!r}")
+    if len(values) != count:
+        raise ValueError(f"line {no}: expected {count} values, found {len(values)}")
+    return values
+
+
 def load_grid_text(path, frame: str = "gsm") -> ARPlaceGrid:
+    """Read the save_grid_text format. A file whose header keys, row count
+    (nx) or row lengths (ny) do not match raises ValueError naming the line."""
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if not ln.startswith("#")]
-    header = dict()
-    for ln in lines[:4]:
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1)
+                 if not ln.startswith("#")]
+    if len(lines) < len(_GRID_HEADER):
+        raise ValueError(f"line {lines[-1][0] if lines else 1}: file ends inside "
+                         f"the {len(_GRID_HEADER)}-line header")
+    header = {}
+    for (no, ln), want in zip(lines, _GRID_HEADER):
         key, _, rest = ln.partition(" ")
-        header[key] = rest
-    nx, ny = (int(t) for t in header["nx_ny"].split())
-    spec = GridSpec(float(header["origin_x"]), float(header["origin_y"]),
-                    float(header["cell_size"]), nx, ny)
-    values = np.array([[float(v) for v in ln.split()] for ln in lines[4:4 + nx]])
+        if key != want:
+            raise ValueError(f"line {no}: expected header key {want!r}, found {key!r}")
+        header[key] = (no, rest)
+    origin_x, origin_y, cell_size = (_parse_line(*header[k], 1)[0] for k in _GRID_HEADER[:3])
+    nx, ny = _parse_line(*header["nx_ny"], 2, int)
+    spec = GridSpec(origin_x, origin_y, cell_size, nx, ny)
+    rows = lines[len(_GRID_HEADER):]
+    if len(rows) < nx:
+        last = rows[-1][0] if rows else header["nx_ny"][0]
+        raise ValueError(f"line {last}: file ends after {len(rows)} of {nx} rows")
+    if len(rows) > nx:
+        raise ValueError(f"line {rows[nx][0]}: row beyond the {nx} rows of the header")
+    values = np.array([_parse_line(no, ln, ny) for no, ln in rows])
     return ARPlaceGrid(spec=spec, probs=values, frame=frame)
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import Boundary
-from .geometry import ObjectFeatures
+from .geometry import wrap_angle
 from .grids import ARPlaceGrid, CostGrid, GridSpec
 from .shapemodel import GSMModel
 
@@ -66,41 +65,74 @@ class GaussianBelief:
 
 
 def sample_boundaries(gsm: GSMModel, belief, n_samples: int,
-                      rng) -> list[tuple[Boundary, float]]:
+                      rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw object poses from the belief and predict one boundary per draw.
 
-    Returns (boundary, y_shift) pairs: the boundary is reconstructed in the
-    object-relative frame and the sampled lateral displacement is recorded as
-    a rigid translation along the table edge. Any belief object exposing
+    Returns (polygons (n, m, 2), shifts (n,)): each polygon is reconstructed
+    in the object-relative frame and the sampled lateral displacement is kept
+    as a rigid translation along the table edge. Any belief object exposing
     ``sample(rng, n) -> (n, 3)`` works; Gaussian is the shipped form.
-    Negative edge distances are clamped to zero, and draws are clamped to
-    the regression's training bounds — outside them the quadratic deformation
-    model extrapolates and the predicted boundary is unreliable.
+
+    Before prediction the edge distance is clamped to [0, dx_hi] and the
+    orientation to [dpsi_lo, dpsi_hi] of the regression's training bounds
+    (the orientation then wrapped as ObjectFeatures wraps it). Draws with an
+    edge distance in [0, dx_lo) are not raised to dx_lo: the quadratic
+    deformation model extrapolates there, without a warning.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng)
     draws = belief.sample(rng, n_samples)
-    dx_lo, dx_hi = gsm.regression.training_bounds["dx_obj"]
+    dx_hi = gsm.regression.training_bounds["dx_obj"][1]
     psi_lo, psi_hi = gsm.regression.training_bounds["dpsi_obj"]
-    out = []
-    for dx, dy, dpsi in draws:
-        obj = ObjectFeatures(dx_obj=max(min(float(dx), dx_hi), 0.0),
-                             dpsi_obj=min(max(float(dpsi), psi_lo), psi_hi))
-        out.append((gsm.boundary_for(obj, warn_extrapolation=False), float(dy)))
-    return out
+    dx = np.maximum(np.minimum(draws[:, 0], dx_hi), 0.0)
+    dpsi = wrap_angle(np.minimum(np.maximum(draws[:, 2], psi_lo), psi_hi))
+    return gsm.predict_landmarks(dx, dpsi), draws[:, 1].copy()
+
+
+_FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
+
+
+def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """(nx, ny) number of polygons containing each cell center, polygon k
+    translated by shifts[k] along y.
+
+    Even-odd scanline fill: each edge is intersected with each grid row using
+    the float expressions of classifier.points_in_polygon, and a crossing
+    becomes k, the number of cell centers strictly to its left. Sorted per
+    (polygon, row), the crossings k1 <= k2 <= ... bound the inside spans
+    [k1, k2), [k3, k4), ...; a difference array and a cumulative sum turn the
+    spans into counts. Every membership decision equals points_in_polygon's
+    on center_points() - [0, shift]. The work is m * ny per polygon.
+    """
+    xs, ys = spec.centers()
+    nx, ny = spec.nx, spec.ny
+    width = nx + 1
+    size = ny * width
+    diff = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(polygons), _FILL_BLOCK):
+        block = polygons[start:start + _FILL_BLOCK]
+        y_rows = ys[None, :, None] - shifts[start:start + _FILL_BLOCK, None, None]
+        above = block[:, None, :, 1] > y_rows  # (polygon, row, vertex)
+        poly, row, edge = np.nonzero(above != np.roll(above, -1, axis=2))
+        nxt = (edge + 1) % block.shape[1]
+        x1, y1 = block[poly, edge, 0], block[poly, edge, 1]
+        x2, y2 = block[poly, nxt, 0], block[poly, nxt, 1]
+        y = y_rows[poly, row, 0]
+        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        # sorting (polygon, row, k) keys puts each row's crossings in pairs
+        keys = np.sort((poly * ny + row) * width + np.searchsorted(xs, xint, side="left"))
+        diff += np.bincount(keys[0::2] % size, minlength=size)
+        diff -= np.bincount(keys[1::2] % size, minlength=size)
+    return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
 
 
 def compute_map(gsm: GSMModel, belief, grid_spec: GridSpec, n_samples: int = DEFAULT_N_SAMPLES,
                 rng=0, frame: str = "gsm") -> ARPlaceGrid:
     """Monte-Carlo success map: each cell holds the fraction of sampled,
     shifted boundaries that contain its center."""
-    pairs = sample_boundaries(gsm, belief, n_samples, rng)
-    pts = grid_spec.center_points()
-    counts = np.zeros(len(pts), dtype=np.int64)
-    for boundary, y_shift in pairs:
-        counts += boundary.contains(pts - np.array([0.0, y_shift]))
-    probs = (counts / n_samples).reshape(grid_spec.nx, grid_spec.ny)
+    polygons, shifts = sample_boundaries(gsm, belief, n_samples, rng)
+    probs = _fill_counts(polygons, shifts, grid_spec) / n_samples
     return ARPlaceGrid(spec=grid_spec, probs=probs, frame=frame)
 
 

@@ -116,6 +116,18 @@ class PDM:
         """Mode coefficients of an (m, 2) landmark polygon."""
         return self.modes.T @ (_landmarks_to_column(landmarks) - self.mean)
 
+    def landmarks_for(self, b: np.ndarray) -> np.ndarray:
+        """(n, m, 2) landmark polygons for (n, d) mode coefficients.
+
+        Built from elementwise products rather than a matrix product, so a
+        row's polygon has the same bits whatever the number of rows: BLAS
+        takes a different kernel for a single row than for many.
+        """
+        flat = self.mean
+        for k in range(self.d):
+            flat = flat + b[:, k:k + 1] * self.modes[:, k]
+        return np.stack([flat[:, :self.m], flat[:, self.m:]], axis=-1)
+
 
 def reconstruct(pdm: PDM, b) -> Boundary:
     return Boundary(pdm.reconstruct(np.asarray(b, dtype=float)))
@@ -293,6 +305,20 @@ class RegressionModel:
         lo_p, hi_p = self.training_bounds["dpsi_obj"]
         return lo_x <= obj.dx_obj <= hi_x and lo_p <= obj.dpsi_obj <= hi_p
 
+    def predict(self, dx_obj: np.ndarray, dpsi_obj: np.ndarray) -> np.ndarray:
+        """(n, d) mode coefficients q^T W_k q, q = [dx, dpsi, 1], for n
+        feature rows, without a range check. Elementwise products only, so a
+        row's coefficients do not depend on the number of rows."""
+        q = (dx_obj, dpsi_obj, np.ones_like(dx_obj))
+        out = np.empty((len(dx_obj), self.d))
+        for k in range(self.d):
+            acc = np.zeros_like(dx_obj)
+            for i in range(3):
+                for j in range(3):
+                    acc = acc + self.W[k, i, j] * q[i] * q[j]
+            out[:, k] = acc
+        return out
+
 
 def fit_regression(B: np.ndarray, features: list[ObjectFeatures]) -> RegressionModel:
     """Least-squares quadratic fit of each deformation mode (columns of the
@@ -329,8 +355,7 @@ def deformation_for(reg: RegressionModel, obj: ObjectFeatures,
     if warn_extrapolation and not reg.in_bounds(obj):
         warnings.warn("object features outside the training range; "
                       "deformation is extrapolated")
-    q = np.array([obj.dx_obj, obj.dpsi_obj, 1.0])
-    return np.array([q @ reg.W[k] @ q for k in range(reg.d)])
+    return reg.predict(np.array([obj.dx_obj]), np.array([obj.dpsi_obj]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +386,15 @@ class GSMModel:
     def training_bounds(self) -> dict:
         return self.regression.training_bounds
 
+    def predict_landmarks(self, dx_obj: np.ndarray, dpsi_obj: np.ndarray) -> np.ndarray:
+        """(n, m, 2) boundary polygons for n object feature rows, without a
+        range check; the one prediction path behind boundary_for and the
+        Monte-Carlo maps."""
+        return self.pdm.landmarks_for(self.regression.predict(dx_obj, dpsi_obj))
+
     def boundary_for(self, obj: ObjectFeatures, warn_extrapolation: bool = True) -> Boundary:
         b = deformation_for(self.regression, obj, warn_extrapolation)
-        return Boundary(self.pdm.reconstruct(b))
+        return Boundary(self.pdm.landmarks_for(b[None])[0])
 
     def to_dict(self) -> dict:
         return {

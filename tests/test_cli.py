@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from arplace.cli import main
-from arplace.grids import load_grid_text
+from arplace.grids import ARPlaceGrid, GridSpec, load_grid_text, save_grid_text
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,52 @@ def test_bad_config_exit_code(artifacts, tmp_path, capsys):
     assert rc == 3
 
 
+BAD_BELIEFS = {
+    "malformed_json": '{"mean": [0.14, 0.0, 0.0], "sigma_xy": 0.02',
+    "missing_mean": '{"sigma_xy": 0.02, "sigma_psi": 0.1}',
+    "missing_sigma_xy": '{"mean": [0.14, 0.0, 0.0], "sigma_psi": 0.1}',
+    "missing_sigma_psi": '{"mean": [0.14, 0.0, 0.0], "sigma_xy": 0.02}',
+    "cov_wrong_shape": '{"mean": [0.14, 0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
+    "cov_not_psd": '{"mean": [0.14, 0.0, 0.0], '
+                   '"cov": [[-0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BELIEFS))
+def test_bad_belief_exit_code(artifacts, tmp_path, capsys, name):
+    belief = tmp_path / "belief.json"
+    belief.write_text(BAD_BELIEFS[name])
+    rc = main(["map", "--model", str(artifacts["model"]), "--belief", str(belief),
+               "--seed", "0", "--out", str(tmp_path / "m.txt")])
+    assert rc == 3
+    assert "belief" in capsys.readouterr().err
+
+
+# (edit of the saved file's lines, the line the error must name); line 1 is
+# a comment, lines 2-5 the header and lines 6-8 the three rows of four values
+BAD_GRIDS = {
+    "truncated_header": (lambda ls: ls[:3], "line 3:"),
+    "truncated_rows": (lambda ls: ls[:7], "line 7:"),
+    "short_row": (lambda ls: ls[:6] + ["0.5 0.5 0.5\n"] + ls[7:], "line 7:"),
+    "extra_row": (lambda ls: ls + ["0.5 0.5 0.5 0.5\n"], "line 9:"),
+    "wrong_header_key": (lambda ls: ls[:2] + ["origin_z 0\n"] + ls[3:], "line 3:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_bad_grid_exit_code(tmp_path, capsys, name):
+    good = tmp_path / "good.txt"
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)),
+                   good, header_lines=["test grid"])
+    edit, where = BAD_GRIDS[name]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(edit(good.read_text().splitlines(keepends=True))))
+    for argv in (["merge", str(good), str(bad)], ["export-pgm", str(bad)]):
+        rc = main(argv + ["--seed", "0", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert where in capsys.readouterr().err
+
+
 def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):
     m1 = tmp_path / "m1.txt"
     m2 = tmp_path / "m2.txt"
@@ -65,7 +112,6 @@ def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):
     assert main(["merge", str(m1), str(m2), "--seed", "0",
                  "--out", str(merged)]) == 0
     g1, g2, gm = (load_grid_text(p) for p in (m1, m2, merged))
-    import numpy as np
     np.testing.assert_allclose(gm.probs, g1.probs * g2.probs, atol=1e-15)
     cost = tmp_path / "cost.txt"
     assert main(["cost", str(merged), "--robot-x", "1.5", "--robot-y", "0.0",

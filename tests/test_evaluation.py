@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,15 @@ def test_chi_square_matches_frozen_references():
         stat, p = chi_square(sa, na, sb, nb)
         assert stat == pytest.approx(stat_ref, abs=1e-6)
         assert p == pytest.approx(p_ref, abs=1e-6)
+
+
+def test_package_import_does_not_load_scipy_stats():
+    """scipy.stats (~70 MB resident) is loaded by the significance test only."""
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, arplace; print('scipy.stats' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_chi_square_symmetry():

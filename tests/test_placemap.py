@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from arplace.classifier import points_in_polygon
+from arplace.geometry import ObjectFeatures
 from arplace.grids import ARPlaceGrid, GridSpec
-from arplace.placemap import (GaussianBelief, apply_robot_uncertainty,
-                              best_cell, best_cell_center, compute_map,
-                              cost_map, merge, resample_to, sample_boundaries,
-                              union_edges)
+from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts,
+                              apply_robot_uncertainty, best_cell,
+                              best_cell_center, compute_map, cost_map, merge,
+                              resample_to, sample_boundaries, union_edges)
 
 SPEC = GridSpec(0.0, -0.4, 0.05, 8, 10)
 
@@ -66,7 +70,6 @@ def test_compute_map_point_belief_is_indicator(gsm):
     belief = GaussianBelief((0.14, 0.0, 0.1), np.zeros((3, 3)))
     spec = GridSpec.covering(0.15, 1.05, -0.6, 0.6, 0.05)
     grid = compute_map(gsm, belief, spec, n_samples=37, rng=0)
-    from arplace.geometry import ObjectFeatures
     boundary = gsm.boundary_for(ObjectFeatures(0.14, 0.1))
     want = boundary.contains(spec.center_points()).astype(float)
     np.testing.assert_array_equal(grid.probs.ravel(), want)
@@ -75,16 +78,131 @@ def test_compute_map_point_belief_is_indicator(gsm):
 def test_sample_boundaries_clamps_to_training_range(gsm):
     lo, hi = gsm.regression.training_bounds["dpsi_obj"]
     belief = GaussianBelief((0.14, 0.0, hi + 5.0), np.zeros((3, 3)))
-    pairs = sample_boundaries(gsm, belief, 3, rng=0)
-    from arplace.geometry import ObjectFeatures
+    polygons, shifts = sample_boundaries(gsm, belief, 3, rng=0)
     want = gsm.boundary_for(ObjectFeatures(0.14, hi), warn_extrapolation=False)
-    np.testing.assert_array_equal(pairs[0][0].landmarks, want.landmarks)
+    np.testing.assert_array_equal(polygons[0], want.landmarks)
 
 
 def test_sample_boundaries_shifts_by_lateral_mean(gsm):
     belief = GaussianBelief((0.14, 0.25, 0.0), np.zeros((3, 3)))
-    pairs = sample_boundaries(gsm, belief, 2, rng=0)
-    assert pairs[0][1] == pytest.approx(0.25)
+    polygons, shifts = sample_boundaries(gsm, belief, 2, rng=0)
+    assert shifts[0] == pytest.approx(0.25)
+
+
+def test_sample_boundaries_edge_distance_clamp_policy(gsm):
+    """Edge distances are clamped to [0, dx_hi], not to [dx_lo, dx_hi]:
+    draws below the training range extrapolate."""
+    dx_lo, dx_hi = gsm.regression.training_bounds["dx_obj"]
+    assert dx_lo > 0.0
+
+    def drawn(dx):
+        belief = GaussianBelief((dx, 0.0, 0.2), np.zeros((3, 3)))
+        return sample_boundaries(gsm, belief, 1, rng=0)[0][0]
+
+    def predicted(dx):
+        return gsm.boundary_for(ObjectFeatures(dx, 0.2), warn_extrapolation=False).landmarks
+
+    np.testing.assert_array_equal(drawn(-0.3), predicted(0.0))
+    np.testing.assert_array_equal(drawn(dx_hi + 0.3), predicted(dx_hi))
+    np.testing.assert_array_equal(drawn(dx_lo / 2), predicted(dx_lo / 2))
+    assert not np.array_equal(drawn(dx_lo / 2), predicted(dx_lo))
+
+
+# ---------------------------------------------------------------------------
+# scanline fill against the per-point even-odd test
+# ---------------------------------------------------------------------------
+
+def _fill_oracle(polygons, shifts, spec):
+    pts = spec.center_points()
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for poly, shift in zip(polygons, shifts):
+        counts += points_in_polygon(poly, pts - np.array([0.0, shift]))
+    return counts.reshape(spec.nx, spec.ny)
+
+
+# centers on multiples of 0.25, exact in binary, so the cases below put
+# vertices and edges exactly on rows and crossings exactly on centers
+EXACT = GridSpec(0.0, 0.0, 0.25, 9, 7)
+
+FILL_CASES = {
+    "vertex_on_row": [[[1.0, 0.25], [1.75, 0.75], [1.0, 1.25], [0.25, 0.75]]],
+    "horizontal_edges": [[[0.5, 0.5], [1.5, 0.5], [1.5, 1.0], [0.5, 1.0]],
+                         [[0.5, 1.0], [0.5, 0.5], [1.5, 0.5], [1.5, 1.0]]],
+    "crossing_on_center_x": [[[0.5, 0.1], [0.5, 1.4], [1.25, 1.4], [1.25, 0.1]]],
+    "several_spans_per_row": [[[0.0, 0.0], [2.0, 0.0], [2.0, 1.5], [1.5, 1.5],
+                               [1.5, 0.5], [0.5, 0.5], [0.5, 1.5], [0.0, 1.5]]],
+    "outside_on_every_side": [[[-1.0, -1.0], [5.0, -1.0], [5.0, 5.0], [-1.0, 5.0]],
+                              [[-0.6, 0.7], [1.1, -0.9], [2.9, 0.8], [1.0, 2.6]],
+                              [[3.0, 3.0], [4.0, 3.0], [4.0, 4.0], [3.0, 4.0]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_CASES))
+@pytest.mark.parametrize("shift", [0.0, 0.25, -0.5, 0.1])
+def test_fill_matches_even_odd_oracle_on_degenerate_cases(name, shift):
+    polygons = np.array(FILL_CASES[name], dtype=float)
+    shifts = np.full(len(polygons), shift)
+    np.testing.assert_array_equal(_fill_counts(polygons, shifts, EXACT),
+                                  _fill_oracle(polygons, shifts, EXACT))
+
+
+def test_fill_matches_oracle_across_blocks():
+    rng = np.random.default_rng(4)
+    n = 2 * _FILL_BLOCK + 17
+    polygons = rng.uniform(-0.2, 2.2, (n, 7, 2))
+    shifts = rng.normal(0.0, 0.3, n)
+    np.testing.assert_array_equal(_fill_counts(polygons, shifts, EXACT),
+                                  _fill_oracle(polygons, shifts, EXACT))
+
+
+def test_fill_of_point_belief_draws(gsm):
+    belief = GaussianBelief((0.14, 0.1, 0.1), np.zeros((3, 3)))
+    spec = GridSpec.covering(0.15, 1.05, -0.6, 0.6, 0.05)
+    polygons, shifts = sample_boundaries(gsm, belief, 5, rng=0)
+    counts = _fill_counts(polygons, shifts, spec)
+    np.testing.assert_array_equal(counts, _fill_oracle(polygons, shifts, spec))
+    assert set(np.unique(counts)) == {0, 5}
+
+
+_snapped = st.integers(-4, 12).map(lambda k: 0.25 * k)
+_coords = st.one_of(_snapped, st.floats(-1.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _fill_inputs(draw):
+    m = draw(st.integers(3, 9))
+    n = draw(st.integers(1, 4))
+    polygons = draw(arrays(np.float64, (n, m, 2), elements=_coords))
+    shifts = draw(arrays(np.float64, (n,), elements=st.one_of(
+        _snapped, st.floats(-1.0, 1.0, allow_nan=False))))
+    spec = GridSpec(draw(st.sampled_from([0.0, -0.25, 0.1])),
+                    draw(st.sampled_from([0.0, -0.5, 0.05])),
+                    draw(st.sampled_from([0.25, 0.5, 0.3])),
+                    draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return polygons, shifts, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fill_inputs())
+def test_fill_matches_oracle_on_random_polygons(case):
+    polygons, shifts, spec = case
+    np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
+                                  _fill_oracle(polygons, shifts, spec))
+
+
+def test_compute_map_memory_does_not_grow_with_samples(gsm):
+    belief = GaussianBelief.isotropic((0.14, 0.0, 0.0), 0.02, 0.1)
+    spec = GridSpec.covering(0.15, 1.05, -0.8, 0.8, 0.025)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            compute_map(gsm, belief, spec, n_samples=n, rng=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 2 * peak(500)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,23 @@ def test_gsm_boundary_tracks_handle_rotation(gsm):
     assert right[1] - left[1] > 0.2
 
 
+def test_predict_landmarks_rows_equal_boundary_for(gsm):
+    """One prediction path: a row of a batch has the bits boundary_for gives
+    for it alone, and both agree with the per-mode matrix formulas."""
+    rng = np.random.default_rng(8)
+    objs = [ObjectFeatures(rng.uniform(0.0, 0.3), rng.uniform(-0.8, 0.8))
+            for _ in range(40)]
+    batch = gsm.predict_landmarks(np.array([o.dx_obj for o in objs]),
+                                  np.array([o.dpsi_obj for o in objs]))
+    assert batch.shape == (40, gsm.pdm.m, 2)
+    for k, obj in enumerate(objs):
+        alone = gsm.boundary_for(obj, warn_extrapolation=False).landmarks
+        np.testing.assert_array_equal(batch[k], alone)
+        q = np.array([obj.dx_obj, obj.dpsi_obj, 1.0])
+        b = np.array([q @ W @ q for W in gsm.regression.W])
+        np.testing.assert_allclose(alone, gsm.pdm.reconstruct(b), rtol=0, atol=1e-12)
+
+
 def test_reconstruct_at_zero_coefficients_is_the_mean(gsm):
     b = reconstruct(gsm.pdm, [0.0, 0.0])
     assert isinstance(b, Boundary)
