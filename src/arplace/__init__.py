@@ -4,27 +4,22 @@ Monte-Carlo place maps, and a small transformational planner."""
 
 __version__ = "0.1.0"
 
-from .geometry import (FrameTransform, ObjectFeatures, Pose2, RobotOffset,
-                       TableEdge, gsm_frame, nearest_edge, object_features,
-                       robot_offset, wrap_angle)
+from .geometry import ObjectFeatures, RobotOffset, wrap_angle
 from .grids import ARPlaceGrid, CostGrid, GridSpec, load_grid_text, save_grid_text, save_pgm
 from .simworld import (Dataset, TrialRecord, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, execute_trial,
                        generate_dataset, geometric_success,
                        theoretically_reachable)
-from .classifier import (Boundary, LabeledSet, SVMModel, decide,
-                         extract_boundary, train_per_pose, train_svm)
-from .shapemodel import (PDM, BoundaryMatrix, GSMModel, RegressionModel,
-                         assemble_H, deformation_for, fit_pdm, fit_regression,
-                         optimize_landmarks, predict_success, reconstruct,
-                         train_gsm)
+from .classifier import Boundary, LabeledSet, SVMModel, train_per_pose, train_svm
+from .shapemodel import (PDM, GSMModel, RegressionModel, assemble_H, fit_pdm,
+                         fit_regression, optimize_landmarks, train_gsm)
 from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
                        compute_map, cost_map, merge, sample_boundaries,
                        union_edges)
 from .planner import (Designator, ExecutionTrace, Flaw, PlanNode, Scene,
                       SceneObject, TimeModel, apply_merge_transform,
-                      detect_merge_flaw, detect_unreached_goal_flaw,
-                      parse_plan, plan_duration, plan_to_sexp, project,
+                      detect_merge_flaw, plan_duration, plan_to_sexp, project,
                       two_pickup_plan)
 from .evaluation import (SweepResult, SweepSpec, accuracy_curve, chi_square,
-                         robustness_experiment, transformation_benefit)
+                         merge_experiment, robustness_experiment,
+                         transformation_benefit)

@@ -2,14 +2,14 @@
 
 A soft-margin Gaussian-kernel SVM is trained per object pose with a
 maximal-violating-pair working-set solver; the zero level set of its decision
-surface is traced with marching squares and resampled to a fixed number of
-landmarks for the shape model.
+surface is traced with marching squares into the closed contour on which the
+shape model places its landmarks.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,37 +65,6 @@ class SVMModel:
         K = np.exp(-d2 / (2.0 * self.kernel_sigma ** 2))
         return K @ self.alphas + self.bias
 
-    def to_dict(self) -> dict:
-        return {
-            "support_points": self.support_points.tolist(),
-            "alphas": self.alphas.tolist(),
-            "bias": self.bias,
-            "kernel_sigma": self.kernel_sigma,
-            "cost_C": self.cost_C,
-            "positive_class_weight": self.positive_class_weight,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SVMModel":
-        return cls(
-            support_points=np.array(d["support_points"], dtype=float),
-            alphas=np.array(d["alphas"], dtype=float),
-            bias=float(d["bias"]),
-            kernel_sigma=float(d["kernel_sigma"]),
-            cost_C=float(d["cost_C"]),
-            positive_class_weight=float(d["positive_class_weight"]),
-        )
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "SVMModel":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
               positive_class_weight: float = 2.0) -> SVMModel:
@@ -150,11 +119,6 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                     positive_class_weight=positive_class_weight)
 
 
-def decide(model: SVMModel, robot: RobotOffset) -> float:
-    """Decision score; > 0 predicts success."""
-    return float(model.decision_values(np.array([[robot.dx_rob, robot.dy_rob]]))[0])
-
-
 # ---------------------------------------------------------------------------
 # boundary extraction
 # ---------------------------------------------------------------------------
@@ -171,14 +135,10 @@ class Boundary:
         if self.landmarks.ndim != 2 or self.landmarks.shape[1] != 2 or len(self.landmarks) < 3:
             raise ValueError("boundary needs at least 3 2D landmarks")
 
-    def signed_area(self) -> float:
-        x, y = self.landmarks[:, 0], self.landmarks[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
     def centroid(self) -> np.ndarray:
         x, y = self.landmarks[:, 0], self.landmarks[:, 1]
         cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-        a = 0.5 * np.sum(cross)
+        a = signed_area(self.landmarks)
         if abs(a) < 1e-15:
             return self.landmarks.mean(axis=0)
         cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
@@ -189,8 +149,12 @@ class Boundary:
         """Even-odd membership test for an (m, 2) array of points."""
         return points_in_polygon(self.landmarks, pts)
 
-    def shifted(self, dx: float, dy: float) -> "Boundary":
-        return Boundary(self.landmarks + np.array([dx, dy]))
+
+def signed_area(poly: np.ndarray) -> float:
+    """Shoelace area of a closed (k, 2) polygon; positive when the vertices
+    run counterclockwise."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -301,10 +265,6 @@ def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
     if not loops:
         raise EmptySuccessRegionError("empty success region")
 
-    def loop_area(loop):
-        x, y = loop[:, 0], loop[:, 1]
-        return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-
     # keep loops that enclose positive decision values
     positive_loops = []
     pos_pts = pts[values.ravel() > 0]
@@ -313,12 +273,11 @@ def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
             positive_loops.append(loop)
     if not positive_loops:
         raise EmptySuccessRegionError("empty success region")
-    areas = [abs(loop_area(l)) for l in positive_loops]
+    areas = [abs(signed_area(l)) for l in positive_loops]
     if len(positive_loops) > 1:
-        import warnings
         warnings.warn("multiple positive regions; keeping the largest")
     loop = positive_loops[int(np.argmax(areas))]
-    if loop_area(loop) < 0:
+    if signed_area(loop) < 0:
         loop = loop[::-1]
     return _start_at_max_x_crossing(loop)
 
@@ -350,29 +309,6 @@ def _start_at_max_x_crossing(loop: np.ndarray) -> np.ndarray:
         return np.roll(loop, -k, axis=0)
     rolled = np.roll(loop, -(k + 1), axis=0)
     return np.vstack([start, rolled])
-
-
-def resample_closed(contour: np.ndarray, n: int, offset: float = 0.0) -> np.ndarray:
-    """n points at equal arc length along a closed polyline, starting at arc
-    fraction `offset` from the first vertex."""
-    closed = np.vstack([contour, contour[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    arcs = np.concatenate([[0.0], np.cumsum(seg)])
-    total = arcs[-1]
-    targets = (offset * total + np.arange(n) * total / n) % total
-    out = np.empty((n, 2))
-    for k, t in enumerate(targets):
-        idx = int(np.searchsorted(arcs, t, side="right")) - 1
-        idx = min(idx, len(seg) - 1)
-        frac = (t - arcs[idx]) / seg[idx] if seg[idx] > 0 else 0.0
-        out[k] = closed[idx] + frac * (closed[idx + 1] - closed[idx])
-    return out
-
-
-def extract_boundary(model: SVMModel, grid_spec: GridSpec, n_landmarks: int = 20) -> Boundary:
-    """Marching-squares boundary resampled to n landmarks at equal arc length."""
-    contour = extract_contour(model, grid_spec)
-    return Boundary(resample_closed(contour, n_landmarks))
 
 
 def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,

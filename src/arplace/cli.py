@@ -13,19 +13,20 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 
 import numpy as np
 
 from . import __version__
 from .classifier import default_extraction_grid, train_per_pose
 from .evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
-                         robustness_experiment, transformation_benefit)
+                         merge_experiment, robustness_experiment,
+                         transformation_benefit)
 from .geometry import ObjectFeatures
 from .grids import load_grid_text, save_grid_text, save_pgm
 from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
                        compute_map, cost_map, merge)
-from .planner import (TimeModel, apply_merge_transform, detect_merge_flaw,
-                      plan_duration, plan_to_sexp, project, two_pickup_plan)
+from .planner import plan_to_sexp
 from .shapemodel import GSMModel, train_gsm
 from .simworld import (Dataset, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, generate_dataset)
@@ -55,30 +56,60 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """Read a JSON override file. Unknown keys, values of the wrong type
+        or out of range, and world constants that WorldConfig rejects raise
+        BadConfigError."""
         try:
             with open(path) as f:
                 raw = json.load(f)
         except FileNotFoundError:
             raise MissingInputError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
             raise BadConfigError(f"malformed config {path}: {e}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise BadConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        _check_fields(cls, raw, "config")
+        cfg = cls(**raw)
+        for key, (lo, hi) in _OPEN_RANGES.items():
+            value = getattr(cfg, key)
+            if not (lo < value and (hi is None or value < hi)):
+                bounds = f"> {lo}" if hi is None else f"in ({lo}, {hi})"
+                raise BadConfigError(f"config {key} must be {bounds}, found {value!r}")
+        _check_fields(WorldConfig, cfg.world, "config world")
+        try:
+            cfg.world_config(0)
+        except ValueError as e:
+            raise BadConfigError(f"config world: {e}")
+        return cfg
 
     def world_config(self, seed: int) -> WorldConfig:
-        if self.world:
-            base = default_world(seed).to_dict()
-            base.update(self.world)
-            base["seed"] = seed
-            return WorldConfig.from_dict(base)
-        return default_world(seed)
+        return dataclasses.replace(default_world(seed), **self.world)
 
     def hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+# exclusive (lower, upper) bounds of the numeric config values
+_OPEN_RANGES = {
+    "kernel_sigma": (0, None), "cost_C": (0, None), "class_weight": (0, None),
+    "n_landmarks": (3, None), "n_samples": (0, None), "cell_size": (0, None),
+    "extraction_cell": (0, None), "merge_threshold": (0, 1), "energy_target": (0, 1),
+}
+
+
+def _check_fields(cls, raw, where: str):
+    """raw must be a dict of known fields of the dataclass cls, each of its
+    declared type; an int is accepted for a float, a bool for neither."""
+    if not isinstance(raw, dict):
+        raise BadConfigError(f"{where} must be a JSON object, found {raw!r}")
+    types = typing.get_type_hints(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise BadConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        want = (int, float) if types[key] is float else types[key]
+        if isinstance(value, bool) != (types[key] is bool) or not isinstance(value, want):
+            raise BadConfigError(f"{where} {key} must be {types[key].__name__}, "
+                                 f"found {value!r}")
 
 
 class BadConfigError(RuntimeError):
@@ -146,8 +177,7 @@ def cmd_gen_data(args) -> int:
     world = cfg.world_config(args.seed)
     dataset = generate_dataset(world, default_object_grid(), default_robot_grid(),
                                seed=args.seed,
-                               use_capability_filter=cfg.use_capability_filter,
-                               workers=args.workers)
+                               use_capability_filter=cfg.use_capability_filter)
     dataset.save_csv(args.out, header_lines=_header(cfg, args.seed))
     print(f"wrote {len(dataset.records)} trials "
           f"({dataset.executed_count()} executed) to {args.out}")
@@ -161,6 +191,10 @@ def cmd_train(args) -> int:
         dataset = Dataset.load_csv(args.data, world)
     except FileNotFoundError:
         raise MissingInputError(f"dataset file not found: {args.data}")
+    except KeyError as e:
+        raise BadConfigError(f"dataset {args.data} lacks the column {e}")
+    except (TypeError, ValueError) as e:  # short row, bad number or label
+        raise BadConfigError(f"invalid dataset {args.data}: {e}")
     svms = train_per_pose(dataset, kernel_sigma=cfg.kernel_sigma,
                           cost_C=cfg.cost_C,
                           positive_class_weight=cfg.class_weight)
@@ -214,53 +248,38 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    cfg = _load_config(args)
-    from .evaluation import make_two_cup_scene
-    gsm = _load_model(args.model)
-    world = cfg.world_config(args.seed)
-    tm = TimeModel()
-    robot = default_robot_grid()
-    xs = [r.dx_rob for r in robot]
-    half = args.separation / 2.0 + 0.6
-    from .grids import GridSpec
-    spec = GridSpec.covering(min(xs), max(xs), -half, half, cfg.cell_size)
-    plan = two_pickup_plan()
-    trace_a = project(plan, make_two_cup_scene(args.separation), gsm, world,
-                      spec, rng=np.random.default_rng((args.seed, 0)),
-                      time_model=tm)
-    lines = _header(cfg, args.seed)
-    lines.append(f"plan A duration {plan_duration(trace_a, tm):.2f} s "
-                 f"({trace_a.count('navigate')} navigations)")
-    flaw = detect_merge_flaw(plan, make_two_cup_scene(args.separation), gsm,
-                             spec, rng=np.random.default_rng((args.seed, 1)),
-                             threshold=args.threshold or cfg.merge_threshold)
-    if flaw is None:
-        lines.append("no merge flaw detected; plan unchanged")
-    else:
-        plan_b = apply_merge_transform(plan, flaw)
-        trace_b = project(plan_b, make_two_cup_scene(args.separation), gsm,
-                          world, spec, rng=np.random.default_rng((args.seed, 2)),
-                          time_model=tm)
-        lines.append(f"merge flaw: joint probability "
-                     f"{flaw.proposed_location[1]:.3f} at "
-                     f"({flaw.proposed_location[0][0]:.3f}, "
-                     f"{flaw.proposed_location[0][1]:.3f})")
-        lines.append(f"plan B duration {plan_duration(trace_b, tm):.2f} s "
-                     f"({trace_b.count('navigate')} navigations)")
-        lines.append("transformed plan: " + plan_to_sexp(plan_b))
-    text = "\n".join(("# " + ln if i == 0 else ln)
-                     for i, ln in enumerate(lines)) + "\n"
+def _write_report(args, cfg: PipelineConfig, body: list[str]) -> int:
+    """Write the header comment and the body lines to --out and echo them."""
+    text = "# " + "\n".join(_header(cfg, args.seed) + body) + "\n"
     with open(args.out, "w") as f:
         f.write(text)
     print(text, end="")
     return EXIT_OK
 
 
+def cmd_plan(args) -> int:
+    cfg = _load_config(args)
+    gsm = _load_model(args.model)
+    point = merge_experiment(args.separation, gsm, cfg.world_config(args.seed),
+                             (args.seed,), cfg.cell_size,
+                             args.threshold or cfg.merge_threshold)
+    lines = [f"plan A duration {point.duration_a:.2f} s "
+             f"({point.trace_a.count('navigate')} navigations)"]
+    if point.flaw is None:
+        lines.append("no merge flaw detected; plan unchanged")
+    else:
+        (x, y), p = point.flaw.proposed_location
+        lines.append(f"merge flaw: joint probability {p:.3f} at ({x:.3f}, {y:.3f})")
+        lines.append(f"plan B duration {point.duration_b:.2f} s "
+                     f"({point.trace_b.count('navigate')} navigations)")
+        lines.append("transformed plan: " + plan_to_sexp(point.plan_b))
+    return _write_report(args, cfg, lines)
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     world = cfg.world_config(args.seed)
-    lines = _header(cfg, args.seed)
+    lines = []
     if args.experiment == "robustness":
         gsm = _load_model(args.model)
         sweep = SweepSpec(cell_size=cfg.cell_size, n_map_samples=cfg.n_samples)
@@ -292,12 +311,7 @@ def cmd_eval(args) -> int:
             lines.append(f"{p.separation:.2f} {int(p.merged)} {prob} "
                          f"{p.duration_a:.2f} {db}")
         lines.extend("note: " + n for n in res.notes)
-    text = "\n".join(("# " + ln if i == 0 else ln)
-                     for i, ln in enumerate(lines)) + "\n"
-    with open(args.out, "w") as f:
-        f.write(text)
-    print(text, end="")
-    return EXIT_OK
+    return _write_report(args, cfg, lines)
 
 
 def cmd_export_pgm(args) -> int:
@@ -324,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", help="generate a trial dataset")
     common(sp)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_gen_data)
 
     sp = sub.add_parser("train", help="train the success model from trials")

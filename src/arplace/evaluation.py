@@ -13,7 +13,8 @@ from .classifier import LabeledSet, train_svm
 from .geometry import ObjectFeatures, RobotOffset
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
-from .planner import (Scene, SceneObject, TimeModel, apply_merge_transform,
+from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
+                      SceneObject, TimeModel, apply_merge_transform,
                       detect_merge_flaw, plan_duration, project, two_pickup_plan)
 from .shapemodel import GSMModel
 from .simworld import (WorldConfig, default_robot_grid, execute_trial,
@@ -104,11 +105,25 @@ def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, f
             float(np.mean([r.dy_rob for r in cells])))
 
 
-def candidate_grid_spec(cell_size: float = 0.025) -> GridSpec:
+def _robot_bounds() -> tuple[float, float, float, float]:
+    """(x_min, x_max, y_min, y_max) of the default candidate base positions."""
     robot = default_robot_grid()
     xs = [r.dx_rob for r in robot]
     ys = [r.dy_rob for r in robot]
-    return GridSpec.covering(min(xs), max(xs), min(ys), max(ys), cell_size)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def candidate_grid_spec(cell_size: float = 0.025) -> GridSpec:
+    """Map grid over the rectangle of the default candidate base positions."""
+    return GridSpec.covering(*_robot_bounds(), cell_size)
+
+
+def plan_grid_spec(separation: float, cell_size: float = 0.025) -> GridSpec:
+    """Map grid of a two-cup scene: the x range of the default candidate
+    base positions, and 0.6 m beyond either cup along the table edge."""
+    x_min, x_max, _, _ = _robot_bounds()
+    half = separation / 2.0 + 0.6
+    return GridSpec.covering(x_min, x_max, -half, half, cell_size)
 
 
 def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
@@ -184,12 +199,10 @@ class AccuracyPoint:
 
 
 def _random_offsets(n: int, rng: np.random.Generator) -> list[RobotOffset]:
-    robot = default_robot_grid()
-    xs = [r.dx_rob for r in robot]
-    ys = [r.dy_rob for r in robot]
+    x_min, x_max, y_min, y_max = _robot_bounds()
     return [RobotOffset(float(x), float(y))
-            for x, y in zip(rng.uniform(min(xs), max(xs), n),
-                            rng.uniform(min(ys), max(ys), n))]
+            for x, y in zip(rng.uniform(x_min, x_max, n),
+                            rng.uniform(y_min, y_max, n))]
 
 
 def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
@@ -239,11 +252,24 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
 
 @dataclass
 class TransformPoint:
+    """One separation of the merge experiment: the flat plan's trace and,
+    when the merge flaw fires, the flaw and the transformed plan's trace."""
+
     separation: float
-    merged: bool
-    merged_probability: float | None
+    trace_a: ExecutionTrace
     duration_a: float
-    duration_b: float | None
+    flaw: Flaw | None = None
+    plan_b: PlanNode | None = None
+    trace_b: ExecutionTrace | None = None
+    duration_b: float | None = None
+
+    @property
+    def merged(self) -> bool:
+        return self.flaw is not None
+
+    @property
+    def merged_probability(self) -> float | None:
+        return None if self.flaw is None else self.flaw.proposed_location[1]
 
     @property
     def reduction(self) -> float | None:
@@ -273,43 +299,45 @@ def make_two_cup_scene(separation: float, object_sigma_xy: float = 0.005,
     return Scene(objects=objs, robot_xy=robot_start)
 
 
+def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
+                     rng_base: tuple, cell_size: float = 0.025,
+                     threshold: float = MERGE_THRESHOLD,
+                     time_model: TimeModel = TimeModel()) -> TransformPoint:
+    """Project the flat two-pick-up plan on a two-cup scene, look for an
+    unoptimized-locations flaw, and — when it fires — project the
+    transformed plan. The three steps draw from the generators seeded with
+    rng_base + (0,), (1,) and (2,)."""
+    spec = plan_grid_spec(separation, cell_size)
+    scene = make_two_cup_scene(separation)
+    plan = two_pickup_plan()
+    trace_a = project(plan, scene, gsm, world, spec,
+                      rng=np.random.default_rng(rng_base + (0,)),
+                      time_model=time_model)
+    point = TransformPoint(separation, trace_a, plan_duration(trace_a, time_model))
+    point.flaw = detect_merge_flaw(plan, scene, gsm, spec,
+                                   rng=np.random.default_rng(rng_base + (1,)),
+                                   threshold=threshold)
+    if point.flaw is not None:
+        point.plan_b = apply_merge_transform(plan, point.flaw)
+        point.trace_b = project(point.plan_b, scene, gsm, world, spec,
+                                rng=np.random.default_rng(rng_base + (2,)),
+                                time_model=time_model)
+        point.duration_b = plan_duration(point.trace_b, time_model)
+    return point
+
+
 def transformation_benefit(distances: list[float], gsm: GSMModel,
                            world: WorldConfig, seed: int = 0,
-                           cell_size: float = 0.025, threshold: float = 0.85,
+                           cell_size: float = 0.025,
+                           threshold: float = MERGE_THRESHOLD,
                            time_model: TimeModel = TimeModel()) -> TransformResult:
-    """For each cup separation: project the flat two-pick-up plan, look for an
-    unoptimized-locations flaw, and — when it fires — project the transformed
-    plan and record both durations."""
+    """The merge experiment at each cup separation; separation k draws from
+    rng_base (seed, k)."""
     result = TransformResult()
     result.notes.append(
         "a 48 s -> 32 s change is a 33% reduction (1.5x speedup); both "
         "figures are reported because '50% faster' is ambiguous")
-    robot = default_robot_grid()
-    xs = [r.dx_rob for r in robot]
     for k, sep in enumerate(distances):
-        half_span = sep / 2.0 + 0.6
-        spec = GridSpec.covering(min(xs), max(xs), -half_span, half_span, cell_size)
-        base = (seed, k)
-        plan = two_pickup_plan()
-        trace_a = project(plan, make_two_cup_scene(sep), gsm, world, spec,
-                          rng=np.random.default_rng(base + (0,)),
-                          time_model=time_model)
-        duration_a = plan_duration(trace_a, time_model)
-        flaw = detect_merge_flaw(plan, make_two_cup_scene(sep), gsm, spec,
-                                 rng=np.random.default_rng(base + (1,)),
-                                 threshold=threshold)
-        if flaw is None:
-            result.points.append(TransformPoint(
-                separation=sep, merged=False, merged_probability=None,
-                duration_a=duration_a, duration_b=None))
-            continue
-        plan_b = apply_merge_transform(plan, flaw)
-        trace_b = project(plan_b, make_two_cup_scene(sep), gsm, world, spec,
-                          rng=np.random.default_rng(base + (2,)),
-                          time_model=time_model)
-        result.points.append(TransformPoint(
-            separation=sep, merged=True,
-            merged_probability=flaw.proposed_location[1],
-            duration_a=duration_a,
-            duration_b=plan_duration(trace_b, time_model)))
+        result.points.append(merge_experiment(sep, gsm, world, (seed, k), cell_size,
+                                              threshold, time_model))
     return result

@@ -1,9 +1,11 @@
-"""2D poses, table edges, and the transform into the grasp-model feature frame.
+"""Task and action parameters in the grasp-model feature frame ("GSM frame").
 
-The feature frame ("GSM frame") sits on the table edge at the foot of the
-perpendicular dropped from the object. Its x-axis points away from the table,
-so robot offsets have dx_rob > 0 when the robot stands clear of the table and
-the object itself sits at (-dx_obj, 0).
+The frame sits on the table edge at the foot of the perpendicular dropped
+from the object. Its x-axis points away from the table, so robot offsets have
+dx_rob > 0 when the robot stands clear of the table and the object itself
+sits at (-dx_obj, 0). Every scene in the package has its objects on the one
+edge x = 0; an object's position along the edge is a lateral shift of its
+map (see placemap.sample_boundaries).
 """
 
 from __future__ import annotations
@@ -17,44 +19,6 @@ TWO_PI = 2.0 * math.pi
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]; ties at pi resolve to +pi."""
     return math.pi - ((math.pi - a) % TWO_PI)
-
-
-@dataclass(frozen=True)
-class Pose2:
-    """World-frame pose: position in meters, heading in radians."""
-
-    x: float
-    y: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-
-@dataclass(frozen=True)
-class TableEdge:
-    """Straight table edge segment with a unit normal pointing into the table."""
-
-    p0: tuple[float, float]
-    p1: tuple[float, float]
-    inward_normal: tuple[float, float]
-
-    def __post_init__(self):
-        nx, ny = self.inward_normal
-        norm = math.hypot(nx, ny)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("inward_normal must be a unit vector")
-        ex, ey = self.p1[0] - self.p0[0], self.p1[1] - self.p0[1]
-        if math.hypot(ex, ey) < 1e-12:
-            raise ValueError("degenerate edge segment")
-        if abs(ex * nx + ey * ny) > 1e-9 * math.hypot(ex, ey):
-            raise ValueError("inward_normal must be perpendicular to the edge")
-
-    @property
-    def direction(self) -> tuple[float, float]:
-        ex, ey = self.p1[0] - self.p0[0], self.p1[1] - self.p0[1]
-        n = math.hypot(ex, ey)
-        return (ex / n, ey / n)
 
 
 @dataclass(frozen=True)
@@ -81,72 +45,3 @@ class RobotOffset:
     def __post_init__(self):
         if not (math.isfinite(self.dx_rob) and math.isfinite(self.dy_rob)):
             raise ValueError("robot offset must be finite")
-
-
-@dataclass(frozen=True)
-class FrameTransform:
-    """Rigid 2D transform mapping frame-local points to the world."""
-
-    origin: tuple[float, float]
-    rotation: float
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        return (self.origin[0] + c * x - s * y, self.origin[1] + s * x + c * y)
-
-    def inverse_apply(self, x: float, y: float) -> tuple[float, float]:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        dx, dy = x - self.origin[0], y - self.origin[1]
-        return (c * dx + s * dy, -s * dx + c * dy)
-
-
-def _edge_signed_distance(pose_x: float, pose_y: float, edge: TableEdge) -> float:
-    """Distance from the edge line along the inward normal (positive on the
-    table side)."""
-    nx, ny = edge.inward_normal
-    return (pose_x - edge.p0[0]) * nx + (pose_y - edge.p0[1]) * ny
-
-
-def gsm_frame(object_pose: Pose2, edge: TableEdge) -> FrameTransform:
-    """Feature frame for an object on the table.
-
-    The origin is the foot of the perpendicular from the object onto the
-    supporting line of the edge; the x-axis points away from the table.
-    """
-    s = _edge_signed_distance(object_pose.x, object_pose.y, edge)
-    if s < -1e-12:
-        raise ValueError("object off table")
-    nx, ny = edge.inward_normal
-    origin = (object_pose.x - s * nx, object_pose.y - s * ny)
-    rotation = math.atan2(-ny, -nx)
-    return FrameTransform(origin=origin, rotation=rotation)
-
-
-def object_features(object_pose: Pose2, edge: TableEdge) -> ObjectFeatures:
-    """Edge distance and heading of the object relative to the outward normal."""
-    s = _edge_signed_distance(object_pose.x, object_pose.y, edge)
-    if s < -1e-12:
-        raise ValueError("object off table")
-    outward = math.atan2(-edge.inward_normal[1], -edge.inward_normal[0])
-    return ObjectFeatures(dx_obj=max(s, 0.0), dpsi_obj=wrap_angle(object_pose.theta - outward))
-
-
-def robot_offset(robot_pose: Pose2, frame: FrameTransform) -> RobotOffset:
-    """Robot base center expressed in the feature frame (orientation dropped:
-    the robot is assumed to face the table)."""
-    lx, ly = frame.inverse_apply(robot_pose.x, robot_pose.y)
-    return RobotOffset(dx_rob=lx, dy_rob=ly)
-
-
-def nearest_edge(object_pose: Pose2, edges: list[TableEdge]) -> TableEdge:
-    """Edge whose segment is closest to the object position."""
-
-    def seg_dist(edge: TableEdge) -> float:
-        ex, ey = edge.p1[0] - edge.p0[0], edge.p1[1] - edge.p0[1]
-        L2 = ex * ex + ey * ey
-        t = ((object_pose.x - edge.p0[0]) * ex + (object_pose.y - edge.p0[1]) * ey) / L2
-        t = min(max(t, 0.0), 1.0)
-        return math.hypot(object_pose.x - (edge.p0[0] + t * ex),
-                          object_pose.y - (edge.p0[1] + t * ey))
-
-    return min(edges, key=seg_dist)

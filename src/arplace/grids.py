@@ -7,7 +7,7 @@ i runs along x, j along y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,6 @@ class GridSpec:
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         return (self.origin_x + i * self.cell_size,
                 self.origin_y + j * self.cell_size)
-
-    def index_of(self, x: float, y: float) -> tuple[int, int]:
-        """Indices of the cell whose center is nearest to (x, y)."""
-        i = int(np.clip(round((x - self.origin_x) / self.cell_size), 0, self.nx - 1))
-        j = int(np.clip(round((y - self.origin_y) / self.cell_size), 0, self.ny - 1))
-        return i, j
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         xs = self.origin_x + self.cell_size * np.arange(self.nx)

@@ -4,8 +4,8 @@ A map assigns each candidate robot cell the probability that a grasp from
 there succeeds, given a Gaussian belief over the object pose. Maps are built
 by Monte-Carlo sampling boundaries from the generalized success model, can be
 conditioned on robot position uncertainty, and support merging (joint success
-for several objects), unions over table edges, and conversion to a navigation
-cost map.
+for several objects), cellwise maxima, resampling, and conversion to a
+navigation cost map.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .geometry import wrap_angle
 from .grids import ARPlaceGrid, CostGrid, GridSpec
 from .shapemodel import GSMModel
 
-DEFAULT_CELL_SIZE = 0.025
 DEFAULT_N_SAMPLES = 100
 
 
@@ -51,9 +50,6 @@ class GaussianBelief:
 
     def cov_array(self) -> np.ndarray:
         return np.asarray(self.cov, dtype=float)
-
-    def scaled(self, factor: float) -> "GaussianBelief":
-        return GaussianBelief(self.mean, self.cov_array() * factor)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """(n, 3) samples; the covariance square root comes from a clipped
@@ -208,8 +204,7 @@ def merge(a: ARPlaceGrid, b: ARPlaceGrid) -> ARPlaceGrid:
 
 def resample_to(grid: ARPlaceGrid, spec: GridSpec, fill: float = 0.0) -> ARPlaceGrid:
     """Nearest-cell resampling onto another grid; cells outside the source
-    extent take the fill value. Used to align object-local maps on a shared
-    world-frame grid before merging."""
+    extent take the fill value."""
     xs, ys = spec.centers()
     si = np.round((xs - grid.spec.origin_x) / grid.spec.cell_size).astype(int)
     sj = np.round((ys - grid.spec.origin_y) / grid.spec.cell_size).astype(int)
@@ -221,9 +216,9 @@ def resample_to(grid: ARPlaceGrid, spec: GridSpec, fill: float = 0.0) -> ARPlace
 
 
 def union_edges(maps: list[ARPlaceGrid]) -> ARPlaceGrid:
-    """Either-edge map: cellwise maximum over maps sharing a world frame.
-    Extents may differ; the result covers their union (missing cells count
-    as probability 0)."""
+    """Cellwise maximum over maps of one frame whose origins lie on a common
+    lattice. Extents may differ; the result covers their union (missing
+    cells count as probability 0)."""
     if not maps:
         raise ValueError("need at least one map")
     cell = maps[0].spec.cell_size
@@ -278,7 +273,3 @@ def best_cell(grid: ARPlaceGrid, smooth_radius: float = 0.0) -> tuple[tuple[int,
     ij = (flat // grid.spec.ny, flat % grid.spec.ny)
     return ij, float(grid.probs[ij])
 
-
-def best_cell_center(grid: ARPlaceGrid, smooth_radius: float = 0.0) -> tuple[float, float]:
-    (i, j), _ = best_cell(grid, smooth_radius)
-    return grid.spec.cell_center(i, j)

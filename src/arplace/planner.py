@@ -11,7 +11,7 @@ promises a high joint success probability.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,62 +144,6 @@ def plan_to_sexp(node: PlanNode) -> str:
     return "(" + " ".join(parts) + ")"
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _read(tokens: list[str], pos: int):
-    if tokens[pos] != "(":
-        return tokens[pos], pos + 1
-    items = []
-    pos += 1
-    while tokens[pos] != ")":
-        item, pos = _read(tokens, pos)
-        items.append(item)
-    return items, pos + 1
-
-
-def _parse_location(items) -> Designator:
-    purpose = None
-    objects: tuple[str, ...] = ()
-    resolved = None
-    i = 0
-    while i < len(items):
-        item = items[i]
-        if isinstance(item, list):
-            if item and item[0] == "to":
-                purpose = item[1].replace("-", "_")
-            elif item and item[0] == "objects":
-                objects = tuple(item[1:])
-            elif item and item[0] == "resolved":
-                x, y, p = (float(v) for v in item[1:4])
-                resolved = ((x, y), p)
-        i += 1
-    return Designator(purpose, objects, resolved)
-
-
-def _sexp_to_node(items) -> PlanNode:
-    kind = items[0].replace("-", "_")
-    goal = None
-    location = None
-    children = []
-    for item in items[1:]:
-        if not isinstance(item, list):
-            continue
-        if item and item[0] == "a" and item[1] == "location":
-            location = _parse_location(item[2:])
-        elif item and item[0].replace("-", "_") in _KINDS:
-            children.append(_sexp_to_node(item))
-        else:
-            goal = tuple(item)
-    return PlanNode(kind, goal=goal, location=location, children=children)
-
-
-def parse_plan(text: str) -> PlanNode:
-    items, _ = _read(_tokenize(text), 0)
-    return _sexp_to_node(items)
-
-
 # ---------------------------------------------------------------------------
 # scenes and projection
 # ---------------------------------------------------------------------------
@@ -271,14 +215,19 @@ def plan_duration(trace: ExecutionTrace, time_model: TimeModel) -> float:
     return sum(time_model.event_duration(e) for e in trace.events)
 
 
-def object_map(gsm: GSMModel, belief: GaussianBelief, spec: GridSpec, rng,
-               n_samples: int = 100, robot_cov=None) -> ARPlaceGrid:
-    """World-frame success map for one object belief (the belief's lateral
-    mean places the map along the table edge)."""
-    grid = compute_map(gsm, belief, spec, n_samples=n_samples, rng=rng,
-                       frame="world")
-    if robot_cov is not None:
-        grid = apply_robot_uncertainty(grid, robot_cov)
+def merged_map(gsm: GSMModel, scene: Scene, names, spec: GridSpec,
+               rng: np.random.Generator, robot_cov=None) -> ARPlaceGrid:
+    """World-frame joint success map of the named scene objects: one map per
+    object on a seed drawn from rng in the order of names (the belief's
+    lateral mean places it along the table edge), optionally conditioned on
+    robot position noise, multiplied cellwise."""
+    grid = None
+    for name in names:
+        g = compute_map(gsm, scene.objects[name].belief, spec,
+                        rng=rng.integers(2 ** 31), frame="world")
+        if robot_cov is not None:
+            g = apply_robot_uncertainty(g, robot_cov)
+        grid = g if grid is None else merge(grid, g)
     return grid
 
 
@@ -290,12 +239,8 @@ def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
-    rng = np.random.default_rng(rng)
-    grid = None
-    for name in designator.objects:
-        g = object_map(gsm, scene.objects[name].belief, spec,
-                       rng=rng.integers(2 ** 31), robot_cov=robot_cov)
-        grid = g if grid is None else merge(grid, g)
+    grid = merged_map(gsm, scene, designator.objects, spec,
+                      np.random.default_rng(rng), robot_cov)
     (i, j), p = best_cell(grid, smooth_radius)
     designator.resolved = (grid.spec.cell_center(i, j), p)
     return designator
@@ -314,8 +259,13 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     the robot is already there, with position noise on arrival), perception
     snaps a belief to the true state and shrinks its covariance, and grasps
     run against the true object state from the achieved base position.
+
+    Perception updates copies of the scene's objects, so the scene passed in
+    keeps its beliefs and can be projected again.
     """
     rng = np.random.default_rng(rng)
+    scene = Scene({name: replace(obj) for name, obj in scene.objects.items()},
+                  scene.robot_xy)
     for node in plan.walk():
         if node.kind == AT_LOCATION:
             for name in node.location.objects:
@@ -379,7 +329,7 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
 
 @dataclass
 class Flaw:
-    kind: str                         # unoptimized_locations | unreached_goal_location
+    kind: str                         # unoptimized_locations
     bindings: dict
     proposed_location: tuple[tuple[float, float], float] | None = None
 
@@ -405,13 +355,9 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
             continue
         if set(a.location.objects) == set(b.location.objects):
             continue
-        grid = None
-        for name in a.location.objects + b.location.objects:
-            g = object_map(gsm, scene.objects[name].belief, spec,
-                           rng=rng.integers(2 ** 31), robot_cov=robot_cov)
-            grid = g if grid is None else merge(grid, g)
-        (i, j), _ = best_cell(grid, smooth_radius)
-        p = float(grid.probs[i, j])
+        grid = merged_map(gsm, scene, a.location.objects + b.location.objects,
+                          spec, rng, robot_cov)
+        (i, j), p = best_cell(grid, smooth_radius)
         if p > threshold:
             return Flaw("unoptimized_locations",
                         {"tasks": [a.uid, b.uid],
@@ -419,24 +365,6 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
                                            | set(b.location.objects))},
                         proposed_location=(grid.spec.cell_center(i, j), p))
     return None
-
-
-def detect_unreached_goal_flaw(trace: ExecutionTrace, tolerance: float) -> list[Flaw]:
-    """One flaw per navigation event whose achieved position misses its goal
-    by more than the tolerance."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    flaws = []
-    for idx, ev in enumerate(trace.events):
-        if ev.kind != "navigate":
-            continue
-        goal = np.asarray(ev.detail["goal"])
-        achieved = np.asarray(ev.detail["achieved"])
-        deviation = float(np.linalg.norm(goal - achieved))
-        if deviation > tolerance:
-            flaws.append(Flaw("unreached_goal_location",
-                              {"event_index": idx, "deviation": deviation}))
-    return flaws
 
 
 def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:

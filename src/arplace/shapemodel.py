@@ -5,8 +5,8 @@ the deformation-mode coefficients.
 Training stacks the N per-pose boundaries into a 2m x N landmark matrix,
 extracts the principal deformation modes by PCA, and regresses each mode
 coefficient on quadratic terms of (object distance, object orientation).
-Querying reconstructs a boundary polygon for arbitrary object features and
-tests robot offsets for membership.
+Querying reconstructs boundary polygons for arbitrary object features, one
+at a time (boundary_for) or for a batch of draws (predict_landmarks).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import Boundary, SVMModel, extract_contour
-from .geometry import ObjectFeatures, RobotOffset
+from .geometry import ObjectFeatures
 from .grids import GridSpec
 
 MODEL_FORMAT_VERSION = 1
@@ -36,33 +36,6 @@ class RegressionRankError(RuntimeError):
 # landmark matrix and distribution model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundaryMatrix:
-    """2m x N landmark matrix; column j stacks the x then the y coordinates
-    of the m landmarks of boundary j."""
-
-    H: np.ndarray
-    object_poses: list[ObjectFeatures]
-
-    def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        if self.H.ndim != 2 or self.H.shape[0] % 2 != 0:
-            raise ValueError("H must be 2m x N")
-        if len(self.object_poses) != self.H.shape[1]:
-            raise ValueError("one object pose per column required")
-
-    @property
-    def m(self) -> int:
-        return self.H.shape[0] // 2
-
-    @property
-    def n_poses(self) -> int:
-        return self.H.shape[1]
-
-    def boundary(self, j: int) -> np.ndarray:
-        return _column_to_landmarks(self.H[:, j])
-
-
 def _landmarks_to_column(landmarks: np.ndarray) -> np.ndarray:
     lm = np.asarray(landmarks, dtype=float)
     return np.concatenate([lm[:, 0], lm[:, 1]])
@@ -73,18 +46,13 @@ def _column_to_landmarks(col: np.ndarray) -> np.ndarray:
     return np.column_stack([col[:m], col[m:]])
 
 
-def assemble_H(boundaries: list, object_poses: list[ObjectFeatures]) -> BoundaryMatrix:
-    """Stack N boundaries of m landmarks each into a 2m x N matrix."""
-    if len(boundaries) != len(object_poses):
-        raise ValueError("one object pose per boundary required")
-    arrays = [b.landmarks if isinstance(b, Boundary) else np.asarray(b, dtype=float)
-              for b in boundaries]
-    m = len(arrays[0])
-    for a in arrays:
-        if len(a) != m:
-            raise ValueError("all boundaries must share the landmark count")
-    H = np.column_stack([_landmarks_to_column(a) for a in arrays])
-    return BoundaryMatrix(H=H, object_poses=list(object_poses))
+def assemble_H(landmarks: list[np.ndarray]) -> np.ndarray:
+    """Stack N landmark polygons of m points each into the 2m x N matrix
+    whose column j holds the x then the y coordinates of polygon j."""
+    m = len(landmarks[0])
+    if any(len(lm) != m for lm in landmarks):
+        raise ValueError("all boundaries must share the landmark count")
+    return np.column_stack([_landmarks_to_column(lm) for lm in landmarks])
 
 
 @dataclass
@@ -129,15 +97,11 @@ class PDM:
         return np.stack([flat[:, :self.m], flat[:, self.m:]], axis=-1)
 
 
-def reconstruct(pdm: PDM, b) -> Boundary:
-    return Boundary(pdm.reconstruct(np.asarray(b, dtype=float)))
-
-
 def fit_pdm(H, d: int) -> PDM:
     """PCA of the landmark matrix with 1/(N-1) covariance normalization.
     Eigenvector signs are fixed so the largest-magnitude component of each
     mode is positive."""
-    H = H.H if isinstance(H, BoundaryMatrix) else np.asarray(H, dtype=float)
+    H = np.asarray(H, dtype=float)
     N = H.shape[1]
     if N < 2:
         raise ValueError("need at least two boundaries")
@@ -194,8 +158,7 @@ def placement_cost(contours: list, fractions: np.ndarray, d: int) -> tuple[float
     the first d modes and l the mean landmark reconstruction distance of the
     d-mode model. Returns (cost, energy, l)."""
     lms = _landmarks_at(contours, fractions)
-    H = np.column_stack([_landmarks_to_column(lm) for lm in lms])
-    pdm = fit_pdm(H, d)
+    pdm = fit_pdm(assemble_H(lms), d)
     dists = []
     for lm in lms:
         rec = pdm.reconstruct(pdm.project(lm))
@@ -292,19 +255,6 @@ class RegressionModel:
     def d(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def W1(self) -> np.ndarray:
-        return self.W[0]
-
-    @property
-    def W2(self) -> np.ndarray:
-        return self.W[1]
-
-    def in_bounds(self, obj: ObjectFeatures) -> bool:
-        lo_x, hi_x = self.training_bounds["dx_obj"]
-        lo_p, hi_p = self.training_bounds["dpsi_obj"]
-        return lo_x <= obj.dx_obj <= hi_x and lo_p <= obj.dpsi_obj <= hi_p
-
     def predict(self, dx_obj: np.ndarray, dpsi_obj: np.ndarray) -> np.ndarray:
         """(n, d) mode coefficients q^T W_k q, q = [dx, dpsi, 1], for n
         feature rows, without a range check. Elementwise products only, so a
@@ -348,16 +298,6 @@ def fit_regression(B: np.ndarray, features: list[ObjectFeatures]) -> RegressionM
     return RegressionModel(W=W, r_squared=r2, training_bounds=bounds)
 
 
-def deformation_for(reg: RegressionModel, obj: ObjectFeatures,
-                    warn_extrapolation: bool = True) -> np.ndarray:
-    """Mode coefficients for the given object features; features outside the
-    training range are allowed but raise a warning."""
-    if warn_extrapolation and not reg.in_bounds(obj):
-        warnings.warn("object features outside the training range; "
-                      "deformation is extrapolated")
-    return reg.predict(np.array([obj.dx_obj]), np.array([obj.dpsi_obj]))[0]
-
-
 # ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
@@ -393,8 +333,15 @@ class GSMModel:
         return self.pdm.landmarks_for(self.regression.predict(dx_obj, dpsi_obj))
 
     def boundary_for(self, obj: ObjectFeatures, warn_extrapolation: bool = True) -> Boundary:
-        b = deformation_for(self.regression, obj, warn_extrapolation)
-        return Boundary(self.pdm.landmarks_for(b[None])[0])
+        """Boundary predicted for one object pose; features outside the
+        training range are allowed but warn unless warn_extrapolation is
+        False."""
+        (lo_x, hi_x), (lo_p, hi_p) = (self.training_bounds[k] for k in ("dx_obj", "dpsi_obj"))
+        if warn_extrapolation and not (lo_x <= obj.dx_obj <= hi_x and lo_p <= obj.dpsi_obj <= hi_p):
+            warnings.warn("object features outside the training range; "
+                          "deformation is extrapolated")
+        return Boundary(self.predict_landmarks(np.array([obj.dx_obj]),
+                                               np.array([obj.dpsi_obj]))[0])
 
     def to_dict(self) -> dict:
         return {
@@ -406,8 +353,8 @@ class GSMModel:
             "modes": self.pdm.modes.tolist(),
             "eigenvalues": self.pdm.eigenvalues.tolist(),
             "energy": self.pdm.energy,
-            "W1": self.regression.W1.tolist(),
-            "W2": self.regression.W2.tolist(),
+            "W1": self.regression.W[0].tolist(),
+            "W2": self.regression.W[1].tolist(),
             "r_squared": self.regression.r_squared.tolist(),
             "training_bounds": self.regression.training_bounds,
             "extras": self.extras,
@@ -436,13 +383,6 @@ class GSMModel:
             return cls.from_dict(json.load(f))
 
 
-def predict_success(gsm: GSMModel, robot: RobotOffset, obj: ObjectFeatures) -> bool:
-    """True iff the robot offset lies inside the boundary predicted for the
-    object features (even-odd polygon test)."""
-    boundary = gsm.boundary_for(obj, warn_extrapolation=False)
-    return bool(boundary.contains(np.array([[robot.dx_rob, robot.dy_rob]]))[0])
-
-
 def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
               n_landmarks: int = 20, energy_target: float = 0.95,
               optimize_placement: bool = True, grasp_type: str = "side") -> GSMModel:
@@ -460,8 +400,7 @@ def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
     else:
         fractions = np.arange(n_landmarks) / n_landmarks
         lms = _landmarks_at(contours, fractions)
-    H = assemble_H(lms, feats)
-    pdm = fit_pdm(H, GSM_MODES)
+    pdm = fit_pdm(assemble_H(lms), GSM_MODES)
     if pdm.energy < energy_target:
         raise DegenerateShapeError(
             f"two modes capture only {pdm.energy:.4f} of the deformation "

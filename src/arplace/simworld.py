@@ -13,15 +13,13 @@ empty. Failure causes mirror the stages of the action sequence.
 
 from __future__ import annotations
 
-import json
 import math
 import csv
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ObjectFeatures, RobotOffset, TableEdge, wrap_angle
+from .geometry import ObjectFeatures, RobotOffset, wrap_angle
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -39,7 +37,6 @@ CAUSES = (
 
 @dataclass(frozen=True)
 class WorldConfig:
-    table_polygon: tuple[TableEdge, ...] = ()
     robot_radius: float = 0.10
     reach_min: float = 0.25
     reach_max: float = 0.95
@@ -63,33 +60,6 @@ class WorldConfig:
         if not (0.0 <= self.local_minimum_rate <= 1.0):
             raise ValueError("local_minimum_rate must be in [0, 1]")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["table_polygon"] = [
-            {"p0": list(e.p0), "p1": list(e.p1), "inward_normal": list(e.inward_normal)}
-            for e in self.table_polygon
-        ]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldConfig":
-        d = dict(d)
-        edges = tuple(
-            TableEdge(tuple(e["p0"]), tuple(e["p1"]), tuple(e["inward_normal"]))
-            for e in d.pop("table_polygon", [])
-        )
-        return cls(table_polygon=edges, **d)
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "WorldConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -99,6 +69,8 @@ class TrialRecord:
     cause: str
 
     def __post_init__(self):
+        if self.label not in (SUCCESS, FAILURE):
+            raise ValueError(f"unknown label {self.label!r}")
         if self.label == SUCCESS and self.cause != "none":
             raise ValueError("successful trials carry no failure cause")
         if self.cause not in CAUSES:
@@ -250,41 +222,24 @@ def execute_trial(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfig,
     return TrialRecord(obj, robot, SUCCESS, "none")
 
 
-def _trial_batch(args):
-    world, pairs, seed, use_filter = args
-    out = []
-    for idx, obj, rob in pairs:
-        rng = np.random.default_rng((seed, idx))
-        out.append((idx, execute_trial(obj, rob, world, rng, check_reachability=use_filter)))
-    return out
-
-
 def generate_dataset(world: WorldConfig, object_grid, robot_grid, seed: int,
-                     use_capability_filter: bool = True, workers: int = 1) -> Dataset:
+                     use_capability_filter: bool = True) -> Dataset:
     """One trial per (object, robot) pair, each on an independent RNG stream
-    derived from (seed, pair index) so results do not depend on scheduling."""
+    derived from (seed, pair index), so a record does not depend on the
+    order in which the pairs run."""
     if not object_grid or not robot_grid:
         raise ValueError("grids must be non-empty")
-    pairs = [(i * len(robot_grid) + j, obj, rob)
-             for i, obj in enumerate(object_grid)
-             for j, rob in enumerate(robot_grid)]
-    if workers > 1:
-        chunks = [pairs[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = []
-            for batch in ex.map(_trial_batch,
-                                [(world, c, seed, use_capability_filter) for c in chunks]):
-                results.extend(batch)
-    else:
-        results = _trial_batch((world, pairs, seed, use_capability_filter))
-    results.sort(key=lambda t: t[0])
+    records = [execute_trial(obj, rob, world,
+                             np.random.default_rng((seed, i * len(robot_grid) + j)),
+                             check_reachability=use_capability_filter)
+               for i, obj in enumerate(object_grid)
+               for j, rob in enumerate(robot_grid)]
     return Dataset(world=world, object_grid=list(object_grid),
-                   robot_grid=list(robot_grid), records=[r for _, r in results])
+                   robot_grid=list(robot_grid), records=records)
 
 
 def default_world(seed: int = 0) -> WorldConfig:
-    edge = TableEdge(p0=(0.0, -1.5), p1=(0.0, 1.5), inward_normal=(-1.0, 0.0))
-    return WorldConfig(table_polygon=(edge,), seed=seed)
+    return WorldConfig(seed=seed)
 
 
 def default_object_grid() -> list[ObjectFeatures]:

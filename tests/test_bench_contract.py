@@ -1,0 +1,30 @@
+"""The benchmark under perfbench/ reaches into the package: its tracer
+patches named module and class attributes, and its workloads call the
+public functions. These checks keep the package's names and behaviour
+within what the benchmark relies on."""
+
+import os
+import sys
+
+import pytest
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+sys.path.insert(0, BENCH_DIR)
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_tracer_finds_every_patch_target():
+    t = tracer.Tracer()
+    with t.patched():
+        assert t.missing == []
+
+
+@pytest.mark.parametrize("workload", [workloads.Query, workloads.Plan])
+def test_first_operation_passes_its_check(workload, tmp_path):
+    w = workload(1, str(tmp_path))
+    _, inp = w.make_input(0)
+    out = w.run(inp)
+    assert w.check(inp, out) is None

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from arplace.classifier import (Boundary, EmptySuccessRegionError, LabeledSet,
-                                SVMModel, decide, extract_boundary,
-                                extract_contour, points_in_polygon,
-                                resample_closed, train_per_pose, train_svm)
+                                SVMModel, extract_contour, points_in_polygon,
+                                signed_area, train_per_pose, train_svm)
 from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
+from arplace.shapemodel import _ArcTable
 
 OBJ = ObjectFeatures(0.1, 0.0)
 
@@ -63,24 +63,6 @@ def test_svm_solution_satisfies_dual_constraints():
     assert np.max(np.abs(y[free] * f[free] - 1.0)) < 1e-2
 
 
-def test_decide_matches_decision_values():
-    model = train_svm(_ring_set())
-    r = RobotOffset(0.03, -0.07)
-    assert decide(model, r) == pytest.approx(
-        float(model.decision_values(np.array([[0.03, -0.07]]))[0]))
-
-
-def test_svm_save_load_round_trip(tmp_path):
-    model = train_svm(_ring_set())
-    path = tmp_path / "svm.json"
-    model.save(path)
-    back = SVMModel.load(path)
-    np.testing.assert_array_equal(back.support_points, model.support_points)
-    np.testing.assert_array_equal(back.alphas, model.alphas)
-    assert back.bias == model.bias
-    assert back.kernel_sigma == model.kernel_sigma
-
-
 # ---------------------------------------------------------------------------
 # polygon membership
 # ---------------------------------------------------------------------------
@@ -118,14 +100,12 @@ def test_boundary_contains_square():
     square = Boundary(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     res = square.contains(np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2]]))
     assert list(res) == [True, False, False]
-    shifted = square.shifted(2.0, 0.0)
-    assert shifted.contains(np.array([[2.5, 0.5]]))[0]
-    assert not shifted.contains(np.array([[0.5, 0.5]]))[0]
 
 
 def test_boundary_signed_area_and_centroid():
     square = Boundary(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    assert abs(square.signed_area()) == pytest.approx(1.0)
+    assert signed_area(square.landmarks) == pytest.approx(1.0)
+    assert signed_area(square.landmarks[::-1]) == pytest.approx(-1.0)
     np.testing.assert_allclose(square.centroid(), [0.5, 0.5], atol=1e-12)
 
 
@@ -148,8 +128,8 @@ def test_extract_contour_recovers_analytic_circle():
     contour = extract_contour(model, spec)
     r = np.hypot(contour[:, 0] - 0.05, contour[:, 1] + 0.03)
     assert np.max(np.abs(r - 0.2)) < 0.011  # within one cell
-    b = Boundary(resample_closed(contour, 64))
-    assert abs(b.signed_area()) == pytest.approx(np.pi * 0.2 ** 2, rel=0.02)
+    b = Boundary(_ArcTable(contour).at(np.arange(64) / 64))
+    assert abs(signed_area(b.landmarks)) == pytest.approx(np.pi * 0.2 ** 2, rel=0.02)
     np.testing.assert_allclose(b.centroid(), [0.05, -0.03], atol=0.005)
 
 
@@ -160,7 +140,7 @@ def test_extract_contour_keeps_border_touching_region_closed():
     contour = extract_contour(model, spec)
     assert len(contour) > 10
     assert np.linalg.norm(contour[0] - contour[-1]) > 0.0  # open storage
-    b = Boundary(resample_closed(contour, 64))
+    b = Boundary(_ArcTable(contour).at(np.arange(64) / 64))
     assert b.contains(np.array([[0.45, 0.0]]))[0]
 
 
@@ -176,8 +156,10 @@ def test_extract_contour_raises_without_positive_region():
 
 
 def test_resample_closed_equal_arc_spacing():
+    """The shape model's arc-length table resamples a closed contour at
+    equal arc spacing."""
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    pts = resample_closed(square, 16)
+    pts = _ArcTable(square).at(np.arange(16) / 16)
     assert pts.shape == (16, 2)
     closed = np.vstack([pts, pts[:1]])
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
@@ -185,13 +167,6 @@ def test_resample_closed_equal_arc_spacing():
     assert np.all((np.abs(pts) < 1e-12) | (np.abs(pts - 1) < 1e-12)
                   | ((pts > 0) & (pts < 1)))
     assert seg.max() == pytest.approx(4.0 / 16, abs=1e-9)
-
-
-def test_extract_boundary_landmark_count():
-    model = _disk_model()
-    spec = GridSpec.covering(-0.5, 0.5, -0.5, 0.5, 0.01)
-    b = extract_boundary(model, spec, n_landmarks=20)
-    assert b.landmarks.shape == (20, 2)
 
 
 def test_train_per_pose_one_model_per_object(pipeline):

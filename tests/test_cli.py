@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from arplace.cli import main
+from arplace.evaluation import merge_experiment, transformation_benefit
 from arplace.grids import ARPlaceGrid, GridSpec, load_grid_text, save_grid_text
+from arplace.shapemodel import GSMModel
+from arplace.simworld import default_world
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,77 @@ def test_bad_config_exit_code(artifacts, tmp_path, capsys):
     rc = main(["gen-data", "--config", str(bad), "--seed", "0",
                "--out", str(tmp_path / "d.csv")])
     assert rc == 3
+
+
+# (config, subcommand that reads it); each must exit 3 before any work runs
+BAD_CONFIGS = {
+    "world_unknown_key": ({"world": {"bogus": 1}}, "gen-data"),
+    "world_value_not_a_number": ({"world": {"robot_radius": "x"}}, "gen-data"),
+    "world_not_an_object": ({"world": "notadict"}, "gen-data"),
+    "world_rejected_by_worldconfig": ({"world": {"reach_min": 2.0}}, "gen-data"),
+    "world_bool_for_float": ({"world": {"nav_noise_sigma": True}}, "gen-data"),
+    "filter_not_a_bool": ({"use_capability_filter": "no"}, "gen-data"),
+    "samples_not_a_number": ({"n_samples": "abc"}, "map"),
+    "samples_zero": ({"n_samples": 0}, "map"),
+    "samples_float_for_int": ({"n_samples": 2.5}, "map"),
+    "samples_bool_for_int": ({"n_samples": True}, "map"),
+    "cell_size_negative": ({"cell_size": -1}, "map"),
+    "threshold_above_one": ({"merge_threshold": 1.5}, "map"),
+    "too_few_landmarks": ({"n_landmarks": 3}, "map"),
+    "not_an_object": ([1, 2], "map"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_value_exit_code(artifacts, tmp_path, capsys, name):
+    raw, command = BAD_CONFIGS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    extra = {"gen-data": [],
+             "map": ["--model", str(artifacts["model"]),
+                     "--belief", str(artifacts["belief"])]}[command]
+    rc = main([command, "--config", str(cfg), "--seed", "0",
+               "--out", str(tmp_path / "out")] + extra)
+    assert rc == 3
+    assert "config" in capsys.readouterr().err
+
+
+def test_good_config_values_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": 50, "cell_size": 1, "merge_threshold": 0.9,
+                               "use_capability_filter": False,
+                               "world": {"nav_noise_sigma": 0, "seed": 4}}))
+    assert main(["gen-data", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+
+
+def _drop_robot_dy(line):
+    fields = line.split(",")
+    del fields[3]
+    return ",".join(fields)
+
+
+# (edit of a good dataset's header and first row, text the error must name)
+BAD_DATASETS = {
+    "missing_column": (lambda head, row: (_drop_robot_dy(head), _drop_robot_dy(row)),
+                       "robot_dy"),
+    "not_a_number": (lambda head, row: (head, "abc," + row.split(",", 1)[1]), "abc"),
+    "unknown_label": (lambda head, row: (head, row.replace("failure", "banana")), "banana"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DATASETS))
+def test_bad_dataset_exit_code(artifacts, tmp_path, capsys, name):
+    lines = artifacts["data"].read_text().splitlines()
+    head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    edit, where = BAD_DATASETS[name]
+    lines[head], lines[head + 1] = edit(lines[head], lines[head + 1])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(bad), "--seed", "0",
+               "--out", str(tmp_path / "model.json")])
+    assert rc == 3
+    assert where in capsys.readouterr().err
 
 
 BAD_BELIEFS = {
@@ -130,6 +204,27 @@ def test_plan_command_reports_merge(artifacts, tmp_path, capsys):
     assert "plan A duration" in text
     assert "merge flaw" in text
     assert "plan B duration" in text
+
+
+def test_plan_command_is_the_merge_experiment_point(artifacts, tmp_path, capsys):
+    """`arplace plan` runs the merge experiment on the RNG base (seed,);
+    transformation_benefit runs separation k on (seed, k)."""
+    gsm = GSMModel.load(artifacts["model"])
+    world = default_world(3)
+    out = tmp_path / "plan.txt"
+    assert main(["plan", "--model", str(artifacts["model"]), "--separation", "0.30",
+                 "--seed", "3", "--out", str(out)]) == 0
+    point = merge_experiment(0.30, gsm, world, (3,))
+    text = out.read_text()
+    assert f"plan A duration {point.duration_a:.2f} s (2 navigations)" in text
+    assert f"plan B duration {point.duration_b:.2f} s (1 navigations)" in text
+    (x, y), p = point.flaw.proposed_location
+    assert f"joint probability {p:.3f} at ({x:.3f}, {y:.3f})" in text
+
+    swept = transformation_benefit([0.55, 0.30], gsm, world, seed=3).points[1]
+    alone = merge_experiment(0.30, gsm, world, (3, 1))
+    assert swept.flaw.proposed_location == alone.flaw.proposed_location
+    assert (swept.duration_a, swept.duration_b) == (alone.duration_a, alone.duration_b)
 
 
 def test_world_override_via_config(tmp_path, capsys):

@@ -1,14 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arplace.geometry import (FrameTransform, ObjectFeatures, Pose2,
-                              RobotOffset, TableEdge, gsm_frame, nearest_edge,
-                              object_features, robot_offset, wrap_angle)
-
-EDGE = TableEdge(p0=(0.0, -1.5), p1=(0.0, 1.5), inward_normal=(-1.0, 0.0))
+from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
 
 
 @given(st.floats(-50.0, 50.0))
@@ -22,46 +17,6 @@ def test_wrap_angle_range_and_consistency(a):
 def test_wrap_angle_identity_inside_range():
     assert wrap_angle(0.3) == pytest.approx(0.3)
     assert wrap_angle(-3.0) == pytest.approx(-3.0)
-
-
-def test_frame_transform_round_trip():
-    t = FrameTransform(origin=(0.4, -0.2), rotation=0.7)
-    x, y = t.apply(0.31, -0.55)
-    rx, ry = t.inverse_apply(x, y)
-    assert rx == pytest.approx(0.31, abs=1e-12)
-    assert ry == pytest.approx(-0.55, abs=1e-12)
-
-
-def test_object_features_against_hand_computed_case():
-    # object 0.1 m behind the edge plane (x = -0.1 is on the table side,
-    # the inward normal points along -x), rotated 0.25 rad
-    pose = Pose2(-0.1, 0.3, 0.25)
-    feats = object_features(pose, EDGE)
-    assert feats.dx_obj == pytest.approx(0.1, abs=1e-12)
-    assert feats.dpsi_obj == pytest.approx(0.25, abs=1e-12)
-
-
-def test_gsm_frame_puts_object_at_minus_dx():
-    pose = Pose2(-0.17, 0.42, -0.3)
-    frame = gsm_frame(pose, EDGE)
-    ox, oy = frame.inverse_apply(pose.x, pose.y)
-    assert ox == pytest.approx(-0.17, abs=1e-12)
-    assert oy == pytest.approx(0.0, abs=1e-12)
-
-
-def test_robot_offset_from_world_pose():
-    pose = Pose2(-0.1, 0.3, 0.0)
-    frame = gsm_frame(pose, EDGE)
-    robot = robot_offset(Pose2(0.5, 0.3, math.pi), frame)
-    assert robot.dx_rob == pytest.approx(0.5, abs=1e-12)
-    assert robot.dy_rob == pytest.approx(0.0, abs=1e-12)
-
-
-def test_nearest_edge_picks_closest_segment():
-    far = TableEdge(p0=(5.0, -1.0), p1=(5.0, 1.0), inward_normal=(1.0, 0.0))
-    pose = Pose2(-0.1, 0.0, 0.0)
-    assert nearest_edge(pose, [far, EDGE]) is EDGE
-    assert nearest_edge(Pose2(5.2, 0.0, 0.0), [far, EDGE]) is far
 
 
 def test_object_features_validation():

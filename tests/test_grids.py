@@ -11,13 +11,6 @@ def _grid(nx=5, ny=4, seed=0):
     return ARPlaceGrid(spec=spec, probs=probs, frame="gsm")
 
 
-def test_cell_center_and_index_round_trip():
-    spec = GridSpec(0.0, -0.5, 0.025, 10, 20)
-    for i, j in [(0, 0), (3, 7), (9, 19)]:
-        x, y = spec.cell_center(i, j)
-        assert spec.index_of(x, y) == (i, j)
-
-
 def test_covering_spans_requested_rectangle():
     spec = GridSpec.covering(0.15, 1.05, -0.78, 0.78, 0.025)
     xs, ys = spec.centers()

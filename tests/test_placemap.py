@@ -9,9 +9,9 @@ from arplace.classifier import points_in_polygon
 from arplace.geometry import ObjectFeatures
 from arplace.grids import ARPlaceGrid, GridSpec
 from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts,
-                              apply_robot_uncertainty, best_cell,
-                              best_cell_center, compute_map, cost_map, merge,
-                              resample_to, sample_boundaries, union_edges)
+                              apply_robot_uncertainty, best_cell, compute_map,
+                              cost_map, merge, resample_to, sample_boundaries,
+                              union_edges)
 
 SPEC = GridSpec(0.0, -0.4, 0.05, 8, 10)
 
@@ -370,7 +370,6 @@ def test_best_cell_and_tie_break():
     grid = _grid(probs)
     (i, j), p = best_cell(grid)
     assert (i, j) == (2, 3) and p == 0.9
-    assert best_cell_center(grid) == SPEC.cell_center(2, 3)
 
 
 def test_best_cell_smoothing_prefers_plateau_interiors():

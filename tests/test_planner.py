@@ -3,12 +3,10 @@ import pytest
 
 from arplace.evaluation import make_two_cup_scene
 from arplace.grids import GridSpec
-from arplace.planner import (Designator, ExecutionTrace, Flaw, TimeModel,
-                             TraceEvent, UnresolvableDesignatorError,
-                             apply_merge_transform, detect_merge_flaw,
-                             detect_unreached_goal_flaw, parse_plan,
-                             plan_duration, plan_to_sexp, project,
-                             resolve_location, two_pickup_plan)
+from arplace.planner import (Designator, Flaw, TimeModel,
+                             UnresolvableDesignatorError, apply_merge_transform,
+                             detect_merge_flaw, plan_duration, plan_to_sexp,
+                             project, resolve_location, two_pickup_plan)
 
 
 def _spec(sep):
@@ -31,29 +29,17 @@ def test_two_pickup_plan_shape():
     assert tasks[0].location.uid != tasks[1].location.uid
 
 
-def test_sexp_round_trip_preserves_structure():
-    plan = two_pickup_plan()
-    text = plan_to_sexp(plan)
-    back = parse_plan(text)
-    assert [n.kind for n in back.walk()] == [n.kind for n in plan.walk()]
-    assert [n.goal for n in back.walk()] == [n.goal for n in plan.walk()]
-    locs_a = [n.location.objects for n in plan.walk() if n.location]
-    locs_b = [n.location.objects for n in back.walk() if n.location]
-    assert locs_a == locs_b
-    # serialization is a fixed point after one round trip
-    assert plan_to_sexp(back) == text
-
-
-def test_sexp_round_trip_keeps_resolved_location():
+def test_sexp_writes_structure_and_resolved_location():
     plan = two_pickup_plan()
     task = next(n for n in plan.walk() if n.kind == "at_location")
     task.location.resolved = ((0.5, -0.25), 0.9375)
-    back = parse_plan(plan_to_sexp(plan))
-    resolved = next(n for n in back.walk() if n.kind == "at_location")
-    assert resolved.location.resolved is not None
-    (x, y), p = resolved.location.resolved
-    assert (x, y) == pytest.approx((0.5, -0.25))
-    assert p == pytest.approx(0.9375)
+    assert plan_to_sexp(plan) == (
+        "(sequence"
+        " (at-location (a location (to pick-up) (objects cup-a)"
+        " (resolved 0.5 -0.25 0.9375))"
+        " (perceive (object-pose cup-a)) (achieve (entity-picked-up cup-a)))"
+        " (at-location (a location (to pick-up) (objects cup-b))"
+        " (perceive (object-pose cup-b)) (achieve (entity-picked-up cup-b))))")
 
 
 def test_copy_preserves_uids_but_not_aliasing():
@@ -98,6 +84,21 @@ def test_project_is_deterministic(gsm, world):
                 _spec(0.4), rng=np.random.default_rng(5))
     assert [(e.kind, e.t_end) for e in a.events] == \
         [(e.kind, e.t_end) for e in b.events]
+
+
+def test_project_leaves_the_scene_beliefs_unchanged(gsm, world):
+    """Perception updates copies: the same scene projects again to the same
+    trace."""
+    scene = make_two_cup_scene(0.4)
+    before = {name: obj.belief for name, obj in scene.objects.items()}
+    a = project(two_pickup_plan(), scene, gsm, world, _spec(0.4),
+                rng=np.random.default_rng(5))
+    assert a.count("perceive") == 2
+    assert {name: obj.belief for name, obj in scene.objects.items()} == before
+    b = project(two_pickup_plan(), scene, gsm, world, _spec(0.4),
+                rng=np.random.default_rng(5))
+    assert [(e.kind, e.t_end, e.detail) for e in a.events] == \
+        [(e.kind, e.t_end, e.detail) for e in b.events]
 
 
 def test_project_rejects_unknown_objects(gsm, world):
@@ -191,22 +192,3 @@ def test_merge_transform_rejects_foreign_flaws():
         apply_merge_transform(two_pickup_plan(),
                               Flaw("unreached_goal_location", {}))
 
-
-def test_unreached_goal_flaw_from_injected_deviation():
-    trace = ExecutionTrace(events=[
-        TraceEvent("navigate", 0.0, 10.0,
-                   {"goal": (0.5, 0.0), "achieved": (0.5, 0.005),
-                    "distance": 1.0}),
-        TraceEvent("navigate", 10.0, 20.0,
-                   {"goal": (0.5, 0.4), "achieved": (0.62, 0.4),
-                    "distance": 0.4}),
-        TraceEvent("grasp", 20.0, 25.0, {"success": True, "cause": "none"}),
-    ])
-    flaws = detect_unreached_goal_flaw(trace, tolerance=0.05)
-    assert len(flaws) == 1
-    assert flaws[0].kind == "unreached_goal_location"
-    assert flaws[0].bindings["event_index"] == 1
-    assert flaws[0].bindings["deviation"] == pytest.approx(0.12)
-    assert detect_unreached_goal_flaw(trace, tolerance=0.2) == []
-    with pytest.raises(ValueError):
-        detect_unreached_goal_flaw(trace, tolerance=0.0)

@@ -1,13 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from arplace.classifier import Boundary
-from arplace.geometry import ObjectFeatures, RobotOffset
-from arplace.shapemodel import (GSM_MODES, BoundaryMatrix, DegenerateShapeError,
-                                GSMModel, RegressionRankError, assemble_H,
-                                deformation_for, fit_pdm, fit_regression,
-                                optimize_landmarks, placement_cost,
-                                predict_success, reconstruct)
+from arplace.geometry import ObjectFeatures
+from arplace.shapemodel import (GSM_MODES, DegenerateShapeError, GSMModel,
+                                RegressionRankError, assemble_H, fit_pdm,
+                                fit_regression, optimize_landmarks,
+                                placement_cost)
 
 
 def _circle(radius, n=24, cx=0.0, cy=0.0):
@@ -79,14 +79,14 @@ def test_fit_pdm_rejects_degenerate_input():
 
 
 def test_assemble_H_layout_x_then_y():
-    b1 = Boundary(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    b2 = Boundary(np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]]))
-    feats = [ObjectFeatures(0.1, 0.0), ObjectFeatures(0.2, 0.0)]
-    bm = assemble_H([b1, b2], feats)
-    assert isinstance(bm, BoundaryMatrix)
-    assert bm.H.shape == (6, 2)
-    np.testing.assert_array_equal(bm.H[:, 0], [1.0, 3.0, 5.0, 2.0, 4.0, 6.0])
-    np.testing.assert_array_equal(bm.H[:, 1], [7.0, 9.0, 11.0, 8.0, 10.0, 12.0])
+    b1 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    b2 = np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
+    H = assemble_H([b1, b2])
+    assert H.shape == (6, 2)
+    np.testing.assert_array_equal(H[:, 0], [1.0, 3.0, 5.0, 2.0, 4.0, 6.0])
+    np.testing.assert_array_equal(H[:, 1], [7.0, 9.0, 11.0, 8.0, 10.0, 12.0])
+    with pytest.raises(ValueError):
+        assemble_H([b1, b2[:2]])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_fit_regression_matches_normal_equations_oracle():
                 [[w[0], w[1] / 2, w[3] / 2],
                  [w[1] / 2, w[2], w[4] / 2],
                  [w[3] / 2, w[4] / 2, w[5]]]) @ q(f))
-            got = deformation_for(reg, f, warn_extrapolation=False)[k]
+            got = reg.predict(np.array([f.dx_obj]), np.array([f.dpsi_obj]))[0, k]
             assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
@@ -160,7 +160,7 @@ def test_fit_regression_recovers_exact_quadratic():
     reg = fit_regression(B, feats)
     assert reg.r_squared[0] == pytest.approx(1.0, abs=1e-10)
     f = ObjectFeatures(0.13, 0.21)
-    assert deformation_for(reg, f, warn_extrapolation=False)[0] == \
+    assert reg.predict(np.array([f.dx_obj]), np.array([f.dpsi_obj]))[0, 0] == \
         pytest.approx(truth(f), rel=1e-8)
 
 
@@ -170,12 +170,18 @@ def test_fit_regression_rejects_rank_deficient_poses():
         fit_regression(np.zeros((8, 1)), feats)
 
 
-def test_deformation_warns_on_extrapolation():
-    rng = np.random.default_rng(7)
-    feats = _random_features(12, rng)
-    reg = fit_regression(rng.normal(size=(12, 1)), feats)
-    with pytest.warns(UserWarning):
-        deformation_for(reg, ObjectFeatures(5.0, 0.0))
+def test_deformation_warns_on_extrapolation(gsm):
+    """boundary_for warns outside the training range, on either feature,
+    and stays silent inside it or when asked to."""
+    (lo_x, hi_x), (lo_p, hi_p) = (gsm.training_bounds[k] for k in ("dx_obj", "dpsi_obj"))
+    for obj in (ObjectFeatures(hi_x + 0.1, 0.0), ObjectFeatures(lo_x / 2, 0.0),
+                ObjectFeatures(0.14, hi_p + 0.1)):
+        with pytest.warns(UserWarning, match="extrapolated"):
+            gsm.boundary_for(obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gsm.boundary_for(ObjectFeatures(0.5 * (lo_x + hi_x), 0.5 * (lo_p + hi_p)))
+        gsm.boundary_for(ObjectFeatures(hi_x + 0.1, 0.0), warn_extrapolation=False)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +203,6 @@ def test_gsm_save_load_round_trip(gsm, tmp_path):
 def test_gsm_has_two_modes(gsm):
     assert gsm.pdm.d == GSM_MODES
     assert gsm.pdm.modes.shape[1] == 2
-
-
-def test_predict_success_matches_boundary_containment(gsm):
-    obj = ObjectFeatures(0.14, -0.1)
-    b = gsm.boundary_for(obj, warn_extrapolation=False)
-    inside = b.centroid()
-    assert predict_success(gsm, RobotOffset(*inside), obj)
-    assert not predict_success(gsm, RobotOffset(5.0, 5.0), obj)
 
 
 def test_gsm_boundary_tracks_handle_rotation(gsm):
@@ -232,8 +230,7 @@ def test_predict_landmarks_rows_equal_boundary_for(gsm):
 
 
 def test_reconstruct_at_zero_coefficients_is_the_mean(gsm):
-    b = reconstruct(gsm.pdm, [0.0, 0.0])
-    assert isinstance(b, Boundary)
+    landmarks = gsm.pdm.reconstruct(np.zeros(2))
     m = gsm.pdm.m
-    np.testing.assert_allclose(b.landmarks[:, 0], gsm.pdm.mean[:m])
-    np.testing.assert_allclose(b.landmarks[:, 1], gsm.pdm.mean[m:])
+    np.testing.assert_allclose(landmarks[:, 0], gsm.pdm.mean[:m])
+    np.testing.assert_allclose(landmarks[:, 1], gsm.pdm.mean[m:])

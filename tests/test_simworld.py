@@ -1,11 +1,13 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset
-from arplace.simworld import (Dataset, TrialRecord, WorldConfig,
-                              corridor_coords, corridor_halfwidth,
+from arplace.simworld import (Dataset, TrialRecord, corridor_coords, corridor_halfwidth,
                               default_object_grid, default_robot_grid,
                               default_world, execute_trial, generate_dataset,
                               geometric_success, grasp_outcome,
@@ -88,6 +90,8 @@ def test_trial_record_consistency_checks():
         TrialRecord(obj, rob, "success", "slip")
     with pytest.raises(ValueError):
         TrialRecord(obj, rob, "failure", "gremlins")
+    with pytest.raises(ValueError):
+        TrialRecord(obj, rob, "banana", "none")
 
 
 def test_execute_trial_deterministic_per_seed(w):
@@ -143,8 +147,11 @@ def test_generate_dataset_reproducible_and_order_independent(w):
     robs = default_robot_grid()[::9]
     a = generate_dataset(w, objs, robs, seed=5)
     b = generate_dataset(w, objs, robs, seed=5)
-    c = generate_dataset(w, objs, robs, seed=5, workers=2)
-    assert a.records == b.records == c.records
+    assert a.records == b.records
+    # each record runs on the stream of its own pair index, whatever ran before
+    k = len(robs) + 3
+    assert a.records[k] == execute_trial(objs[1], robs[3], w,
+                                         np.random.default_rng((5, k)))
     assert generate_dataset(w, objs, robs, seed=6).records != a.records
 
 
@@ -173,6 +180,9 @@ def test_dataset_csv_round_trip(w, tmp_path):
 
 
 def test_world_config_json_round_trip(w, tmp_path):
-    path = tmp_path / "world.json"
-    w.save(path)
-    assert WorldConfig.load(path) == w
+    """Every world constant written under a config file's "world" key comes
+    back as the same WorldConfig."""
+    path = tmp_path / "cfg.json"
+    changed = dataclasses.replace(w, robot_radius=0.12, local_minimum_rate=0.0)
+    path.write_text(json.dumps({"world": dataclasses.asdict(changed)}))
+    assert PipelineConfig.from_file(path).world_config(0) == changed
