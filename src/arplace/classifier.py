@@ -58,6 +58,9 @@ class SVMModel:
     kernel_sigma: float
     cost_C: float
     positive_class_weight: float
+    # solver record of train_svm; zero for a model built by hand
+    pair_steps: int = 0
+    kkt_violation: float = 0.0
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -70,53 +73,75 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
               positive_class_weight: float = 2.0) -> SVMModel:
     """Fit the dual soft-margin problem by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
+
+    The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
+    with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
+    myg += step * (K[j] - K[i]) gives the same floats as updating grad by
+    step * (y_i Q[:, i] - y_j Q[:, j]) and negating. The index sets up and
+    low live in penalty arrays (0 inside the set, -inf / +inf outside) that
+    change only at the pair just stepped.
     """
     X, y = data.arrays()
-    n = len(y)
     d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
     K = np.exp(-d2 / (2.0 * kernel_sigma ** 2))
-    Q = (y[:, None] * y[None, :]) * K
     C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
 
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - e'a
+    ys, cs, c_top = y.tolist(), C.tolist(), (C - 1e-14).tolist()
+    diag = np.diag(K).tolist()
+    alpha = [0.0] * len(ys)
+
+    def in_up(k):
+        return alpha[k] < c_top[k] if ys[k] > 0 else alpha[k] > 1e-14
+
+    def in_low(k):
+        return alpha[k] > 1e-14 if ys[k] > 0 else alpha[k] < c_top[k]
+
+    up = [in_up(k) for k in range(len(ys))]
+    low = [in_low(k) for k in range(len(ys))]
+    up_pen = np.where(up, 0.0, -np.inf)
+    low_pen = np.where(low, 0.0, np.inf)
+    myg = y.copy()  # -y * grad at alpha = 0, where grad = -1
+    steps = 0
     violation = np.inf
-    for _ in range(_MAX_PAIR_STEPS):
-        myg = -y * grad
-        up = ((y > 0) & (alpha < C - 1e-14)) | ((y < 0) & (alpha > 1e-14))
-        low = ((y < 0) & (alpha < C - 1e-14)) | ((y > 0) & (alpha > 1e-14))
-        if not up.any() or not low.any():
+    while steps < _MAX_PAIR_STEPS:
+        i = int((myg + up_pen).argmax())
+        j = int((myg + low_pen).argmin())
+        if not up[i] or not low[j]:  # one set is empty
             violation = 0.0
             break
-        i = np.flatnonzero(up)[np.argmax(myg[up])]
-        j = np.flatnonzero(low)[np.argmin(myg[low])]
-        violation = myg[i] - myg[j]
+        violation = float(myg[i] - myg[j])
         if violation <= _SOLVE_EPS:
             break
-        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        quad = max(diag[i] + diag[j] - 2.0 * float(K[i, j]), 1e-12)
         step = violation / quad
         # clip to the box for alpha_i + y_i*step, alpha_j - y_j*step
-        step = min(step, C[i] - alpha[i] if y[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if y[j] > 0 else C[j] - alpha[j])
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        grad += step * (y[i] * Q[:, i] - y[j] * Q[:, j])
+        step = min(step, cs[i] - alpha[i] if ys[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if ys[j] > 0 else cs[j] - alpha[j])
+        alpha[i] += ys[i] * step
+        alpha[j] -= ys[j] * step
+        myg += step * (K[j] - K[i])
+        for k in (i, j):
+            up[k], low[k] = in_up(k), in_low(k)
+            up_pen[k] = 0.0 if up[k] else -np.inf
+            low_pen[k] = 0.0 if low[k] else np.inf
+        steps += 1
     if violation > KKT_TOLERANCE:
         raise SVMConvergenceError(violation)
 
+    alpha = np.array(alpha)
     free = (alpha > 1e-10) & (alpha < C - 1e-10)
-    myg = -y * grad
     if free.any():
         bias = float(np.mean(myg[free]))
     else:
-        up = ((y > 0) & (alpha < C - 1e-14)) | ((y < 0) & (alpha > 1e-14))
-        low = ((y < 0) & (alpha < C - 1e-14)) | ((y > 0) & (alpha > 1e-14))
+        up = np.array(up)
+        low = np.array(low)
         bias = float((np.max(myg[up]) + np.min(myg[low])) / 2.0)
 
     sv = alpha > 1e-12
     return SVMModel(support_points=X[sv].copy(), alphas=(y * alpha)[sv].copy(),
                     bias=bias, kernel_sigma=kernel_sigma, cost_C=cost_C,
-                    positive_class_weight=positive_class_weight)
+                    positive_class_weight=positive_class_weight,
+                    pair_steps=steps, kkt_violation=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +201,48 @@ def points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 _MS_PAD = -1e9  # padding keeps contours closed when a region touches the grid border
 
+# Marching-squares segments per cell code, as (start edge, end edge) pairs over
+# the edges 0 bottom, 1 right, 2 top, 3 left. The code is the case bitmask of
+# the corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) above zero; the saddle
+# cases 5 and 10 keep their code when the cell-centre mean is positive and
+# become 16 and 17 when it is not.
+_MS_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
+    8: [(2, 3)], 9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+    5: [(3, 2), (1, 0)], 16: [(3, 0), (1, 2)],
+    10: [(0, 3), (2, 1)], 17: [(0, 1), (2, 3)],
+}
+
+
+def _segment_table() -> tuple[np.ndarray, np.ndarray]:
+    """_MS_SEGMENTS as arrays: segments per code, and edges[code, segment,
+    start/end]."""
+    count = np.zeros(18, dtype=int)
+    edges = np.zeros((18, 2, 2), dtype=int)
+    for code, segs in _MS_SEGMENTS.items():
+        count[code] = len(segs)
+        edges[code, :len(segs)] = segs
+    return count, edges
+
+
+_MS_COUNT, _MS_EDGES = _segment_table()
+
+
+def _edge_crossing(a, b, x1, x2, y1, y2):
+    """Zero crossing on the edges from value a at (x1, y1) to value b at
+    (x2, y2); the midpoint where a == b."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(a == b, 0.5, a / (a - b))
+    return np.column_stack([x1 + t * (x2 - x1), y1 + t * (y2 - y1)])
+
 
 def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
     """Zero-level contours of values sampled at (xs x ys); returns closed
-    loops as (k, 2) vertex arrays."""
+    loops as (k, 2) vertex arrays.
+
+    Cases, edge crossings and saddle decisions are computed for all cells at
+    once; segments come out cell by cell in row-major order, and only their
+    chaining into loops runs in Python."""
     step_x = xs[1] - xs[0] if len(xs) > 1 else 1.0
     step_y = ys[1] - ys[0] if len(ys) > 1 else 1.0
     v = np.full((values.shape[0] + 2, values.shape[1] + 2), _MS_PAD)
@@ -187,68 +250,48 @@ def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> lis
     gx = np.concatenate([[xs[0] - step_x], xs, [xs[-1] + step_x]])
     gy = np.concatenate([[ys[0] - step_y], ys, [ys[-1] + step_y]])
 
-    def interp(i1, j1, i2, j2):
-        a, b = v[i1, j1], v[i2, j2]
-        t = 0.5 if a == b else a / (a - b)
-        return (gx[i1] + t * (gx[i2] - gx[i1]), gy[j1] + t * (gy[j2] - gy[j1]))
+    pos = v > 0
+    case = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:] + 8 * pos[:-1, 1:])
+    i, j = np.nonzero((case != 0) & (case != 15))
+    code = case[i, j]
+    v00, v10, v11, v01 = v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]
+    center_neg = ~((v00 + v10 + v11 + v01) / 4.0 > 0)
+    code[(code == 5) & center_neg] = 16
+    code[(code == 10) & center_neg] = 17
+    x0, x1, y0, y1 = gx[i], gx[i + 1], gy[j], gy[j + 1]
+    crossings = np.stack([_edge_crossing(v00, v10, x0, x1, y0, y0),   # bottom
+                          _edge_crossing(v10, v11, x1, x1, y0, y1),   # right
+                          _edge_crossing(v11, v01, x1, x0, y1, y1),   # top
+                          _edge_crossing(v01, v00, x0, x0, y1, y0)],  # left
+                         axis=1)
+    count = _MS_COUNT[code]
+    cell = np.repeat(np.arange(len(code)), count)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    edges = _MS_EDGES[code[cell], k]
+    starts = crossings[cell, edges[:, 0]]
+    ends = crossings[cell, edges[:, 1]]
 
-    segments = []
-    nx, ny = v.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            c = [v[i, j] > 0, v[i + 1, j] > 0, v[i + 1, j + 1] > 0, v[i, j + 1] > 0]
-            case = c[0] | (c[1] << 1) | (c[2] << 2) | (c[3] << 3)
-            if case in (0, 15):
-                continue
-            bottom = interp(i, j, i + 1, j)
-            right = interp(i + 1, j, i + 1, j + 1)
-            top = interp(i + 1, j + 1, i, j + 1)
-            left = interp(i, j + 1, i, j)
-            table = {
-                1: [(left, bottom)], 2: [(bottom, right)], 3: [(left, right)],
-                4: [(right, top)], 6: [(bottom, top)], 7: [(left, top)],
-                8: [(top, left)], 9: [(top, bottom)], 11: [(top, right)],
-                12: [(right, left)], 13: [(right, bottom)], 14: [(bottom, left)],
-            }
-            if case == 5 or case == 10:
-                center = (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1]) / 4.0
-                if case == 5:
-                    segs = [(left, top), (right, bottom)] if center > 0 else \
-                        [(left, bottom), (right, top)]
-                else:
-                    segs = [(bottom, left), (top, right)] if center > 0 else \
-                        [(bottom, right), (top, left)]
-            else:
-                segs = table[case]
-            segments.extend(segs)
-
-    # chain segments into loops
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
-
+    # chain segments into loops, matching end points to 9 decimals
+    start_key = list(map(tuple, np.round(starts, 9).tolist()))
+    end_key = list(map(tuple, np.round(ends, 9).tolist()))
     by_start = {}
-    for idx, (a, b) in enumerate(segments):
-        by_start.setdefault(key(a), []).append(idx)
+    for idx, key in enumerate(start_key):
+        by_start.setdefault(key, []).append(idx)
     loops = []
-    used = set()
-    for idx, (a, b) in enumerate(segments):
-        if idx in used:
+    used = [False] * len(start_key)
+    for first in range(len(start_key)):
+        if used[first]:
             continue
-        loop = [a, b]
-        used.add(idx)
+        chain = [first]
+        used[first] = True
         while True:
-            nxt = None
-            for j2 in by_start.get(key(loop[-1]), []):
-                if j2 not in used:
-                    nxt = j2
-                    break
+            nxt = next((s for s in by_start.get(end_key[chain[-1]], ()) if not used[s]), None)
             if nxt is None:
                 break
-            loop.append(segments[nxt][1])
-            used.add(nxt)
-            if key(loop[-1]) == key(loop[0]):
-                loop.pop()
-                loops.append(np.array(loop))
+            chain.append(nxt)
+            used[nxt] = True
+            if end_key[nxt] == start_key[first]:
+                loops.append(np.concatenate([starts[first:first + 1], ends[chain[:-1]]]))
                 break
     return loops
 
@@ -314,10 +357,12 @@ def _start_at_max_x_crossing(loop: np.ndarray) -> np.ndarray:
 def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                    positive_class_weight: float = 2.0) -> dict:
     """One classifier per object pose of a trial dataset (simworld.Dataset or
-    anything with object_grid / slice_for)."""
+    anything with object_grid / records), keyed in object_grid order."""
+    by_pose = {obj: [] for obj in dataset.object_grid}
+    for r in dataset.records:
+        by_pose[r.object].append(r)
     models = {}
-    for obj in dataset.object_grid:
-        records = dataset.slice_for(obj)
+    for obj, records in by_pose.items():
         points = [r.robot for r in records]
         labels = [1 if r.label == "success" else -1 for r in records]
         models[obj] = train_svm(LabeledSet(points, labels, obj),

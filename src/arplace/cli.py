@@ -124,6 +124,11 @@ def _header(cfg: PipelineConfig, seed: int) -> list[str]:
     return [f"tool_version={__version__} seed={seed} config_hash={cfg.hash()}"]
 
 
+def _header_fields(lines: list[str]) -> dict:
+    """The key=value fields of header lines written by _header."""
+    return dict(tok.split("=", 1) for line in lines for tok in line.split() if "=" in tok)
+
+
 def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
 
@@ -195,6 +200,10 @@ def cmd_train(args) -> int:
         raise BadConfigError(f"dataset {args.data} lacks the column {e}")
     except (TypeError, ValueError) as e:  # short row, bad number or label
         raise BadConfigError(f"invalid dataset {args.data}: {e}")
+    made_under = _header_fields(dataset.comments).get("config_hash")
+    if made_under is not None and made_under != cfg.hash():
+        raise BadConfigError(f"dataset {args.data} was generated under config_hash "
+                             f"{made_under}, not under this config ({cfg.hash()})")
     svms = train_per_pose(dataset, kernel_sigma=cfg.kernel_sigma,
                           cost_C=cfg.cost_C,
                           positive_class_weight=cfg.class_weight)
@@ -208,7 +217,10 @@ def cmd_train(args) -> int:
         json.dump(payload, f)
         f.write("\n")
     print(f"trained model: d={gsm.pdm.d} energy={gsm.pdm.energy:.4f} "
-          f"r2={np.round(gsm.regression.r_squared, 4).tolist()} -> {args.out}")
+          f"r2={np.round(gsm.regression.r_squared, 4).tolist()} "
+          f"svm_steps={sum(m.pair_steps for m in svms.values())} "
+          f"max_kkt_violation={max(m.kkt_violation for m in svms.values()):.3g} "
+          f"-> {args.out}")
     return EXIT_OK
 
 
@@ -217,8 +229,8 @@ def cmd_map(args) -> int:
     gsm = _load_model(args.model)
     belief = _load_belief(args.belief)
     spec = candidate_grid_spec(cfg.cell_size)
-    grid = compute_map(gsm, belief, spec, n_samples=args.samples or cfg.n_samples,
-                       rng=args.seed)
+    n_samples = cfg.n_samples if args.samples is None else args.samples
+    grid = compute_map(gsm, belief, spec, n_samples=n_samples, rng=args.seed)
     if args.robot_sigma:
         grid = apply_robot_uncertainty(grid, args.robot_sigma)
     save_grid_text(grid, args.out, header_lines=_header(cfg, args.seed))
@@ -260,9 +272,9 @@ def _write_report(args, cfg: PipelineConfig, body: list[str]) -> int:
 def cmd_plan(args) -> int:
     cfg = _load_config(args)
     gsm = _load_model(args.model)
+    threshold = cfg.merge_threshold if args.threshold is None else args.threshold
     point = merge_experiment(args.separation, gsm, cfg.world_config(args.seed),
-                             (args.seed,), cfg.cell_size,
-                             args.threshold or cfg.merge_threshold)
+                             (args.seed,), cfg.cell_size, threshold)
     lines = [f"plan A duration {point.duration_a:.2f} s "
              f"({point.trace_a.count('navigate')} navigations)"]
     if point.flaw is None:
@@ -326,6 +338,20 @@ def cmd_export_pgm(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, found {text}")
+    return value
+
+
+def _open_unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), found {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="arplace",
                                 description="success-probability place maps")
@@ -349,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--belief", required=True)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--samples", type=_positive_int)
     sp.add_argument("--robot-sigma", type=float, default=0.0)
     sp.set_defaults(func=cmd_map)
 
@@ -371,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--separation", type=float, default=0.30)
-    sp.add_argument("--threshold", type=float)
+    sp.add_argument("--threshold", type=_open_unit)
     sp.set_defaults(func=cmd_plan)
 
     sp = sub.add_parser("eval", help="run an experiment")
@@ -390,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.experiment != "accuracy" and args.model is None:
+        parser.error(f"eval {args.experiment} requires --model")
     try:
         return args.func(args)
     except BadConfigError as e:

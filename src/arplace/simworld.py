@@ -87,9 +87,7 @@ class Dataset:
     object_grid: list[ObjectFeatures]
     robot_grid: list[RobotOffset]
     records: list[TrialRecord] = field(default_factory=list)
-
-    def slice_for(self, obj: ObjectFeatures) -> list[TrialRecord]:
-        return [r for r in self.records if r.object == obj]
+    comments: list[str] = field(default_factory=list)  # "# " lines of a loaded file
 
     def executed_count(self) -> int:
         return sum(1 for r in self.records if r.executed)
@@ -109,9 +107,13 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path, world: WorldConfig) -> "Dataset":
-        records = []
+        records, comments, rows = [], [], []
         with open(path) as f:
-            rows = [ln for ln in f if not ln.startswith("#")]
+            for ln in f:
+                if ln.startswith("#"):
+                    comments.append(ln[1:].strip())
+                else:
+                    rows.append(ln)
         reader = csv.DictReader(rows)
         for row in reader:
             records.append(TrialRecord(
@@ -119,13 +121,11 @@ class Dataset:
                 robot=RobotOffset(float(row["robot_dx"]), float(row["robot_dy"])),
                 label=row["label"], cause=row["cause"],
             ))
-        object_grid, robot_grid = [], []
-        for r in records:
-            if r.object not in object_grid:
-                object_grid.append(r.object)
-            if r.robot not in robot_grid:
-                robot_grid.append(r.robot)
-        return cls(world=world, object_grid=object_grid, robot_grid=robot_grid, records=records)
+        # the grids in order of first appearance
+        object_grid = list(dict.fromkeys(r.object for r in records))
+        robot_grid = list(dict.fromkeys(r.robot for r in records))
+        return cls(world=world, object_grid=object_grid, robot_grid=robot_grid,
+                   records=records, comments=comments)
 
 
 def handle_position(obj: ObjectFeatures, world: WorldConfig) -> tuple[float, float]:

@@ -3,6 +3,8 @@ patches named module and class attributes, and its workloads call the
 public functions. These checks keep the package's names and behaviour
 within what the benchmark relies on."""
 
+import hashlib
+import json
 import os
 import sys
 
@@ -28,3 +30,15 @@ def test_first_operation_passes_its_check(workload, tmp_path):
     _, inp = w.make_input(0)
     out = w.run(inp)
     assert w.check(inp, out) is None
+
+
+def test_train_chain_reproduces_the_fixed_model(tmp_path):
+    """gen-data then train on the benchmark's dataset seed writes the very
+    bytes the fixed model's provenance record names."""
+    w = workloads.Train(1, str(tmp_path))
+    _, inp = w.make_input(0)
+    out = w.run(inp)
+    assert w.check(inp, out) is None
+    with open(workloads.PROVENANCE_PATH) as f:
+        prov = json.load(f)
+    assert hashlib.sha256(out["model_bytes"]).hexdigest() == prov["sha256"]

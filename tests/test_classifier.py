@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arplace.classifier import (Boundary, EmptySuccessRegionError, LabeledSet,
-                                SVMModel, extract_contour, points_in_polygon,
-                                signed_area, train_per_pose, train_svm)
+from arplace.classifier import (KKT_TOLERANCE, Boundary, EmptySuccessRegionError,
+                                LabeledSet, SVMConvergenceError, SVMModel,
+                                _marching_squares, extract_contour, points_in_polygon,
+                                signed_area, train_svm)
 from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
 from arplace.shapemodel import _ArcTable
@@ -61,6 +63,96 @@ def test_svm_solution_satisfies_dual_constraints():
     free = (alpha > 1e-6) & (alpha < C - 1e-6)
     assert free.any()
     assert np.max(np.abs(y[free] * f[free] - 1.0)) < 1e-2
+
+
+def _train_svm_reference(X, y, kernel_sigma=0.1, cost_C=40.0, positive_class_weight=2.0,
+                         solve_eps=1e-10, max_steps=500_000):
+    """Maximal-violating-pair solver written with whole-array masks and the
+    gradient of the dual itself: the loop train_svm must reproduce float
+    for float. Returns (support points, signed alphas, bias, pair steps,
+    final violation)."""
+    n = len(y)
+    d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
+    K = np.exp(-d2 / (2.0 * kernel_sigma ** 2))
+    Q = (y[:, None] * y[None, :]) * K
+    C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    violation = np.inf
+    steps = 0
+    for _ in range(max_steps):
+        myg = -y * grad
+        up = ((y > 0) & (alpha < C - 1e-14)) | ((y < 0) & (alpha > 1e-14))
+        low = ((y < 0) & (alpha < C - 1e-14)) | ((y > 0) & (alpha > 1e-14))
+        if not up.any() or not low.any():
+            violation = 0.0
+            break
+        i = np.flatnonzero(up)[np.argmax(myg[up])]
+        j = np.flatnonzero(low)[np.argmin(myg[low])]
+        violation = myg[i] - myg[j]
+        if violation <= solve_eps:
+            break
+        quad = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        step = violation / quad
+        step = min(step, C[i] - alpha[i] if y[i] > 0 else alpha[i])
+        step = min(step, alpha[j] if y[j] > 0 else C[j] - alpha[j])
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        grad += step * (y[i] * Q[:, i] - y[j] * Q[:, j])
+        steps += 1
+    free = (alpha > 1e-10) & (alpha < C - 1e-10)
+    myg = -y * grad
+    if free.any():
+        bias = float(np.mean(myg[free]))
+    else:
+        up = ((y > 0) & (alpha < C - 1e-14)) | ((y < 0) & (alpha > 1e-14))
+        low = ((y < 0) & (alpha < C - 1e-14)) | ((y > 0) & (alpha > 1e-14))
+        bias = float((np.max(myg[up]) + np.min(myg[low])) / 2.0)
+    sv = alpha > 1e-12
+    return X[sv], (y * alpha)[sv], bias, steps, violation
+
+
+def test_train_svm_matches_the_reference_solver_on_ring_data():
+    data = _ring_set(seed=5)
+    X, y = data.arrays()
+    sv, alphas, bias, steps, violation = _train_svm_reference(X, y)
+    model = train_svm(data)
+    np.testing.assert_array_equal(model.support_points, sv)
+    np.testing.assert_array_equal(model.alphas, alphas)
+    assert (model.bias, model.pair_steps, model.kkt_violation) == (bias, steps, violation)
+
+
+@st.composite
+def _small_labeled_sets(draw):
+    n = draw(st.integers(4, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    # points on a coarse lattice repeat, which makes ties in the selection
+    scale = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    pts = np.round(rng.uniform(-1.0, 1.0, (n, 2)) / scale) * scale * 0.3
+    labels = rng.choice([-1, 1], n)
+    labels[:2] = [1, -1]
+    return ([RobotOffset(float(x), float(y)) for x, y in pts], labels.tolist(),
+            draw(st.sampled_from([0.05, 0.1, 0.3])), draw(st.sampled_from([0.5, 40.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_labeled_sets())
+def test_train_svm_matches_the_reference_solver(case):
+    points, labels, sigma, cost = case
+    data = LabeledSet(points, labels, OBJ)
+    X, y = data.arrays()
+    sv, alphas, bias, steps, violation = _train_svm_reference(X, y, sigma, cost)
+    if violation > KKT_TOLERANCE:
+        with pytest.raises(SVMConvergenceError):
+            train_svm(data, kernel_sigma=sigma, cost_C=cost)
+        return
+    model = train_svm(data, kernel_sigma=sigma, cost_C=cost)
+    np.testing.assert_array_equal(model.support_points, sv)
+    np.testing.assert_array_equal(model.alphas, alphas)
+    assert model.bias == bias
+    assert model.pair_steps == steps
+    assert model.kkt_violation == violation
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +212,120 @@ def _disk_model(cx=0.0, cy=0.0, radius=0.2, sigma=0.2):
                     alphas=np.array([1.0]),
                     bias=-math.exp(-radius ** 2 / (2 * sigma ** 2)),
                     kernel_sigma=sigma, cost_C=1.0, positive_class_weight=1.0)
+
+
+def _marching_squares_reference(values, xs, ys):
+    """Cell-by-cell marching squares: the segments, and loops chained from
+    them, that _marching_squares must reproduce exactly."""
+    step_x = xs[1] - xs[0] if len(xs) > 1 else 1.0
+    step_y = ys[1] - ys[0] if len(ys) > 1 else 1.0
+    v = np.full((values.shape[0] + 2, values.shape[1] + 2), -1e9)
+    v[1:-1, 1:-1] = values
+    gx = np.concatenate([[xs[0] - step_x], xs, [xs[-1] + step_x]])
+    gy = np.concatenate([[ys[0] - step_y], ys, [ys[-1] + step_y]])
+
+    def interp(i1, j1, i2, j2):
+        a, b = v[i1, j1], v[i2, j2]
+        t = 0.5 if a == b else a / (a - b)
+        return (gx[i1] + t * (gx[i2] - gx[i1]), gy[j1] + t * (gy[j2] - gy[j1]))
+
+    segments = []
+    for i in range(v.shape[0] - 1):
+        for j in range(v.shape[1] - 1):
+            c = [v[i, j] > 0, v[i + 1, j] > 0, v[i + 1, j + 1] > 0, v[i, j + 1] > 0]
+            case = c[0] | (c[1] << 1) | (c[2] << 2) | (c[3] << 3)
+            if case in (0, 15):
+                continue
+            bottom = interp(i, j, i + 1, j)
+            right = interp(i + 1, j, i + 1, j + 1)
+            top = interp(i + 1, j + 1, i, j + 1)
+            left = interp(i, j + 1, i, j)
+            table = {
+                1: [(left, bottom)], 2: [(bottom, right)], 3: [(left, right)],
+                4: [(right, top)], 6: [(bottom, top)], 7: [(left, top)],
+                8: [(top, left)], 9: [(top, bottom)], 11: [(top, right)],
+                12: [(right, left)], 13: [(right, bottom)], 14: [(bottom, left)],
+            }
+            if case in (5, 10):
+                center = (v[i, j] + v[i + 1, j] + v[i + 1, j + 1] + v[i, j + 1]) / 4.0
+                if case == 5:
+                    segs = [(left, top), (right, bottom)] if center > 0 else \
+                        [(left, bottom), (right, top)]
+                else:
+                    segs = [(bottom, left), (top, right)] if center > 0 else \
+                        [(bottom, right), (top, left)]
+            else:
+                segs = table[case]
+            segments.extend(segs)
+
+    def key(p):
+        return (round(p[0], 9), round(p[1], 9))
+
+    by_start = {}
+    for idx, (a, _) in enumerate(segments):
+        by_start.setdefault(key(a), []).append(idx)
+    loops, used = [], set()
+    for idx, (a, b) in enumerate(segments):
+        if idx in used:
+            continue
+        loop = [a, b]
+        used.add(idx)
+        while True:
+            nxt = next((k for k in by_start.get(key(loop[-1]), []) if k not in used), None)
+            if nxt is None:
+                break
+            loop.append(segments[nxt][1])
+            used.add(nxt)
+            if key(loop[-1]) == key(loop[0]):
+                loop.pop()
+                loops.append(np.array(loop))
+                break
+    return loops
+
+
+def _assert_same_loops(values, xs, ys):
+    got = _marching_squares(values, xs, ys)
+    want = _marching_squares_reference(values, xs, ys)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+# fields on a 0.1 grid; each hits one case the vectorized tracer must get right
+MARCHING_FIELDS = {
+    # diagonal corners positive: the saddle cases 5 and 10, each with the
+    # cell-centre mean on both sides of zero
+    "saddle_5_center_positive": [[-1, -1, -1, -1], [-1, 2, -1, -1], [-1, -1, 2, -1], [-1, -1, -1, -1]],
+    "saddle_5_center_negative": [[-1, -1, -1, -1], [-1, 0.5, -1, -1], [-1, -1, 0.5, -1], [-1, -1, -1, -1]],
+    "saddle_10_center_positive": [[-1, -1, -1, -1], [-1, -1, 2, -1], [-1, 2, -1, -1], [-1, -1, -1, -1]],
+    "saddle_10_center_negative": [[-1, -1, -1, -1], [-1, -1, 0.5, -1], [-1, 0.5, -1, -1], [-1, -1, -1, -1]],
+    # equal values at both ends of an edge (a == b): 0/0 in the crossing
+    # formula, which only an edge without a crossing can hit; zero counts
+    # as outside
+    "ties_at_zero": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+    "ties_two_regions": [[1, -1, 1], [-1, -1, -1], [1, -1, 1]],
+    # a region that runs off the grid is closed by the padding
+    "border_touching": [[1, 1, -1, -1], [1, 1, -1, -1], [-1, -1, -1, -1]],
+    "all_positive": [[1, 1], [1, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARCHING_FIELDS))
+def test_marching_squares_matches_the_cell_loop(name):
+    values = np.array(MARCHING_FIELDS[name], dtype=float)
+    xs = 0.1 * np.arange(values.shape[0])
+    ys = -0.2 + 0.1 * np.arange(values.shape[1])
+    assert _assert_same_loops(values, xs, ys)
+
+
+def test_marching_squares_matches_the_cell_loop_on_random_fields():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        nx, ny = rng.integers(1, 8, 2)
+        # few distinct values, so saddles and a == b ties are common
+        values = rng.integers(-2, 3, (nx, ny)) * rng.choice([1.0, 0.3])
+        _assert_same_loops(values, np.linspace(0.0, 1.0, nx), np.linspace(-1.0, 0.5, ny))
 
 
 def test_extract_contour_recovers_analytic_circle():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -169,6 +170,51 @@ def test_bad_grid_exit_code(tmp_path, capsys, name):
         rc = main(argv + ["--seed", "0", "--out", str(tmp_path / "out")])
         assert rc == 3
         assert where in capsys.readouterr().err
+
+
+# (argv after the subcommand's --seed/--out, flag the usage error must name)
+BAD_ARGUMENTS = {
+    "map_negative_samples": (["map", "--samples", "-5"], "--samples"),
+    "map_zero_samples": (["map", "--samples", "0"], "--samples"),
+    "plan_threshold_above_one": (["plan", "--threshold", "1.5"], "--threshold"),
+    "eval_transform_without_model": (["eval", "transform"], "--model"),
+    "eval_robustness_without_model": (["eval", "robustness"], "--model"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_bad_argument_is_a_usage_error(artifacts, tmp_path, capsys, name):
+    argv, flag = BAD_ARGUMENTS[name]
+    model = ["--model", str(artifacts["model"])] if argv[0] in ("map", "plan") else []
+    belief = ["--belief", str(artifacts["belief"])] if argv[0] == "map" else []
+    with pytest.raises(SystemExit) as e:
+        main(argv + model + belief + ["--seed", "0", "--out", str(tmp_path / "out")])
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys):
+    """A dataset header naming another config_hash exits 3 before training;
+    the same rows without a header train as before, and the summary line
+    reports the SVM solver's work."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": {"nav_noise_sigma": 0.02}}))
+    data = tmp_path / "d.csv"
+    assert main(["gen-data", "--config", str(cfg), "--seed", "0", "--out", str(data)]) == 0
+    rc = main(["train", "--data", str(data), "--seed", "0", "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert "config_hash" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(ln for ln in artifacts["data"].read_text().splitlines(True)
+                            if not ln.startswith("#")))
+    assert main(["train", "--data", str(bare), "--seed", "0",
+                 "--out", str(tmp_path / "bare.json")]) == 0
+    assert (tmp_path / "bare.json").read_bytes() == artifacts["model"].read_bytes()
+    assert re.search(r"svm_steps=[1-9][0-9]* max_kkt_violation=[0-9.e+-]+ ",
+                     capsys.readouterr().out)
 
 
 def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):
