@@ -64,9 +64,16 @@ class SVMModel:
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d2 = np.sum((pts[:, None, :] - self.support_points[None, :, :]) ** 2, axis=2)
-        K = np.exp(-d2 / (2.0 * self.kernel_sigma ** 2))
+        K = gaussian_kernel(pts, self.support_points, self.kernel_sigma)
         return K @ self.alphas + self.bias
+
+
+def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """(len(a), len(b)) kernel matrix exp(-|a_i - b_j|^2 / 2 sigma^2) of two
+    point sets, with the squared distance summed as dx*dx + dy*dy."""
+    dx = a[:, 0:1] - b[:, 0]
+    dy = a[:, 1:2] - b[:, 1]
+    return np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
 
 
 def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
@@ -77,14 +84,18 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
     with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
     myg += step * (K[j] - K[i]) gives the same floats as updating grad by
-    step * (y_i Q[:, i] - y_j Q[:, j]) and negating. The index sets up and
-    low live in penalty arrays (0 inside the set, -inf / +inf outside) that
-    change only at the pair just stepped.
+    step * (y_i Q[:, i] - y_j Q[:, j]) and negating. It is kept as two
+    arrays, g_up = myg + 0 on the index set up and -inf off it, and g_low =
+    myg + 0 on low and +inf off it, which both take the same update. A box
+    bound above 2e-14 puts every index in up or low, so myg[k] is always in
+    one of them; membership changes only at the pair just stepped.
     """
     X, y = data.arrays()
-    d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
-    K = np.exp(-d2 / (2.0 * kernel_sigma ** 2))
+    K = gaussian_kernel(X, X, kernel_sigma)
     C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
+    if C.min() <= 2e-14:
+        raise ValueError("box bounds cost_C and cost_C * positive_class_weight "
+                         "must exceed 2e-14")
 
     ys, cs, c_top = y.tolist(), C.tolist(), (C - 1e-14).tolist()
     diag = np.diag(K).tolist()
@@ -98,18 +109,19 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
 
     up = [in_up(k) for k in range(len(ys))]
     low = [in_low(k) for k in range(len(ys))]
-    up_pen = np.where(up, 0.0, -np.inf)
-    low_pen = np.where(low, 0.0, np.inf)
-    myg = y.copy()  # -y * grad at alpha = 0, where grad = -1
+    # myg = y at alpha = 0, where grad = -1
+    g_up = np.where(up, y, -np.inf)
+    g_low = np.where(low, y, np.inf)
+    delta = np.empty_like(y)
     steps = 0
     violation = np.inf
     while steps < _MAX_PAIR_STEPS:
-        i = int((myg + up_pen).argmax())
-        j = int((myg + low_pen).argmin())
+        i = int(g_up.argmax())
+        j = int(g_low.argmin())
         if not up[i] or not low[j]:  # one set is empty
             violation = 0.0
             break
-        violation = float(myg[i] - myg[j])
+        violation = float(g_up[i] - g_low[j])
         if violation <= _SOLVE_EPS:
             break
         quad = max(diag[i] + diag[j] - 2.0 * float(K[i, j]), 1e-12)
@@ -119,12 +131,17 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         step = min(step, alpha[j] if ys[j] > 0 else cs[j] - alpha[j])
         alpha[i] += ys[i] * step
         alpha[j] -= ys[j] * step
-        myg += step * (K[j] - K[i])
+        np.subtract(K[j], K[i], out=delta)
+        delta *= step
+        g_up += delta
+        g_low += delta
         for k in (i, j):
+            g = g_up[k] if up[k] else g_low[k]
             up[k], low[k] = in_up(k), in_low(k)
-            up_pen[k] = 0.0 if up[k] else -np.inf
-            low_pen[k] = 0.0 if low[k] else np.inf
+            g_up[k] = g if up[k] else -np.inf
+            g_low[k] = g if low[k] else np.inf
         steps += 1
+    myg = np.where(up, g_up, g_low)
     if violation > KKT_TOLERANCE:
         raise SVMConvergenceError(violation)
 
@@ -197,6 +214,42 @@ def points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
         xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
         inside ^= cond & (x < xint)
     return inside
+
+
+_FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
+
+
+def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """(nx, ny) number of polygons containing each cell center, polygon k
+    translated by shifts[k] along y.
+
+    Even-odd scanline fill: each edge is intersected with each grid row using
+    the float expressions of points_in_polygon, and a crossing becomes k, the
+    number of cell centers strictly to its left. Sorted per (polygon, row),
+    the crossings k1 <= k2 <= ... bound the inside spans [k1, k2), [k3, k4),
+    ...; a difference array and a cumulative sum turn the spans into counts. Every membership decision equals points_in_polygon's
+    on center_points() - [0, shift]. The work is m * ny per polygon.
+    """
+    xs, ys = spec.centers()
+    nx, ny = spec.nx, spec.ny
+    width = nx + 1
+    size = ny * width
+    diff = np.zeros(size, dtype=np.int64)
+    for start in range(0, len(polygons), _FILL_BLOCK):
+        block = polygons[start:start + _FILL_BLOCK]
+        y_rows = ys[None, :, None] - shifts[start:start + _FILL_BLOCK, None, None]
+        above = block[:, None, :, 1] > y_rows  # (polygon, row, vertex)
+        poly, row, edge = np.nonzero(above != np.roll(above, -1, axis=2))
+        nxt = (edge + 1) % block.shape[1]
+        x1, y1 = block[poly, edge, 0], block[poly, edge, 1]
+        x2, y2 = block[poly, nxt, 0], block[poly, nxt, 1]
+        y = y_rows[poly, row, 0]
+        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        # sorting (polygon, row, k) keys puts each row's crossings in pairs
+        keys = np.sort((poly * ny + row) * width + np.searchsorted(xs, xint, side="left"))
+        diff += np.bincount(keys[0::2] % size, minlength=size)
+        diff -= np.bincount(keys[1::2] % size, minlength=size)
+    return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
 
 
 _MS_PAD = -1e9  # padding keeps contours closed when a region touches the grid border
@@ -309,11 +362,10 @@ def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
         raise EmptySuccessRegionError("empty success region")
 
     # keep loops that enclose positive decision values
-    positive_loops = []
-    pos_pts = pts[values.ravel() > 0]
-    for loop in loops:
-        if points_in_polygon(loop, pos_pts).any():
-            positive_loops.append(loop)
+    positive = values > 0
+    no_shift = np.zeros(1)
+    positive_loops = [loop for loop in loops
+                      if _fill_counts(loop[None], no_shift, grid_spec)[positive].any()]
     if not positive_loops:
         raise EmptySuccessRegionError("empty success region")
     areas = [abs(signed_area(l)) for l in positive_loops]

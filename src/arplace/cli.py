@@ -345,6 +345,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, found {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must not be negative, found {text}")
+    return value
+
+
 def _open_unit(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--belief", required=True)
     sp.add_argument("--samples", type=_positive_int)
-    sp.add_argument("--robot-sigma", type=float, default=0.0)
+    sp.add_argument("--robot-sigma", type=_non_negative_float, default=0.0)
     sp.set_defaults(func=cmd_map)
 
     sp = sub.add_parser("merge", help="cellwise product of success maps")
@@ -389,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("grid")
     sp.add_argument("--robot-x", type=float, required=True)
     sp.add_argument("--robot-y", type=float, required=True)
-    sp.add_argument("--retry-penalty", type=float, default=5.0)
-    sp.add_argument("--nav-speed", type=float, default=0.3)
+    sp.add_argument("--retry-penalty", type=_non_negative_float, default=5.0)
+    sp.add_argument("--nav-speed", type=_positive_float, default=0.3)
     sp.set_defaults(func=cmd_cost)
 
     sp = sub.add_parser("plan", help="two-cup plan with merge transformation")

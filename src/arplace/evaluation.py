@@ -221,8 +221,7 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     test_offsets = _random_offsets(n_test, test_rng)
     test_y = []
     for idx, r in enumerate(test_offsets):
-        rec = execute_trial(object_pose, r, world,
-                            np.random.default_rng((seed, 1, idx)))
+        rec = execute_trial(object_pose, r, world, (seed, 1, idx))
         test_y.append(1 if rec.label == "success" else -1)
     test_X = np.array([[r.dx_rob, r.dy_rob] for r in test_offsets])
     test_y = np.array(test_y)
@@ -233,8 +232,7 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     for size in sizes:
         labels, executed = [], 0
         for idx in range(size):
-            rec = execute_trial(object_pose, offsets[idx], world,
-                                np.random.default_rng((seed, 3, idx)),
+            rec = execute_trial(object_pose, offsets[idx], world, (seed, 3, idx),
                                 check_reachability=use_capability_filter)
             labels.append(1 if rec.label == "success" else -1)
             executed += int(rec.executed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import _fill_counts
 from .geometry import wrap_angle
 from .grids import ARPlaceGrid, CostGrid, GridSpec
 from .shapemodel import GSMModel
@@ -84,43 +85,6 @@ def sample_boundaries(gsm: GSMModel, belief, n_samples: int,
     dx = np.maximum(np.minimum(draws[:, 0], dx_hi), 0.0)
     dpsi = wrap_angle(np.minimum(np.maximum(draws[:, 2], psi_lo), psi_hi))
     return gsm.predict_landmarks(dx, dpsi), draws[:, 1].copy()
-
-
-_FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
-
-
-def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(nx, ny) number of polygons containing each cell center, polygon k
-    translated by shifts[k] along y.
-
-    Even-odd scanline fill: each edge is intersected with each grid row using
-    the float expressions of classifier.points_in_polygon, and a crossing
-    becomes k, the number of cell centers strictly to its left. Sorted per
-    (polygon, row), the crossings k1 <= k2 <= ... bound the inside spans
-    [k1, k2), [k3, k4), ...; a difference array and a cumulative sum turn the
-    spans into counts. Every membership decision equals points_in_polygon's
-    on center_points() - [0, shift]. The work is m * ny per polygon.
-    """
-    xs, ys = spec.centers()
-    nx, ny = spec.nx, spec.ny
-    width = nx + 1
-    size = ny * width
-    diff = np.zeros(size, dtype=np.int64)
-    for start in range(0, len(polygons), _FILL_BLOCK):
-        block = polygons[start:start + _FILL_BLOCK]
-        y_rows = ys[None, :, None] - shifts[start:start + _FILL_BLOCK, None, None]
-        above = block[:, None, :, 1] > y_rows  # (polygon, row, vertex)
-        poly, row, edge = np.nonzero(above != np.roll(above, -1, axis=2))
-        nxt = (edge + 1) % block.shape[1]
-        x1, y1 = block[poly, edge, 0], block[poly, edge, 1]
-        x2, y2 = block[poly, nxt, 0], block[poly, nxt, 1]
-        y = y_rows[poly, row, 0]
-        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort((poly * ny + row) * width + np.searchsorted(xs, xint, side="left"))
-        diff += np.bincount(keys[0::2] % size, minlength=size)
-        diff -= np.bincount(keys[1::2] % size, minlength=size)
-    return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
 
 
 def compute_map(gsm: GSMModel, belief, grid_spec: GridSpec, n_samples: int = DEFAULT_N_SAMPLES,

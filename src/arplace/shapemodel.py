@@ -130,37 +130,46 @@ def fit_pdm(H, d: int) -> PDM:
 # ---------------------------------------------------------------------------
 
 class _ArcTable:
-    """Precomputed arc-length parametrization of a closed polyline, for fast
-    repeated lookups at arbitrary arc fractions."""
+    """Arc-length parametrization of N closed polylines, padded to a common
+    vertex count so that fractions are looked up on all of them at once.
+    Each lookup takes the float expressions of a per-polyline searchsorted
+    table."""
 
-    def __init__(self, contour: np.ndarray):
-        self.closed = np.vstack([contour, contour[:1]])
-        seg = np.linalg.norm(np.diff(self.closed, axis=0), axis=1)
-        self.arcs = np.concatenate([[0.0], np.cumsum(seg)])
-        self.seg = np.where(seg > 0, seg, 1.0)
-        self.total = self.arcs[-1]
+    def __init__(self, contours: list[np.ndarray]):
+        closed = [np.vstack([c, c[:1]]) for c in contours]
+        n, width = len(closed), max(len(c) for c in closed)
+        self.closed = np.zeros((n, width, 2))
+        self.arcs = np.full((n, width), np.inf)  # +inf pads past the end
+        self.seg = np.ones((n, width - 1))
+        for k, c in enumerate(closed):
+            seg = np.linalg.norm(np.diff(c, axis=0), axis=1)
+            self.closed[k, :len(c)] = c
+            self.arcs[k, :len(c)] = np.concatenate([[0.0], np.cumsum(seg)])
+            self.seg[k, :len(seg)] = np.where(seg > 0, seg, 1.0)
+        last = np.array([len(c) - 2 for c in closed])  # index of the last segment
+        self.total = self.arcs[np.arange(n), last + 1][:, None]
+        self.last = last[:, None]
+        self.rows = np.arange(n)[:, None]
 
     def at(self, fractions: np.ndarray) -> np.ndarray:
+        """(N, len(fractions), 2) points at the given arc fractions."""
         t = (np.asarray(fractions) % 1.0) * self.total
-        idx = np.clip(np.searchsorted(self.arcs, t, side="right") - 1,
-                      0, len(self.seg) - 1)
-        frac = (t - self.arcs[idx]) / self.seg[idx]
-        return self.closed[idx] + frac[:, None] * (self.closed[idx + 1] - self.closed[idx])
+        # the count of arcs <= t is searchsorted(arcs, t, side="right")
+        right = (self.arcs[:, None, :] <= t[:, :, None]).sum(axis=2)
+        idx = np.minimum(np.maximum(right - 1, 0), self.last)
+        frac = (t - self.arcs[self.rows, idx]) / self.seg[self.rows, idx]
+        start = self.closed[self.rows, idx]
+        return start + frac[:, :, None] * (self.closed[self.rows, idx + 1] - start)
 
 
-def _landmarks_at(contours: list, fractions: np.ndarray) -> list[np.ndarray]:
-    tables = [c if isinstance(c, _ArcTable) else _ArcTable(c) for c in contours]
-    return [t.at(fractions) for t in tables]
-
-
-def placement_cost(contours: list, fractions: np.ndarray, d: int) -> tuple[float, float, float]:
-    """Cost (2 - e) * l^2 of a landmark placement, where e is the energy in
-    the first d modes and l the mean landmark reconstruction distance of the
-    d-mode model. Returns (cost, energy, l)."""
-    lms = _landmarks_at(contours, fractions)
-    pdm = fit_pdm(assemble_H(lms), d)
+def placement_cost(landmarks: np.ndarray, d: int) -> tuple[float, float, float]:
+    """Cost (2 - e) * l^2 of a landmark placement, the (N, m, 2) landmarks of
+    N boundaries, where e is the energy in the first d modes and l the mean
+    landmark reconstruction distance of the d-mode model. Returns
+    (cost, energy, l)."""
+    pdm = fit_pdm(assemble_H(landmarks), d)
     dists = []
-    for lm in lms:
+    for lm in landmarks:
         rec = pdm.reconstruct(pdm.project(lm))
         dists.append(np.linalg.norm(rec - lm, axis=1))
     l = float(np.mean(np.concatenate(dists)))
@@ -178,28 +187,33 @@ def _gaps_ok(fractions: np.ndarray, min_gap: float) -> bool:
 def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
                        energy_target: float = 0.95,
                        max_modes: int | None = None
-                       ) -> tuple[list[np.ndarray], int, float, np.ndarray]:
+                       ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Greedy landmark placement: shared arc-length fractions start uniform
     and slide per landmark over candidate offsets (+-1, 2, 4 base steps),
     keeping moves that lower (2 - e) * l^2 while preserving cyclic order and
     a minimum spacing. Mode count d starts at 1 and is incremented (with
     re-optimization) until the captured energy exceeds the target.
 
-    Returns (landmarked boundaries, d, energy, fractions).
+    A placement already evaluated at the current d is not evaluated again:
+    the cost only falls, so one that was not taken then cannot be taken now.
+
+    Returns ((N, m, 2) landmarked boundaries, d, energy, fractions).
     """
     if m < 4:
         raise ValueError("need at least 4 landmarks")
     N = len(contours)
     if max_modes is None:
         max_modes = N - 1
-    tables = [_ArcTable(c) for c in contours]
+    table = _ArcTable(contours)
     base_step = 1.0 / (8 * m)
     min_gap = 1.0 / (2 * m)
     fractions = np.arange(m) / m
+    landmarks = table.at(fractions)
 
     d = 1
     while True:
-        cost, energy, _ = placement_cost(tables, fractions, d)
+        cost, energy, _ = placement_cost(landmarks, d)
+        seen = {fractions.tobytes()}
         improved = True
         while improved:
             improved = False
@@ -208,14 +222,18 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
                     for sign in (1.0, -1.0):
                         trial = fractions.copy()
                         trial[i] = (trial[i] + sign * mult * base_step) % 1.0
-                        if not _gaps_ok(trial, min_gap):
+                        key = trial.tobytes()
+                        if key in seen or not _gaps_ok(trial, min_gap):
                             continue
-                        c2, e2, _ = placement_cost(tables, trial, d)
+                        seen.add(key)
+                        moved = landmarks.copy()
+                        moved[:, i] = table.at(trial[i:i + 1])[:, 0]
+                        c2, e2, _ = placement_cost(moved, d)
                         if c2 < cost - 1e-15:
-                            fractions, cost, energy = trial, c2, e2
+                            fractions, landmarks, cost, energy = trial, moved, c2, e2
                             improved = True
         if energy > energy_target:
-            return _landmarks_at(tables, fractions), d, energy, fractions
+            return landmarks, d, energy, fractions
         d += 1
         if d > max_modes:
             raise DegenerateShapeError(
@@ -399,7 +417,7 @@ def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
                                                   energy_target)
     else:
         fractions = np.arange(n_landmarks) / n_landmarks
-        lms = _landmarks_at(contours, fractions)
+        lms = _ArcTable(contours).at(fractions)
     pdm = fit_pdm(assemble_H(lms), GSM_MODES)
     if pdm.energy < energy_target:
         raise DegenerateShapeError(

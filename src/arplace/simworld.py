@@ -200,15 +200,17 @@ def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfi
 
 
 def execute_trial(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfig,
-                  rng: np.random.Generator, check_reachability: bool = True) -> TrialRecord:
+                  rng, check_reachability: bool = True) -> TrialRecord:
     """Run one navigate-reach-grasp trial.
 
     Theoretically unreachable commands are labeled without simulation. The
     achieved base pose is the command plus Gaussian navigation noise; the
-    first failing stage determines the cause.
+    first failing stage determines the cause. rng is a Generator or a seed
+    for np.random.default_rng, which is built only for a simulated trial.
     """
     if check_reachability and not theoretically_reachable(obj, robot, world):
         return TrialRecord(obj, robot, FAILURE, "unreachable_theory")
+    rng = np.random.default_rng(rng)
     noise = rng.normal(0.0, 1.0, size=2) * world.nav_noise_sigma
     xb = robot.dx_rob + noise[0]
     yb = robot.dy_rob + noise[1]
@@ -226,11 +228,11 @@ def generate_dataset(world: WorldConfig, object_grid, robot_grid, seed: int,
                      use_capability_filter: bool = True) -> Dataset:
     """One trial per (object, robot) pair, each on an independent RNG stream
     derived from (seed, pair index), so a record does not depend on the
-    order in which the pairs run."""
+    order in which the pairs run. A pair the reachability filter rejects
+    never builds its generator."""
     if not object_grid or not robot_grid:
         raise ValueError("grids must be non-empty")
-    records = [execute_trial(obj, rob, world,
-                             np.random.default_rng((seed, i * len(robot_grid) + j)),
+    records = [execute_trial(obj, rob, world, (seed, i * len(robot_grid) + j),
                              check_reachability=use_capability_filter)
                for i, obj in enumerate(object_grid)
                for j, rob in enumerate(robot_grid)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from arplace.classifier import (KKT_TOLERANCE, Boundary, EmptySuccessRegionError,
                                 LabeledSet, SVMConvergenceError, SVMModel,
-                                _marching_squares, extract_contour, points_in_polygon,
-                                signed_area, train_svm)
+                                _fill_counts, _marching_squares, _start_at_max_x_crossing,
+                                extract_contour, points_in_polygon, signed_area,
+                                train_svm)
 from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
 from arplace.shapemodel import _ArcTable
@@ -153,6 +155,40 @@ def test_train_svm_matches_the_reference_solver(case):
     assert model.bias == bias
     assert model.pair_steps == steps
     assert model.kkt_violation == violation
+
+
+def test_train_svm_rejects_a_degenerate_box():
+    # below 2e-14 an index can leave both working sets, and its gradient with them
+    with pytest.raises(ValueError, match="2e-14"):
+        train_svm(_ring_set(), cost_C=1e-14, positive_class_weight=2.0)
+
+
+def _decision_values_reference(model, pts):
+    """The decision surface with the squared distances summed over an
+    (n, n_sv, 2) temporary: the values decision_values must reproduce."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d2 = np.sum((pts[:, None, :] - model.support_points[None, :, :]) ** 2, axis=2)
+    K = np.exp(-d2 / (2.0 * model.kernel_sigma ** 2))
+    return K @ model.alphas + model.bias
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 50), n_sv=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       sigma=st.sampled_from([0.03, 0.1, 0.37]), lattice=st.booleans())
+def test_decision_values_match_the_3d_sum(n, n_sv, seed, sigma, lattice):
+    rng = np.random.default_rng(seed)
+    if lattice:  # points that coincide with support points: zero distances
+        sv = rng.integers(-4, 5, (n_sv, 2)) * 0.1
+        pts = rng.integers(-4, 5, (n, 2)) * 0.1
+    else:
+        sv = rng.uniform(-1.0, 1.0, (n_sv, 2))
+        pts = rng.uniform(-1.2, 1.2, (n, 2))
+    model = SVMModel(support_points=sv, alphas=rng.normal(size=n_sv), bias=float(rng.normal()),
+                     kernel_sigma=sigma, cost_C=1.0, positive_class_weight=1.0)
+    np.testing.assert_array_equal(model.decision_values(pts),
+                                  _decision_values_reference(model, pts))
+    np.testing.assert_array_equal(model.decision_values(pts[0]),
+                                  _decision_values_reference(model, pts[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +370,7 @@ def test_extract_contour_recovers_analytic_circle():
     contour = extract_contour(model, spec)
     r = np.hypot(contour[:, 0] - 0.05, contour[:, 1] + 0.03)
     assert np.max(np.abs(r - 0.2)) < 0.011  # within one cell
-    b = Boundary(_ArcTable(contour).at(np.arange(64) / 64))
+    b = Boundary(_ArcTable([contour]).at(np.arange(64) / 64)[0])
     assert abs(signed_area(b.landmarks)) == pytest.approx(np.pi * 0.2 ** 2, rel=0.02)
     np.testing.assert_allclose(b.centroid(), [0.05, -0.03], atol=0.005)
 
@@ -346,8 +382,58 @@ def test_extract_contour_keeps_border_touching_region_closed():
     contour = extract_contour(model, spec)
     assert len(contour) > 10
     assert np.linalg.norm(contour[0] - contour[-1]) > 0.0  # open storage
-    b = Boundary(_ArcTable(contour).at(np.arange(64) / 64))
+    b = Boundary(_ArcTable([contour]).at(np.arange(64) / 64)[0])
     assert b.contains(np.array([[0.45, 0.0]]))[0]
+
+
+def _extract_contour_reference(model, grid_spec):
+    """extract_contour with the positive-loop test run by points_in_polygon
+    over every positive grid point: the contour extract_contour must
+    reproduce."""
+    xs, ys = grid_spec.centers()
+    pts = grid_spec.center_points()
+    values = model.decision_values(pts).reshape(grid_spec.nx, grid_spec.ny)
+    pos_pts = pts[values.ravel() > 0]
+    loops = [loop for loop in _marching_squares(values, xs, ys)
+             if points_in_polygon(loop, pos_pts).any()]
+    loop = loops[int(np.argmax([abs(signed_area(l)) for l in loops]))]
+    if signed_area(loop) < 0:
+        loop = loop[::-1]
+    return _start_at_max_x_crossing(loop)
+
+
+def test_extract_contour_matches_the_point_test_on_the_training_contours(pipeline):
+    """On the 16 per-pose models of dataset seed 42 the fill decides every
+    grid point of every traced loop as points_in_polygon does, and the
+    contours are the reference's."""
+    spec = pipeline["extraction_grid"]
+    xs, ys = spec.centers()
+    pts = spec.center_points()
+    for model in pipeline["svms"].values():
+        values = model.decision_values(pts).reshape(spec.nx, spec.ny)
+        for loop in _marching_squares(values, xs, ys):
+            np.testing.assert_array_equal(
+                _fill_counts(loop[None], np.zeros(1), spec),
+                points_in_polygon(loop, pts).reshape(spec.nx, spec.ny))
+        np.testing.assert_array_equal(extract_contour(model, spec),
+                                      _extract_contour_reference(model, spec))
+
+
+def test_extract_contour_drops_the_loop_around_a_hole():
+    """A positive ring traces two loops; the inner one encloses no positive
+    grid point and is dropped, so the outer loop comes back alone."""
+    angles = 2 * np.pi * np.arange(24) / 24
+    model = SVMModel(support_points=0.2 * np.column_stack([np.cos(angles), np.sin(angles)]),
+                     alphas=np.ones(24), bias=-1.0, kernel_sigma=0.05,
+                     cost_C=1.0, positive_class_weight=1.0)
+    spec = GridSpec.covering(-0.5, 0.5, -0.5, 0.5, 0.01)
+    values = model.decision_values(spec.center_points()).reshape(spec.nx, spec.ny)
+    assert len(_marching_squares(values, *spec.centers())) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        contour = extract_contour(model, spec)
+    np.testing.assert_array_equal(contour, _extract_contour_reference(model, spec))
+    assert np.hypot(contour[:, 0], contour[:, 1]).min() > 0.2
 
 
 def test_extract_contour_raises_without_positive_region():
@@ -365,7 +451,7 @@ def test_resample_closed_equal_arc_spacing():
     """The shape model's arc-length table resamples a closed contour at
     equal arc spacing."""
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    pts = _ArcTable(square).at(np.arange(16) / 16)
+    pts = _ArcTable([square]).at(np.arange(16) / 16)[0]
     assert pts.shape == (16, 2)
     closed = np.vstack([pts, pts[:1]])
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)

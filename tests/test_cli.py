@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -179,19 +180,34 @@ BAD_ARGUMENTS = {
     "plan_threshold_above_one": (["plan", "--threshold", "1.5"], "--threshold"),
     "eval_transform_without_model": (["eval", "transform"], "--model"),
     "eval_robustness_without_model": (["eval", "robustness"], "--model"),
+    "map_negative_robot_sigma": (["map", "--robot-sigma", "-0.05"], "--robot-sigma"),
+    "cost_zero_nav_speed": (["cost", "--nav-speed", "0"], "--nav-speed"),
+    "cost_negative_retry_penalty": (["cost", "--retry-penalty", "-5"], "--retry-penalty"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
 def test_bad_argument_is_a_usage_error(artifacts, tmp_path, capsys, name):
     argv, flag = BAD_ARGUMENTS[name]
-    model = ["--model", str(artifacts["model"])] if argv[0] in ("map", "plan") else []
-    belief = ["--belief", str(artifacts["belief"])] if argv[0] == "map" else []
+    grid = tmp_path / "grid.txt"
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)), grid)
+    inputs = {"map": ["--model", str(artifacts["model"]), "--belief", str(artifacts["belief"])],
+              "plan": ["--model", str(artifacts["model"])],
+              "cost": [str(grid), "--robot-x", "1.5", "--robot-y", "0.0"]}.get(argv[0], [])
     with pytest.raises(SystemExit) as e:
-        main(argv + model + belief + ["--seed", "0", "--out", str(tmp_path / "out")])
+        main(argv + inputs + ["--seed", "0", "--out", str(tmp_path / "out")])
     assert e.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
+    """`eval accuracy --seed 0` runs execute_trial and trains and evaluates
+    SVMs; its report must keep these bytes."""
+    out = tmp_path / "acc.txt"
+    assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "631202542d3148cc81e51371c47fedf29ed60ce511c759eb068aeab9c940ff1b"
 
 
 def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys):

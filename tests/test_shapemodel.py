@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arplace import shapemodel
+from arplace.classifier import extract_contour
 from arplace.geometry import ObjectFeatures
 from arplace.shapemodel import (GSM_MODES, DegenerateShapeError, GSMModel,
-                                RegressionRankError, assemble_H, fit_pdm,
+                                RegressionRankError, _ArcTable, assemble_H, fit_pdm,
                                 fit_regression, optimize_landmarks,
                                 placement_cost)
 
@@ -95,7 +98,7 @@ def test_assemble_H_layout_x_then_y():
 
 def test_placement_cost_formula():
     contours = [_circle(r) for r in (0.2, 0.25, 0.3, 0.35)]
-    cost, energy, l = placement_cost(contours, np.arange(8) / 8, d=1)
+    cost, energy, l = placement_cost(_ArcTable(contours).at(np.arange(8) / 8), d=1)
     assert cost == pytest.approx((2.0 - energy) * l * l, rel=1e-12)
     assert 0.0 <= energy <= 1.0
 
@@ -116,6 +119,101 @@ def test_optimize_landmarks_raises_when_target_unreachable():
     contours = [_circle(0.3) + rng.normal(0.0, 0.05, (24, 2)) for _ in range(6)]
     with pytest.raises(DegenerateShapeError):
         optimize_landmarks(contours, m=8, energy_target=0.999999, max_modes=1)
+
+
+class _ArcTableReference:
+    """One closed polyline's arc-length table, looked up with searchsorted:
+    the points the stacked _ArcTable must reproduce for each polyline."""
+
+    def __init__(self, contour):
+        self.closed = np.vstack([contour, contour[:1]])
+        seg = np.linalg.norm(np.diff(self.closed, axis=0), axis=1)
+        self.arcs = np.concatenate([[0.0], np.cumsum(seg)])
+        self.seg = np.where(seg > 0, seg, 1.0)
+        self.total = self.arcs[-1]
+
+    def at(self, fractions):
+        t = (np.asarray(fractions) % 1.0) * self.total
+        idx = np.clip(np.searchsorted(self.arcs, t, side="right") - 1,
+                      0, len(self.seg) - 1)
+        frac = (t - self.arcs[idx]) / self.seg[idx]
+        return self.closed[idx] + frac[:, None] * (self.closed[idx + 1] - self.closed[idx])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(3, 40), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_arc_table_matches_one_table_per_contour(sizes, seed):
+    rng = np.random.default_rng(seed)
+    contours = []
+    for n in sizes:
+        c = rng.normal(size=(n, 2))
+        c[rng.random(n) < 0.2] = c[0]  # repeated vertices: zero-length segments
+        contours.append(c)
+    fractions = np.concatenate([rng.uniform(-1.5, 2.5, 15), [0.0, 0.5, 1.0, -0.25]])
+    got = _ArcTable(contours).at(fractions)
+    assert got.shape == (len(contours), len(fractions), 2)
+    for k, c in enumerate(contours):
+        np.testing.assert_array_equal(got[k], _ArcTableReference(c).at(fractions))
+
+
+def _optimize_landmarks_reference(contours, m=20, energy_target=0.95):
+    """optimize_landmarks evaluating every candidate placement in full, each
+    with its own per-contour lookups and cost: the placement
+    optimize_landmarks must reproduce. Returns (landmarks, d, energy,
+    fractions, number of cost evaluations)."""
+    tables = [_ArcTableReference(c) for c in contours]
+
+    def cost_of(fractions, d):
+        lms = [t.at(fractions) for t in tables]
+        pdm = fit_pdm(assemble_H(lms), d)
+        dists = [np.linalg.norm(pdm.reconstruct(pdm.project(lm)) - lm, axis=1) for lm in lms]
+        l = float(np.mean(np.concatenate(dists)))
+        return (2.0 - pdm.energy) * l * l, pdm.energy
+
+    base_step, min_gap = 1.0 / (8 * m), 1.0 / (2 * m)
+    fractions = np.arange(m) / m
+    evaluations = 0
+    for d in range(1, len(contours)):
+        cost, energy = cost_of(fractions, d)
+        evaluations += 1
+        improved = True
+        while improved:
+            improved = False
+            for i in range(m):
+                for mult in (4.0, 2.0, 1.0):
+                    for sign in (1.0, -1.0):
+                        trial = fractions.copy()
+                        trial[i] = (trial[i] + sign * mult * base_step) % 1.0
+                        f = np.sort(trial % 1.0)
+                        if not np.all(np.diff(np.concatenate([f, [f[0] + 1.0]])) >= min_gap):
+                            continue
+                        c2, e2 = cost_of(trial, d)
+                        evaluations += 1
+                        if c2 < cost - 1e-15:
+                            fractions, cost, energy = trial, c2, e2
+                            improved = True
+        if energy > energy_target:
+            return [t.at(fractions) for t in tables], d, energy, fractions, evaluations
+    raise AssertionError("energy target unreachable")
+
+
+def test_optimize_landmarks_matches_the_full_evaluation(pipeline, monkeypatch):
+    """On the 16 contours of dataset seed 42 the placement equals the one
+    found by evaluating every candidate, with 80 of its 352 cost
+    evaluations skipped as repeats."""
+    spec = pipeline["extraction_grid"]
+    contours = [extract_contour(model, spec) for model in pipeline["svms"].values()]
+    want_lms, want_d, want_energy, want_fractions, want_calls = \
+        _optimize_landmarks_reference(contours)
+    calls = []
+    monkeypatch.setattr(shapemodel, "placement_cost",
+                        lambda *a: calls.append(1) or placement_cost(*a))
+    lms, d, energy, fractions = optimize_landmarks(contours)
+    np.testing.assert_array_equal(lms, np.stack(want_lms))
+    assert (d, energy) == (want_d, want_energy)
+    np.testing.assert_array_equal(fractions, want_fractions)
+    assert (len(calls), want_calls) == (272, 352)
 
 
 # ---------------------------------------------------------------------------

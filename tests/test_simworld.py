@@ -155,6 +155,25 @@ def test_generate_dataset_reproducible_and_order_independent(w):
     assert generate_dataset(w, objs, robs, seed=6).records != a.records
 
 
+def _generate_dataset_reference(world, object_grid, robot_grid, seed, use_capability_filter):
+    """generate_dataset with a generator built for every pair before the
+    reachability filter runs: the records generate_dataset must reproduce."""
+    return [execute_trial(obj, rob, world,
+                          np.random.default_rng((seed, i * len(robot_grid) + j)),
+                          check_reachability=use_capability_filter)
+            for i, obj in enumerate(object_grid)
+            for j, rob in enumerate(robot_grid)]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_generate_dataset_matches_eager_generators(w, seed):
+    objs, robs = default_object_grid(), default_robot_grid()
+    data = generate_dataset(w, objs, robs, seed=seed)
+    assert data.records == _generate_dataset_reference(w, objs, robs, seed, True)
+    unfiltered = generate_dataset(w, objs[:2], robs, seed=seed, use_capability_filter=False)
+    assert unfiltered.records == _generate_dataset_reference(w, objs[:2], robs, seed, False)
+
+
 def test_capability_filter_preserves_executed_trials(w):
     objs = default_object_grid()[:2]
     robs = default_robot_grid()[::7]
