@@ -84,11 +84,14 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
     with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
     myg += step * (K[j] - K[i]) gives the same floats as updating grad by
-    step * (y_i Q[:, i] - y_j Q[:, j]) and negating. It is kept as two
-    arrays, g_up = myg + 0 on the index set up and -inf off it, and g_low =
-    myg + 0 on low and +inf off it, which both take the same update. A box
+    step * (y_i Q[:, i] - y_j Q[:, j]) and negating. It is kept as one (2, n)
+    selection array H: row 0 is myg on the index set up and -inf off it,
+    row 1 is -myg on low and -inf off it. One argmax per row picks the pair
+    (the first maximum of -myg is the first minimum of myg), and the rows of
+    KK[k] = [K[k]; -K[k]] update both at once. IEEE negation is exact, so
+    row 1 holds the negation of the floats a separate min-array would. A box
     bound above 2e-14 puts every index in up or low, so myg[k] is always in
-    one of them; membership changes only at the pair just stepped.
+    one row; membership changes only at the pair just stepped.
     """
     X, y = data.arrays()
     K = gaussian_kernel(X, X, kernel_sigma)
@@ -99,49 +102,48 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
 
     ys, cs, c_top = y.tolist(), C.tolist(), (C - 1e-14).tolist()
     diag = np.diag(K).tolist()
+    # KK[k] = [K[k]; -K[k]], read through a list of its (2, n) row views
+    KK = list(np.stack((K, -K), axis=1))
     alpha = [0.0] * len(ys)
-
-    def in_up(k):
-        return alpha[k] < c_top[k] if ys[k] > 0 else alpha[k] > 1e-14
-
-    def in_low(k):
-        return alpha[k] > 1e-14 if ys[k] > 0 else alpha[k] < c_top[k]
-
-    up = [in_up(k) for k in range(len(ys))]
-    low = [in_low(k) for k in range(len(ys))]
+    # at alpha = 0 a positive index is only in up and a negative only in low
+    up = [yk > 0 for yk in ys]
+    low = [yk < 0 for yk in ys]
     # myg = y at alpha = 0, where grad = -1
-    g_up = np.where(up, y, -np.inf)
-    g_low = np.where(low, y, np.inf)
-    delta = np.empty_like(y)
+    H = np.where([up, low], [y, -y], -np.inf)
+    D = np.empty_like(H)
     steps = 0
     violation = np.inf
     while steps < _MAX_PAIR_STEPS:
-        i = int(g_up.argmax())
-        j = int(g_low.argmin())
+        i, j = H.argmax(axis=1).tolist()
         if not up[i] or not low[j]:  # one set is empty
             violation = 0.0
             break
-        violation = float(g_up[i] - g_low[j])
+        violation = H.item(0, i) + H.item(1, j)
         if violation <= _SOLVE_EPS:
             break
-        quad = max(diag[i] + diag[j] - 2.0 * float(K[i, j]), 1e-12)
+        quad = max(diag[i] + diag[j] - 2.0 * K.item(i, j), 1e-12)
         step = violation / quad
         # clip to the box for alpha_i + y_i*step, alpha_j - y_j*step
         step = min(step, cs[i] - alpha[i] if ys[i] > 0 else alpha[i])
         step = min(step, alpha[j] if ys[j] > 0 else cs[j] - alpha[j])
         alpha[i] += ys[i] * step
         alpha[j] -= ys[j] * step
-        np.subtract(K[j], K[i], out=delta)
-        delta *= step
-        g_up += delta
-        g_low += delta
-        for k in (i, j):
-            g = g_up[k] if up[k] else g_low[k]
-            up[k], low[k] = in_up(k), in_low(k)
-            g_up[k] = g if up[k] else -np.inf
-            g_low[k] = g if low[k] else np.inf
+        np.subtract(KK[j], KK[i], D)
+        np.multiply(D, step, D)
+        np.add(H, D, H)
+        for k in (i, j):  # H already holds myg[k] where membership stays
+            a = alpha[k]
+            if ys[k] > 0:
+                u, l = a < c_top[k], a > 1e-14
+            else:
+                u, l = a > 1e-14, a < c_top[k]
+            if u != up[k] or l != low[k]:
+                g = H.item(0, k) if up[k] else -H.item(1, k)
+                up[k], low[k] = u, l
+                H[0, k] = g if u else -np.inf
+                H[1, k] = -g if l else -np.inf
         steps += 1
-    myg = np.where(up, g_up, g_low)
+    myg = np.where(up, H[0], -H[1])
     if violation > KKT_TOLERANCE:
         raise SVMConvergenceError(violation)
 

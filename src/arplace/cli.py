@@ -198,7 +198,7 @@ def cmd_train(args) -> int:
         raise MissingInputError(f"dataset file not found: {args.data}")
     except KeyError as e:
         raise BadConfigError(f"dataset {args.data} lacks the column {e}")
-    except (TypeError, ValueError) as e:  # short row, bad number or label
+    except ValueError as e:  # short row, bad number or label, no rows
         raise BadConfigError(f"invalid dataset {args.data}: {e}")
     made_under = _header_fields(dataset.comments).get("config_hash")
     if made_under is not None and made_under != cfg.hash():
@@ -219,6 +219,7 @@ def cmd_train(args) -> int:
     print(f"trained model: d={gsm.pdm.d} energy={gsm.pdm.energy:.4f} "
           f"r2={np.round(gsm.regression.r_squared, 4).tolist()} "
           f"svm_steps={sum(m.pair_steps for m in svms.values())} "
+          f"max_pose_steps={max(m.pair_steps for m in svms.values())} "
           f"max_kkt_violation={max(m.kkt_violation for m in svms.values()):.3g} "
           f"-> {args.out}")
     return EXIT_OK

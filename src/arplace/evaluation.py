@@ -226,21 +226,21 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     test_X = np.array([[r.dx_rob, r.dy_rob] for r in test_offsets])
     test_y = np.array(test_y)
 
+    # trial idx draws from (seed, 3, idx), so each size trains on a prefix
+    offsets = _random_offsets(max(sizes), np.random.default_rng((seed, 2)))
+    labels, executed = [], []
+    for idx, offset in enumerate(offsets):
+        rec = execute_trial(object_pose, offset, world, (seed, 3, idx),
+                            check_reachability=use_capability_filter)
+        labels.append(1 if rec.label == "success" else -1)
+        executed.append(rec.executed)
     points = []
-    max_size = max(sizes)
-    offsets = _random_offsets(max_size, np.random.default_rng((seed, 2)))
     for size in sizes:
-        labels, executed = [], 0
-        for idx in range(size):
-            rec = execute_trial(object_pose, offsets[idx], world, (seed, 3, idx),
-                                check_reachability=use_capability_filter)
-            labels.append(1 if rec.label == "success" else -1)
-            executed += int(rec.executed)
-        model = train_svm(LabeledSet(offsets[:size], labels, object_pose))
+        model = train_svm(LabeledSet(offsets[:size], labels[:size], object_pose))
         pred = np.where(model.decision_values(test_X) > 0, 1, -1)
         points.append(AccuracyPoint(size=size,
                                     accuracy=float(np.mean(pred == test_y)),
-                                    executed=executed))
+                                    executed=sum(executed[:size])))
     return points
 
 

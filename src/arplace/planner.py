@@ -201,11 +201,6 @@ class ExecutionTrace:
     def grasp_outcomes(self) -> list[dict]:
         return [e.detail for e in self.events if e.kind == "grasp"]
 
-    @property
-    def all_grasps_succeeded(self) -> bool:
-        g = self.grasp_outcomes
-        return bool(g) and all(d["success"] for d in g)
-
     def count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
 

@@ -13,8 +13,9 @@ empty. Failure causes mirror the stages of the action sequence.
 
 from __future__ import annotations
 
-import math
 import csv
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,9 @@ class TrialRecord:
         return self.cause != "unreachable_theory"
 
 
+_CSV_COLUMNS = ("object_dx", "object_dpsi", "robot_dx", "robot_dy", "label", "cause")
+
+
 @dataclass
 class Dataset:
     world: WorldConfig
@@ -97,7 +101,7 @@ class Dataset:
             for line in header_lines or []:
                 f.write(f"# {line}\n")
             w = csv.writer(f)
-            w.writerow(["object_dx", "object_dpsi", "robot_dx", "robot_dy", "label", "cause"])
+            w.writerow(_CSV_COLUMNS)
             for r in self.records:
                 w.writerow([
                     f"{r.object.dx_obj:.17g}", f"{r.object.dpsi_obj:.17g}",
@@ -107,20 +111,46 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path, world: WorldConfig) -> "Dataset":
-        records, comments, rows = [], [], []
-        with open(path) as f:
+        """Read a file written by save_csv. "#" lines are comments; the
+        columns are found by header name. Each distinct pair of number
+        strings becomes one ObjectFeatures or RobotOffset, shared by its
+        rows. A missing column raises KeyError; a short row, a bad number or
+        a bad label raises ValueError naming the file line."""
+        comments = []
+
+        def data_lines(f):
             for ln in f:
                 if ln.startswith("#"):
                     comments.append(ln[1:].strip())
                 else:
-                    rows.append(ln)
-        reader = csv.DictReader(rows)
-        for row in reader:
-            records.append(TrialRecord(
-                object=ObjectFeatures(float(row["object_dx"]), float(row["object_dpsi"])),
-                robot=RobotOffset(float(row["robot_dx"]), float(row["robot_dy"])),
-                label=row["label"], cause=row["cause"],
-            ))
+                    yield ln
+
+        records, objects, robots = [], {}, {}
+        with open(path, newline="") as f:
+            reader = csv.reader(data_lines(f))
+            header = next(reader, [])
+            cols = {name: k for k, name in enumerate(header)}
+            ix = [cols[name] for name in _CSV_COLUMNS]
+            fields, width = operator.itemgetter(*ix), max(ix) + 1
+            try:
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) < width:
+                        raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                    ox, op, rx, ry, label, cause = fields(row)
+                    obj = objects.get((ox, op))
+                    if obj is None:
+                        obj = objects[ox, op] = ObjectFeatures(float(ox), float(op))
+                    rob = robots.get((rx, ry))
+                    if rob is None:
+                        rob = robots[rx, ry] = RobotOffset(float(rx), float(ry))
+                    records.append(TrialRecord(obj, rob, label, cause))
+            except (ValueError, csv.Error) as e:
+                # comments holds every "#" line read so far
+                raise ValueError(f"line {reader.line_num + len(comments)}: {e}") from None
+        if not records:
+            raise ValueError("no trial rows")
         # the grids in order of first appearance
         object_grid = list(dict.fromkeys(r.object for r in records))
         robot_grid = list(dict.fromkeys(r.robot for r in records))

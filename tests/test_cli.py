@@ -110,6 +110,11 @@ BAD_DATASETS = {
                        "robot_dy"),
     "not_a_number": (lambda head, row: (head, "abc," + row.split(",", 1)[1]), "abc"),
     "unknown_label": (lambda head, row: (head, row.replace("failure", "banana")), "banana"),
+    # line 1 is the gen-data comment, line 2 the header, line 3 the first row
+    "short_row": (lambda head, row: (head, row.rsplit(",", 1)[0]), "line 3:"),
+    # past the csv module's field size limit
+    "huge_field": (lambda head, row: (head, "1" * 200_000 + "," + row.split(",", 1)[1]),
+                   "line 3:"),
 }
 
 
@@ -229,8 +234,16 @@ def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys
     assert main(["train", "--data", str(bare), "--seed", "0",
                  "--out", str(tmp_path / "bare.json")]) == 0
     assert (tmp_path / "bare.json").read_bytes() == artifacts["model"].read_bytes()
-    assert re.search(r"svm_steps=[1-9][0-9]* max_kkt_violation=[0-9.e+-]+ ",
-                     capsys.readouterr().out)
+    assert re.search(r"svm_steps=[1-9][0-9]* max_pose_steps=[1-9][0-9]* "
+                     r"max_kkt_violation=[0-9.e+-]+ ", capsys.readouterr().out)
+
+
+def test_train_rejects_a_dataset_without_rows(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("# made by hand\nobject_dx,object_dpsi,robot_dx,robot_dy,label,cause\n")
+    rc = main(["train", "--data", str(data), "--seed", "0", "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert "no trial rows" in capsys.readouterr().err
 
 
 def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from arplace import evaluation
 from arplace.evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                                 chi_square, fixed_strategy_offset,
                                 make_two_cup_scene, robustness_experiment)
@@ -132,6 +133,23 @@ def test_accuracy_curve_filter_reduces_executed_trials(world):
         assert f.executed < u.executed
         assert u.executed == u.size
         assert 0.0 <= f.accuracy <= 1.0
+
+
+def test_accuracy_curve_runs_each_training_trial_once(world, monkeypatch):
+    """All sizes share one run of the max(sizes) training trials: each trial
+    seed is used once. The report bytes are pinned in test_cli."""
+    calls = []
+    real = evaluation.execute_trial
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "execute_trial", counted)
+    accuracy_curve(world, ObjectFeatures(0.11, 0.2), [20, 50, 100],
+                   use_capability_filter=True, seed=0, n_test=30)
+    assert len(calls) == 30 + 100
+    assert len(set(calls)) == len(calls)
 
 
 def test_accuracy_curve_requires_ascending_sizes(world):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -196,6 +197,24 @@ def test_dataset_csv_round_trip(w, tmp_path):
     assert back.records == data.records
     assert back.object_grid == data.object_grid
     assert back.robot_grid == data.robot_grid
+
+
+def test_dataset_csv_columns_are_found_by_name(w, tmp_path):
+    """A file with its columns in another order loads to the same records."""
+    data = generate_dataset(w, default_object_grid()[:2],
+                            default_robot_grid()[::13], seed=2)
+    path = tmp_path / "d.csv"
+    data.save_csv(path, header_lines=["column order test"])
+    lines = path.read_text().splitlines()
+    order = [5, 2, 0, 4, 3, 1]
+    permuted = tmp_path / "p.csv"
+    permuted.write_text("\n".join([lines[0]] + [",".join(row[k] for k in order)
+                                                for row in csv.reader(lines[1:])]) + "\n")
+    back = Dataset.load_csv(permuted, w)
+    assert back.records == data.records
+    assert back.object_grid == data.object_grid
+    assert back.robot_grid == data.robot_grid
+    assert back.comments == ["column order test"]
 
 
 def test_world_config_json_round_trip(w, tmp_path):
