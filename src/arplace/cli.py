@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import typing
 
@@ -339,32 +340,18 @@ def cmd_export_pgm(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, found {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, found {text}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must not be negative, found {text}")
-    return value
-
-
-def _open_unit(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), found {text}")
-    return value
+def _number(kind=float, above=-math.inf, at_least=-math.inf, below=math.inf):
+    """argparse type: a finite number of the given kind that is > above,
+    >= at_least and < below."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and above < value and at_least <= value < below):
+            bounds = "".join(f", {op} {b:g}" for op, b in (
+                ("above", above), ("at least", at_least), ("below", below)) if math.isfinite(b))
+            raise argparse.ArgumentTypeError(f"must be finite{bounds}, found {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--belief", required=True)
-    sp.add_argument("--samples", type=_positive_int)
-    sp.add_argument("--robot-sigma", type=_non_negative_float, default=0.0)
+    sp.add_argument("--samples", type=_number(int, at_least=1))
+    sp.add_argument("--robot-sigma", type=_number(at_least=0), default=0.0)
     sp.set_defaults(func=cmd_map)
 
     sp = sub.add_parser("merge", help="cellwise product of success maps")
@@ -402,17 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cost", help="expected-cost map from a success map")
     common(sp)
     sp.add_argument("grid")
-    sp.add_argument("--robot-x", type=float, required=True)
-    sp.add_argument("--robot-y", type=float, required=True)
-    sp.add_argument("--retry-penalty", type=_non_negative_float, default=5.0)
-    sp.add_argument("--nav-speed", type=_positive_float, default=0.3)
+    sp.add_argument("--robot-x", type=_number(), required=True)
+    sp.add_argument("--robot-y", type=_number(), required=True)
+    sp.add_argument("--retry-penalty", type=_number(at_least=0), default=5.0)
+    sp.add_argument("--nav-speed", type=_number(above=0), default=0.3)
     sp.set_defaults(func=cmd_cost)
 
     sp = sub.add_parser("plan", help="two-cup plan with merge transformation")
     common(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--separation", type=float, default=0.30)
-    sp.add_argument("--threshold", type=_open_unit)
+    sp.add_argument("--separation", type=_number(at_least=0), default=0.30)
+    sp.add_argument("--threshold", type=_number(above=0, below=1))
     sp.set_defaults(func=cmd_plan)
 
     sp = sub.add_parser("eval", help="run an experiment")

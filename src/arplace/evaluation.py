@@ -14,8 +14,8 @@ from .geometry import ObjectFeatures, RobotOffset
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
 from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
-                      SceneObject, TimeModel, apply_merge_transform,
-                      detect_merge_flaw, plan_duration, project, two_pickup_plan)
+                      SceneObject, apply_merge_transform, detect_merge_flaw,
+                      project, two_pickup_plan)
 from .shapemodel import GSMModel
 from .simworld import (WorldConfig, default_robot_grid, execute_trial,
                        geometric_success, grasp_outcome)
@@ -282,53 +282,46 @@ class TransformResult:
     notes: list[str] = field(default_factory=list)
 
 
-def make_two_cup_scene(separation: float, object_sigma_xy: float = 0.005,
-                       object_sigma_psi: float = 0.02, dx_obj: float = 0.12,
-                       handle_toe_in: float = 0.04,
-                       robot_start: tuple[float, float] = (1.5, 0.0)) -> Scene:
-    """Two cups on the table edge, handles angled slightly toward each other
-    so a shared grasp position exists for moderate separations."""
+def make_two_cup_scene(separation: float) -> Scene:
+    """Two cups 0.12 m from the table edge, handles turned 0.04 rad toward
+    each other so a shared grasp position exists for moderate separations,
+    beliefs with sigma 0.005 m / 0.02 rad, and the robot at (1.5, 0)."""
     objs = {}
-    for name, y, psi in (("cup-a", -separation / 2.0, handle_toe_in),
-                         ("cup-b", separation / 2.0, -handle_toe_in)):
-        truth = (dx_obj, y, psi)
-        objs[name] = SceneObject(name, truth, GaussianBelief.isotropic(
-            truth, object_sigma_xy, object_sigma_psi))
-    return Scene(objects=objs, robot_xy=robot_start)
+    for name, y, psi in (("cup-a", -separation / 2.0, 0.04),
+                         ("cup-b", separation / 2.0, -0.04)):
+        truth = (0.12, y, psi)
+        objs[name] = SceneObject(name, truth, GaussianBelief.isotropic(truth, 0.005, 0.02))
+    return Scene(objects=objs, robot_xy=(1.5, 0.0))
 
 
 def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
                      rng_base: tuple, cell_size: float = 0.025,
-                     threshold: float = MERGE_THRESHOLD,
-                     time_model: TimeModel = TimeModel()) -> TransformPoint:
+                     threshold: float = MERGE_THRESHOLD) -> TransformPoint:
     """Project the flat two-pick-up plan on a two-cup scene, look for an
     unoptimized-locations flaw, and — when it fires — project the
-    transformed plan. The three steps draw from the generators seeded with
-    rng_base + (0,), (1,) and (2,)."""
+    transformed plan, both under the default time model. The three steps
+    draw from the generators seeded with rng_base + (0,), (1,) and (2,)."""
     spec = plan_grid_spec(separation, cell_size)
     scene = make_two_cup_scene(separation)
     plan = two_pickup_plan()
     trace_a = project(plan, scene, gsm, world, spec,
-                      rng=np.random.default_rng(rng_base + (0,)),
-                      time_model=time_model)
-    point = TransformPoint(separation, trace_a, plan_duration(trace_a, time_model))
+                      rng=np.random.default_rng(rng_base + (0,)))
+    point = TransformPoint(separation, trace_a, trace_a.duration)
     point.flaw = detect_merge_flaw(plan, scene, gsm, spec,
                                    rng=np.random.default_rng(rng_base + (1,)),
                                    threshold=threshold)
     if point.flaw is not None:
         point.plan_b = apply_merge_transform(plan, point.flaw)
         point.trace_b = project(point.plan_b, scene, gsm, world, spec,
-                                rng=np.random.default_rng(rng_base + (2,)),
-                                time_model=time_model)
-        point.duration_b = plan_duration(point.trace_b, time_model)
+                                rng=np.random.default_rng(rng_base + (2,)))
+        point.duration_b = point.trace_b.duration
     return point
 
 
 def transformation_benefit(distances: list[float], gsm: GSMModel,
                            world: WorldConfig, seed: int = 0,
                            cell_size: float = 0.025,
-                           threshold: float = MERGE_THRESHOLD,
-                           time_model: TimeModel = TimeModel()) -> TransformResult:
+                           threshold: float = MERGE_THRESHOLD) -> TransformResult:
     """The merge experiment at each cup separation; separation k draws from
     rng_base (seed, k)."""
     result = TransformResult()
@@ -337,5 +330,5 @@ def transformation_benefit(distances: list[float], gsm: GSMModel,
         "figures are reported because '50% faster' is ambiguous")
     for k, sep in enumerate(distances):
         result.points.append(merge_experiment(sep, gsm, world, (seed, k), cell_size,
-                                              threshold, time_model))
+                                              threshold))
     return result

@@ -10,6 +10,7 @@ navigation cost map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class GaussianBelief:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (3,) or cov.shape != (3, 3):
             raise ValueError("belief needs a 3-vector mean and 3x3 covariance")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("belief mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
@@ -96,47 +99,37 @@ def compute_map(gsm: GSMModel, belief, grid_spec: GridSpec, n_samples: int = DEF
     return ARPlaceGrid(spec=grid_spec, probs=probs, frame=frame)
 
 
-def _as_cov2(robot_cov) -> np.ndarray:
-    if np.isscalar(robot_cov):
-        s = float(robot_cov)
-        return np.diag([s * s, s * s])
-    cov = np.asarray(robot_cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise ValueError("robot covariance must be scalar sigma or 2x2")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
-        raise ValueError("covariance must be positive semidefinite")
-    return cov
+# kernel weights beyond this many standard deviations are dropped
+_TRUNCATE_SIGMAS = 6.0
 
 
-def apply_robot_uncertainty(grid: ARPlaceGrid, robot_cov,
-                            truncate: float = 6.0) -> ARPlaceGrid:
-    """Condition the map on Gaussian robot position noise.
+def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
+    """Condition the map on isotropic Gaussian robot position noise of
+    standard deviation sigma (m).
 
     Each cell becomes the kernel-weighted average of its neighbourhood, with
-    the discrete kernel renormalized over the grid:
-    out_k = p_k + sum_j w_jk (p_j - p_k) / sum_j w_jk. A zero covariance is
-    the identity and an exactly uniform map is preserved exactly. Accepts a
-    scalar sigma (isotropic) or a full 2x2 covariance.
+    the discrete kernel cut off at 6 sigma, and at the grid's extent on each
+    axis, and renormalized over the grid:
+    out_k = p_k + sum_j w_jk (p_j - p_k) / sum_j w_jk. Sigma 0 is the
+    identity and an exactly uniform map is preserved exactly. A negative or
+    non-finite sigma raises ValueError.
     """
-    cov = _as_cov2(robot_cov)
-    evals = np.linalg.eigvalsh(cov)
-    if evals[-1] < 1e-16:
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"robot sigma must be finite and non-negative, found {sigma}")
+    var = sigma * sigma  # 0 or inf where sigma ** 2 would raise
+    if var == 0.0:
         return ARPlaceGrid(spec=grid.spec, probs=grid.probs.copy(), frame=grid.frame)
-    # floor tiny eigenvalues so degenerate (line-mass) covariances invert
-    cov = cov + np.eye(2) * max(1e-12 * evals[-1], 1e-18)
-    prec = np.linalg.inv(cov)
     h = grid.spec.cell_size
-    r = int(np.ceil(truncate * np.sqrt(evals[-1]) / h))
     p = grid.probs
     num = np.zeros_like(p)
     den = np.zeros_like(p)
     nx, ny = p.shape
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
-            off = np.array([di * h, dj * h])
-            w = float(np.exp(-0.5 * off @ prec @ off))
+    r = math.ceil(min(_TRUNCATE_SIGMAS * sigma / h, max(nx, ny)))
+    ri, rj = min(r, nx - 1), min(r, ny - 1)
+    for di in range(-ri, ri + 1):
+        for dj in range(-rj, rj + 1):
+            w = math.exp(-0.5 * ((di * h) ** 2 + (dj * h) ** 2) / var)
             if w < 1e-13:
                 continue
             src_i = slice(max(di, 0), nx + min(di, 0))

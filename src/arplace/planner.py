@@ -17,12 +17,18 @@ import numpy as np
 
 from .geometry import ObjectFeatures
 from .grids import ARPlaceGrid, GridSpec
-from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
-                       compute_map, merge)
+from .placemap import GaussianBelief, best_cell, compute_map, merge
+# not called here; perfbench's tracer patches this module attribute
+from .placemap import apply_robot_uncertainty  # noqa: F401
 from .shapemodel import GSMModel
 from .simworld import WorldConfig, grasp_outcome
 
 MERGE_THRESHOLD = 0.85
+# best_cell smoothing radius (m): among equally likely cells, prefer the
+# interior of a plateau over its corners
+_TIE_BREAK_RADIUS = 0.02
+# perception scales the belief covariance of the object it observes by this
+_PERCEPTION_SHRINK = 0.5
 
 SEQUENCE = "sequence"
 AT_LOCATION = "at_location"
@@ -211,32 +217,28 @@ def plan_duration(trace: ExecutionTrace, time_model: TimeModel) -> float:
 
 
 def merged_map(gsm: GSMModel, scene: Scene, names, spec: GridSpec,
-               rng: np.random.Generator, robot_cov=None) -> ARPlaceGrid:
+               rng: np.random.Generator) -> ARPlaceGrid:
     """World-frame joint success map of the named scene objects: one map per
     object on a seed drawn from rng in the order of names (the belief's
-    lateral mean places it along the table edge), optionally conditioned on
-    robot position noise, multiplied cellwise."""
+    lateral mean places it along the table edge), multiplied cellwise."""
     grid = None
     for name in names:
         g = compute_map(gsm, scene.objects[name].belief, spec,
                         rng=rng.integers(2 ** 31), frame="world")
-        if robot_cov is not None:
-            g = apply_robot_uncertainty(g, robot_cov)
         grid = g if grid is None else merge(grid, g)
     return grid
 
 
 def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
-                     spec: GridSpec, rng, robot_cov=None,
-                     smooth_radius: float = 0.02) -> Designator:
+                     spec: GridSpec, rng) -> Designator:
     """Resolve a location designator to the best cell of the (merged) map of
     the objects it must reach."""
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
     grid = merged_map(gsm, scene, designator.objects, spec,
-                      np.random.default_rng(rng), robot_cov)
-    (i, j), p = best_cell(grid, smooth_radius)
+                      np.random.default_rng(rng))
+    (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
     designator.resolved = (grid.spec.cell_center(i, j), p)
     return designator
 
@@ -247,9 +249,7 @@ _ARRIVAL_TOL = 0.05
 
 
 def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
-            spec: GridSpec, rng, time_model: TimeModel = TimeModel(),
-            robot_cov=None, perception_shrink: float = 0.5,
-            use_nav_noise: bool = True) -> ExecutionTrace:
+            spec: GridSpec, rng, time_model: TimeModel = TimeModel()) -> ExecutionTrace:
     """Simulate a plan: navigation drives to resolved locations (skipped when
     the robot is already there, with position noise on arrival), perception
     snaps a belief to the true state and shrinks its covariance, and grasps
@@ -285,12 +285,11 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
         elif node.kind == AT_LOCATION:
             d = node.location
             if d.resolved is None:
-                resolve_location(d, scene, gsm, spec, rng=rng.integers(2 ** 31),
-                                 robot_cov=robot_cov)
+                resolve_location(d, scene, gsm, spec, rng=rng.integers(2 ** 31))
             tx, ty = d.target
             dist = float(np.hypot(tx - robot[0], ty - robot[1]))
             if dist > _ARRIVAL_TOL:
-                sigma = world.nav_noise_sigma if use_nav_noise else 0.0
+                sigma = world.nav_noise_sigma
                 achieved = (tx + sigma * rng.standard_normal(),
                             ty + sigma * rng.standard_normal())
                 emit("navigate", {"from": tuple(robot), "goal": (tx, ty),
@@ -300,7 +299,7 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
                 run(c)
         elif node.kind == PERCEIVE:
             obj = scene.objects[node.goal[1]]
-            cov = obj.belief.cov_array() * perception_shrink
+            cov = obj.belief.cov_array() * _PERCEPTION_SHRINK
             obj.belief = GaussianBelief(obj.truth, cov)
             emit("perceive", {"object": obj.name})
         elif node.kind == ACHIEVE:
@@ -337,8 +336,7 @@ def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
 
 
 def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
-                      spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD,
-                      robot_cov=None, smooth_radius: float = 0.02) -> Flaw | None:
+                      spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD) -> Flaw | None:
     """Unoptimized-locations flaw: two distinct pick-up tasks whose merged
     success map still has a cell above the threshold."""
     if not 0 < threshold < 1:
@@ -351,8 +349,8 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
         if set(a.location.objects) == set(b.location.objects):
             continue
         grid = merged_map(gsm, scene, a.location.objects + b.location.objects,
-                          spec, rng, robot_cov)
-        (i, j), p = best_cell(grid, smooth_radius)
+                          spec, rng)
+        (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
         if p > threshold:
             return Flaw("unoptimized_locations",
                         {"tasks": [a.uid, b.uid],

@@ -402,8 +402,7 @@ class GSMModel:
 
 
 def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
-              n_landmarks: int = 20, energy_target: float = 0.95,
-              optimize_placement: bool = True, grasp_type: str = "side") -> GSMModel:
+              n_landmarks: int = 20, energy_target: float = 0.95) -> GSMModel:
     """Build the generalized model from per-pose classifiers: extract each
     decision boundary, place shared landmarks, fit the two-mode distribution
     model, and regress the mode coefficients on object features.
@@ -412,12 +411,7 @@ def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
     """
     feats = list(svms.keys())
     contours = [extract_contour(svms[f], extraction_grid) for f in feats]
-    if optimize_placement:
-        lms, _, _, fractions = optimize_landmarks(contours, n_landmarks,
-                                                  energy_target)
-    else:
-        fractions = np.arange(n_landmarks) / n_landmarks
-        lms = _ArcTable(contours).at(fractions)
+    lms, _, _, fractions = optimize_landmarks(contours, n_landmarks, energy_target)
     pdm = fit_pdm(assemble_H(lms), GSM_MODES)
     if pdm.energy < energy_target:
         raise DegenerateShapeError(
@@ -425,5 +419,5 @@ def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
             f"energy (target {energy_target})")
     B = np.vstack([pdm.project(lm) for lm in lms])  # (N, d)
     reg = fit_regression(B, feats)
-    return GSMModel(pdm=pdm, regression=reg, grasp_type=grasp_type,
+    return GSMModel(pdm=pdm, regression=reg,
                     extras={"landmark_fractions": fractions.tolist()})

@@ -2,15 +2,23 @@
 built once per session and reused; tests that need pristine state build
 their own small inputs instead."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+import arplace
 from arplace.classifier import default_extraction_grid, train_per_pose
 from arplace.shapemodel import train_gsm
 from arplace.simworld import (default_object_grid, default_robot_grid,
                               default_world, generate_dataset)
+
+# subprocesses that the tests start import the package from where this
+# process found it, also when it came from the pytest pythonpath setting
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (os.path.dirname(os.path.dirname(arplace.__file__)),
+                os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -140,6 +140,8 @@ BAD_BELIEFS = {
     "cov_wrong_shape": '{"mean": [0.14, 0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}',
     "cov_not_psd": '{"mean": [0.14, 0.0, 0.0], '
                    '"cov": [[-0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01]]}',
+    "mean_nan": '{"mean": [NaN, 0.0, 0.1], "sigma_xy": 0.02, "sigma_psi": 0.1}',
+    "mean_infinite": '{"mean": [Infinity, 0.0, 0.1], "sigma_xy": 0.02, "sigma_psi": 0.1}',
 }
 
 
@@ -188,6 +190,13 @@ BAD_ARGUMENTS = {
     "map_negative_robot_sigma": (["map", "--robot-sigma", "-0.05"], "--robot-sigma"),
     "cost_zero_nav_speed": (["cost", "--nav-speed", "0"], "--nav-speed"),
     "cost_negative_retry_penalty": (["cost", "--retry-penalty", "-5"], "--retry-penalty"),
+    "map_infinite_robot_sigma": (["map", "--robot-sigma", "inf"], "--robot-sigma"),
+    "cost_nan_robot_x": (["cost", "--robot-x", "nan"], "--robot-x"),
+    "cost_infinite_robot_x": (["cost", "--robot-x", "inf"], "--robot-x"),
+    "cost_infinite_retry_penalty": (["cost", "--retry-penalty", "inf"], "--retry-penalty"),
+    "plan_negative_separation": (["plan", "--separation", "-5"], "--separation"),
+    "plan_nan_separation": (["plan", "--separation", "nan"], "--separation"),
+    "plan_infinite_separation": (["plan", "--separation", "inf"], "--separation"),
 }
 
 
@@ -268,6 +277,15 @@ def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):
     pgm = tmp_path / "map.pgm"
     assert main(["export-pgm", str(m1), "--seed", "0", "--out", str(pgm)]) == 0
     assert pgm.read_text().startswith("P2")
+
+
+def test_map_robot_sigma_past_the_grid_extent(artifacts, tmp_path, capsys):
+    """At --robot-sigma 0.2 the 6-sigma kernel (48 cells) is wider than the
+    37x64 candidate grid on both axes."""
+    out = tmp_path / "m.txt"
+    assert main(["map", "--model", str(artifacts["model"]), "--belief", str(artifacts["belief"]),
+                 "--robot-sigma", "0.2", "--seed", "1", "--out", str(out)]) == 0
+    assert load_grid_text(out).probs.shape == (37, 64)
 
 
 def test_plan_command_reports_merge(artifacts, tmp_path, capsys):

@@ -31,6 +31,8 @@ def test_belief_validation():
         GaussianBelief((0.1, 0.0, 0.0), np.eye(2))
     with pytest.raises(ValueError):
         GaussianBelief((0.1, 0.0, 0.0), -np.eye(3))
+    with pytest.raises(ValueError):
+        GaussianBelief((0.1, 0.0, 0.0), np.diag([np.inf, 0.01, 0.01]))
 
 
 def test_belief_sampling_moments():
@@ -208,34 +210,31 @@ def test_compute_map_memory_does_not_grow_with_samples(gsm):
 # robot uncertainty
 # ---------------------------------------------------------------------------
 
-def _convolve_reference(grid, cov):
+def _convolve_reference(grid, sigma):
     """Independent oracle: dense kernel-weighted average over all cells."""
-    prec = np.linalg.inv(cov)
     pts = grid.spec.center_points()
     p = grid.probs.ravel()
     out = np.empty_like(p)
     for k in range(len(pts)):
-        diff = pts - pts[k]
-        w = np.exp(-0.5 * np.einsum("ni,ij,nj->n", diff, prec, diff))
+        w = np.exp(-0.5 * np.sum((pts - pts[k]) ** 2, axis=1) / sigma ** 2)
         out[k] = float(np.sum(w * p) / np.sum(w))
     return out.reshape(grid.probs.shape)
 
 
 def test_robot_uncertainty_matches_dense_average_oracle():
+    """At sigma 0.2 the 6-sigma cut-off (24 cells) is wider than the 8x10
+    grid on both axes."""
     rng = np.random.default_rng(2)
     grid = _grid(rng.uniform(0, 1, (8, 10)))
-    cov = np.array([[0.0025, 0.001], [0.001, 0.004]])
-    got = apply_robot_uncertainty(grid, cov, truncate=50.0)
-    want = _convolve_reference(grid, cov)
-    np.testing.assert_allclose(got.probs, want, atol=1e-9)
+    for sigma in (0.05, 0.2):
+        got = apply_robot_uncertainty(grid, sigma)
+        np.testing.assert_allclose(got.probs, _convolve_reference(grid, sigma), atol=1e-9)
 
 
-def test_robot_uncertainty_scalar_equals_isotropic_cov():
-    rng = np.random.default_rng(3)
-    grid = _grid(rng.uniform(0, 1, (8, 10)))
-    a = apply_robot_uncertainty(grid, 0.06)
-    b = apply_robot_uncertainty(grid, np.diag([0.0036, 0.0036]))
-    np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
+@pytest.mark.parametrize("sigma", [-0.05, np.nan, np.inf])
+def test_robot_uncertainty_rejects_a_bad_sigma(sigma):
+    with pytest.raises(ValueError):
+        apply_robot_uncertainty(_grid(np.full((8, 10), 0.5)), sigma)
 
 
 def test_robot_uncertainty_zero_is_identity():
@@ -243,6 +242,15 @@ def test_robot_uncertainty_zero_is_identity():
     grid = _grid(rng.uniform(0, 1, (8, 10)))
     out = apply_robot_uncertainty(grid, 0.0)
     np.testing.assert_array_equal(out.probs, grid.probs)
+
+
+def test_robot_uncertainty_at_extreme_sigmas():
+    """A sigma whose square underflows is the identity; one whose square
+    overflows gives every cell the mean of the map."""
+    grid = _grid(np.random.default_rng(5).uniform(0, 1, (8, 10)))
+    np.testing.assert_array_equal(apply_robot_uncertainty(grid, 1e-200).probs, grid.probs)
+    np.testing.assert_allclose(apply_robot_uncertainty(grid, 1e300).probs,
+                               grid.probs.mean(), atol=1e-12)
 
 
 def test_robot_uncertainty_preserves_uniform_maps():
