@@ -8,7 +8,6 @@ shape model places its landmarks.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,8 +55,6 @@ class SVMModel:
     alphas: np.ndarray           # signed: y_i * alpha_i
     bias: float
     kernel_sigma: float
-    cost_C: float
-    positive_class_weight: float
     # solver record of train_svm; zero for a model built by hand
     pair_steps: int = 0
     kkt_violation: float = 0.0
@@ -158,9 +155,7 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
 
     sv = alpha > 1e-12
     return SVMModel(support_points=X[sv].copy(), alphas=(y * alpha)[sv].copy(),
-                    bias=bias, kernel_sigma=kernel_sigma, cost_C=cost_C,
-                    positive_class_weight=positive_class_weight,
-                    pair_steps=steps, kkt_violation=violation)
+                    bias=bias, kernel_sigma=kernel_sigma, pair_steps=steps, kkt_violation=violation)
 
 
 # ---------------------------------------------------------------------------

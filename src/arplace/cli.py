@@ -60,13 +60,7 @@ class PipelineConfig:
         """Read a JSON override file. Unknown keys, values of the wrong type
         or out of range, and world constants that WorldConfig rejects raise
         BadConfigError."""
-        try:
-            with open(path) as f:
-                raw = json.load(f)
-        except FileNotFoundError:
-            raise MissingInputError(f"config file not found: {path}")
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise BadConfigError(f"malformed config {path}: {e}")
+        raw = _read("config", _load_json, path)
         _check_fields(cls, raw, "config")
         cfg = cls(**raw)
         for key, (lo, hi) in _OPEN_RANGES.items():
@@ -134,44 +128,45 @@ def _load_config(args) -> PipelineConfig:
     return PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
 
 
-def _load_model(path) -> GSMModel:
+def _read(kind: str, load, path):
+    """load(path) for an input file of the given kind. A missing file raises
+    MissingInputError (exit 4); a malformed one, on which load raises
+    KeyError, TypeError or ValueError (bad JSON, a bad number, a missing
+    key), raises BadConfigError (exit 3). Both messages name the kind and
+    the path."""
     try:
-        return GSMModel.load(path)
+        return load(path)
     except FileNotFoundError:
-        raise MissingInputError(f"model file not found: {path}")
-
-
-def _load_belief(path) -> GaussianBelief:
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except FileNotFoundError:
-        raise MissingInputError(f"belief file not found: {path}")
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-        raise BadConfigError(f"malformed belief {path}: {e}")
-    try:
-        mean = raw["mean"]
-        if "cov" in raw:
-            cov = np.asarray(raw["cov"], dtype=float)
-            if cov.ndim == 1:
-                cov = np.diag(cov)
-        else:
-            cov = np.diag([raw["sigma_xy"] ** 2, raw["sigma_xy"] ** 2,
-                           raw["sigma_psi"] ** 2])
-        return GaussianBelief(tuple(mean), cov)
+        raise MissingInputError(f"{kind} file not found: {path}")
     except KeyError as e:
-        raise BadConfigError(f"belief {path} lacks the key {e}")
-    except (TypeError, ValueError) as e:
-        raise BadConfigError(f"invalid belief {path}: {e}")
+        raise BadConfigError(f"{kind} {path} lacks the key {e}")
+    except (TypeError, ValueError) as e:  # incl. JSONDecodeError, UnicodeDecodeError
+        raise BadConfigError(f"invalid {kind} {path}: {e}")
 
 
-def _load_grid(path, frame="gsm"):
-    try:
-        return load_grid_text(path, frame=frame)
-    except FileNotFoundError:
-        raise MissingInputError(f"grid file not found: {path}")
-    except ValueError as e:
-        raise BadConfigError(f"invalid grid {path}: {e}")
+def _load_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _parse_belief(path) -> GaussianBelief:
+    raw = _load_json(path)
+    if "cov" in raw:
+        cov = np.asarray(raw["cov"], dtype=float)
+        if cov.ndim == 1:
+            cov = np.diag(cov)
+    else:
+        cov = np.diag([raw["sigma_xy"] ** 2, raw["sigma_xy"] ** 2,
+                       raw["sigma_psi"] ** 2])
+    return GaussianBelief(tuple(raw["mean"]), cov)
+
+
+def _load_model(path) -> GSMModel:
+    return _read("model", GSMModel.load, path)
+
+
+def _load_grid(path):
+    return _read("grid", load_grid_text, path)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +188,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     world = cfg.world_config(args.seed)
-    try:
-        dataset = Dataset.load_csv(args.data, world)
-    except FileNotFoundError:
-        raise MissingInputError(f"dataset file not found: {args.data}")
-    except KeyError as e:
-        raise BadConfigError(f"dataset {args.data} lacks the column {e}")
-    except ValueError as e:  # short row, bad number or label, no rows
-        raise BadConfigError(f"invalid dataset {args.data}: {e}")
+    dataset = _read("dataset", lambda path: Dataset.load_csv(path, world), args.data)
     made_under = _header_fields(dataset.comments).get("config_hash")
     if made_under is not None and made_under != cfg.hash():
         raise BadConfigError(f"dataset {args.data} was generated under config_hash "
@@ -229,7 +217,7 @@ def cmd_train(args) -> int:
 def cmd_map(args) -> int:
     cfg = _load_config(args)
     gsm = _load_model(args.model)
-    belief = _load_belief(args.belief)
+    belief = _read("belief", _parse_belief, args.belief)
     spec = candidate_grid_spec(cfg.cell_size)
     n_samples = cfg.n_samples if args.samples is None else args.samples
     grid = compute_map(gsm, belief, spec, n_samples=n_samples, rng=args.seed)
@@ -243,9 +231,12 @@ def cmd_map(args) -> int:
 
 def cmd_merge(args) -> int:
     cfg = _load_config(args)
-    merged = merge(_load_grid(args.grids[0]), _load_grid(args.grids[1]))
-    for path in args.grids[2:]:
-        merged = merge(merged, _load_grid(path))
+    merged = _load_grid(args.grids[0])
+    for path in args.grids[1:]:
+        try:
+            merged = merge(merged, _load_grid(path))
+        except ValueError as e:  # another lattice than the maps before it
+            raise BadConfigError(f"cannot merge grid {path}: {e}")
     save_grid_text(merged, args.out, header_lines=_header(cfg, args.seed))
     print(f"merged {len(args.grids)} maps -> {args.out}")
     return EXIT_OK

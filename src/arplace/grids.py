@@ -7,6 +7,7 @@ i runs along x, j along y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,10 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError("origin must be finite")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError("cell_size must be finite and positive")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one cell")
 
@@ -60,7 +63,7 @@ class ARPlaceGrid:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("probs shape must be (nx, ny)")
-        if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
+        if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
 
     def same_geometry(self, other: "ARPlaceGrid") -> bool:
@@ -107,14 +110,18 @@ def _parse_line(no: int, text: str, count: int, kind=float) -> list:
         values = [kind(t) for t in text.split()]
     except ValueError:
         raise ValueError(f"line {no}: not a number in {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"line {no}: not a finite number in {text!r}")
     if len(values) != count:
         raise ValueError(f"line {no}: expected {count} values, found {len(values)}")
     return values
 
 
-def load_grid_text(path, frame: str = "gsm") -> ARPlaceGrid:
-    """Read the save_grid_text format. A file whose header keys, row count
-    (nx) or row lengths (ny) do not match raises ValueError naming the line."""
+def load_grid_text(path) -> ARPlaceGrid:
+    """Read the save_grid_text format as a "gsm" frame map (the format does
+    not store the frame). A file whose header keys, row count (nx) or row
+    lengths (ny) do not match, or with a value that is not a finite number,
+    raises ValueError naming the line."""
     with open(path) as f:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1)
                  if not ln.startswith("#")]
@@ -137,7 +144,7 @@ def load_grid_text(path, frame: str = "gsm") -> ARPlaceGrid:
     if len(rows) > nx:
         raise ValueError(f"line {rows[nx][0]}: row beyond the {nx} rows of the header")
     values = np.array([_parse_line(no, ln, ny) for no, ln in rows])
-    return ARPlaceGrid(spec=spec, probs=values, frame=frame)
+    return ARPlaceGrid(spec=spec, probs=values)
 
 
 def save_pgm(grid: ARPlaceGrid, path, header_lines: list[str] | None = None):

@@ -146,16 +146,10 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
 # map algebra
 # ---------------------------------------------------------------------------
 
-def _check_compatible(a: ARPlaceGrid, b: ARPlaceGrid):
-    if not a.same_geometry(b):
-        raise ValueError("maps must share grid geometry")
-    if a.frame != b.frame:
-        raise ValueError("maps must share the reference frame")
-
-
 def merge(a: ARPlaceGrid, b: ARPlaceGrid) -> ARPlaceGrid:
     """Joint success map: cellwise product (independent grasps)."""
-    _check_compatible(a, b)
+    if not a.same_geometry(b):
+        raise ValueError("maps must share grid geometry and frame")
     return ARPlaceGrid(spec=a.spec, probs=a.probs * b.probs, frame=a.frame)
 
 

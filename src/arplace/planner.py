@@ -10,6 +10,7 @@ promises a high joint success probability.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -36,34 +37,27 @@ PERCEIVE = "perceive"
 ACHIEVE = "achieve"
 _KINDS = (SEQUENCE, AT_LOCATION, PERCEIVE, ACHIEVE)
 
-_uid_counter = itertools.count(1)
-
 
 class UnresolvableDesignatorError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Designator:
     """Symbolic location description: what it is for, which objects it must
-    reach, and — once an ARPlace query ran — the chosen world-frame cell and
-    its success probability."""
+    reach, and optionally a world-frame cell with its success probability
+    fixed in advance (as the merge transformation does). Designators compare
+    and hash by identity: two tasks share a location only if they hold the
+    same designator."""
 
     purpose: str                       # pick_up | put_down | joint_pick_up
     objects: tuple[str, ...]
     resolved: tuple[tuple[float, float], float] | None = None
-    uid: int = field(default_factory=lambda: next(_uid_counter))
 
     def __post_init__(self):
         if self.purpose not in ("pick_up", "put_down", "joint_pick_up"):
             raise ValueError(f"unknown designator purpose {self.purpose!r}")
         self.objects = tuple(self.objects)
-
-    @property
-    def target(self) -> tuple[float, float]:
-        if self.resolved is None:
-            raise UnresolvableDesignatorError("designator not yet resolved")
-        return self.resolved[0]
 
 
 @dataclass
@@ -76,7 +70,6 @@ class PlanNode:
     goal: tuple | None = None
     location: Designator | None = None
     children: list["PlanNode"] = field(default_factory=list)
-    uid: int = field(default_factory=lambda: next(_uid_counter))
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -90,18 +83,6 @@ class PlanNode:
         yield self
         for c in self.children:
             yield from c.walk()
-
-    def copy(self) -> "PlanNode":
-        """Structural copy preserving node and designator identities (uids),
-        so flaws detected on the original still match."""
-        return PlanNode(kind=self.kind, goal=self.goal, location=self.location,
-                        children=[c.copy() for c in self.children], uid=self.uid)
-
-    def find(self, uid: int) -> "PlanNode | None":
-        for node in self.walk():
-            if node.uid == uid:
-                return node
-        return None
 
 
 def sequence(*children: PlanNode) -> PlanNode:
@@ -230,17 +211,17 @@ def merged_map(gsm: GSMModel, scene: Scene, names, spec: GridSpec,
 
 
 def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
-                     spec: GridSpec, rng) -> Designator:
-    """Resolve a location designator to the best cell of the (merged) map of
-    the objects it must reach."""
+                     spec: GridSpec, rng) -> tuple[tuple[float, float], float]:
+    """The best cell of the (merged) map of the objects the designator must
+    reach: its world-frame center and its success probability. The
+    designator is left unchanged."""
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
     grid = merged_map(gsm, scene, designator.objects, spec,
                       np.random.default_rng(rng))
     (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
-    designator.resolved = (grid.spec.cell_center(i, j), p)
-    return designator
+    return grid.spec.cell_center(i, j), p
 
 
 # a goal closer than this counts as "already there": navigation (and its
@@ -255,8 +236,10 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     snaps a belief to the true state and shrinks its covariance, and grasps
     run against the true object state from the achieved base position.
 
-    Perception updates copies of the scene's objects, so the scene passed in
-    keeps its beliefs and can be projected again.
+    The plan and the scene passed in are never written: resolved cells are
+    kept per projection and perception updates copies of the scene's objects,
+    so projecting the same plan and scene again with the same rng gives the
+    same trace.
     """
     rng = np.random.default_rng(rng)
     scene = Scene({name: replace(obj) for name, obj in scene.objects.items()},
@@ -270,12 +253,11 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
 
     trace = ExecutionTrace()
     robot = list(scene.robot_xy)
-    clock = [0.0]
+    targets: dict[Designator, tuple[tuple[float, float], float]] = {}
 
     def emit(kind, detail):
-        ev = TraceEvent(kind, clock[0], clock[0], detail)
-        ev.t_end = clock[0] + time_model.event_duration(ev)
-        clock[0] = ev.t_end
+        ev = TraceEvent(kind, trace.duration, trace.duration, detail)
+        ev.t_end = ev.t_start + time_model.event_duration(ev)
         trace.events.append(ev)
 
     def run(node: PlanNode):
@@ -284,9 +266,10 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
                 run(c)
         elif node.kind == AT_LOCATION:
             d = node.location
-            if d.resolved is None:
-                resolve_location(d, scene, gsm, spec, rng=rng.integers(2 ** 31))
-            tx, ty = d.target
+            if d.resolved is None and d not in targets:
+                targets[d] = resolve_location(d, scene, gsm, spec,
+                                              rng=rng.integers(2 ** 31))
+            (tx, ty), _ = d.resolved or targets[d]
             dist = float(np.hypot(tx - robot[0], ty - robot[1]))
             if dist > _ARRIVAL_TOL:
                 sigma = world.nav_noise_sigma
@@ -337,14 +320,15 @@ def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
 
 def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
                       spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD) -> Flaw | None:
-    """Unoptimized-locations flaw: two distinct pick-up tasks whose merged
-    success map still has a cell above the threshold."""
+    """Unoptimized-locations flaw: two pick-up tasks with distinct locations
+    whose merged success map still has a cell above the threshold. The flaw
+    binds the tasks by their positions in the plan's pick-up task order."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     rng = np.random.default_rng(rng)
     tasks = _pickup_tasks(plan)
-    for a, b in itertools.combinations(tasks, 2):
-        if a.location.uid == b.location.uid:
+    for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
+        if a.location is b.location:
             continue
         if set(a.location.objects) == set(b.location.objects):
             continue
@@ -353,7 +337,7 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
         (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
         if p > threshold:
             return Flaw("unoptimized_locations",
-                        {"tasks": [a.uid, b.uid],
+                        {"tasks": [ka, kb],
                          "objects": sorted(set(a.location.objects)
                                            | set(b.location.objects))},
                         proposed_location=(grid.spec.cell_center(i, j), p))
@@ -362,13 +346,19 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
 
 def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:
     """Return a new plan in which both flawed pick-up tasks share one
-    resolved joint location designator; all other nodes are unchanged."""
+    resolved joint location designator; the plan passed in is unchanged."""
     if flaw.kind != "unoptimized_locations":
         raise ValueError("not an unoptimized-locations flaw")
-    new_plan = plan.copy()
-    nodes = [new_plan.find(uid) for uid in flaw.bindings["tasks"]]
-    if any(n is None for n in nodes):
-        raise ValueError("flawed tasks are no longer present in the plan")
+    new_plan = copy.deepcopy(plan)
+    tasks = _pickup_tasks(new_plan)
+    try:
+        nodes = [tasks[k] for k in flaw.bindings["tasks"]]
+    except IndexError:
+        raise ValueError("flawed tasks are no longer present in the plan") from None
+    reached = sorted({name for n in nodes for name in n.location.objects})
+    if reached != flaw.bindings["objects"]:
+        raise ValueError(f"flawed tasks reach {reached}, not the flaw's "
+                         f"objects {flaw.bindings['objects']}")
     shared = Designator("joint_pick_up", tuple(flaw.bindings["objects"]),
                         resolved=flaw.proposed_location)
     for n in nodes:

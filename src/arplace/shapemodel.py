@@ -380,6 +380,8 @@ class GSMModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GSMModel":
+        if not isinstance(d, dict):
+            raise TypeError(f"a model is a JSON object, not {type(d).__name__}")
         if d.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model version {d.get('version')!r}")
         pdm = PDM(mean=np.array(d["mean"]), modes=np.array(d["modes"]),

@@ -184,7 +184,7 @@ def test_decision_values_match_the_3d_sum(n, n_sv, seed, sigma, lattice):
         sv = rng.uniform(-1.0, 1.0, (n_sv, 2))
         pts = rng.uniform(-1.2, 1.2, (n, 2))
     model = SVMModel(support_points=sv, alphas=rng.normal(size=n_sv), bias=float(rng.normal()),
-                     kernel_sigma=sigma, cost_C=1.0, positive_class_weight=1.0)
+                     kernel_sigma=sigma)
     np.testing.assert_array_equal(model.decision_values(pts),
                                   _decision_values_reference(model, pts))
     np.testing.assert_array_equal(model.decision_values(pts[0]),
@@ -247,7 +247,7 @@ def _disk_model(cx=0.0, cy=0.0, radius=0.2, sigma=0.2):
     return SVMModel(support_points=np.array([[cx, cy]]),
                     alphas=np.array([1.0]),
                     bias=-math.exp(-radius ** 2 / (2 * sigma ** 2)),
-                    kernel_sigma=sigma, cost_C=1.0, positive_class_weight=1.0)
+                    kernel_sigma=sigma)
 
 
 def _marching_squares_reference(values, xs, ys):
@@ -424,8 +424,7 @@ def test_extract_contour_drops_the_loop_around_a_hole():
     grid point and is dropped, so the outer loop comes back alone."""
     angles = 2 * np.pi * np.arange(24) / 24
     model = SVMModel(support_points=0.2 * np.column_stack([np.cos(angles), np.sin(angles)]),
-                     alphas=np.ones(24), bias=-1.0, kernel_sigma=0.05,
-                     cost_C=1.0, positive_class_weight=1.0)
+                     alphas=np.ones(24), bias=-1.0, kernel_sigma=0.05)
     spec = GridSpec.covering(-0.5, 0.5, -0.5, 0.5, 0.01)
     values = model.decision_values(spec.center_points()).reshape(spec.nx, spec.ny)
     assert len(_marching_squares(values, *spec.centers())) == 2
@@ -440,8 +439,7 @@ def test_extract_contour_raises_without_positive_region():
     model = _disk_model()
     hopeless = SVMModel(support_points=model.support_points,
                         alphas=model.alphas, bias=-10.0,
-                        kernel_sigma=model.kernel_sigma, cost_C=1.0,
-                        positive_class_weight=1.0)
+                        kernel_sigma=model.kernel_sigma)
     spec = GridSpec.covering(-0.5, 0.5, -0.5, 0.5, 0.01)
     with pytest.raises(EmptySuccessRegionError):
         extract_contour(hopeless, spec)

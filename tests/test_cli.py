@@ -163,6 +163,8 @@ BAD_GRIDS = {
     "short_row": (lambda ls: ls[:6] + ["0.5 0.5 0.5\n"] + ls[7:], "line 7:"),
     "extra_row": (lambda ls: ls + ["0.5 0.5 0.5 0.5\n"], "line 9:"),
     "wrong_header_key": (lambda ls: ls[:2] + ["origin_z 0\n"] + ls[3:], "line 3:"),
+    "nan_cell": (lambda ls: ls[:5] + ["0.5 nan 0.5 0.5\n"] + ls[6:], "line 6:"),
+    "infinite_origin": (lambda ls: ls[:1] + ["origin_x inf\n"] + ls[2:], "line 2:"),
 }
 
 
@@ -174,8 +176,40 @@ def test_bad_grid_exit_code(tmp_path, capsys, name):
     edit, where = BAD_GRIDS[name]
     bad = tmp_path / "bad.txt"
     bad.write_text("".join(edit(good.read_text().splitlines(keepends=True))))
-    for argv in (["merge", str(good), str(bad)], ["export-pgm", str(bad)]):
+    for argv in (["merge", str(good), str(bad)], ["export-pgm", str(bad)],
+                 ["cost", str(bad), "--robot-x", "1.5", "--robot-y", "0"]):
         rc = main(argv + ["--seed", "0", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert where in capsys.readouterr().err
+
+
+def test_merging_maps_of_another_geometry_exit_code(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)), a)
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 4, 3), np.full((4, 3), 0.5)), b)
+    rc = main(["merge", str(a), str(b), "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert str(b) in capsys.readouterr().err
+
+
+# (edit of the trained model's JSON object, text the error must name)
+BAD_MODELS = {
+    "not_json": (lambda m: "{not json", "model"),
+    "not_an_object": (lambda m: "[1, 2]", "model"),
+    "missing_key": (lambda m: json.dumps({k: v for k, v in m.items() if k != "modes"}),
+                    "modes"),
+    "other_version": (lambda m: json.dumps({**m, "version": 99}), "version"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_bad_model_exit_code(artifacts, tmp_path, capsys, name):
+    edit, where = BAD_MODELS[name]
+    model = tmp_path / "model.json"
+    model.write_text(edit(json.loads(artifacts["model"].read_text())))
+    for argv in (["map", "--belief", str(artifacts["belief"])], ["plan"]):
+        rc = main(argv + ["--model", str(model), "--seed", "0",
+                          "--out", str(tmp_path / "out")])
         assert rc == 3
         assert where in capsys.readouterr().err
 
@@ -271,6 +305,9 @@ def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):
                  "--out", str(merged)]) == 0
     g1, g2, gm = (load_grid_text(p) for p in (m1, m2, merged))
     np.testing.assert_allclose(gm.probs, g1.probs * g2.probs, atol=1e-15)
+    # the product of one map is that map
+    assert main(["merge", str(m1), "--seed", "0", "--out", str(merged)]) == 0
+    np.testing.assert_array_equal(load_grid_text(merged).probs, g1.probs)
     cost = tmp_path / "cost.txt"
     assert main(["cost", str(merged), "--robot-x", "1.5", "--robot-y", "0.0",
                  "--seed", "0", "--out", str(cost)]) == 0

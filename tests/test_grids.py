@@ -40,13 +40,18 @@ def test_grid_shape_validation():
         ARPlaceGrid(spec=spec, probs=np.zeros((2, 3)), frame="gsm")
     with pytest.raises(ValueError):
         ARPlaceGrid(spec=spec, probs=np.full((3, 2), 1.5), frame="gsm")
+    with pytest.raises(ValueError):
+        ARPlaceGrid(spec=spec, probs=np.full((3, 2), np.nan), frame="gsm")
+    for origin_x, cell_size in ((np.nan, 0.1), (np.inf, 0.1), (0.0, np.nan), (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            GridSpec(origin_x, 0.0, cell_size, 3, 2)
 
 
 def test_text_round_trip_is_exact(tmp_path):
     grid = _grid()
     path = tmp_path / "g.txt"
     save_grid_text(grid, path, header_lines=["made for the round-trip test"])
-    back = load_grid_text(path, frame="gsm")
+    back = load_grid_text(path)
     assert back.spec == grid.spec
     assert back.frame == grid.frame
     np.testing.assert_array_equal(back.probs, grid.probs)

@@ -5,8 +5,9 @@ from arplace.evaluation import make_two_cup_scene
 from arplace.grids import GridSpec
 from arplace.planner import (Designator, Flaw, TimeModel,
                              UnresolvableDesignatorError, apply_merge_transform,
-                             detect_merge_flaw, plan_duration, plan_to_sexp,
-                             project, resolve_location, two_pickup_plan)
+                             detect_merge_flaw, pickup_task, plan_duration,
+                             plan_to_sexp, project, resolve_location, sequence,
+                             two_pickup_plan)
 
 
 def _spec(sep):
@@ -26,7 +27,7 @@ def test_two_pickup_plan_shape():
     tasks = [n for n in plan.walk() if n.kind == "at_location"]
     assert tasks[0].location.objects == ("cup-a",)
     assert tasks[1].location.objects == ("cup-b",)
-    assert tasks[0].location.uid != tasks[1].location.uid
+    assert tasks[0].location is not tasks[1].location
 
 
 def test_sexp_writes_structure_and_resolved_location():
@@ -42,22 +43,14 @@ def test_sexp_writes_structure_and_resolved_location():
         " (perceive (object-pose cup-b)) (achieve (entity-picked-up cup-b))))")
 
 
-def test_copy_preserves_uids_but_not_aliasing():
-    plan = two_pickup_plan()
-    dup = plan.copy()
-    assert [n.uid for n in dup.walk()] == [n.uid for n in plan.walk()]
-    assert dup is not plan
-    assert dup.children[0] is not plan.children[0]
-    # designators are shared on purpose: flaws bind to their uids
-    assert dup.children[0].location is plan.children[0].location
-
-
 def test_designator_validation():
     with pytest.raises(ValueError):
         Designator("teleport", ("cup-a",))
-    d = Designator("pick_up", ("cup-a",))
-    with pytest.raises(UnresolvableDesignatorError):
-        d.target
+    d = Designator("pick_up", ["cup-a"])
+    assert d.objects == ("cup-a",)
+    # designators are compared and hashed by identity
+    assert d == d and d != Designator("pick_up", ("cup-a",))
+    assert {d: 1}[d] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +94,20 @@ def test_project_leaves_the_scene_beliefs_unchanged(gsm, world):
         [(e.kind, e.t_end, e.detail) for e in b.events]
 
 
+def test_project_leaves_the_plan_unchanged(gsm, world):
+    """Resolved cells are kept per projection: the same plan projects again
+    to the same trace, and its s-expression does not change."""
+    plan = two_pickup_plan()
+    before = plan_to_sexp(plan)
+    a = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
+                rng=np.random.default_rng(5))
+    assert plan_to_sexp(plan) == before
+    b = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
+                rng=np.random.default_rng(5))
+    assert [(e.kind, e.t_start, e.t_end, e.detail) for e in a.events] == \
+        [(e.kind, e.t_start, e.t_end, e.detail) for e in b.events]
+
+
 def test_project_rejects_unknown_objects(gsm, world):
     scene = make_two_cup_scene(0.4)
     plan = two_pickup_plan("cup-a", "cup-z")
@@ -114,6 +121,13 @@ def test_resolve_location_rejects_unknown_objects(gsm):
     with pytest.raises(UnresolvableDesignatorError):
         resolve_location(Designator("pick_up", ("ghost",)), scene, gsm,
                          _spec(0.4), rng=0)
+
+
+def test_resolve_location_leaves_the_designator_unchanged(gsm):
+    d = Designator("pick_up", ("cup-a",))
+    (x, y), p = resolve_location(d, make_two_cup_scene(0.4), gsm, _spec(0.4), rng=0)
+    assert d.resolved is None
+    assert 0.0 < p <= 1.0 and y < 0.0  # cup-a sits at y = -0.2
 
 
 def test_plan_duration_matches_trace_clock(gsm, world):
@@ -165,8 +179,10 @@ def test_merge_transform_structural_diff(gsm):
     # original untouched
     orig_tasks = [n for n in plan.walk() if n.kind == "at_location"]
     assert orig_tasks[0].location is not orig_tasks[1].location
-    # transformed plan: same shape and uids, one shared resolved designator
-    assert [n.uid for n in merged.walk()] == [n.uid for n in plan.walk()]
+    assert flaw.bindings["tasks"] == [0, 1]
+    # transformed plan: same kinds and goals, one shared resolved designator
+    assert [(n.kind, n.goal) for n in merged.walk()] == \
+        [(n.kind, n.goal) for n in plan.walk()]
     new_tasks = [n for n in merged.walk() if n.kind == "at_location"]
     assert new_tasks[0].location is new_tasks[1].location
     shared = new_tasks[0].location
@@ -185,10 +201,23 @@ def test_merged_plan_navigates_once(gsm, world):
                     rng=np.random.default_rng(2))
     assert trace.count("navigate") == 1
     assert trace.count("grasp") == 2
+    # tasks that already share their location are no flaw
+    assert detect_merge_flaw(merged, make_two_cup_scene(0.30), gsm, _spec(0.30),
+                             rng=np.random.default_rng(0)) is None
 
 
 def test_merge_transform_rejects_foreign_flaws():
     with pytest.raises(ValueError):
         apply_merge_transform(two_pickup_plan(),
                               Flaw("unreached_goal_location", {}))
+    flaw = Flaw("unoptimized_locations",
+                {"tasks": [0, 1], "objects": ["cup-a", "cup-b"]},
+                proposed_location=((0.5, 0.0), 0.9))
+    assert apply_merge_transform(two_pickup_plan(), flaw) is not None
+    # the tasks at the bound positions must reach exactly the flaw's objects
+    with pytest.raises(ValueError):
+        apply_merge_transform(two_pickup_plan("cup-a", "cup-c"), flaw)
+    # and the positions must exist
+    with pytest.raises(ValueError):
+        apply_merge_transform(sequence(pickup_task("cup-a")), flaw)
 
