@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import ObjectFeatures, RobotOffset
 from .grids import GridSpec
+from .simworld import robot_bounds
 
 KKT_TOLERANCE = 1e-3     # convergence contract
 _SOLVE_EPS = 1e-10       # internal target, for order-independent solutions
@@ -205,48 +206,11 @@ def points_in_polygon(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     for k in range(n):
         x1, y1 = poly[k]
         x2, y2 = poly[(k + 1) % n]
-        cond = (y1 > y) != (y2 > y)
-        if not cond.any():
-            continue
-        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= cond & (x < xint)
+        # only the points whose y the edge spans, so a flat edge cannot overflow
+        idx = np.flatnonzero((y1 > y) != (y2 > y))
+        xint = x1 + (y[idx] - y1) * (x2 - x1) / (y2 - y1)
+        inside[idx] ^= x[idx] < xint
     return inside
-
-
-_FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
-
-
-def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(nx, ny) number of polygons containing each cell center, polygon k
-    translated by shifts[k] along y.
-
-    Even-odd scanline fill: each edge is intersected with each grid row using
-    the float expressions of points_in_polygon, and a crossing becomes k, the
-    number of cell centers strictly to its left. Sorted per (polygon, row),
-    the crossings k1 <= k2 <= ... bound the inside spans [k1, k2), [k3, k4),
-    ...; a difference array and a cumulative sum turn the spans into counts. Every membership decision equals points_in_polygon's
-    on center_points() - [0, shift]. The work is m * ny per polygon.
-    """
-    xs, ys = spec.centers()
-    nx, ny = spec.nx, spec.ny
-    width = nx + 1
-    size = ny * width
-    diff = np.zeros(size, dtype=np.int64)
-    for start in range(0, len(polygons), _FILL_BLOCK):
-        block = polygons[start:start + _FILL_BLOCK]
-        y_rows = ys[None, :, None] - shifts[start:start + _FILL_BLOCK, None, None]
-        above = block[:, None, :, 1] > y_rows  # (polygon, row, vertex)
-        poly, row, edge = np.nonzero(above != np.roll(above, -1, axis=2))
-        nxt = (edge + 1) % block.shape[1]
-        x1, y1 = block[poly, edge, 0], block[poly, edge, 1]
-        x2, y2 = block[poly, nxt, 0], block[poly, nxt, 1]
-        y = y_rows[poly, row, 0]
-        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort((poly * ny + row) * width + np.searchsorted(xs, xint, side="left"))
-        diff += np.bincount(keys[0::2] % size, minlength=size)
-        diff -= np.bincount(keys[1::2] % size, minlength=size)
-    return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
 
 
 _MS_PAD = -1e9  # padding keeps contours closed when a region touches the grid border
@@ -255,7 +219,8 @@ _MS_PAD = -1e9  # padding keeps contours closed when a region touches the grid b
 # the edges 0 bottom, 1 right, 2 top, 3 left. The code is the case bitmask of
 # the corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) above zero; the saddle
 # cases 5 and 10 keep their code when the cell-centre mean is positive and
-# become 16 and 17 when it is not.
+# become 16 and 17 when it is not. Every segment runs with its code's positive
+# corners on its right.
 _MS_SEGMENTS = {
     1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
     8: [(2, 3)], 9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
@@ -348,30 +313,20 @@ def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> lis
 
 def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
     """Largest closed positive-region contour of the decision surface on the
-    grid, counterclockwise, starting at the vertex of maximal dx_rob."""
+    grid, counterclockwise, starting at the vertex of maximal dx_rob. By the
+    orientation of _MS_SEGMENTS a loop around a positive region runs
+    clockwise and one around a hole counterclockwise."""
     xs, ys = grid_spec.centers()
-    pts = grid_spec.center_points()
-    values = model.decision_values(pts).reshape(grid_spec.nx, grid_spec.ny)
-    if not np.any(values > 0):
-        raise EmptySuccessRegionError("empty success region")
+    values = model.decision_values(grid_spec.center_points()).reshape(grid_spec.nx, grid_spec.ny)
     loops = _marching_squares(values, xs, ys)
-    if not loops:
+    clockwise_areas = np.array([-signed_area(loop) for loop in loops])
+    n_positive = np.count_nonzero(clockwise_areas > 0)
+    if n_positive == 0:
         raise EmptySuccessRegionError("empty success region")
-
-    # keep loops that enclose positive decision values
-    positive = values > 0
-    no_shift = np.zeros(1)
-    positive_loops = [loop for loop in loops
-                      if _fill_counts(loop[None], no_shift, grid_spec)[positive].any()]
-    if not positive_loops:
-        raise EmptySuccessRegionError("empty success region")
-    areas = [abs(signed_area(l)) for l in positive_loops]
-    if len(positive_loops) > 1:
+    if n_positive > 1:
         warnings.warn("multiple positive regions; keeping the largest")
-    loop = positive_loops[int(np.argmax(areas))]
-    if signed_area(loop) < 0:
-        loop = loop[::-1]
-    return _start_at_max_x_crossing(loop)
+    loop = loops[int(np.argmax(clockwise_areas))]
+    return _start_at_max_x_crossing(loop[::-1])
 
 
 def _start_at_max_x_crossing(loop: np.ndarray) -> np.ndarray:
@@ -422,6 +377,4 @@ def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
 
 def default_extraction_grid(robot_grid, cell_size: float = 0.01) -> GridSpec:
     """1 cm decision grid covering the training rectangle."""
-    xs = [r.dx_rob for r in robot_grid]
-    ys = [r.dy_rob for r in robot_grid]
-    return GridSpec.covering(min(xs), max(xs), min(ys), max(ys), cell_size)
+    return GridSpec.covering(*robot_bounds(robot_grid), cell_size)

@@ -199,12 +199,8 @@ def cmd_train(args) -> int:
     grid = default_extraction_grid(dataset.robot_grid, cfg.extraction_cell)
     gsm = train_gsm(svms, grid, n_landmarks=cfg.n_landmarks,
                     energy_target=cfg.energy_target)
-    payload = gsm.to_dict()
-    payload["header"] = {"tool_version": __version__, "seed": args.seed,
-                         "config_hash": cfg.hash()}
-    with open(args.out, "w") as f:
-        json.dump(payload, f)
-        f.write("\n")
+    gsm.save(args.out, {"tool_version": __version__, "seed": args.seed,
+                        "config_hash": cfg.hash()})
     print(f"trained model: d={gsm.pdm.d} energy={gsm.pdm.energy:.4f} "
           f"r2={np.round(gsm.regression.r_squared, 4).tolist()} "
           f"svm_steps={sum(m.pair_steps for m in svms.values())} "

@@ -19,7 +19,7 @@ from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
                       project, two_pickup_plan)
 from .shapemodel import GSMModel
 from .simworld import (WorldConfig, default_robot_grid, execute_trial,
-                       geometric_success, grasp_outcome)
+                       geometric_success, grasp_outcome, robot_bounds)
 
 
 def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[float, float]:
@@ -104,23 +104,15 @@ def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, f
             float(np.mean([r.dy_rob for r in cells])))
 
 
-def _robot_bounds() -> tuple[float, float, float, float]:
-    """(x_min, x_max, y_min, y_max) of the default candidate base positions."""
-    robot = default_robot_grid()
-    xs = [r.dx_rob for r in robot]
-    ys = [r.dy_rob for r in robot]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def candidate_grid_spec(cell_size: float = 0.025) -> GridSpec:
     """Map grid over the rectangle of the default candidate base positions."""
-    return GridSpec.covering(*_robot_bounds(), cell_size)
+    return GridSpec.covering(*robot_bounds(default_robot_grid()), cell_size)
 
 
 def plan_grid_spec(separation: float, cell_size: float = 0.025) -> GridSpec:
     """Map grid of a two-cup scene: the x range of the default candidate
     base positions, and 0.6 m beyond either cup along the table edge."""
-    x_min, x_max, _, _ = _robot_bounds()
+    x_min, x_max, _, _ = robot_bounds(default_robot_grid())
     half = separation / 2.0 + 0.6
     return GridSpec.covering(x_min, x_max, -half, half, cell_size)
 
@@ -198,7 +190,7 @@ class AccuracyPoint:
 
 
 def _random_offsets(n: int, rng: np.random.Generator) -> list[RobotOffset]:
-    x_min, x_max, y_min, y_max = _robot_bounds()
+    x_min, x_max, y_min, y_max = robot_bounds(default_robot_grid())
     return [RobotOffset(float(x), float(y))
             for x, y in zip(rng.uniform(x_min, x_max, n),
                             rng.uniform(y_min, y_max, n))]

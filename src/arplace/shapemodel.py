@@ -36,23 +36,13 @@ class RegressionRankError(RuntimeError):
 # landmark matrix and distribution model
 # ---------------------------------------------------------------------------
 
-def _landmarks_to_column(landmarks: np.ndarray) -> np.ndarray:
-    lm = np.asarray(landmarks, dtype=float)
-    return np.concatenate([lm[:, 0], lm[:, 1]])
-
-
-def _column_to_landmarks(col: np.ndarray) -> np.ndarray:
-    m = len(col) // 2
-    return np.column_stack([col[:m], col[m:]])
-
-
-def assemble_H(landmarks: list[np.ndarray]) -> np.ndarray:
+def assemble_H(landmarks) -> np.ndarray:
     """Stack N landmark polygons of m points each into the 2m x N matrix
-    whose column j holds the x then the y coordinates of polygon j."""
-    m = len(landmarks[0])
-    if any(len(lm) != m for lm in landmarks):
-        raise ValueError("all boundaries must share the landmark count")
-    return np.column_stack([_landmarks_to_column(lm) for lm in landmarks])
+    whose column j holds the x then the y coordinates of polygon j.
+    Polygons of different landmark counts raise ValueError."""
+    lms = np.asarray(landmarks, dtype=float)
+    n, m, _ = lms.shape
+    return lms.transpose(2, 1, 0).reshape(2 * m, n)
 
 
 @dataclass
@@ -73,16 +63,9 @@ class PDM:
     def m(self) -> int:
         return len(self.mean) // 2
 
-    def reconstruct(self, b: np.ndarray) -> np.ndarray:
-        """Landmark polygon (m, 2) for mode coefficients b."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.d,):
-            raise ValueError(f"need {self.d} mode coefficients")
-        return _column_to_landmarks(self.mean + self.modes @ b)
-
     def project(self, landmarks: np.ndarray) -> np.ndarray:
         """Mode coefficients of an (m, 2) landmark polygon."""
-        return self.modes.T @ (_landmarks_to_column(landmarks) - self.mean)
+        return self.modes.T @ (assemble_H([landmarks])[:, 0] - self.mean)
 
     def landmarks_for(self, b: np.ndarray) -> np.ndarray:
         """(n, m, 2) landmark polygons for (n, d) mode coefficients.
@@ -167,12 +150,10 @@ def placement_cost(landmarks: np.ndarray, d: int) -> tuple[float, float, float]:
     N boundaries, where e is the energy in the first d modes and l the mean
     landmark reconstruction distance of the d-mode model. Returns
     (cost, energy, l)."""
-    pdm = fit_pdm(assemble_H(landmarks), d)
-    dists = []
-    for lm in landmarks:
-        rec = pdm.reconstruct(pdm.project(lm))
-        dists.append(np.linalg.norm(rec - lm, axis=1))
-    l = float(np.mean(np.concatenate(dists)))
+    H = assemble_H(landmarks)
+    pdm = fit_pdm(H, d)
+    rec = pdm.landmarks_for((H.T - pdm.mean) @ pdm.modes)
+    l = float(np.mean(np.linalg.norm(rec - landmarks, axis=2)))
     return (2.0 - pdm.energy) * l * l, pdm.energy, l
 
 
@@ -331,7 +312,6 @@ class GSMModel:
     pdm: PDM
     regression: RegressionModel
     grasp_type: str = "side"
-    version: int = MODEL_FORMAT_VERSION
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -363,7 +343,7 @@ class GSMModel:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": MODEL_FORMAT_VERSION,
             "m": self.pdm.m,
             "d": self.pdm.d,
             "grasp_type": self.grasp_type,
@@ -380,27 +360,61 @@ class GSMModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GSMModel":
+        """Model of a to_dict object, checked key by key: a missing key raises
+        KeyError, a bad one ValueError or TypeError. Other keys, such as the
+        "header" that save writes, are ignored."""
         if not isinstance(d, dict):
             raise TypeError(f"a model is a JSON object, not {type(d).__name__}")
         if d.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model version {d.get('version')!r}")
-        pdm = PDM(mean=np.array(d["mean"]), modes=np.array(d["modes"]),
-                  eigenvalues=np.array(d["eigenvalues"]), energy=float(d["energy"]))
-        reg = RegressionModel(W=np.stack([np.array(d["W1"]), np.array(d["W2"])]),
-                              r_squared=np.array(d["r_squared"]),
-                              training_bounds=d["training_bounds"])
+        mean = _numbers(d, "mean", None)
+        m = mean.size // 2
+        _require(mean.shape == (2 * m,) and m >= 3, "mean", "hold 2m values, m >= 3")
+        _require(d["m"] == m, "m", f"be {m}")
+        _require(d["d"] == GSM_MODES, "d", f"be {GSM_MODES}")
+        energy = float(_numbers(d, "energy", ()))
+        _require(0.0 < energy <= 1.0, "energy", "lie in (0, 1]")
+        bounds = d["training_bounds"]
+        _require(isinstance(bounds, dict) and set(bounds) == {"dx_obj", "dpsi_obj"},
+                 "training_bounds", "hold exactly 'dx_obj' and 'dpsi_obj'")
+        bounds = {k: _numbers(bounds, k, (2,)).tolist() for k in ("dx_obj", "dpsi_obj")}
+        _require(all(lo <= hi for lo, hi in bounds.values()), "training_bounds",
+                 "hold [lo, hi] with lo <= hi")
+        _require(isinstance(d.get("extras", {}), dict), "extras", "be an object")
+        pdm = PDM(mean=mean, modes=_numbers(d, "modes", (2 * m, GSM_MODES)),
+                  eigenvalues=_numbers(d, "eigenvalues", (GSM_MODES,)), energy=energy)
+        reg = RegressionModel(W=np.stack([_numbers(d, "W1", (3, 3)), _numbers(d, "W2", (3, 3))]),
+                              r_squared=_numbers(d, "r_squared", (GSM_MODES,)),
+                              training_bounds=bounds)
         return cls(pdm=pdm, regression=reg, grasp_type=d["grasp_type"],
-                   version=d["version"], extras=d.get("extras", {}))
+                   extras=d.get("extras", {}))
 
-    def save(self, path):
+    def save(self, path, header: dict):
+        """Write to_dict() and the header as one JSON object."""
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f)
+            json.dump({**self.to_dict(), "header": header}, f)
             f.write("\n")
 
     @classmethod
     def load(cls, path) -> "GSMModel":
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+def _require(ok: bool, key: str, what: str):
+    if not ok:
+        raise ValueError(f"model key {key!r} must {what}")
+
+
+def _numbers(d: dict, key: str, shape: tuple | None) -> np.ndarray:
+    """d[key] as a float array of finite numbers, of the shape given if not None."""
+    try:
+        a = np.asarray(d[key])
+    except ValueError:  # nested lists of different lengths
+        raise ValueError(f"model key {key!r} must hold finite numbers") from None
+    _require(a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a))), key, "hold finite numbers")
+    _require(shape is None or a.shape == shape, key, f"have shape {shape}, not {a.shape}")
+    return a.astype(float)
 
 
 def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,

@@ -286,3 +286,10 @@ def default_robot_grid() -> list[RobotOffset]:
     xs = np.linspace(0.15, 1.05, 16)
     ys = np.linspace(-0.78, 0.78, 27)
     return [RobotOffset(float(x), float(y)) for x in xs for y in ys]
+
+
+def robot_bounds(robot_grid) -> tuple[float, float, float, float]:
+    """(x_min, x_max, y_min, y_max) of the base positions of a robot grid."""
+    xs = [r.dx_rob for r in robot_grid]
+    ys = [r.dy_rob for r in robot_grid]
+    return min(xs), max(xs), min(ys), max(ys)

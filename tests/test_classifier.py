@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arplace.classifier import (KKT_TOLERANCE, Boundary, EmptySuccessRegionError,
-                                LabeledSet, SVMConvergenceError, SVMModel,
-                                _fill_counts, _marching_squares, _start_at_max_x_crossing,
+from arplace.classifier import (_MS_SEGMENTS, KKT_TOLERANCE, Boundary,
+                                EmptySuccessRegionError, LabeledSet, SVMConvergenceError,
+                                SVMModel, _marching_squares, _start_at_max_x_crossing,
                                 extract_contour, points_in_polygon, signed_area,
                                 train_svm)
 from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
+from arplace.placemap import _fill_counts
 from arplace.shapemodel import _ArcTable
 
 OBJ = ObjectFeatures(0.1, 0.0)
@@ -224,6 +225,16 @@ def test_points_in_polygon_matches_ray_casting_reference():
                                       _ray_cast_reference(poly, pts))
 
 
+def test_points_in_polygon_skips_the_edges_a_point_does_not_span():
+    """A nearly flat edge far below a point gives no crossing to compute, so
+    no overflow and no warning."""
+    poly = np.array([[0.0, 0.0], [3.0, 5e-324], [1.0, 1.0]])
+    pts = np.array([[0.5, 0.0], [0.5, 2.5], [1.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert points_in_polygon(poly, pts).tolist() == [False, False, True]
+
+
 def test_boundary_contains_square():
     square = Boundary(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     res = square.contains(np.array([[0.5, 0.5], [1.5, 0.5], [-0.1, 0.2]]))
@@ -387,19 +398,89 @@ def test_extract_contour_keeps_border_touching_region_closed():
 
 
 def _extract_contour_reference(model, grid_spec):
-    """extract_contour with the positive-loop test run by points_in_polygon
-    over every positive grid point: the contour extract_contour must
-    reproduce."""
+    """extract_contour keeping the loops that enclose a positive grid point,
+    by points_in_polygon over every positive grid point: the contour and the
+    warning extract_contour must reproduce."""
     xs, ys = grid_spec.centers()
     pts = grid_spec.center_points()
     values = model.decision_values(pts).reshape(grid_spec.nx, grid_spec.ny)
     pos_pts = pts[values.ravel() > 0]
     loops = [loop for loop in _marching_squares(values, xs, ys)
              if points_in_polygon(loop, pos_pts).any()]
+    if not loops:
+        raise EmptySuccessRegionError("empty success region")
+    if len(loops) > 1:
+        warnings.warn("multiple positive regions; keeping the largest")
     loop = loops[int(np.argmax([abs(signed_area(l)) for l in loops]))]
     if signed_area(loop) < 0:
         loop = loop[::-1]
     return _start_at_max_x_crossing(loop)
+
+
+def _contour_and_warnings(extract, model, spec):
+    """(contour or None when the region is empty, warning messages)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            contour = extract(model, spec)
+        except EmptySuccessRegionError:
+            contour = None
+    return contour, [str(w.message) for w in caught]
+
+
+def test_every_segment_has_its_positive_corners_on_its_right():
+    """The orientation rule extract_contour rests on, checked on the
+    segment table: each segment runs between the crossings of two cell
+    edges, and on both edges the positive corner lies on its right and the
+    negative corner on its left."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    midpoints = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+    saddles = {16: 5, 17: 10}  # center-negative saddles keep the corners of 5 and 10
+    for code, segments in _MS_SEGMENTS.items():
+        positive = [(saddles.get(code, code) >> k) & 1 == 1 for k in range(4)]
+        for start, end in segments:
+            a, b = midpoints[start], midpoints[end]
+            for edge in (start, end):
+                ends = (edge, (edge + 1) % 4)  # the corners of the edge
+                assert positive[ends[0]] != positive[ends[1]]
+                for k in ends:
+                    c = corners[k]
+                    cross = (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]
+                    assert (cross < 0) == positive[k], (code, start, end, k)
+
+
+def _random_surface(rng):
+    """Decision surface of a ring of support points, which encloses a hole
+    when its kernel is narrow, plus a few bumps of either sign."""
+    n, k = rng.integers(8, 20), rng.integers(4, 10)
+    angles = 2 * np.pi * np.arange(n) / n
+    ring = rng.uniform(-0.2, 0.2, 2) + \
+        rng.uniform(0.1, 0.25) * np.column_stack([np.cos(angles), np.sin(angles)])
+    return SVMModel(support_points=np.vstack([ring, rng.uniform(-0.45, 0.45, (k, 2))]),
+                    alphas=np.concatenate([np.ones(n), rng.uniform(-0.5, 1.5, k)]),
+                    bias=-rng.uniform(0.3, 1.2), kernel_sigma=rng.uniform(0.03, 0.08))
+
+
+def test_extract_contour_matches_the_point_test_on_random_surfaces():
+    """On 600 random surfaces, over 400 of them with several positive
+    regions and over 300 with a hole, the loop picked by orientation is the
+    reference's, with the same warnings and the same empty-region errors."""
+    rng = np.random.default_rng(11)
+    spec = GridSpec.covering(-0.5, 0.5, -0.5, 0.5, 0.04)
+    several = holes = 0
+    for _ in range(600):
+        model = _random_surface(rng)
+        got, got_warnings = _contour_and_warnings(extract_contour, model, spec)
+        want, want_warnings = _contour_and_warnings(_extract_contour_reference, model, spec)
+        assert got_warnings == want_warnings
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+        values = model.decision_values(spec.center_points()).reshape(spec.nx, spec.ny)
+        several += len(want_warnings)
+        holes += any(signed_area(loop) > 0 for loop in _marching_squares(values, *spec.centers()))
+    assert several > 400 and holes > 300
 
 
 def test_extract_contour_matches_the_point_test_on_the_training_contours(pipeline):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -199,6 +200,34 @@ BAD_MODELS = {
     "missing_key": (lambda m: json.dumps({k: v for k, v in m.items() if k != "modes"}),
                     "modes"),
     "other_version": (lambda m: json.dumps({**m, "version": 99}), "version"),
+    "short_mean": (lambda m: json.dumps({**m, "mean": m["mean"][:-1]}), "'mean'"),
+    "two_landmark_mean": (lambda m: json.dumps({**m, "mean": m["mean"][:4]}), "'mean'"),
+    "nan_in_mean": (lambda m: json.dumps({**m, "mean": [math.nan] + m["mean"][1:]}),
+                    "'mean'"),
+    "text_in_mean": (lambda m: json.dumps({**m, "mean": ["0.1"] + m["mean"][1:]}), "'mean'"),
+    "other_m": (lambda m: json.dumps({**m, "m": m["m"] + 1}), "'m'"),
+    "other_d": (lambda m: json.dumps({**m, "d": 3}), "'d'"),
+    "one_row_modes": (lambda m: json.dumps({**m, "modes": m["modes"][:1]}), "'modes'"),
+    "one_eigenvalue": (lambda m: json.dumps({**m, "eigenvalues": m["eigenvalues"][:1]}),
+                       "'eigenvalues'"),
+    "one_r_squared": (lambda m: json.dumps({**m, "r_squared": m["r_squared"][:1]}),
+                      "'r_squared'"),
+    "two_by_two_W1": (lambda m: json.dumps({**m, "W1": [r[:2] for r in m["W1"][:2]]}), "'W1'"),
+    "ragged_W2": (lambda m: json.dumps({**m, "W2": m["W2"][:2] + [[0.0]]}), "'W2'"),
+    "zero_energy": (lambda m: json.dumps({**m, "energy": 0.0}), "'energy'"),
+    "energy_above_one": (lambda m: json.dumps({**m, "energy": 1.5}), "'energy'"),
+    "bounds_as_list": (lambda m: json.dumps({**m, "training_bounds": [0.0, 1.0]}),
+                       "'training_bounds'"),
+    "bounds_extra_key": (lambda m: json.dumps(
+        {**m, "training_bounds": {**m["training_bounds"], "dy_obj": [0.0, 1.0]}}),
+        "'training_bounds'"),
+    "bounds_reversed": (lambda m: json.dumps(
+        {**m, "training_bounds": {**m["training_bounds"], "dx_obj": [1.0, 0.0]}}),
+        "'training_bounds'"),
+    "bounds_infinite": (lambda m: json.dumps(
+        {**m, "training_bounds": {**m["training_bounds"], "dpsi_obj": [0.0, math.inf]}}),
+        "'dpsi_obj'"),
+    "extras_not_an_object": (lambda m: json.dumps({**m, "extras": "x"}), "'extras'"),
 }
 
 

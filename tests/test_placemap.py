@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from arplace.classifier import _FILL_BLOCK, _fill_counts, points_in_polygon
+from arplace.classifier import points_in_polygon
 from arplace.geometry import ObjectFeatures
 from arplace.grids import ARPlaceGrid, GridSpec
-from arplace.placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
-                              compute_map, cost_map, merge, resample_to,
-                              sample_boundaries, union_edges)
+from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts,
+                              apply_robot_uncertainty, best_cell, compute_map, cost_map,
+                              merge, resample_to, sample_boundaries, union_edges)
 
 SPEC = GridSpec(0.0, -0.4, 0.05, 8, 10)
 

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -16,6 +17,13 @@ from arplace.shapemodel import (GSM_MODES, DegenerateShapeError, GSMModel,
 def _circle(radius, n=24, cx=0.0, cy=0.0):
     a = 2 * np.pi * np.arange(n) / n
     return np.column_stack([cx + radius * np.cos(a), cy + radius * np.sin(a)])
+
+
+def _reconstruct(pdm, b):
+    """(m, 2) landmark polygon mean + modes @ b by a matrix product: the
+    reconstruction PDM.landmarks_for must agree with."""
+    col = pdm.mean + pdm.modes @ np.asarray(b, dtype=float)
+    return np.column_stack([col[:pdm.m], col[pdm.m:]])
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +77,7 @@ def test_pdm_recovers_planted_two_factor_family():
     # projection followed by reconstruction is lossless inside the subspace
     m = H.shape[0] // 2
     lm = np.column_stack([H[:m, 3], H[m:, 3]])
-    rec = pdm.reconstruct(pdm.project(lm))
+    rec = _reconstruct(pdm, pdm.project(lm))
     np.testing.assert_allclose(rec, lm, atol=1e-8)
 
 
@@ -157,6 +165,15 @@ def test_arc_table_matches_one_table_per_contour(sizes, seed):
         np.testing.assert_array_equal(got[k], _ArcTableReference(c).at(fractions))
 
 
+def _placement_cost_reference(lms, d):
+    """placement_cost with each boundary projected and reconstructed on its
+    own by matrix products."""
+    pdm = fit_pdm(assemble_H(lms), d)
+    dists = [np.linalg.norm(_reconstruct(pdm, pdm.project(lm)) - lm, axis=1) for lm in lms]
+    l = float(np.mean(np.concatenate(dists)))
+    return (2.0 - pdm.energy) * l * l, pdm.energy, l
+
+
 def _optimize_landmarks_reference(contours, m=20, energy_target=0.95):
     """optimize_landmarks evaluating every candidate placement in full, each
     with its own per-contour lookups and cost: the placement
@@ -165,11 +182,7 @@ def _optimize_landmarks_reference(contours, m=20, energy_target=0.95):
     tables = [_ArcTableReference(c) for c in contours]
 
     def cost_of(fractions, d):
-        lms = [t.at(fractions) for t in tables]
-        pdm = fit_pdm(assemble_H(lms), d)
-        dists = [np.linalg.norm(pdm.reconstruct(pdm.project(lm)) - lm, axis=1) for lm in lms]
-        l = float(np.mean(np.concatenate(dists)))
-        return (2.0 - pdm.energy) * l * l, pdm.energy
+        return _placement_cost_reference([t.at(fractions) for t in tables], d)[:2]
 
     base_step, min_gap = 1.0 / (8 * m), 1.0 / (2 * m)
     fractions = np.arange(m) / m
@@ -201,19 +214,25 @@ def _optimize_landmarks_reference(contours, m=20, energy_target=0.95):
 def test_optimize_landmarks_matches_the_full_evaluation(pipeline, monkeypatch):
     """On the 16 contours of dataset seed 42 the placement equals the one
     found by evaluating every candidate, with 80 of its 352 cost
-    evaluations skipped as repeats."""
+    evaluations skipped as repeats, and each batched cost agrees with the
+    per-boundary one to rtol 1e-14."""
     spec = pipeline["extraction_grid"]
     contours = [extract_contour(model, spec) for model in pipeline["svms"].values()]
     want_lms, want_d, want_energy, want_fractions, want_calls = \
         _optimize_landmarks_reference(contours)
     calls = []
-    monkeypatch.setattr(shapemodel, "placement_cost",
-                        lambda *a: calls.append(1) or placement_cost(*a))
+
+    def recorded(*args):
+        calls.append((args, placement_cost(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(shapemodel, "placement_cost", recorded)
     lms, d, energy, fractions = optimize_landmarks(contours)
     np.testing.assert_array_equal(lms, np.stack(want_lms))
     assert (d, energy) == (want_d, want_energy)
     np.testing.assert_array_equal(fractions, want_fractions)
     assert (len(calls), want_calls) == (272, 352)
+    for args, got in calls:
+        np.testing.assert_allclose(got, _placement_cost_reference(*args), rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +307,8 @@ def test_deformation_warns_on_extrapolation(gsm):
 
 def test_gsm_save_load_round_trip(gsm, tmp_path):
     path = tmp_path / "model.json"
-    gsm.save(path)
+    gsm.save(path, {"seed": 42})
+    assert json.loads(path.read_text())["header"] == {"seed": 42}
     back = GSMModel.load(path)
     np.testing.assert_array_equal(back.pdm.mean, gsm.pdm.mean)
     np.testing.assert_array_equal(back.pdm.modes, gsm.pdm.modes)
@@ -324,11 +344,11 @@ def test_predict_landmarks_rows_equal_boundary_for(gsm):
         np.testing.assert_array_equal(batch[k], alone)
         q = np.array([obj.dx_obj, obj.dpsi_obj, 1.0])
         b = np.array([q @ W @ q for W in gsm.regression.W])
-        np.testing.assert_allclose(alone, gsm.pdm.reconstruct(b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(alone, _reconstruct(gsm.pdm, b), rtol=0, atol=1e-12)
 
 
 def test_reconstruct_at_zero_coefficients_is_the_mean(gsm):
-    landmarks = gsm.pdm.reconstruct(np.zeros(2))
+    landmarks = gsm.pdm.landmarks_for(np.zeros((1, 2)))[0]
     m = gsm.pdm.m
     np.testing.assert_allclose(landmarks[:, 0], gsm.pdm.mean[:m])
     np.testing.assert_allclose(landmarks[:, 1], gsm.pdm.mean[m:])
