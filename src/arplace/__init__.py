@@ -10,7 +10,7 @@ from .simworld import (Dataset, TrialRecord, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, execute_trial,
                        generate_dataset, geometric_success,
                        theoretically_reachable)
-from .classifier import Boundary, LabeledSet, SVMModel, train_per_pose, train_svm
+from .classifier import Boundary, SVMModel, train_per_pose, train_svm
 from .shapemodel import (PDM, GSMModel, RegressionModel, assemble_H, fit_pdm,
                          fit_regression, optimize_landmarks, train_gsm)
 from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,

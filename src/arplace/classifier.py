@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ObjectFeatures, RobotOffset
 from .grids import GridSpec
 from .simworld import robot_bounds
 
@@ -30,24 +29,6 @@ class SVMConvergenceError(RuntimeError):
 
 class EmptySuccessRegionError(RuntimeError):
     pass
-
-
-@dataclass
-class LabeledSet:
-    points: list[RobotOffset]
-    labels: list[int]  # +1 success, -1 failure
-    object: ObjectFeatures
-
-    def __post_init__(self):
-        if len(self.points) != len(self.labels) or len(self.points) < 2:
-            raise ValueError("need matching points/labels, at least 2 samples")
-        if not any(l > 0 for l in self.labels) or not any(l < 0 for l in self.labels):
-            raise ValueError("both classes must be present")
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        X = np.array([[p.dx_rob, p.dy_rob] for p in self.points])
-        y = np.array(self.labels, dtype=float)
-        return X, y
 
 
 @dataclass
@@ -74,10 +55,13 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
 
 
-def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
+def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
               positive_class_weight: float = 2.0) -> SVMModel:
-    """Fit the dual soft-margin problem by repeatedly optimizing the maximal
+    """Fit the dual soft-margin problem on the (n, 2) base positions X with
+    labels y (+1 success, -1 failure) by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
+    Mismatched shapes, fewer than 2 samples, other labels or a missing class
+    raise ValueError.
 
     The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
     with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
@@ -91,7 +75,14 @@ def train_svm(data: LabeledSet, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     bound above 2e-14 puts every index in up or low, so myg[k] is always in
     one row; membership changes only at the pair just stepped.
     """
-    X, y = data.arrays()
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2 or y.shape != (len(X),):
+        raise ValueError(f"need X of shape (n, 2) and y of shape (n,), not {X.shape} and {y.shape}")
+    if len(y) < 2:
+        raise ValueError("need at least 2 samples")
+    if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
+        raise ValueError("labels must be +1 or -1, and both classes must be present")
     K = gaussian_kernel(X, X, kernel_sigma)
     C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
     if C.min() <= 2e-14:
@@ -174,16 +165,6 @@ class Boundary:
         self.landmarks = np.asarray(self.landmarks, dtype=float)
         if self.landmarks.ndim != 2 or self.landmarks.shape[1] != 2 or len(self.landmarks) < 3:
             raise ValueError("boundary needs at least 3 2D landmarks")
-
-    def centroid(self) -> np.ndarray:
-        x, y = self.landmarks[:, 0], self.landmarks[:, 1]
-        cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-        a = signed_area(self.landmarks)
-        if abs(a) < 1e-15:
-            return self.landmarks.mean(axis=0)
-        cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
-        cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-        return np.array([cx, cy])
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Even-odd membership test for an (m, 2) array of points."""
@@ -362,17 +343,14 @@ def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                    positive_class_weight: float = 2.0) -> dict:
     """One classifier per object pose of a trial dataset (simworld.Dataset or
     anything with object_grid / records), keyed in object_grid order."""
-    by_pose = {obj: [] for obj in dataset.object_grid}
+    by_pose = {obj: ([], []) for obj in dataset.object_grid}
     for r in dataset.records:
-        by_pose[r.object].append(r)
-    models = {}
-    for obj, records in by_pose.items():
-        points = [r.robot for r in records]
-        labels = [1 if r.label == "success" else -1 for r in records]
-        models[obj] = train_svm(LabeledSet(points, labels, obj),
-                                kernel_sigma=kernel_sigma, cost_C=cost_C,
-                                positive_class_weight=positive_class_weight)
-    return models
+        points, labels = by_pose[r.object]
+        points.append((r.robot.dx_rob, r.robot.dy_rob))
+        labels.append(1.0 if r.label == "success" else -1.0)
+    return {obj: train_svm(np.array(points), np.array(labels), kernel_sigma=kernel_sigma,
+                           cost_C=cost_C, positive_class_weight=positive_class_weight)
+            for obj, (points, labels) in by_pose.items()}
 
 
 def default_extraction_grid(robot_grid, cell_size: float = 0.01) -> GridSpec:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import LabeledSet, train_svm
+from .classifier import train_svm
 from .geometry import ObjectFeatures, RobotOffset
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
@@ -223,11 +223,13 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     for idx, offset in enumerate(offsets):
         rec = execute_trial(object_pose, offset, world, (seed, 3, idx),
                             check_reachability=use_capability_filter)
-        labels.append(1 if rec.label == "success" else -1)
+        labels.append(1.0 if rec.label == "success" else -1.0)
         executed.append(rec.executed)
+    X = np.array([[r.dx_rob, r.dy_rob] for r in offsets])
+    y = np.array(labels)
     points = []
     for size in sizes:
-        model = train_svm(LabeledSet(offsets[:size], labels[:size], object_pose))
+        model = train_svm(X[:size], y[:size])
         pred = np.where(model.decision_values(test_X) > 0, 1, -1)
         points.append(AccuracyPoint(size=size,
                                     accuracy=float(np.mean(pred == test_y)),
@@ -270,7 +272,6 @@ class TransformPoint:
 @dataclass
 class TransformResult:
     points: list[TransformPoint] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
 
 def make_two_cup_scene(separation: float) -> Scene:
@@ -316,9 +317,6 @@ def transformation_benefit(distances: list[float], gsm: GSMModel,
     """The merge experiment at each cup separation; separation k draws from
     rng_base (seed, k)."""
     result = TransformResult()
-    result.notes.append(
-        "a 48 s -> 32 s change is a 33% reduction (1.5x speedup); both "
-        "figures are reported because '50% faster' is ambiguous")
     for k, sep in enumerate(distances):
         result.points.append(merge_experiment(sep, gsm, world, (seed, k), cell_size,
                                               threshold))

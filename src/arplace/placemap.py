@@ -11,7 +11,7 @@ navigation cost map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,45 +22,51 @@ from .shapemodel import GSMModel
 DEFAULT_N_SAMPLES = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianBelief:
     """Gaussian belief over object displacement (dx_obj, dy_obj, dpsi_obj):
-    distance from the table edge, lateral position along it, orientation."""
+    distance from the table edge, lateral position along it, orientation.
 
-    mean: tuple[float, float, float]
-    cov: tuple  # 3x3, row tuples
+    The covariance is checked and factored once, by one eigendecomposition:
+    root = evecs * sqrt(clip(evals, 0)), so semidefinite beliefs are accepted
+    and root @ root.T is the covariance. mean, cov and root are read-only
+    float arrays."""
+
+    mean: np.ndarray  # (3,)
+    cov: np.ndarray   # (3, 3)
+    root: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float)
         if mean.shape != (3,) or cov.shape != (3, 3):
             raise ValueError("belief needs a 3-vector mean and 3x3 covariance")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("belief mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
+        evals, evecs = np.linalg.eigh(cov)
+        if evals[0] < -1e-12:
             raise ValueError("covariance must be positive semidefinite")
-        object.__setattr__(self, "mean", tuple(float(v) for v in mean))
-        object.__setattr__(self, "cov", tuple(tuple(float(v) for v in row) for row in cov))
+        root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        for name, a in (("mean", mean), ("cov", cov), ("root", root)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def isotropic(cls, mean, sigma_xy: float, sigma_psi: float) -> "GaussianBelief":
-        return cls(tuple(mean), np.diag([sigma_xy ** 2, sigma_xy ** 2, sigma_psi ** 2]))
-
-    def mean_array(self) -> np.ndarray:
-        return np.asarray(self.mean, dtype=float)
-
-    def cov_array(self) -> np.ndarray:
-        return np.asarray(self.cov, dtype=float)
+        """Belief with independent axes of standard deviation sigma_xy,
+        sigma_xy and sigma_psi. A negative or non-finite sigma raises
+        ValueError, and so does one whose square overflows."""
+        for sigma in (sigma_xy, sigma_psi):
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise ValueError(f"belief sigma must be finite and non-negative, found {sigma}")
+        return cls(mean, np.diag([sigma_xy * sigma_xy, sigma_xy * sigma_xy,
+                                  sigma_psi * sigma_psi]))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """(n, 3) samples; the covariance square root comes from a clipped
-        eigendecomposition, so semidefinite beliefs are accepted."""
-        cov = self.cov_array()
-        evals, evecs = np.linalg.eigh(cov)
-        root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        return self.mean_array() + rng.standard_normal((n, 3)) @ root.T
+        """(n, 3) samples mean + z @ root.T of standard normal z."""
+        return self.mean + rng.standard_normal((n, 3)) @ self.root.T
 
 
 _FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
@@ -189,13 +195,13 @@ def merge(a: ARPlaceGrid, b: ARPlaceGrid) -> ARPlaceGrid:
     return ARPlaceGrid(spec=a.spec, probs=a.probs * b.probs, frame=a.frame)
 
 
-def resample_to(grid: ARPlaceGrid, spec: GridSpec, fill: float = 0.0) -> ARPlaceGrid:
+def resample_to(grid: ARPlaceGrid, spec: GridSpec) -> ARPlaceGrid:
     """Nearest-cell resampling onto another grid; cells outside the source
-    extent take the fill value."""
+    extent take probability 0."""
     xs, ys = spec.centers()
     si = np.round((xs - grid.spec.origin_x) / grid.spec.cell_size).astype(int)
     sj = np.round((ys - grid.spec.origin_y) / grid.spec.cell_size).astype(int)
-    probs = np.full((spec.nx, spec.ny), float(fill))
+    probs = np.zeros((spec.nx, spec.ny))
     ok_i = (si >= 0) & (si < grid.spec.nx)
     ok_j = (sj >= 0) & (sj < grid.spec.ny)
     probs[np.ix_(ok_i, ok_j)] = grid.probs[np.ix_(si[ok_i], sj[ok_j])]
@@ -224,12 +230,7 @@ def union_edges(maps: list[ARPlaceGrid]) -> ARPlaceGrid:
     nx = max(int(round((m.spec.origin_x - x0) / cell)) + m.spec.nx for m in maps)
     ny = max(int(round((m.spec.origin_y - y0) / cell)) + m.spec.ny for m in maps)
     spec = GridSpec(x0, y0, cell, nx, ny)
-    probs = np.zeros((nx, ny))
-    for m in maps:
-        i0 = int(round((m.spec.origin_x - x0) / cell))
-        j0 = int(round((m.spec.origin_y - y0) / cell))
-        region = probs[i0:i0 + m.spec.nx, j0:j0 + m.spec.ny]
-        np.maximum(region, m.probs, out=region)
+    probs = np.maximum.reduce([resample_to(m, spec).probs for m in maps])
     return ARPlaceGrid(spec=spec, probs=probs, frame=frame)
 
 

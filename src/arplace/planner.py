@@ -282,7 +282,7 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
                 run(c)
         elif node.kind == PERCEIVE:
             obj = scene.objects[node.goal[1]]
-            cov = obj.belief.cov_array() * _PERCEPTION_SHRINK
+            cov = obj.belief.cov * _PERCEPTION_SHRINK
             obj.belief = GaussianBelief(obj.truth, cov)
             emit("perceive", {"object": obj.name})
         elif node.kind == ACHIEVE:

@@ -22,6 +22,7 @@ from .geometry import ObjectFeatures
 from .grids import GridSpec
 
 MODEL_FORMAT_VERSION = 1
+GSM_MODES = 2  # deformation modes of the model
 
 
 class DegenerateShapeError(RuntimeError):
@@ -166,14 +167,14 @@ def _gaps_ok(fractions: np.ndarray, min_gap: float) -> bool:
 
 
 def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
-                       energy_target: float = 0.95,
-                       max_modes: int | None = None
+                       energy_target: float = 0.95
                        ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Greedy landmark placement: shared arc-length fractions start uniform
     and slide per landmark over candidate offsets (+-1, 2, 4 base steps),
     keeping moves that lower (2 - e) * l^2 while preserving cyclic order and
     a minimum spacing. Mode count d starts at 1 and is incremented (with
-    re-optimization) until the captured energy exceeds the target.
+    re-optimization) until the captured energy exceeds the target; when
+    GSM_MODES modes do not reach it, DegenerateShapeError is raised.
 
     A placement already evaluated at the current d is not evaluated again:
     the cost only falls, so one that was not taken then cannot be taken now.
@@ -182,17 +183,13 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
     """
     if m < 4:
         raise ValueError("need at least 4 landmarks")
-    N = len(contours)
-    if max_modes is None:
-        max_modes = N - 1
     table = _ArcTable(contours)
     base_step = 1.0 / (8 * m)
     min_gap = 1.0 / (2 * m)
     fractions = np.arange(m) / m
     landmarks = table.at(fractions)
 
-    d = 1
-    while True:
+    for d in range(1, GSM_MODES + 1):
         cost, energy, _ = placement_cost(landmarks, d)
         seen = {fractions.tobytes()}
         improved = True
@@ -215,11 +212,8 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
                             improved = True
         if energy > energy_target:
             return landmarks, d, energy, fractions
-        d += 1
-        if d > max_modes:
-            raise DegenerateShapeError(
-                f"energy target {energy_target} unreachable with {max_modes} "
-                f"modes (best {energy:.4f})")
+    raise DegenerateShapeError(f"energy target {energy_target} unreachable with "
+                               f"{GSM_MODES} modes (best {energy:.4f})")
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +294,6 @@ def fit_regression(B: np.ndarray, features: list[ObjectFeatures]) -> RegressionM
 # ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
-
-GSM_MODES = 2
 
 
 @dataclass
@@ -429,10 +421,6 @@ def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
     contours = [extract_contour(svms[f], extraction_grid) for f in feats]
     lms, _, _, fractions = optimize_landmarks(contours, n_landmarks, energy_target)
     pdm = fit_pdm(assemble_H(lms), GSM_MODES)
-    if pdm.energy < energy_target:
-        raise DegenerateShapeError(
-            f"two modes capture only {pdm.energy:.4f} of the deformation "
-            f"energy (target {energy_target})")
     B = np.vstack([pdm.project(lm) for lm in lms])  # (N, d)
     reg = fit_regression(B, feats)
     return GSMModel(pdm=pdm, regression=reg,

@@ -187,20 +187,33 @@ def corridor_halfwidth(along: float, world: WorldConfig) -> float:
     return max(0.5 * w, 0.0)
 
 
+def _first_failure(obj: ObjectFeatures, x: float, y: float, world: WorldConfig,
+                   grasp_margin: float, table_margin: float, clearance: float) -> str:
+    """First failing stage of a reach-grasp from base position (x, y) under
+    the given margins, in the order of the action sequence; "none" when all
+    pass."""
+    if x < world.robot_radius + table_margin:
+        return "table_collision"
+    if math.hypot(x + obj.dx_obj, y) < clearance:
+        return "object_collision"
+    along, lateral = corridor_coords(obj, x, y, world)
+    if not (world.reach_min + grasp_margin <= along <= world.reach_max - grasp_margin):
+        return "empty_grip"
+    hx, hy = handle_position(obj, world)
+    if _handle_bearing(x, y, hx, hy) > world.reach_halfangle:
+        return "empty_grip"
+    if abs(lateral) > corridor_halfwidth(along, world) - grasp_margin:
+        return "slip"
+    return "none"
+
+
 def theoretically_reachable(obj: ObjectFeatures, robot: RobotOffset,
                             world: WorldConfig) -> bool:
-    """Kinematic upper bound: corridor membership without the gripper
-    margins, plus table clearance and the coarse arm-sector limit. A
-    superset of every practically successful pose."""
-    if robot.dx_rob < world.robot_radius:
-        return False
-    along, lateral = corridor_coords(obj, robot.dx_rob, robot.dy_rob, world)
-    if not (world.reach_min <= along <= world.reach_max):
-        return False
-    if abs(lateral) > corridor_halfwidth(along, world):
-        return False
-    hx, hy = handle_position(obj, world)
-    return _handle_bearing(robot.dx_rob, robot.dy_rob, hx, hy) <= world.reach_halfangle
+    """Kinematic upper bound: the outcome test of grasp_outcome with zero
+    gripper margin, table margin and object clearance. Each margin only
+    narrows a stage, so with non-negative margins this is a superset of
+    every geometrically successful pose."""
+    return _first_failure(obj, robot.dx_rob, robot.dy_rob, world, 0.0, 0.0, 0.0) == "none"
 
 
 def grasp_outcome(obj: ObjectFeatures, xb: float, yb: float,
@@ -208,20 +221,8 @@ def grasp_outcome(obj: ObjectFeatures, xb: float, yb: float,
     """Deterministic outcome of the reach-grasp stages at an achieved base
     position (local-minimum events excluded). Returns a cause, "none" on
     success."""
-    if xb < world.robot_radius + world.table_margin:
-        return "table_collision"
-    if math.hypot(xb + obj.dx_obj, yb) < world.min_object_clearance:
-        return "object_collision"
-    along, lateral = corridor_coords(obj, xb, yb, world)
-    if not (world.reach_min + world.grasp_margin <= along
-            <= world.reach_max - world.grasp_margin):
-        return "empty_grip"
-    hx, hy = handle_position(obj, world)
-    if _handle_bearing(xb, yb, hx, hy) > world.reach_halfangle:
-        return "empty_grip"
-    if abs(lateral) > corridor_halfwidth(along, world) - world.grasp_margin:
-        return "slip"
-    return "none"
+    return _first_failure(obj, xb, yb, world, world.grasp_margin, world.table_margin,
+                          world.min_object_clearance)
 
 
 def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfig) -> bool:

@@ -6,21 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arplace.classifier import (_MS_SEGMENTS, KKT_TOLERANCE, Boundary,
-                                EmptySuccessRegionError, LabeledSet, SVMConvergenceError,
+                                EmptySuccessRegionError, SVMConvergenceError,
                                 SVMModel, _marching_squares, _start_at_max_x_crossing,
                                 extract_contour, points_in_polygon, signed_area,
                                 train_svm)
-from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
 from arplace.placemap import _fill_counts
 from arplace.shapemodel import _ArcTable
 
-OBJ = ObjectFeatures(0.1, 0.0)
-
-
 def _ring_set(seed=0, n=120):
-    """Positives inside a disk of radius 0.2, negatives in a surrounding
-    ring — a clean nonlinear problem for the Gaussian kernel."""
+    """(X, y) with positives inside a disk of radius 0.2, negatives in a
+    surrounding ring — a clean nonlinear problem for the Gaussian kernel."""
     rng = np.random.default_rng(seed)
     pts, labels = [], []
     for _ in range(n):
@@ -29,15 +25,14 @@ def _ring_set(seed=0, n=120):
         x, y = r * np.cos(a), r * np.sin(a)
         if 0.17 < r < 0.23:
             continue  # margin gap
-        pts.append(RobotOffset(x, y))
-        labels.append(1 if r < 0.2 else -1)
-    return LabeledSet(pts, labels, OBJ)
+        pts.append((x, y))
+        labels.append(1.0 if r < 0.2 else -1.0)
+    return np.array(pts), np.array(labels)
 
 
 def test_svm_separates_ring_data():
-    data = _ring_set()
-    model = train_svm(data)
-    X, y = data.arrays()
+    X, y = _ring_set()
+    model = train_svm(X, y)
     pred = np.sign(model.decision_values(X))
     assert np.all(pred == y)
 
@@ -46,10 +41,9 @@ def test_svm_solution_satisfies_dual_constraints():
     """Independent optimality check: the stored alphas must satisfy the dual
     feasibility and stationarity (KKT) conditions of the soft-margin problem,
     not merely come out of the solver."""
-    data = _ring_set(seed=3)
-    model = train_svm(data, kernel_sigma=0.1, cost_C=40.0,
+    X, y = _ring_set(seed=3)
+    model = train_svm(X, y, kernel_sigma=0.1, cost_C=40.0,
                       positive_class_weight=2.0)
-    X, y = data.arrays()
     signed = np.zeros(len(y))
     # map support alphas back onto the training set
     for p, a in zip(model.support_points, model.alphas):
@@ -116,10 +110,9 @@ def _train_svm_reference(X, y, kernel_sigma=0.1, cost_C=40.0, positive_class_wei
 
 
 def test_train_svm_matches_the_reference_solver_on_ring_data():
-    data = _ring_set(seed=5)
-    X, y = data.arrays()
+    X, y = _ring_set(seed=5)
     sv, alphas, bias, steps, violation = _train_svm_reference(X, y)
-    model = train_svm(data)
+    model = train_svm(X, y)
     np.testing.assert_array_equal(model.support_points, sv)
     np.testing.assert_array_equal(model.alphas, alphas)
     assert (model.bias, model.pair_steps, model.kkt_violation) == (bias, steps, violation)
@@ -133,24 +126,22 @@ def _small_labeled_sets(draw):
     # points on a coarse lattice repeat, which makes ties in the selection
     scale = draw(st.sampled_from([0.05, 0.2, 0.5]))
     pts = np.round(rng.uniform(-1.0, 1.0, (n, 2)) / scale) * scale * 0.3
-    labels = rng.choice([-1, 1], n)
-    labels[:2] = [1, -1]
-    return ([RobotOffset(float(x), float(y)) for x, y in pts], labels.tolist(),
+    labels = rng.choice([-1.0, 1.0], n)
+    labels[:2] = [1.0, -1.0]
+    return (pts, labels,
             draw(st.sampled_from([0.05, 0.1, 0.3])), draw(st.sampled_from([0.5, 40.0])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_labeled_sets())
 def test_train_svm_matches_the_reference_solver(case):
-    points, labels, sigma, cost = case
-    data = LabeledSet(points, labels, OBJ)
-    X, y = data.arrays()
+    X, y, sigma, cost = case
     sv, alphas, bias, steps, violation = _train_svm_reference(X, y, sigma, cost)
     if violation > KKT_TOLERANCE:
         with pytest.raises(SVMConvergenceError):
-            train_svm(data, kernel_sigma=sigma, cost_C=cost)
+            train_svm(X, y, kernel_sigma=sigma, cost_C=cost)
         return
-    model = train_svm(data, kernel_sigma=sigma, cost_C=cost)
+    model = train_svm(X, y, kernel_sigma=sigma, cost_C=cost)
     np.testing.assert_array_equal(model.support_points, sv)
     np.testing.assert_array_equal(model.alphas, alphas)
     assert model.bias == bias
@@ -161,7 +152,21 @@ def test_train_svm_matches_the_reference_solver(case):
 def test_train_svm_rejects_a_degenerate_box():
     # below 2e-14 an index can leave both working sets, and its gradient with them
     with pytest.raises(ValueError, match="2e-14"):
-        train_svm(_ring_set(), cost_C=1e-14, positive_class_weight=2.0)
+        train_svm(*_ring_set(), cost_C=1e-14, positive_class_weight=2.0)
+
+
+@pytest.mark.parametrize("X, y, match", [
+    (np.zeros((3, 2)), np.array([1.0, -1.0]), "shape"),
+    (np.zeros((3, 3)), np.array([1.0, -1.0, 1.0]), "shape"),
+    (np.zeros((1, 2)), np.array([1.0]), "at least 2 samples"),
+    (np.zeros((3, 2)), np.array([1.0, 1.0, 1.0]), "both classes"),
+    (np.zeros((3, 2)), np.array([-1.0, -1.0, -1.0]), "both classes"),
+    (np.zeros((3, 2)), np.array([1.0, -1.0, 0.5]), "must be \\+1 or -1"),
+], ids=["short_y", "three_columns", "one_sample", "only_positive", "only_negative",
+        "other_label"])
+def test_train_svm_rejects_bad_training_arrays(X, y, match):
+    with pytest.raises(ValueError, match=match):
+        train_svm(X, y)
 
 
 def _decision_values_reference(model, pts):
@@ -245,7 +250,7 @@ def test_boundary_signed_area_and_centroid():
     square = Boundary(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     assert signed_area(square.landmarks) == pytest.approx(1.0)
     assert signed_area(square.landmarks[::-1]) == pytest.approx(-1.0)
-    np.testing.assert_allclose(square.centroid(), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(square.landmarks.mean(axis=0), [0.5, 0.5], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +388,7 @@ def test_extract_contour_recovers_analytic_circle():
     assert np.max(np.abs(r - 0.2)) < 0.011  # within one cell
     b = Boundary(_ArcTable([contour]).at(np.arange(64) / 64)[0])
     assert abs(signed_area(b.landmarks)) == pytest.approx(np.pi * 0.2 ** 2, rel=0.02)
-    np.testing.assert_allclose(b.centroid(), [0.05, -0.03], atol=0.005)
+    np.testing.assert_allclose(b.landmarks.mean(axis=0), [0.05, -0.03], atol=0.005)
 
 
 def test_extract_contour_keeps_border_touching_region_closed():

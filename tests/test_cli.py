@@ -143,6 +143,12 @@ BAD_BELIEFS = {
                    '"cov": [[-0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01]]}',
     "mean_nan": '{"mean": [NaN, 0.0, 0.1], "sigma_xy": 0.02, "sigma_psi": 0.1}',
     "mean_infinite": '{"mean": [Infinity, 0.0, 0.1], "sigma_xy": 0.02, "sigma_psi": 0.1}',
+    "sigma_negative": '{"mean": [0.14, 0.0, 0.0], "sigma_xy": -0.02, "sigma_psi": 0.1}',
+    "sigma_overflow": '{"mean": [0.14, 0.0, 0.0], "sigma_xy": 1e200, "sigma_psi": 0.1}',
+    # JSON integers past the float range
+    "sigma_huge_integer": '{"mean": [0.14, 0.0, 0.0], "sigma_xy": 1%s, "sigma_psi": 0.1}'
+                          % ("0" * 400),
+    "cov_huge_integer": '{"mean": [0.14, 0.0, 0.0], "cov": [1%s, 0.01, 0.01]}' % ("0" * 400),
 }
 
 
@@ -316,6 +322,43 @@ def test_train_rejects_a_dataset_without_rows(tmp_path, capsys):
     rc = main(["train", "--data", str(data), "--seed", "0", "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert "no trial rows" in capsys.readouterr().err
+
+
+def _first_poses(rows, k):
+    """The rows of the first k object poses of a dataset."""
+    poses = list(dict.fromkeys(tuple(r.split(",")[:2]) for r in rows))[:k]
+    return [r for r in rows if tuple(r.split(",")[:2]) in poses]
+
+
+def _one_pose_fails(rows):
+    """The rows with every success of the first object pose relabeled a slip."""
+    pose = ",".join(rows[0].split(",")[:2]) + ","
+    return [r.replace(",success,none", ",failure,slip") if r.startswith(pose) else r
+            for r in rows]
+
+
+# (edit of a good dataset's rows, text the error must name)
+UNTRAINABLE_DATASETS = {
+    "few_poses": (lambda rows: _first_poses(rows, 3), "at least 6 poses"),
+    "one_class_pose": (_one_pose_fails, "both classes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTRAINABLE_DATASETS))
+def test_train_rejects_an_untrainable_dataset(artifacts, tmp_path, capsys, name):
+    """A well-formed dataset that cannot train a model is a bad input (exit 3)
+    naming the file, not a module error."""
+    lines = artifacts["data"].read_text().splitlines()
+    head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    edit, reason = UNTRAINABLE_DATASETS[name]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:head + 1] + edit(lines[head + 1:])) + "\n")
+    rc = main(["train", "--data", str(bad), "--seed", "0",
+               "--out", str(tmp_path / "model.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert str(bad) in err and reason in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The third-party modules the package imports are exactly the ones that
-pyproject.toml declares as its dependencies."""
+pyproject.toml declares as its dependencies, and every module uses what it
+imports."""
 
 import ast
 import re
@@ -9,8 +10,6 @@ from pathlib import Path
 import pytest
 
 import arplace
-
-tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,9 +26,36 @@ def _imported_top_level_modules(package_dir: Path) -> set[str]:
 
 
 def test_imports_match_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as f:
         declared = tomllib.load(f)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
     third_party = {name for name in _imported_top_level_modules(Path(arplace.__file__).parent)
                    if name not in sys.stdlib_module_names}
     assert third_party == declared
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that the module imports but never reads. `from __future__`
+    imports and lines marked `# noqa: F401` (a name kept for callers
+    elsewhere) are left out."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_src_has_no_unused_imports():
+    modules = sorted(Path(arplace.__file__).parent.glob("*.py"))
+    assert [p for p in modules if p.name != "__init__.py"]
+    assert [u for p in modules if p.name != "__init__.py" for u in _unused_imports(p)] == []

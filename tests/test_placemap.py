@@ -33,6 +33,14 @@ def test_belief_validation():
         GaussianBelief((0.1, 0.0, 0.0), -np.eye(3))
     with pytest.raises(ValueError):
         GaussianBelief((0.1, 0.0, 0.0), np.diag([np.inf, 0.01, 0.01]))
+    # a negative sigma no longer squares away, and one that overflows its
+    # square is rejected too
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianBelief.isotropic((0.1, 0.0, 0.0), -0.02, 0.1)
+    with pytest.raises(ValueError, match="sigma"):
+        GaussianBelief.isotropic((0.1, 0.0, 0.0), 0.02, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianBelief.isotropic((0.1, 0.0, 0.0), 1e200, 0.1)
 
 
 def test_belief_sampling_moments():
@@ -41,9 +49,25 @@ def test_belief_sampling_moments():
                     [0.0, 0.0, 0.25]])
     belief = GaussianBelief((0.2, -0.1, 0.3), cov)
     draws = belief.sample(np.random.default_rng(0), 200_000)
-    np.testing.assert_allclose(draws.mean(axis=0), belief.mean_array(),
+    np.testing.assert_allclose(draws.mean(axis=0), belief.mean,
                                atol=5e-3)
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=5e-3)
+
+
+@pytest.mark.parametrize("cov", [
+    np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.002], [0.0, 0.002, 0.25]]),
+    np.diag([0.01, 0.0, 0.04]),
+    np.zeros((3, 3)),
+], ids=["full", "semidefinite", "zero"])
+def test_belief_sample_is_the_clipped_eigen_root(cov):
+    """sample is mean + z @ root.T with root = evecs * sqrt(clip(evals, 0))
+    of eigh(cov), bit for bit, for the standard normal z the rng draws."""
+    mean = np.array([0.2, -0.1, 0.3])
+    draws = GaussianBelief(tuple(mean), cov).sample(np.random.default_rng(4), 500)
+    z = np.random.default_rng(4).standard_normal((500, 3))
+    evals, evecs = np.linalg.eigh(cov)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    np.testing.assert_array_equal(draws, mean + z @ root.T)
 
 
 def test_belief_accepts_semidefinite_covariance():
@@ -324,6 +348,41 @@ def test_union_covers_disjoint_extents():
     assert u.probs[0, 0] == 0.5 and u.probs[11, 0] == 0.8
 
 
+def _union_edges_reference(maps):
+    """The explicit placement union_edges must reproduce: each map written
+    into its slot of the union extent by np.maximum, missing cells 0."""
+    cell = maps[0].spec.cell_size
+    x0 = min(m.spec.origin_x for m in maps)
+    y0 = min(m.spec.origin_y for m in maps)
+    nx = max(int(round((m.spec.origin_x - x0) / cell)) + m.spec.nx for m in maps)
+    ny = max(int(round((m.spec.origin_y - y0) / cell)) + m.spec.ny for m in maps)
+    probs = np.zeros((nx, ny))
+    for m in maps:
+        i0 = int(round((m.spec.origin_x - x0) / cell))
+        j0 = int(round((m.spec.origin_y - y0) / cell))
+        region = probs[i0:i0 + m.spec.nx, j0:j0 + m.spec.ny]
+        np.maximum(region, m.probs, out=region)
+    return GridSpec(x0, y0, cell, nx, ny), probs
+
+
+@pytest.mark.parametrize("placements", [
+    [(0, 0, 8, 10), (3, -4, 9, 7), (-2, 5, 4, 12)],   # overlapping
+    [(0, 0, 8, 10), (8, 0, 4, 10), (20, -15, 3, 3)],  # disjoint
+    [(0, 0, 8, 10), (2, 3, 3, 4), (1, 1, 1, 1)],      # nested
+], ids=["overlapping", "disjoint", "nested"])
+def test_union_edges_equals_the_explicit_placement(placements):
+    rng = np.random.default_rng(3)
+    maps = [_grid(rng.uniform(0, 1, (nx, ny)),
+                  spec=GridSpec(SPEC.origin_x + i * SPEC.cell_size,
+                                SPEC.origin_y + j * SPEC.cell_size, SPEC.cell_size, nx, ny))
+            for i, j, nx, ny in placements]
+    spec, probs = _union_edges_reference(maps)
+    for order in (maps, maps[::-1]):
+        u = union_edges(order)
+        assert u.spec == spec
+        np.testing.assert_array_equal(u.probs, probs)
+
+
 def test_union_rejects_misaligned_lattices():
     a = _grid(np.zeros((8, 10)))
     off = GridSpec(SPEC.origin_x + 0.013, SPEC.origin_y, SPEC.cell_size, 8, 10)
@@ -353,7 +412,7 @@ def test_resample_to_shifted_spec_uses_nearest_cells():
     a = _grid(rng.uniform(0, 1, (8, 10)))
     shifted = GridSpec(SPEC.origin_x + SPEC.cell_size, SPEC.origin_y,
                        SPEC.cell_size, 8, 10)
-    out = resample_to(a, shifted, fill=0.0)
+    out = resample_to(a, shifted)
     np.testing.assert_array_equal(out.probs[:7], a.probs[1:])
     np.testing.assert_array_equal(out.probs[7], 0.0)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arplace.cli import PipelineConfig
-from arplace.geometry import ObjectFeatures, RobotOffset
+from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
 from arplace.simworld import (Dataset, TrialRecord, corridor_coords, corridor_halfwidth,
                               default_object_grid, default_robot_grid,
                               default_world, execute_trial, generate_dataset,
@@ -79,6 +79,42 @@ def test_reachability_is_superset_of_success(w):
         rob = RobotOffset(rng.uniform(0.0, 1.3), rng.uniform(-1.0, 1.0))
         if geometric_success(obj, rob, w):
             assert theoretically_reachable(obj, rob, w)
+
+
+def _reachable_reference(obj, robot, world):
+    """The corridor formula of the reachability filter written out on its
+    own: table clearance, reach interval, corridor half-width without the
+    gripper margin, and the arm-sector bearing. The oracle that
+    theoretically_reachable (grasp_outcome's stages with zero margins) must
+    equal."""
+    if robot.dx_rob < world.robot_radius:
+        return False
+    along, lateral = corridor_coords(obj, robot.dx_rob, robot.dy_rob, world)
+    if not (world.reach_min <= along <= world.reach_max):
+        return False
+    if abs(lateral) > corridor_halfwidth(along, world):
+        return False
+    hx, hy = handle_position(obj, world)
+    bearing = abs(wrap_angle(math.atan2(hy - robot.dy_rob, hx - robot.dx_rob) - math.pi))
+    return bearing <= world.reach_halfangle
+
+
+@pytest.mark.parametrize("margins", [
+    {},
+    {"grasp_margin": 0.07, "table_margin": 0.05, "min_object_clearance": 0.3},
+], ids=["default", "wide_margins"])
+def test_reachability_equals_the_corridor_formula(w, margins):
+    """On 3,000 seeded (pose, base) pairs and on every pair of the default
+    grids, whatever the world's margins."""
+    world = dataclasses.replace(w, **margins)
+    rng = np.random.default_rng(11)
+    pairs = [(ObjectFeatures(rng.uniform(0.0, 0.3), rng.uniform(-0.8, 0.8)),
+              RobotOffset(rng.uniform(0.0, 1.3), rng.uniform(-1.0, 1.0)))
+             for _ in range(3000)]
+    pairs += [(obj, rob) for obj in default_object_grid() for rob in default_robot_grid()]
+    reachable = [_reachable_reference(obj, rob, world) for obj, rob in pairs]
+    assert [theoretically_reachable(obj, rob, world) for obj, rob in pairs] == reachable
+    assert 0.1 < np.mean(reachable) < 0.9
 
 
 # ---------------------------------------------------------------------------
