@@ -83,10 +83,11 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-# exclusive (lower, upper) bounds of the numeric config values
+# exclusive (lower, upper) bounds of the numeric config values; counts stay
+# below 2**63, the int64 range that numpy sizes arrays in
 _OPEN_RANGES = {
     "kernel_sigma": (0, None), "cost_C": (0, None), "class_weight": (0, None),
-    "n_landmarks": (3, None), "n_samples": (0, None), "cell_size": (0, None),
+    "n_landmarks": (3, 2**63), "n_samples": (0, 2**63), "cell_size": (0, None),
     "extraction_cell": (0, None), "merge_threshold": (0, 1), "energy_target": (0, 1),
 }
 
@@ -209,8 +210,7 @@ def cmd_map(args) -> int:
     spec = candidate_grid_spec(cfg.cell_size)
     n_samples = cfg.n_samples if args.samples is None else args.samples
     grid = compute_map(gsm, belief, spec, n_samples=n_samples, rng=args.seed)
-    if args.robot_sigma:
-        grid = apply_robot_uncertainty(grid, args.robot_sigma)
+    grid = apply_robot_uncertainty(grid, args.robot_sigma)
     save_grid_text(grid, args.out, header_lines=_header(cfg, args.seed))
     (i, j), p = best_cell(grid)
     print(f"map written to {args.out}; best cell ({i}, {j}) p={p:.3f}")
@@ -286,8 +286,10 @@ def cmd_eval(args) -> int:
         sizes = [20, 50, 100, 187, 300]
         obj = ObjectFeatures(0.14, 0.0)
         lines.append("size filtered_acc filtered_exec unfiltered_acc unfiltered_exec")
-        filt = accuracy_curve(world, obj, sizes, True, seed=args.seed)
-        raw = accuracy_curve(world, obj, sizes, False, seed=args.seed)
+        svm = {"kernel_sigma": cfg.kernel_sigma, "cost_C": cfg.cost_C,
+               "positive_class_weight": cfg.class_weight}
+        filt = accuracy_curve(world, obj, sizes, True, seed=args.seed, **svm)
+        raw = accuracy_curve(world, obj, sizes, False, seed=args.seed, **svm)
         for a, b in zip(filt, raw):
             lines.append(f"{a.size} {a.accuracy:.3f} {a.executed} "
                          f"{b.accuracy:.3f} {b.executed}")
@@ -322,10 +324,11 @@ def cmd_export_pgm(args) -> int:
 
 def _number(kind=float, above=-math.inf, at_least=-math.inf, below=math.inf):
     """argparse type: a finite number of the given kind that is > above,
-    >= at_least and < below."""
+    >= at_least and < below. Ints are compared with the bounds exactly."""
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and above < value and at_least <= value < below):
+        finite = kind is int or math.isfinite(value)
+        if not (finite and above < value and at_least <= value < below):
             bounds = "".join(f", {op} {b:g}" for op, b in (
                 ("above", above), ("at least", at_least), ("below", below)) if math.isfinite(b))
             raise argparse.ArgumentTypeError(f"must be finite{bounds}, found {text}")
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="pipeline config JSON")
-        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--seed", type=_number(int, at_least=0), required=True)
         sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("gen-data", help="generate a trial dataset")
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--belief", required=True)
-    sp.add_argument("--samples", type=_number(int, at_least=1))
+    sp.add_argument("--samples", type=_number(int, at_least=1, below=2**63))
     sp.add_argument("--robot-sigma", type=_number(at_least=0), default=0.0)
     sp.set_defaults(func=cmd_map)
 

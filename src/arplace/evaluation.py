@@ -149,8 +149,7 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
             grid = compute_map(gsm, belief, grid_spec,
                                n_samples=spec.n_map_samples,
                                rng=rng.integers(2 ** 31), frame="world")
-            if spec.sigma_rob > 0:
-                grid = apply_robot_uncertainty(grid, spec.sigma_rob)
+            grid = apply_robot_uncertainty(grid, spec.sigma_rob)
             (bi, bj), _ = best_cell(grid, spec.smooth_radius)
             arplace_target = grid.spec.cell_center(bi, bj)
             # constant offset in the perceived object frame, clamped away
@@ -198,8 +197,11 @@ def _random_offsets(n: int, rng: np.random.Generator) -> list[RobotOffset]:
 
 def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
                    sizes: list[int], use_capability_filter: bool,
-                   seed: int = 0, n_test: int = 150) -> list[AccuracyPoint]:
-    """Held-out classifier accuracy as the training set grows.
+                   seed: int = 0, n_test: int = 150, kernel_sigma: float = 0.1,
+                   cost_C: float = 40.0,
+                   positive_class_weight: float = 2.0) -> list[AccuracyPoint]:
+    """Held-out classifier accuracy as the training set grows, each size
+    trained by train_svm with the given SVM constants.
 
     With the capability filter on, theoretically unreachable commands are
     labeled failures without running the simulated trial, cutting the
@@ -229,7 +231,7 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     y = np.array(labels)
     points = []
     for size in sizes:
-        model = train_svm(X[:size], y[:size])
+        model = train_svm(X[:size], y[:size], kernel_sigma, cost_C, positive_class_weight)
         pred = np.where(model.decision_values(test_X) > 0, 1, -1)
         points.append(AccuracyPoint(size=size,
                                     accuracy=float(np.mean(pred == test_y)),

@@ -250,14 +250,12 @@ def best_cell(grid: ARPlaceGrid, smooth_radius: float = 0.0) -> tuple[tuple[int,
     """Cell of maximal probability and its value; ties break on the smallest
     (row, col) index.
 
-    With smooth_radius > 0 the argmax runs on a locally averaged copy, which
-    prefers the interior of plateaus over their corners; the returned
-    probability is still read from the unsmoothed map.
+    The argmax runs on apply_robot_uncertainty(grid, smooth_radius), which
+    prefers the interior of plateaus over their corners: radius 0 is the map
+    itself, and a negative radius raises ValueError. The returned
+    probability is read from the unsmoothed map.
     """
-    probs = grid.probs
-    if smooth_radius > 0:
-        probs = apply_robot_uncertainty(grid, smooth_radius).probs
-    flat = int(np.argmax(probs))
-    ij = (flat // grid.spec.ny, flat % grid.spec.ny)
+    flat = int(np.argmax(apply_robot_uncertainty(grid, smooth_radius).probs))
+    ij = divmod(flat, grid.spec.ny)
     return ij, float(grid.probs[ij])
 

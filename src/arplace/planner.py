@@ -3,21 +3,22 @@
 Plans are small trees of sequence / at-location / perceive / achieve nodes.
 Location goals are designators: symbolic descriptions resolved against
 success-probability maps when needed. Projection simulates a plan against a
-scene and yields a timestamped event trace; the merge transformation rewrites
-two pick-up tasks to share a single base location when the merged map still
-promises a high joint success probability.
+scene and yields an event trace timed by a time model; the merge
+transformation rewrites two pick-up tasks to share a single base location
+when their joint designator still resolves to a high success probability.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import ObjectFeatures
-from .grids import ARPlaceGrid, GridSpec
+from .grids import GridSpec
 from .placemap import GaussianBelief, best_cell, compute_map, merge
 # not called here; perfbench's tracer patches this module attribute
 from .placemap import apply_robot_uncertainty  # noqa: F401
@@ -50,12 +51,12 @@ class Designator:
     and hash by identity: two tasks share a location only if they hold the
     same designator."""
 
-    purpose: str                       # pick_up | put_down | joint_pick_up
+    purpose: str                       # pick_up | joint_pick_up
     objects: tuple[str, ...]
     resolved: tuple[tuple[float, float], float] | None = None
 
     def __post_init__(self):
-        if self.purpose not in ("pick_up", "put_down", "joint_pick_up"):
+        if self.purpose not in ("pick_up", "joint_pick_up"):
             raise ValueError(f"unknown designator purpose {self.purpose!r}")
         self.objects = tuple(self.objects)
 
@@ -171,18 +172,17 @@ class TimeModel:
 @dataclass
 class TraceEvent:
     kind: str          # navigate | perceive | grasp
-    t_start: float
-    t_end: float
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 @dataclass
 class ExecutionTrace:
+    time_model: TimeModel  # the one project ran under; it times the events
     events: list[TraceEvent] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
-        return self.events[-1].t_end if self.events else 0.0
+        return plan_duration(self, self.time_model)
 
     @property
     def grasp_outcomes(self) -> list[dict]:
@@ -197,29 +197,20 @@ def plan_duration(trace: ExecutionTrace, time_model: TimeModel) -> float:
     return sum(time_model.event_duration(e) for e in trace.events)
 
 
-def merged_map(gsm: GSMModel, scene: Scene, names, spec: GridSpec,
-               rng: np.random.Generator) -> ARPlaceGrid:
-    """World-frame joint success map of the named scene objects: one map per
-    object on a seed drawn from rng in the order of names (the belief's
-    lateral mean places it along the table edge), multiplied cellwise."""
-    grid = None
-    for name in names:
-        g = compute_map(gsm, scene.objects[name].belief, spec,
-                        rng=rng.integers(2 ** 31), frame="world")
-        grid = g if grid is None else merge(grid, g)
-    return grid
-
-
 def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
                      spec: GridSpec, rng) -> tuple[tuple[float, float], float]:
-    """The best cell of the (merged) map of the objects the designator must
-    reach: its world-frame center and its success probability. The
-    designator is left unchanged."""
+    """The best cell of the joint success map of the objects the designator
+    must reach, as (world-frame center, probability): one world-frame map per
+    object on a seed drawn from np.random.default_rng(rng) in designator
+    order, multiplied cellwise. The designator is left unchanged."""
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
-    grid = merged_map(gsm, scene, designator.objects, spec,
-                      np.random.default_rng(rng))
+    rng = np.random.default_rng(rng)
+    grid = functools.reduce(merge, [
+        compute_map(gsm, scene.objects[name].belief, spec,
+                    rng=rng.integers(2 ** 31), frame="world")
+        for name in designator.objects])
     (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
     return grid.spec.cell_center(i, j), p
 
@@ -251,14 +242,12 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
                     raise UnresolvableDesignatorError(
                         f"unknown object {name!r} in location designator")
 
-    trace = ExecutionTrace()
+    trace = ExecutionTrace(time_model)
     robot = list(scene.robot_xy)
     targets: dict[Designator, tuple[tuple[float, float], float]] = {}
 
     def emit(kind, detail):
-        ev = TraceEvent(kind, trace.duration, trace.duration, detail)
-        ev.t_end = ev.t_start + time_model.event_duration(ev)
-        trace.events.append(ev)
+        trace.events.append(TraceEvent(kind, detail))
 
     def run(node: PlanNode):
         if node.kind == SEQUENCE:
@@ -304,11 +293,13 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
 # flaws and transformations
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Flaw:
-    kind: str                         # unoptimized_locations
-    bindings: dict
-    proposed_location: tuple[tuple[float, float], float] | None = None
+    """Unoptimized-locations flaw: two pick-up tasks that can share a base."""
+
+    tasks: tuple[int, int]             # positions in pick-up task order
+    objects: tuple[str, ...]           # the objects they reach, sorted
+    proposed_location: tuple[tuple[float, float], float]  # joint cell, p
 
 
 def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
@@ -321,8 +312,9 @@ def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
 def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
                       spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD) -> Flaw | None:
     """Unoptimized-locations flaw: two pick-up tasks with distinct locations
-    whose merged success map still has a cell above the threshold. The flaw
-    binds the tasks by their positions in the plan's pick-up task order."""
+    whose joint designator resolves to a probability above the threshold.
+    The pairs are tried in plan order, each resolved on the next draws of
+    np.random.default_rng(rng)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     rng = np.random.default_rng(rng)
@@ -332,35 +324,27 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
             continue
         if set(a.location.objects) == set(b.location.objects):
             continue
-        grid = merged_map(gsm, scene, a.location.objects + b.location.objects,
-                          spec, rng)
-        (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
-        if p > threshold:
-            return Flaw("unoptimized_locations",
-                        {"tasks": [ka, kb],
-                         "objects": sorted(set(a.location.objects)
-                                           | set(b.location.objects))},
-                        proposed_location=(grid.spec.cell_center(i, j), p))
+        joint = Designator("joint_pick_up", a.location.objects + b.location.objects)
+        location = resolve_location(joint, scene, gsm, spec, rng)
+        if location[1] > threshold:
+            return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
     return None
 
 
 def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:
     """Return a new plan in which both flawed pick-up tasks share one
     resolved joint location designator; the plan passed in is unchanged."""
-    if flaw.kind != "unoptimized_locations":
-        raise ValueError("not an unoptimized-locations flaw")
     new_plan = copy.deepcopy(plan)
     tasks = _pickup_tasks(new_plan)
     try:
-        nodes = [tasks[k] for k in flaw.bindings["tasks"]]
+        nodes = [tasks[k] for k in flaw.tasks]
     except IndexError:
         raise ValueError("flawed tasks are no longer present in the plan") from None
-    reached = sorted({name for n in nodes for name in n.location.objects})
-    if reached != flaw.bindings["objects"]:
+    reached = tuple(sorted({name for n in nodes for name in n.location.objects}))
+    if reached != flaw.objects:
         raise ValueError(f"flawed tasks reach {reached}, not the flaw's "
-                         f"objects {flaw.bindings['objects']}")
-    shared = Designator("joint_pick_up", tuple(flaw.bindings["objects"]),
-                        resolved=flaw.proposed_location)
+                         f"objects {flaw.objects}")
+    shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
     for n in nodes:
         n.location = shared
     return new_plan

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class WorldConfig:
     min_object_clearance: float = 0.18
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and non-negative, found {value!r}")
         if not (0.0 < self.reach_min < self.reach_max):
             raise ValueError("need 0 < reach_min < reach_max")
         if self.robot_radius <= 0:

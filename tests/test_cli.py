@@ -73,6 +73,14 @@ BAD_CONFIGS = {
     "threshold_above_one": ({"merge_threshold": 1.5}, "map"),
     "too_few_landmarks": ({"n_landmarks": 3}, "map"),
     "not_an_object": ([1, 2], "map"),
+    # counts past int64 are no array size
+    "samples_beyond_int64": ({"n_samples": 10**30}, "map"),
+    "landmarks_beyond_int64": ({"n_landmarks": 2**63}, "map"),
+    # every float world constant is finite and non-negative
+    "world_negative_nav_noise": ({"world": {"nav_noise_sigma": -0.01}}, "gen-data"),
+    "world_negative_corridor_width": ({"world": {"corridor_width": -1.0}}, "gen-data"),
+    "world_nan_grasp_margin": ({"world": {"grasp_margin": math.nan}}, "gen-data"),
+    "world_infinite_handle_length": ({"world": {"handle_length": math.inf}}, "gen-data"),
 }
 
 
@@ -266,6 +274,8 @@ BAD_ARGUMENTS = {
     "plan_negative_separation": (["plan", "--separation", "-5"], "--separation"),
     "plan_nan_separation": (["plan", "--separation", "nan"], "--separation"),
     "plan_infinite_separation": (["plan", "--separation", "inf"], "--separation"),
+    "map_samples_beyond_int64": (["map", "--samples", "1" + "0" * 400], "--samples"),
+    "map_samples_at_int64_limit": (["map", "--samples", str(2**63)], "--samples"),
 }
 
 
@@ -284,6 +294,35 @@ def test_bad_argument_is_a_usage_error(artifacts, tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+# every subcommand with the inputs it requires; --seed comes last
+SUBCOMMANDS = {
+    "gen-data": ["gen-data"],
+    "train": ["train", "--data", "data.csv"],
+    "map": ["map", "--model", "m.json", "--belief", "b.json"],
+    "merge": ["merge", "g.txt"],
+    "cost": ["cost", "g.txt", "--robot-x", "1.5", "--robot-y", "0"],
+    "plan": ["plan", "--model", "m.json"],
+    "eval": ["eval", "accuracy"],
+    "export-pgm": ["export-pgm", "g.txt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as e:
+        main(SUBCOMMANDS[command] + ["--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_seeds_are_accepted(artifacts, tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    assert main(["map", "--model", str(artifacts["model"]), "--belief", str(artifacts["belief"]),
+                 "--samples", "10", "--seed", str(2**70), "--out", str(out)]) == 0
+    assert f"seed={2**70} " in out.read_text()
+
+
 def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
     """`eval accuracy --seed 0` runs execute_trial and trains and evaluates
     SVMs; its report must keep these bytes."""
@@ -291,6 +330,18 @@ def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
     assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "631202542d3148cc81e51371c47fedf29ed60ce511c759eb068aeab9c940ff1b"
+
+
+def test_eval_accuracy_trains_under_its_config(tmp_path, capsys):
+    """The SVM constants of the config are the ones the curve trains with."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel_sigma": 0.3, "cost_C": 1.0}))
+    bodies = []
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / "acc.txt"
+        assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)] + extra) == 0
+        bodies.append(out.read_text().split("\n", 1)[1])
+    assert bodies[0] != bodies[1]
 
 
 def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys):

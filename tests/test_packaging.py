@@ -1,6 +1,6 @@
 """The third-party modules the package imports are exactly the ones that
-pyproject.toml declares as its dependencies, and every module uses what it
-imports."""
+pyproject.toml declares as its dependencies, every module uses what it
+imports, and every public name has a caller that is not a test."""
 
 import ast
 import re
@@ -59,3 +59,40 @@ def test_src_has_no_unused_imports():
     modules = sorted(Path(arplace.__file__).parent.glob("*.py"))
     assert [p for p in modules if p.name != "__init__.py"]
     assert [u for p in modules if p.name != "__init__.py" for u in _unused_imports(p)] == []
+
+
+def _referenced_names(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every name and attribute the module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.id, node.lineno) if isinstance(node, ast.Name) else (node.attr, node.lineno)
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+# public names that only tests call, each with the reason it stays
+NO_CALLER_NEEDED = {
+    # acceptance criterion 5 checks the map algebra with it
+    "placemap.union_edges",
+}
+
+
+def test_public_names_have_a_caller():
+    """Each public module-level function or class of src/arplace (but
+    __init__.py, which only re-exports) is referenced outside its own
+    definition, in src/ or in perfbench/. Code that only tests reach gets a
+    caller or is deleted."""
+    package = Path(arplace.__file__).parent
+    callers = sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    references = {path: _referenced_names(path) for path in callers}
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (other != path or line not in own)
+                       for other, refs in references.items() for name, line in refs):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert sorted(set(uncalled) - NO_CALLER_NEEDED) == []
+    assert NO_CALLER_NEEDED <= set(uncalled), "an allowlisted name has a caller now"

@@ -438,6 +438,22 @@ def test_best_cell_and_tie_break():
     assert (i, j) == (2, 3) and p == 0.9
 
 
+@given(probs_arrays)
+@settings(max_examples=50, deadline=None)
+def test_best_cell_at_radius_zero_is_the_plain_argmax(probs):
+    """Radius 0 smooths nothing: the first maximal cell in row-major order,
+    read from the map itself."""
+    probs = np.round(probs, 1)  # ties are common
+    ij, p = best_cell(_grid(probs), 0.0)
+    assert ij == np.unravel_index(np.argmax(probs), probs.shape)
+    assert p == probs.max()
+
+
+def test_best_cell_rejects_a_negative_radius():
+    with pytest.raises(ValueError):
+        best_cell(_grid(np.zeros((8, 10))), -0.01)
+
+
 def test_best_cell_smoothing_prefers_plateau_interiors():
     probs = np.zeros((10, 10))
     probs[1:6, 1:6] = 1.0   # 5x5 plateau

@@ -46,6 +46,8 @@ def test_sexp_writes_structure_and_resolved_location():
 def test_designator_validation():
     with pytest.raises(ValueError):
         Designator("teleport", ("cup-a",))
+    with pytest.raises(ValueError):  # nothing builds put-down locations
+        Designator("put_down", ("cup-a",))
     d = Designator("pick_up", ["cup-a"])
     assert d.objects == ("cup-a",)
     # designators are compared and hashed by identity
@@ -65,9 +67,6 @@ def test_project_flat_plan_trace_shape(gsm, world):
     assert trace.count("perceive") == 2
     assert trace.count("grasp") == 2
     assert all(g["success"] for g in trace.grasp_outcomes)
-    # events are contiguous on the clock
-    for prev, cur in zip(trace.events, trace.events[1:]):
-        assert cur.t_start == pytest.approx(prev.t_end)
 
 
 def test_project_is_deterministic(gsm, world):
@@ -75,8 +74,9 @@ def test_project_is_deterministic(gsm, world):
                 _spec(0.4), rng=np.random.default_rng(5))
     b = project(two_pickup_plan(), make_two_cup_scene(0.4), gsm, world,
                 _spec(0.4), rng=np.random.default_rng(5))
-    assert [(e.kind, e.t_end) for e in a.events] == \
-        [(e.kind, e.t_end) for e in b.events]
+    assert [(e.kind, e.detail) for e in a.events] == \
+        [(e.kind, e.detail) for e in b.events]
+    assert a.duration == b.duration
 
 
 def test_project_leaves_the_scene_beliefs_unchanged(gsm, world):
@@ -90,8 +90,9 @@ def test_project_leaves_the_scene_beliefs_unchanged(gsm, world):
     assert {name: obj.belief for name, obj in scene.objects.items()} == before
     b = project(two_pickup_plan(), scene, gsm, world, _spec(0.4),
                 rng=np.random.default_rng(5))
-    assert [(e.kind, e.t_end, e.detail) for e in a.events] == \
-        [(e.kind, e.t_end, e.detail) for e in b.events]
+    assert [(e.kind, e.detail) for e in a.events] == \
+        [(e.kind, e.detail) for e in b.events]
+    assert a.duration == b.duration
 
 
 def test_project_leaves_the_plan_unchanged(gsm, world):
@@ -104,8 +105,9 @@ def test_project_leaves_the_plan_unchanged(gsm, world):
     assert plan_to_sexp(plan) == before
     b = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
                 rng=np.random.default_rng(5))
-    assert [(e.kind, e.t_start, e.t_end, e.detail) for e in a.events] == \
-        [(e.kind, e.t_start, e.t_end, e.detail) for e in b.events]
+    assert [(e.kind, e.detail) for e in a.events] == \
+        [(e.kind, e.detail) for e in b.events]
+    assert a.duration == b.duration
 
 
 def test_project_rejects_unknown_objects(gsm, world):
@@ -131,10 +133,18 @@ def test_resolve_location_leaves_the_designator_unchanged(gsm):
 
 
 def test_plan_duration_matches_trace_clock(gsm, world):
-    tm = TimeModel()
+    """A trace keeps one clock: its duration is plan_duration under the time
+    model it was projected with, which is the running sum of the event
+    durations, bit for bit."""
+    tm = TimeModel(nav_overhead=10.0, nav_speed=0.4, grasp_time=4.0, perceive_time=1.5)
     trace = project(two_pickup_plan(), make_two_cup_scene(0.5), gsm, world,
                     _spec(0.5), rng=np.random.default_rng(1), time_model=tm)
-    assert plan_duration(trace, tm) == pytest.approx(trace.duration)
+    assert trace.time_model is tm
+    clock = 0.0
+    for e in trace.events:
+        clock += tm.event_duration(e)
+    assert trace.duration == plan_duration(trace, tm) == clock
+    assert plan_duration(trace, TimeModel()) != trace.duration
     # independent recomputation from the event details
     want = 0.0
     for e in trace.events:
@@ -156,11 +166,28 @@ def test_merge_flaw_fires_for_close_cups(gsm):
     flaw = detect_merge_flaw(two_pickup_plan(), scene, gsm, _spec(0.30),
                              rng=np.random.default_rng(0))
     assert flaw is not None
-    assert flaw.kind == "unoptimized_locations"
-    assert flaw.bindings["objects"] == ["cup-a", "cup-b"]
+    assert flaw.tasks == (0, 1)
+    assert flaw.objects == ("cup-a", "cup-b")
     (x, y), p = flaw.proposed_location
     assert p > 0.85
     assert abs(y) < 0.2  # between the cups
+
+
+def test_merge_flaw_resolves_the_joint_designator(gsm):
+    """The flaw's location is the joint designator's, resolved on the same
+    Generator stream."""
+    scene = make_two_cup_scene(0.30)
+    flaw = detect_merge_flaw(two_pickup_plan(), scene, gsm, _spec(0.30),
+                             rng=np.random.default_rng(0))
+    joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
+    assert flaw.proposed_location == resolve_location(
+        joint, scene, gsm, _spec(0.30), rng=np.random.default_rng(0))
+
+
+def test_merge_flaw_rejects_unknown_objects(gsm):
+    with pytest.raises(UnresolvableDesignatorError):
+        detect_merge_flaw(two_pickup_plan("cup-a", "cup-z"), make_two_cup_scene(0.30),
+                          gsm, _spec(0.30), rng=np.random.default_rng(0))
 
 
 def test_merge_flaw_absent_for_distant_cups(gsm):
@@ -179,7 +206,7 @@ def test_merge_transform_structural_diff(gsm):
     # original untouched
     orig_tasks = [n for n in plan.walk() if n.kind == "at_location"]
     assert orig_tasks[0].location is not orig_tasks[1].location
-    assert flaw.bindings["tasks"] == [0, 1]
+    assert flaw.tasks == (0, 1)
     # transformed plan: same kinds and goals, one shared resolved designator
     assert [(n.kind, n.goal) for n in merged.walk()] == \
         [(n.kind, n.goal) for n in plan.walk()]
@@ -207,12 +234,7 @@ def test_merged_plan_navigates_once(gsm, world):
 
 
 def test_merge_transform_rejects_foreign_flaws():
-    with pytest.raises(ValueError):
-        apply_merge_transform(two_pickup_plan(),
-                              Flaw("unreached_goal_location", {}))
-    flaw = Flaw("unoptimized_locations",
-                {"tasks": [0, 1], "objects": ["cup-a", "cup-b"]},
-                proposed_location=((0.5, 0.0), 0.9))
+    flaw = Flaw((0, 1), ("cup-a", "cup-b"), proposed_location=((0.5, 0.0), 0.9))
     assert apply_merge_transform(two_pickup_plan(), flaw) is not None
     # the tasks at the bound positions must reach exactly the flaw's objects
     with pytest.raises(ValueError):
