@@ -58,7 +58,8 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Read a JSON override file. Unknown keys, values of the wrong type
-        or out of range, and world constants that WorldConfig rejects raise
+        or out of range, a cell size whose grid has more than MAX_GRID_CELLS
+        cells, and world constants that WorldConfig rejects raise
         BadConfigError."""
         raw = _read("config", _load_json, path)
         _check_fields(cls, raw, "config")
@@ -68,6 +69,15 @@ class PipelineConfig:
             if not (lo < value and (hi is None or value < hi)):
                 bounds = f"> {lo}" if hi is None else f"in ({lo}, {hi})"
                 raise BadConfigError(f"config {key} must be {bounds}, found {value!r}")
+        for key in ("cell_size", "extraction_cell"):
+            try:  # both grids cover the default robot grid's rectangle
+                spec = candidate_grid_spec(getattr(cfg, key))
+                cells = spec.nx * spec.ny
+            except OverflowError:  # more cells along an axis than a float holds
+                cells = math.inf
+            if cells > MAX_GRID_CELLS:
+                raise BadConfigError(f"config {key} {getattr(cfg, key)!r} makes a grid of "
+                                     f"{cells} cells, above the limit of {MAX_GRID_CELLS}")
         _check_fields(WorldConfig, cfg.world, "config world")
         try:
             cfg.world_config(0)
@@ -90,6 +100,10 @@ _OPEN_RANGES = {
     "n_landmarks": (3, 2**63), "n_samples": (0, 2**63), "cell_size": (0, None),
     "extraction_cell": (0, None), "merge_threshold": (0, 1), "energy_target": (0, 1),
 }
+
+# most cells that cell_size may give the candidate grid, and extraction_cell
+# the extraction grid, over the default robot grid: 8 MB per float map
+MAX_GRID_CELLS = 1_000_000
 
 
 def _check_fields(cls, raw, where: str):

@@ -43,7 +43,8 @@ class GaussianBelief:
             raise ValueError("belief needs a 3-vector mean and 3x3 covariance")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("belief mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        # np.allclose(cov, cov.T, atol=1e-12) spelled out, for finite entries
+        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):
             raise ValueError("covariance must be symmetric")
         evals, evecs = np.linalg.eigh(cov)
         if evals[0] < -1e-12:
@@ -76,13 +77,18 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
     """(nx, ny) number of polygons containing each cell center, polygon k
     translated by shifts[k] along y.
 
-    Even-odd scanline fill: each edge is intersected with each grid row using
-    the float expressions of classifier.points_in_polygon, and a crossing
-    becomes k, the number of cell centers strictly to its left. Sorted per
-    (polygon, row), the crossings k1 <= k2 <= ... bound the inside spans
-    [k1, k2), [k3, k4), ...; a difference array and a cumulative sum turn the
-    spans into counts. Every membership decision equals points_in_polygon's
-    on center_points() - [0, shift]. The work is m * ny per polygon.
+    Even-odd scanline fill. Row j of polygon k lies at ys[j] - shifts[k].
+    The number of rows strictly below each vertex is estimated by one
+    division and then stepped to the exact count against those floats, so
+    an edge crosses exactly the rows between the counts of its two end
+    points. Each crossing is intersected with its row using the float
+    expressions of classifier.points_in_polygon and becomes k, the number of
+    cell centers strictly to its left. Sorted per (polygon, row), the
+    crossings k1 <= k2 <= ... bound the inside spans [k1, k2), [k3, k4), ...;
+    a difference array and a cumulative sum turn the spans into counts.
+    Every membership decision equals points_in_polygon's on center_points()
+    - [0, shift]. The work is m row lookups per polygon plus one step per
+    crossing.
     """
     xs, ys = spec.centers()
     nx, ny = spec.nx, spec.ny
@@ -91,16 +97,32 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
     diff = np.zeros(size, dtype=np.int64)
     for start in range(0, len(polygons), _FILL_BLOCK):
         block = polygons[start:start + _FILL_BLOCK]
-        y_rows = ys[None, :, None] - shifts[start:start + _FILL_BLOCK, None, None]
-        above = block[:, None, :, 1] > y_rows  # (polygon, row, vertex)
-        poly, row, edge = np.nonzero(above != np.roll(above, -1, axis=2))
-        nxt = (edge + 1) % block.shape[1]
-        x1, y1 = block[poly, edge, 0], block[poly, edge, 1]
-        x2, y2 = block[poly, nxt, 0], block[poly, nxt, 1]
-        y = y_rows[poly, row, 0]
-        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        nb, m = block.shape[:2]
+        # row j of polygon k is y_rows[k * ny + j]; vertex v is (bx[v], by[v])
+        y_rows = (ys[None, :] - shifts[start:start + _FILL_BLOCK, None]).ravel()
+        bx, by = block[:, :, 0].ravel(), block[:, :, 1].ravel()
+        row0 = np.repeat(np.arange(nb) * ny, m)
+        # rows strictly below each vertex: one division, then steps to the exact count
+        a = np.fmin(np.fmax(np.ceil((by - y_rows[row0]) / spec.cell_size), 0), ny).astype(np.intp)
+        while True:
+            up = (a < ny) & (y_rows[row0 + np.minimum(a, ny - 1)] < by)
+            down = (a > 0) & ~(y_rows[row0 + np.maximum(a - 1, 0)] < by)
+            if not (up.any() or down.any()):
+                break
+            a += up
+            a -= down
+        # edge v runs to vertex nxt[v] and crosses the rows [lo, lo + span)
+        nxt = np.roll(np.arange(nb * m).reshape(nb, m), -1, axis=1).ravel()
+        lo = np.minimum(a, a[nxt])
+        span = np.abs(a - a[nxt])
+        v = np.repeat(np.arange(nb * m), span)
+        # flat (polygon, row) index of each crossing, as in y_rows
+        row = np.repeat(row0 + lo - (np.cumsum(span) - span), span) + np.arange(len(v))
+        w = nxt[v]
+        y = y_rows[row]
+        xint = bx[v] + (y - by[v]) * (bx[w] - bx[v]) / (by[w] - by[v])
         # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort((poly * ny + row) * width + np.searchsorted(xs, xint, side="left"))
+        keys = np.sort(row * width + np.searchsorted(xs, xint, side="left"))
         diff += np.bincount(keys[0::2] % size, minlength=size)
         diff -= np.bincount(keys[1::2] % size, minlength=size)
     return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)

@@ -59,6 +59,8 @@ class Designator:
         if self.purpose not in ("pick_up", "joint_pick_up"):
             raise ValueError(f"unknown designator purpose {self.purpose!r}")
         self.objects = tuple(self.objects)
+        if not self.objects:
+            raise ValueError("a designator must name at least one object")
 
 
 @dataclass

@@ -73,12 +73,17 @@ class PDM:
 
         Built from elementwise products rather than a matrix product, so a
         row's polygon has the same bits whatever the number of rows: BLAS
-        takes a different kernel for a single row than for many.
+        takes a different kernel for a single row than for many. Each
+        coordinate is summed in place in the result, so the working memory
+        beyond it is one (n, m) product.
         """
-        flat = self.mean
-        for k in range(self.d):
-            flat = flat + b[:, k:k + 1] * self.modes[:, k]
-        return np.stack([flat[:, :self.m], flat[:, self.m:]], axis=-1)
+        out = np.empty((len(b), self.m, 2))
+        for c, rows in enumerate((slice(None, self.m), slice(self.m, None))):
+            acc = out[:, :, c]
+            acc[...] = self.mean[rows]
+            for k in range(self.d):
+                acc += b[:, k:k + 1] * self.modes[rows, k]
+        return out
 
 
 def fit_pdm(H, d: int) -> PDM:

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from arplace.cli import main
-from arplace.evaluation import merge_experiment, transformation_benefit
+from arplace.cli import MAX_GRID_CELLS, BadConfigError, PipelineConfig, main
+from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
 from arplace.grids import ARPlaceGrid, GridSpec, load_grid_text, save_grid_text
 from arplace.shapemodel import GSMModel
 from arplace.simworld import default_world
@@ -96,6 +96,37 @@ def test_bad_config_value_exit_code(artifacts, tmp_path, capsys, name):
                "--out", str(tmp_path / "out")] + extra)
     assert rc == 3
     assert "config" in capsys.readouterr().err
+
+
+# cell sizes whose grids are too large to allocate: 1e-5 m asks for 1.4e10
+# cells, 112 GB per float map, and 5e-324 m for more cells than a float counts
+OVERSIZED_GRIDS = {
+    "cell_size_1e-5": {"cell_size": 1e-5},
+    "extraction_cell_1e-5": {"extraction_cell": 1e-5},
+    "cell_size_denormal": {"cell_size": 5e-324},
+    "extraction_cell_just_too_fine": {"extraction_cell": 0.001},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_GRIDS))
+def test_oversized_grids_are_a_config_error(tmp_path, capsys, name):
+    """Only the config is read: from_file builds no grid, and gen-data,
+    which runs no map, would succeed without the limit."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(OVERSIZED_GRIDS[name]))
+    with pytest.raises(BadConfigError, match=f"limit of {MAX_GRID_CELLS}"):
+        PipelineConfig.from_file(cfg)
+    assert main(["gen-data", "--config", str(cfg), "--seed", "0",
+                 "--out", str(tmp_path / "d.csv")]) == 3
+    assert "cells" in capsys.readouterr().err
+
+
+def test_grids_up_to_the_cell_limit_are_accepted(tmp_path):
+    kept, refused = candidate_grid_spec(0.0012), candidate_grid_spec(0.001)
+    assert kept.nx * kept.ny <= MAX_GRID_CELLS < refused.nx * refused.ny
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cell_size": 0.0012, "extraction_cell": 0.0012}))
+    assert PipelineConfig.from_file(cfg).cell_size == 0.0012
 
 
 def test_good_config_values_are_accepted(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arplace.classifier import points_in_polygon
+from arplace.evaluation import candidate_grid_spec
 from arplace.geometry import ObjectFeatures
 from arplace.grids import ARPlaceGrid, GridSpec
 from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts,
@@ -68,6 +70,35 @@ def test_belief_sample_is_the_clipped_eigen_root(cov):
     evals, evecs = np.linalg.eigh(cov)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     np.testing.assert_array_equal(draws, mean + z @ root.T)
+
+
+def _rejected_as_asymmetric(cov) -> bool:
+    try:
+        GaussianBelief((0.0, 0.0, 0.0), cov)
+    except ValueError as e:
+        return "symmetric" in str(e)
+    return False
+
+
+@st.composite
+def _near_symmetric(draw):
+    """A symmetric matrix plus, above the diagonal, perturbations of about
+    the tolerance 1e-12 + 1e-5 |c| of np.allclose, so that both decisions
+    occur and some fall on the boundary."""
+    entries = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                        st.sampled_from([0.0, 1e-13, -1e-7, 0.04]))
+    sym = draw(arrays(np.float64, (3, 3), elements=entries))
+    sym = np.triu(sym) + np.triu(sym, 1).T
+    factor = draw(arrays(np.float64, (3, 3), elements=st.one_of(
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.sampled_from([1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]))))
+    return sym + np.triu((1e-12 + 1e-5 * np.abs(sym)) * factor, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_symmetric())
+def test_belief_symmetry_check_decides_as_allclose(cov):
+    assert _rejected_as_asymmetric(cov) == (not np.allclose(cov, cov.T, atol=1e-12))
 
 
 def test_belief_accepts_semidefinite_covariance():
@@ -156,6 +187,10 @@ FILL_CASES = {
     "crossing_on_center_x": [[[0.5, 0.1], [0.5, 1.4], [1.25, 1.4], [1.25, 0.1]]],
     "several_spans_per_row": [[[0.0, 0.0], [2.0, 0.0], [2.0, 1.5], [1.5, 1.5],
                                [1.5, 0.5], [0.5, 0.5], [0.5, 1.5], [0.0, 1.5]]],
+    # wholly below the first row, wholly above the last, and edges beyond both
+    "edges_beyond_the_grid": [[[0.5, -1.0], [1.5, -1.0], [1.5, -0.2], [0.5, -0.2]],
+                              [[0.5, 2.0], [1.5, 2.0], [1.5, 3.0], [0.5, 3.0]],
+                              [[0.3, -0.7], [1.6, -0.9], [1.8, 2.4], [0.4, 2.2]]],
     "outside_on_every_side": [[[-1.0, -1.0], [5.0, -1.0], [5.0, 5.0], [-1.0, 5.0]],
                               [[-0.6, 0.7], [1.1, -0.9], [2.9, 0.8], [1.0, 2.6]],
                               [[3.0, 3.0], [4.0, 3.0], [4.0, 4.0], [3.0, 4.0]]],
@@ -178,6 +213,30 @@ def test_fill_matches_oracle_across_blocks():
     shifts = rng.normal(0.0, 0.3, n)
     np.testing.assert_array_equal(_fill_counts(polygons, shifts, EXACT),
                                   _fill_oracle(polygons, shifts, EXACT))
+
+
+def test_fill_matches_oracle_at_rows_where_one_division_miscounts():
+    """Vertices exactly on the float ys[r] - shift that row r of a shifted
+    polygon is compared at, and one float under and over it. On this 0.1 m
+    grid shifted by 0.25 the division (y - row 0) / cell counts a row too
+    many below some of them and one too few below others; the fill steps to
+    the exact count. Each vertex is the apex of a flat triangle whose base
+    lies one float on the other side of the row, so a wrong count adds or
+    drops a whole span."""
+    spec, shift = GridSpec(0.0, 0.1, 0.1, 6, 12), 0.25
+    ys = spec.centers()[1] - shift
+    rows = np.tile(ys, 3)
+    apex = np.concatenate([ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf)])
+    estimate = np.ceil((apex - ys[0]) / spec.cell_size)
+    exact = (ys[None, :] < apex[:, None]).sum(axis=1)
+    assert (estimate > exact).any() and (estimate < exact).any()
+    base = np.where(apex > rows, np.nextafter(rows, -np.inf), np.nextafter(rows, np.inf))
+    polygons = np.stack([np.stack([np.full_like(apex, 0.25), apex], axis=-1),
+                         np.stack([np.full_like(apex, 0.5), base], axis=-1),
+                         np.stack([np.zeros_like(apex), base], axis=-1)], axis=1)
+    shifts = np.full(len(polygons), shift)
+    np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
+                                  _fill_oracle(polygons, shifts, spec))
 
 
 def test_fill_of_point_belief_draws(gsm):
@@ -213,6 +272,32 @@ def test_fill_matches_oracle_on_random_polygons(case):
     polygons, shifts, spec = case
     np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
                                   _fill_oracle(polygons, shifts, spec))
+
+
+# sha256 of compute_map(gsm, isotropic(mean, sigma, sigma), candidate grid,
+# n_samples=n, rng=3).probs.tobytes() on the session model; the scanline fill
+# must keep these bytes
+MAP_BYTES = {
+    "sigma_0": ((0.14, 0.0, 0.1), 0.0, 250,
+                "9a4a0ce6720af8de90d5577c79c9857239812c5214fdad9f1a23fcbcb5ea70ae"),
+    "sigma_0.05": ((0.14, 0.0, 0.1), 0.05, 250,
+                   "503c5c43fa26197e1a27e637c812a5ab2377e420bc46d06250f65b9aeafbec79"),
+    "sigma_0.2": ((0.14, 0.0, 0.1), 0.2, 250,
+                  "3d1f6cd36b11c136876400b9cdca7ca69775efda59ce21fd2d79cc93b3a78d6d"),
+    "lateral_shift": ((0.14, 0.12, 0.1), 0.05, 250,
+                      "2b9847d9969cde57fd966f3fc0dadf7f5401b2ef4e8e79b45c967064b4a59309"),
+    "two_blocks": ((0.14, 0.0, 0.1), 0.05, 400,
+                   "565c4e067cc438f96e3d7ede55f03bfd0efeaa49f4d0577b3c14adcf39e976d7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_BYTES))
+def test_compute_map_keeps_its_bytes(gsm, name):
+    mean, sigma, n, sha = MAP_BYTES[name]
+    assert name != "two_blocks" or _FILL_BLOCK < n <= 2 * _FILL_BLOCK
+    grid = compute_map(gsm, GaussianBelief.isotropic(mean, sigma, sigma),
+                       candidate_grid_spec(), n_samples=n, rng=3)
+    assert hashlib.sha256(grid.probs.tobytes()).hexdigest() == sha
 
 
 def test_compute_map_memory_does_not_grow_with_samples(gsm):

@@ -48,6 +48,9 @@ def test_designator_validation():
         Designator("teleport", ("cup-a",))
     with pytest.raises(ValueError):  # nothing builds put-down locations
         Designator("put_down", ("cup-a",))
+    for purpose in ("pick_up", "joint_pick_up"):  # an empty one has no map to resolve
+        with pytest.raises(ValueError, match="at least one object"):
+            Designator(purpose, ())
     d = Designator("pick_up", ["cup-a"])
     assert d.objects == ("cup-a",)
     # designators are compared and hashed by identity
