@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec
-from .simworld import robot_bounds
 
 KKT_TOLERANCE = 1e-3     # convergence contract
 _SOLVE_EPS = 1e-10       # internal target, for order-independent solutions
 _MAX_PAIR_STEPS = 500_000
+_KERNEL_BLOCK = 4_096    # points per kernel block: 2.7 MB per temporary at 82 SVs
 
 
 class SVMConvergenceError(RuntimeError):
@@ -42,9 +42,15 @@ class SVMModel:
     kkt_violation: float = 0.0
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
+        """Decision value of each point, evaluated in blocks of _KERNEL_BLOCK
+        points so that the kernel temporaries do not grow with the grid."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        K = gaussian_kernel(pts, self.support_points, self.kernel_sigma)
-        return K @ self.alphas + self.bias
+        out = np.empty(len(pts))
+        for start in range(0, len(pts), _KERNEL_BLOCK):
+            block = slice(start, start + _KERNEL_BLOCK)
+            K = gaussian_kernel(pts[block], self.support_points, self.kernel_sigma)
+            out[block] = K @ self.alphas + self.bias
+        return out
 
 
 def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -352,7 +358,3 @@ def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                            cost_C=cost_C, positive_class_weight=positive_class_weight)
             for obj, (points, labels) in by_pose.items()}
 
-
-def default_extraction_grid(robot_grid, cell_size: float = 0.01) -> GridSpec:
-    """1 cm decision grid covering the training rectangle."""
-    return GridSpec.covering(*robot_bounds(robot_grid), cell_size)

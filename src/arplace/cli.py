@@ -19,18 +19,19 @@ import typing
 import numpy as np
 
 from . import __version__
-from .classifier import EmptySuccessRegionError, default_extraction_grid, train_per_pose
+from .classifier import EmptySuccessRegionError, train_per_pose
 from .evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                          merge_experiment, robustness_experiment,
                          transformation_benefit)
 from .geometry import ObjectFeatures
-from .grids import load_grid_text, save_grid_text, save_pgm
+from .grids import GridSizeError, GridSpec, load_grid_text, save_grid_text, save_pgm
 from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
                        compute_map, cost_map, merge)
 from .planner import plan_to_sexp
 from .shapemodel import DegenerateShapeError, GSMModel, RegressionRankError, train_gsm
 from .simworld import (Dataset, WorldConfig, default_object_grid,
-                       default_robot_grid, default_world, generate_dataset)
+                       default_robot_grid, default_world, generate_dataset,
+                       robot_bounds)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,9 +59,9 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Read a JSON override file. Unknown keys, values of the wrong type
-        or out of range, a cell size whose grid has more than MAX_GRID_CELLS
-        cells, and world constants that WorldConfig rejects raise
-        BadConfigError."""
+        or out of range, a cell size whose grid over the default base
+        positions has more than grids.MAX_GRID_CELLS cells, and world
+        constants that WorldConfig rejects raise BadConfigError."""
         raw = _read("config", _load_json, path)
         _check_fields(cls, raw, "config")
         cfg = cls(**raw)
@@ -70,14 +71,10 @@ class PipelineConfig:
                 bounds = f"> {lo}" if hi is None else f"in ({lo}, {hi})"
                 raise BadConfigError(f"config {key} must be {bounds}, found {value!r}")
         for key in ("cell_size", "extraction_cell"):
-            try:  # both grids cover the default robot grid's rectangle
-                spec = candidate_grid_spec(getattr(cfg, key))
-                cells = spec.nx * spec.ny
-            except OverflowError:  # more cells along an axis than a float holds
-                cells = math.inf
-            if cells > MAX_GRID_CELLS:
-                raise BadConfigError(f"config {key} {getattr(cfg, key)!r} makes a grid of "
-                                     f"{cells} cells, above the limit of {MAX_GRID_CELLS}")
+            try:  # also for gen-data, which builds no grid
+                candidate_grid_spec(getattr(cfg, key))
+            except GridSizeError as e:
+                raise BadConfigError(f"config {key} {getattr(cfg, key)!r}: {e}")
         _check_fields(WorldConfig, cfg.world, "config world")
         try:
             cfg.world_config(0)
@@ -100,10 +97,6 @@ _OPEN_RANGES = {
     "n_landmarks": (3, 2**63), "n_samples": (0, 2**63), "cell_size": (0, None),
     "extraction_cell": (0, None), "merge_threshold": (0, 1), "energy_target": (0, 1),
 }
-
-# most cells that cell_size may give the candidate grid, and extraction_cell
-# the extraction grid, over the default robot grid: 8 MB per float map
-MAX_GRID_CELLS = 1_000_000
 
 
 def _check_fields(cls, raw, where: str):
@@ -139,10 +132,6 @@ def _header_fields(lines: list[str]) -> dict:
     return dict(tok.split("=", 1) for line in lines for tok in line.split() if "=" in tok)
 
 
-def _load_config(args) -> PipelineConfig:
-    return PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-
-
 def _read(kind: str, load, path):
     """load(path) for an input file of the given kind. A missing file raises
     MissingInputError (exit 4); a malformed one, on which load raises
@@ -176,8 +165,7 @@ def _parse_belief(path) -> GaussianBelief:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
+def cmd_gen_data(args, cfg: PipelineConfig) -> int:
     world = cfg.world_config(args.seed)
     dataset = generate_dataset(world, default_object_grid(), default_robot_grid(),
                                seed=args.seed,
@@ -188,8 +176,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
+def cmd_train(args, cfg: PipelineConfig) -> int:
     world = cfg.world_config(args.seed)
     dataset = _read("dataset", lambda path: Dataset.load_csv(path, world), args.data)
     made_under = _header_fields(dataset.comments).get("config_hash")
@@ -197,10 +184,11 @@ def cmd_train(args) -> int:
         raise BadConfigError(f"dataset {args.data} was generated under config_hash "
                              f"{made_under}, not under this config ({cfg.hash()})")
     try:
+        # over the dataset's own base positions, so a wide one fails before any SVM
+        grid = GridSpec.covering(*robot_bounds(dataset.robot_grid), cfg.extraction_cell)
         svms = train_per_pose(dataset, kernel_sigma=cfg.kernel_sigma,
                               cost_C=cfg.cost_C,
                               positive_class_weight=cfg.class_weight)
-        grid = default_extraction_grid(dataset.robot_grid, cfg.extraction_cell)
         gsm = train_gsm(svms, grid, n_landmarks=cfg.n_landmarks,
                         energy_target=cfg.energy_target)
     except (ValueError, EmptySuccessRegionError, DegenerateShapeError,
@@ -217,8 +205,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_map(args) -> int:
-    cfg = _load_config(args)
+def cmd_map(args, cfg: PipelineConfig) -> int:
     gsm = _read("model", GSMModel.load, args.model)
     belief = _read("belief", _parse_belief, args.belief)
     spec = candidate_grid_spec(cfg.cell_size)
@@ -231,8 +218,7 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def cmd_merge(args) -> int:
-    cfg = _load_config(args)
+def cmd_merge(args, cfg: PipelineConfig) -> int:
     merged = _read("grid", load_grid_text, args.grids[0])
     for path in args.grids[1:]:
         try:
@@ -244,8 +230,7 @@ def cmd_merge(args) -> int:
     return EXIT_OK
 
 
-def cmd_cost(args) -> int:
-    cfg = _load_config(args)
+def cmd_cost(args, cfg: PipelineConfig) -> int:
     grid = _read("grid", load_grid_text, args.grid)
     costs = cost_map(grid, (args.robot_x, args.robot_y),
                      retry_penalty_s=args.retry_penalty,
@@ -264,8 +249,7 @@ def _write_report(args, cfg: PipelineConfig, body: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    cfg = _load_config(args)
+def cmd_plan(args, cfg: PipelineConfig) -> int:
     gsm = _read("model", GSMModel.load, args.model)
     threshold = cfg.merge_threshold if args.threshold is None else args.threshold
     point = merge_experiment(args.separation, gsm, cfg.world_config(args.seed),
@@ -283,8 +267,7 @@ def cmd_plan(args) -> int:
     return _write_report(args, cfg, lines)
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: PipelineConfig) -> int:
     world = cfg.world_config(args.seed)
     lines = []
     if args.experiment == "robustness":
@@ -324,8 +307,7 @@ def cmd_eval(args) -> int:
     return _write_report(args, cfg, lines)
 
 
-def cmd_export_pgm(args) -> int:
-    cfg = _load_config(args)
+def cmd_export_pgm(args, cfg: PipelineConfig) -> int:
     grid = _read("grid", load_grid_text, args.grid)
     save_pgm(grid, args.out, header_lines=_header(cfg, args.seed))
     print(f"graymap written to {args.out}")
@@ -418,8 +400,9 @@ def main(argv=None) -> int:
     if args.command == "eval" and args.experiment != "accuracy" and args.model is None:
         parser.error(f"eval {args.experiment} requires --model")
     try:
-        return args.func(args)
-    except BadConfigError as e:
+        cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        return args.func(args, cfg)
+    except (BadConfigError, GridSizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except MissingInputError as e:

@@ -12,6 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# most cells of any grid, 8 MB per float map; GridSpec refuses more
+MAX_GRID_CELLS = 1_000_000
+
+
+class GridSizeError(ValueError):
+    """A grid of more than MAX_GRID_CELLS cells."""
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -28,6 +35,9 @@ class GridSpec:
             raise ValueError("cell_size must be finite and positive")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one cell")
+        if self.nx * self.ny > MAX_GRID_CELLS:
+            raise GridSizeError(f"a grid of {self.nx} x {self.ny} = {self.nx * self.ny} cells "
+                                f"is above the limit of {MAX_GRID_CELLS}")
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         return (self.origin_x + i * self.cell_size,
@@ -46,8 +56,13 @@ class GridSpec:
 
     @classmethod
     def covering(cls, x_min, x_max, y_min, y_max, cell_size) -> "GridSpec":
-        nx = int(np.ceil((x_max - x_min) / cell_size)) + 1
-        ny = int(np.ceil((y_max - y_min) / cell_size)) + 1
+        """Grid from (x_min, y_min) whose cells reach x_max and y_max. A span
+        of more cells than a float holds raises GridSizeError too."""
+        spans = ((x_max - x_min) / cell_size, (y_max - y_min) / cell_size)
+        if any(map(math.isinf, spans)):
+            raise GridSizeError(f"cell size {cell_size!r} gives more cells than a float "
+                                f"counts, above the limit of {MAX_GRID_CELLS}")
+        nx, ny = (int(np.ceil(span)) + 1 for span in spans)
         return cls(x_min, y_min, cell_size, nx, ny)
 
 

@@ -308,14 +308,11 @@ class GSMModel:
 
     pdm: PDM
     regression: RegressionModel
-    grasp_type: str = "side"
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pdm.d != GSM_MODES:
             raise ValueError(f"model requires exactly {GSM_MODES} modes")
-        if self.grasp_type not in ("side", "top"):
-            raise ValueError("grasp_type must be 'side' or 'top'")
 
     @property
     def training_bounds(self) -> dict:
@@ -343,7 +340,7 @@ class GSMModel:
             "version": MODEL_FORMAT_VERSION,
             "m": self.pdm.m,
             "d": self.pdm.d,
-            "grasp_type": self.grasp_type,
+            "grasp_type": "side",  # the one grasp the model describes
             "mean": self.pdm.mean.tolist(),
             "modes": self.pdm.modes.tolist(),
             "eigenvalues": self.pdm.eigenvalues.tolist(),
@@ -369,6 +366,7 @@ class GSMModel:
         _require(mean.shape == (2 * m,) and m >= 3, "mean", "hold 2m values, m >= 3")
         _require(d["m"] == m, "m", f"be {m}")
         _require(d["d"] == GSM_MODES, "d", f"be {GSM_MODES}")
+        _require(d["grasp_type"] == "side", "grasp_type", "be 'side'")
         energy = float(_numbers(d, "energy", ()))
         _require(0.0 < energy <= 1.0, "energy", "lie in (0, 1]")
         bounds = d["training_bounds"]
@@ -383,8 +381,7 @@ class GSMModel:
         reg = RegressionModel(W=np.stack([_numbers(d, "W1", (3, 3)), _numbers(d, "W2", (3, 3))]),
                               r_squared=_numbers(d, "r_squared", (GSM_MODES,)),
                               training_bounds=bounds)
-        return cls(pdm=pdm, regression=reg, grasp_type=d["grasp_type"],
-                   extras=d.get("extras", {}))
+        return cls(pdm=pdm, regression=reg, extras=d.get("extras", {}))
 
     def save(self, path, header: dict):
         """Write to_dict() and the header as one JSON object."""

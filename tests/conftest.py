@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import arplace
-from arplace.classifier import default_extraction_grid, train_per_pose
+from arplace.classifier import train_per_pose
+from arplace.evaluation import candidate_grid_spec
 from arplace.shapemodel import train_gsm
 from arplace.simworld import (default_object_grid, default_robot_grid,
                               default_world, generate_dataset)
@@ -35,7 +36,7 @@ def pipeline(world):
     t1 = time.perf_counter()
     svms = train_per_pose(data)
     t2 = time.perf_counter()
-    egrid = default_extraction_grid(data.robot_grid)
+    egrid = candidate_grid_spec(0.01)
     gsm = train_gsm(svms, egrid)
     t3 = time.perf_counter()
     return {

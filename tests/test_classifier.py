@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from arplace.classifier import (_MS_SEGMENTS, KKT_TOLERANCE, Boundary,
+from arplace.classifier import (_KERNEL_BLOCK, _MS_SEGMENTS, KKT_TOLERANCE, Boundary,
                                 EmptySuccessRegionError, SVMConvergenceError,
                                 SVMModel, _marching_squares, _start_at_max_x_crossing,
                                 extract_contour, points_in_polygon, signed_area,
                                 train_svm)
+from arplace.evaluation import candidate_grid_spec
 from arplace.grids import GridSpec
 from arplace.placemap import _fill_counts
 from arplace.shapemodel import _ArcTable
@@ -181,6 +183,7 @@ def _decision_values_reference(model, pts):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 50), n_sv=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        sigma=st.sampled_from([0.03, 0.1, 0.37]), lattice=st.booleans())
+@example(n=2 * _KERNEL_BLOCK + 5, n_sv=40, seed=1, sigma=0.1, lattice=False)  # three blocks
 def test_decision_values_match_the_3d_sum(n, n_sv, seed, sigma, lattice):
     rng = np.random.default_rng(seed)
     if lattice:  # points that coincide with support points: zero distances
@@ -503,6 +506,26 @@ def test_extract_contour_matches_the_point_test_on_the_training_contours(pipelin
                 points_in_polygon(loop, pts).reshape(spec.nx, spec.ny))
         np.testing.assert_array_equal(extract_contour(model, spec),
                                       _extract_contour_reference(model, spec))
+
+
+def test_extract_contour_memory_does_not_grow_with_the_grid(pipeline):
+    """The kernel is evaluated in blocks of _KERNEL_BLOCK points: on the pose
+    with the most support vectors (82), four times the cells (0.005 m
+    against 0.01 m) must not take 1.5 times the peak. Evaluating the kernel
+    over all points at once peaked at 37.7 and 149.6 MB."""
+    model = max(pipeline["svms"].values(), key=lambda m: len(m.alphas))
+    peaks = []
+    for cell in (0.01, 0.005):
+        spec = candidate_grid_spec(cell)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a pose may trace two regions
+                extract_contour(model, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_extract_contour_drops_the_loop_around_a_hole():

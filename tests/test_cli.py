@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from arplace.cli import MAX_GRID_CELLS, BadConfigError, PipelineConfig, main
+from arplace.cli import BadConfigError, PipelineConfig, main
 from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
-from arplace.grids import ARPlaceGrid, GridSpec, load_grid_text, save_grid_text
+from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
+                           load_grid_text, save_grid_text)
 from arplace.shapemodel import GSMModel
 from arplace.simworld import default_world
 
@@ -122,8 +123,10 @@ def test_oversized_grids_are_a_config_error(tmp_path, capsys, name):
 
 
 def test_grids_up_to_the_cell_limit_are_accepted(tmp_path):
-    kept, refused = candidate_grid_spec(0.0012), candidate_grid_spec(0.001)
-    assert kept.nx * kept.ny <= MAX_GRID_CELLS < refused.nx * refused.ny
+    kept = candidate_grid_spec(0.0012)
+    assert kept.nx * kept.ny <= MAX_GRID_CELLS
+    with pytest.raises(GridSizeError):
+        candidate_grid_spec(0.001)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cell_size": 0.0012, "extraction_cell": 0.0012}))
     assert PipelineConfig.from_file(cfg).cell_size == 0.0012
@@ -211,6 +214,8 @@ BAD_GRIDS = {
     "wrong_header_key": (lambda ls: ls[:2] + ["origin_z 0\n"] + ls[3:], "line 3:"),
     "nan_cell": (lambda ls: ls[:5] + ["0.5 nan 0.5 0.5\n"] + ls[6:], "line 6:"),
     "infinite_origin": (lambda ls: ls[:1] + ["origin_x inf\n"] + ls[2:], "line 2:"),
+    "oversized_header": (lambda ls: ls[:4] + ["nx_ny 1001 1000\n"] + ls[5:],
+                         f"limit of {MAX_GRID_CELLS}"),
 }
 
 
@@ -273,6 +278,7 @@ BAD_MODELS = {
         {**m, "training_bounds": {**m["training_bounds"], "dpsi_obj": [0.0, math.inf]}}),
         "'dpsi_obj'"),
     "extras_not_an_object": (lambda m: json.dumps({**m, "extras": "x"}), "'extras'"),
+    "top_grasp": (lambda m: json.dumps({**m, "grasp_type": "top"}), "'grasp_type'"),
 }
 
 
@@ -398,6 +404,26 @@ def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys
                      r"max_kkt_violation=[0-9.e+-]+ ", capsys.readouterr().out)
 
 
+def test_train_refuses_a_dataset_whose_grid_is_too_large(artifacts, tmp_path, capsys):
+    """One row at robot_dx 1000 m stretches the extraction grid over the
+    dataset's base positions to 15.7 million cells: exit 3 naming the count,
+    before any SVM is trained."""
+    lines = artifacts["data"].read_text().splitlines()
+    head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    fields = lines[head + 1].split(",")
+    fields[2] = "1000"
+    lines[head + 1] = ",".join(fields)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("\n".join(lines) + "\n")
+    nx = math.ceil((1000 - 0.15) / 0.01) + 1
+    ny = math.ceil((0.78 + 0.78) / 0.01) + 1
+    rc = main(["train", "--data", str(wide), "--seed", "0", "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{nx} x {ny} = {nx * ny} cells" in err and str(wide) in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_rejects_a_dataset_without_rows(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("# made by hand\nobject_dx,object_dpsi,robot_dx,robot_dy,label,cause\n")
@@ -488,6 +514,16 @@ def test_plan_command_reports_merge(artifacts, tmp_path, capsys):
     assert "plan A duration" in text
     assert "merge flaw" in text
     assert "plan B duration" in text
+
+
+def test_plan_refuses_a_separation_whose_grid_is_too_large(artifacts, tmp_path, capsys):
+    """At 700 m the plan grid has 37 x 28049 = 1,037,813 cells."""
+    out = tmp_path / "plan.txt"
+    rc = main(["plan", "--model", str(artifacts["model"]), "--separation", "700",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert f"1037813 cells is above the limit of {MAX_GRID_CELLS}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_command_is_the_merge_experiment_point(artifacts, tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from arplace.grids import (ARPlaceGrid, CostGrid, GridSpec, load_grid_text,
-                           save_grid_text, save_pgm)
+from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, CostGrid, GridSizeError, GridSpec,
+                           load_grid_text, save_grid_text, save_pgm)
 
 
 def _grid(nx=5, ny=4, seed=0):
@@ -45,6 +45,18 @@ def test_grid_shape_validation():
     for origin_x, cell_size in ((np.nan, 0.1), (np.inf, 0.1), (0.0, np.nan), (0.0, np.inf)):
         with pytest.raises(ValueError):
             GridSpec(origin_x, 0.0, cell_size, 3, 2)
+
+
+def test_grid_size_is_bounded():
+    """Every grid, however built, has at most MAX_GRID_CELLS cells; a cell
+    size so fine that the cell count overflows a float is refused the same
+    way, not with OverflowError."""
+    assert MAX_GRID_CELLS == 1000 * 1000
+    GridSpec(0.0, 0.0, 0.1, 1000, 1000)
+    with pytest.raises(GridSizeError, match="1001 x 1000 = 1001000 cells"):
+        GridSpec(0.0, 0.0, 0.1, 1001, 1000)
+    with pytest.raises(GridSizeError, match=f"limit of {MAX_GRID_CELLS}"):
+        GridSpec.covering(0.15, 1.05, -0.78, 0.78, 5e-324)
 
 
 def test_text_round_trip_is_exact(tmp_path):

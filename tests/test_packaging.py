@@ -72,14 +72,32 @@ def _referenced_names(path: Path) -> list[tuple[str, int]]:
 NO_CALLER_NEEDED = {
     # acceptance criterion 5 checks the map algebra with it
     "placemap.union_edges",
+    # acceptance criterion 6 reads the sweep's rows by sigma with it
+    "evaluation.SweepResult.point_for",
+    # acceptance criterion 7 checks the duration reduction with it
+    "evaluation.TransformPoint.reduction",
 }
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function or class
+    and of each public method or property of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
 
 
 def test_public_names_have_a_caller():
     """Each public module-level function or class of src/arplace (but
-    __init__.py, which only re-exports) is referenced outside its own
-    definition, in src/ or in perfbench/. Code that only tests reach gets a
-    caller or is deleted."""
+    __init__.py, which only re-exports), and each public method or property
+    of such a class, is referenced by its name outside its own definition,
+    in src/ or in perfbench/. Code that only tests reach gets a caller or is
+    deleted."""
     package = Path(arplace.__file__).parent
     callers = sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     references = {path: _referenced_names(path) for path in callers}
@@ -87,12 +105,10 @@ def test_public_names_have_a_caller():
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for qualname, node in _public_definitions(ast.parse(path.read_text(), filename=str(path))):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and (other != path or line not in own)
                        for other, refs in references.items() for name, line in refs):
-                uncalled.append(f"{path.stem}.{node.name}")
+                uncalled.append(f"{path.stem}.{qualname}")
     assert sorted(set(uncalled) - NO_CALLER_NEEDED) == []
     assert NO_CALLER_NEEDED <= set(uncalled), "an allowlisted name has a caller now"
