@@ -18,7 +18,7 @@ from .grids import GridSpec
 KKT_TOLERANCE = 1e-3     # convergence contract
 _SOLVE_EPS = 1e-10       # internal target, for order-independent solutions
 _MAX_PAIR_STEPS = 500_000
-_KERNEL_BLOCK = 4_096    # points per kernel block: 2.7 MB per temporary at 82 SVs
+_KERNEL_BLOCK = 2 ** 17  # kernel entries per block: 1 MB per temporary, 1,024 points at 82 SVs
 
 
 class SVMConvergenceError(RuntimeError):
@@ -42,12 +42,18 @@ class SVMModel:
     kkt_violation: float = 0.0
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
-        """Decision value of each point, evaluated in blocks of _KERNEL_BLOCK
-        points so that the kernel temporaries do not grow with the grid."""
+        """Decision value of each point, evaluated in blocks of at most
+        _KERNEL_BLOCK kernel entries (points times support vectors), so that
+        the kernel temporaries grow neither with the grid nor with the
+        support vectors. The points per block are a power of two: BLAS sums
+        the rows of K @ alphas in groups of four, and a block that started
+        inside a group would change the bits of its values, and so the
+        trained model's."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.empty(len(pts))
-        for start in range(0, len(pts), _KERNEL_BLOCK):
-            block = slice(start, start + _KERNEL_BLOCK)
+        rows = 1 << max(0, (_KERNEL_BLOCK // max(1, len(self.alphas))).bit_length() - 1)
+        for start in range(0, len(pts), rows):
+            block = slice(start, start + rows)
             K = gaussian_kernel(pts[block], self.support_points, self.kernel_sigma)
             out[block] = K @ self.alphas + self.bias
         return out
@@ -55,10 +61,17 @@ class SVMModel:
 
 def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """(len(a), len(b)) kernel matrix exp(-|a_i - b_j|^2 / 2 sigma^2) of two
-    point sets, with the squared distance summed as dx*dx + dy*dy."""
-    dx = a[:, 0:1] - b[:, 0]
-    dy = a[:, 1:2] - b[:, 1]
-    return np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
+    point sets, with the squared distance summed as dx*dx + dy*dy, negated,
+    divided by 2 sigma^2 and exponentiated. It is built in place in the
+    result, with one temporary of the same shape for dy*dy."""
+    K = np.subtract(a[:, 0:1], b[:, 0])
+    np.multiply(K, K, out=K)
+    dy = np.subtract(a[:, 1:2], b[:, 1])
+    np.multiply(dy, dy, out=dy)
+    np.add(K, dy, out=K)
+    np.negative(K, out=K)
+    np.divide(K, 2.0 * sigma ** 2, out=K)
+    return np.exp(K, out=K)
 
 
 def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
@@ -98,7 +111,10 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     ys, cs, c_top = y.tolist(), C.tolist(), (C - 1e-14).tolist()
     diag = np.diag(K).tolist()
     # KK[k] = [K[k]; -K[k]], read through a list of its (2, n) row views
-    KK = list(np.stack((K, -K), axis=1))
+    KK = np.empty((len(ys), 2, len(ys)))
+    KK[:, 0] = K
+    np.negative(K, out=KK[:, 1])
+    KK = list(KK)
     alpha = [0.0] * len(ys)
     # at alpha = 0 a positive index is only in up and a negative only in low
     up = [yk > 0 for yk in ys]

@@ -232,9 +232,12 @@ def cmd_merge(args, cfg: PipelineConfig) -> int:
 
 def cmd_cost(args, cfg: PipelineConfig) -> int:
     grid = _read("grid", load_grid_text, args.grid)
-    costs = cost_map(grid, (args.robot_x, args.robot_y),
-                     retry_penalty_s=args.retry_penalty,
-                     nav_speed_mps=args.nav_speed)
+    try:
+        costs = cost_map(grid, (args.robot_x, args.robot_y),
+                         retry_penalty_s=args.retry_penalty,
+                         nav_speed_mps=args.nav_speed)
+    except ValueError as e:  # a cost beyond the float range
+        raise BadConfigError(f"no cost map for grid {args.grid}: {e}")
     save_grid_text(costs, args.out, header_lines=_header(cfg, args.seed))
     print(f"cost map written to {args.out}")
     return EXIT_OK

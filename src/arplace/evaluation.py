@@ -317,7 +317,10 @@ def transformation_benefit(distances: list[float], gsm: GSMModel,
                            cell_size: float = 0.025,
                            threshold: float = MERGE_THRESHOLD) -> TransformResult:
     """The merge experiment at each cup separation; separation k draws from
-    rng_base (seed, k)."""
+    rng_base (seed, k). Every separation's plan grid is built first, so one
+    above grids.MAX_GRID_CELLS raises GridSizeError before any map."""
+    for sep in distances:
+        plan_grid_spec(sep, cell_size)
     result = TransformResult()
     for k, sep in enumerate(distances):
         result.points.append(merge_experiment(sep, gsm, world, (seed, k), cell_size,

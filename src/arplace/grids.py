@@ -38,6 +38,8 @@ class GridSpec:
         if self.nx * self.ny > MAX_GRID_CELLS:
             raise GridSizeError(f"a grid of {self.nx} x {self.ny} = {self.nx * self.ny} cells "
                                 f"is above the limit of {MAX_GRID_CELLS}")
+        if not all(map(math.isfinite, self.cell_center(self.nx - 1, self.ny - 1))):
+            raise ValueError("the last cell center lies beyond the float range")
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
         return (self.origin_x + i * self.cell_size,
@@ -135,8 +137,8 @@ def _parse_line(no: int, text: str, count: int, kind=float) -> list:
 def load_grid_text(path) -> ARPlaceGrid:
     """Read the save_grid_text format as a "gsm" frame map (the format does
     not store the frame). A file whose header keys, row count (nx) or row
-    lengths (ny) do not match, or with a value that is not a finite number,
-    raises ValueError naming the line."""
+    lengths (ny) do not match, with a value that is not a finite number, or
+    whose header GridSpec refuses, raises ValueError naming the line."""
     with open(path) as f:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1)
                  if not ln.startswith("#")]
@@ -151,7 +153,10 @@ def load_grid_text(path) -> ARPlaceGrid:
         header[key] = (no, rest)
     origin_x, origin_y, cell_size = (_parse_line(*header[k], 1)[0] for k in _GRID_HEADER[:3])
     nx, ny = _parse_line(*header["nx_ny"], 2, int)
-    spec = GridSpec(origin_x, origin_y, cell_size, nx, ny)
+    try:
+        spec = GridSpec(origin_x, origin_y, cell_size, nx, ny)
+    except ValueError as e:  # GridSizeError stays one
+        raise type(e)(f"line {header['cell_size' if cell_size <= 0 else 'nx_ny'][0]}: {e}")
     rows = lines[len(_GRID_HEADER):]
     if len(rows) < nx:
         last = rows[-1][0] if rows else header["nx_ny"][0]

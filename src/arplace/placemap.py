@@ -102,8 +102,11 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
         y_rows = (ys[None, :] - shifts[start:start + _FILL_BLOCK, None]).ravel()
         bx, by = block[:, :, 0].ravel(), block[:, :, 1].ravel()
         row0 = np.repeat(np.arange(nb) * ny, m)
-        # rows strictly below each vertex: one division, then steps to the exact count
-        a = np.fmin(np.fmax(np.ceil((by - y_rows[row0]) / spec.cell_size), 0), ny).astype(np.intp)
+        # rows strictly below each vertex: one division, then steps to the exact
+        # count; a quotient beyond the float range clamps to 0 or ny all the same
+        with np.errstate(over="ignore"):
+            a = np.ceil((by - y_rows[row0]) / spec.cell_size)
+        a = np.fmin(np.fmax(a, 0), ny).astype(np.intp)
         while True:
             up = (a < ny) & (y_rows[row0 + np.minimum(a, ny - 1)] < by)
             down = (a > 0) & ~(y_rows[row0 + np.maximum(a - 1, 0)] < by)
@@ -258,13 +261,15 @@ def union_edges(maps: list[ARPlaceGrid]) -> ARPlaceGrid:
 
 def cost_map(grid: ARPlaceGrid, robot_xy: tuple[float, float],
              retry_penalty_s: float = 5.0, nav_speed_mps: float = 0.3) -> CostGrid:
-    """Expected-cost map: (1 - P) * retry_penalty + distance / speed."""
+    """Expected-cost map: (1 - P) * retry_penalty + distance / speed. A cost
+    beyond the float range raises ValueError, as CostGrid refuses it."""
     if nav_speed_mps <= 0:
         raise ValueError("speed must be positive")
     pts = grid.spec.center_points()
-    d = np.linalg.norm(pts - np.asarray(robot_xy, dtype=float), axis=1)
-    costs = (1.0 - grid.probs) * retry_penalty_s + \
-        d.reshape(grid.probs.shape) / nav_speed_mps
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm(pts - np.asarray(robot_xy, dtype=float), axis=1)
+        costs = (1.0 - grid.probs) * retry_penalty_s + \
+            d.reshape(grid.probs.shape) / nav_speed_mps
     return CostGrid(spec=grid.spec, costs=costs, frame=grid.frame)
 
 

@@ -12,6 +12,7 @@ at a time (boundary_for) or for a batch of draws (predict_landmarks).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,6 +24,9 @@ from .grids import GridSpec
 
 MODEL_FORMAT_VERSION = 1
 GSM_MODES = 2  # deformation modes of the model
+# farthest landmark a model file may reach, in m; the map fill multiplies two
+# coordinate differences, whose product then stays inside the float range
+MAX_REACH = 1e100
 
 
 class DegenerateShapeError(RuntimeError):
@@ -355,8 +359,10 @@ class GSMModel:
     @classmethod
     def from_dict(cls, d: dict) -> "GSMModel":
         """Model of a to_dict object, checked key by key: a missing key raises
-        KeyError, a bad one ValueError or TypeError. Other keys, such as the
-        "header" that save writes, are ignored."""
+        KeyError, a bad one ValueError or TypeError. A model whose landmarks
+        could lie beyond MAX_REACH for a feature row that sampling can draw
+        raises ValueError. Other keys, such as the "header" that save writes,
+        are ignored."""
         if not isinstance(d, dict):
             raise TypeError(f"a model is a JSON object, not {type(d).__name__}")
         if d.get("version") != MODEL_FORMAT_VERSION:
@@ -376,10 +382,19 @@ class GSMModel:
         _require(all(lo <= hi for lo, hi in bounds.values()), "training_bounds",
                  "hold [lo, hi] with lo <= hi")
         _require(isinstance(d.get("extras", {}), dict), "extras", "be an object")
-        pdm = PDM(mean=mean, modes=_numbers(d, "modes", (2 * m, GSM_MODES)),
-                  eigenvalues=_numbers(d, "eigenvalues", (GSM_MODES,)), energy=energy)
-        reg = RegressionModel(W=np.stack([_numbers(d, "W1", (3, 3)), _numbers(d, "W2", (3, 3))]),
-                              r_squared=_numbers(d, "r_squared", (GSM_MODES,)),
+        modes = _numbers(d, "modes", (2 * m, GSM_MODES))
+        W = np.stack([_numbers(d, "W1", (3, 3)), _numbers(d, "W2", (3, 3))])
+        # sampling clamps dx to [0, dx_hi] and wraps dpsi into (-pi, pi], so
+        # each of q = [dx, dpsi, 1] is at most q_max and |b_k| <= sum|W_k| q_max^2
+        q_max = max(math.pi, bounds["dx_obj"][1])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
+            b_max = np.abs(W).sum(axis=(1, 2)) * (q_max * q_max)
+            reach = np.abs(mean).max() + np.abs(modes).max(axis=0) @ b_max
+        if not reach <= MAX_REACH:
+            raise ValueError(f"model landmarks may lie {reach:.3g} m out, beyond {MAX_REACH:g} m")
+        pdm = PDM(mean=mean, modes=modes, eigenvalues=_numbers(d, "eigenvalues", (GSM_MODES,)),
+                  energy=energy)
+        reg = RegressionModel(W=W, r_squared=_numbers(d, "r_squared", (GSM_MODES,)),
                               training_bounds=bounds)
         return cls(pdm=pdm, regression=reg, extras=d.get("extras", {}))
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from arplace.classifier import (_KERNEL_BLOCK, _MS_SEGMENTS, KKT_TOLERANCE, Boundary,
                                 EmptySuccessRegionError, SVMConvergenceError,
                                 SVMModel, _marching_squares, _start_at_max_x_crossing,
-                                extract_contour, points_in_polygon, signed_area,
-                                train_svm)
+                                extract_contour, gaussian_kernel, points_in_polygon,
+                                signed_area, train_svm)
 from arplace.evaluation import candidate_grid_spec
 from arplace.grids import GridSpec
 from arplace.placemap import _fill_counts
@@ -183,7 +183,8 @@ def _decision_values_reference(model, pts):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 50), n_sv=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        sigma=st.sampled_from([0.03, 0.1, 0.37]), lattice=st.booleans())
-@example(n=2 * _KERNEL_BLOCK + 5, n_sv=40, seed=1, sigma=0.1, lattice=False)  # three blocks
+# three blocks: at 40 support vectors a block holds _KERNEL_BLOCK // 64 = 2,048 points
+@example(n=2 * (_KERNEL_BLOCK // 64) + 5, n_sv=40, seed=1, sigma=0.1, lattice=False)
 def test_decision_values_match_the_3d_sum(n, n_sv, seed, sigma, lattice):
     rng = np.random.default_rng(seed)
     if lattice:  # points that coincide with support points: zero distances
@@ -198,6 +199,74 @@ def test_decision_values_match_the_3d_sum(n, n_sv, seed, sigma, lattice):
                                   _decision_values_reference(model, pts))
     np.testing.assert_array_equal(model.decision_values(pts[0]),
                                   _decision_values_reference(model, pts[0]))
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decision_values_memory_does_not_grow_with_the_support_vectors():
+    """A block holds between half and all of _KERNEL_BLOCK kernel entries
+    (its points are a power of two), so ten times the support vectors take
+    at most 1.5 times the memory: 2.3 and 2.7 MB. Blocks of a fixed 4,096
+    points peaked at 6.7 and 65.7 MB."""
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1.0, 1.0, (20_000, 2))
+    peaks = []
+    for n_sv in (40, 400):
+        model = SVMModel(support_points=rng.uniform(-1.0, 1.0, (n_sv, 2)),
+                         alphas=rng.normal(size=n_sv), bias=0.0, kernel_sigma=0.1)
+        peaks.append(_traced_peak(model.decision_values, pts))
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def _gaussian_kernel_reference(a, b, sigma):
+    """The kernel as one expression, over a temporary per operation."""
+    dx = a[:, 0:1] - b[:, 0]
+    dy = a[:, 1:2] - b[:, 1]
+    return np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_a=st.integers(1, 30), n_b=st.integers(1, 30), shared=st.integers(0, 30),
+       seed=st.integers(0, 2 ** 32 - 1), sigma=st.floats(1e-3, 10.0),
+       spread=st.sampled_from([1e-3, 1.0, 1e3]))
+@example(n_a=5, n_b=7, shared=3, seed=0, sigma=1e-3, spread=1e3)  # underflow to 0
+@example(n_a=5, n_b=7, shared=3, seed=0, sigma=10.0, spread=1e-3)  # all near 1
+def test_gaussian_kernel_matches_the_one_line_expression(n_a, n_b, shared, seed, sigma, spread):
+    """Built in place, the kernel keeps every float of the expression. The
+    first `shared` points of b repeat those of a (zero distances); at a
+    spread of 1e3 m the kernel of distinct points underflows to 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-spread, spread, (n_a, 2))
+    b = rng.uniform(-spread, spread, (n_b, 2))
+    k = min(shared, n_a, n_b)
+    b[:k] = a[:k]
+    K = gaussian_kernel(a, b, sigma)
+    np.testing.assert_array_equal(K, _gaussian_kernel_reference(a, b, sigma))
+    assert np.all(K[np.arange(k), np.arange(k)] == 1.0)
+    if spread == 1e3 and sigma == 1e-3:
+        assert np.count_nonzero(K) == k
+
+
+def test_gaussian_kernel_memory_is_its_result_and_one_temporary():
+    """The expression peaked at 4.0 times its result."""
+    rng = np.random.default_rng(1)
+    a, b = rng.uniform(-1.0, 1.0, (500, 2)), rng.uniform(-1.0, 1.0, (300, 2))
+    assert _traced_peak(gaussian_kernel, a, b, 0.1) <= 2.5 * 500 * 300 * 8
+
+
+def test_train_svm_memory_is_three_kernel_matrices():
+    """K plus its (n, 2, n) pair table, about 3 n^2 floats on 613 ring
+    points; negating K and stacking both copies peaked at 4.0 n^2."""
+    X, y = _ring_set(seed=0, n=700)
+    assert _traced_peak(train_svm, X, y) <= 3.5 * len(X) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +578,16 @@ def test_extract_contour_matches_the_point_test_on_the_training_contours(pipelin
 
 
 def test_extract_contour_memory_does_not_grow_with_the_grid(pipeline):
-    """The kernel is evaluated in blocks of _KERNEL_BLOCK points: on the pose
-    with the most support vectors (82), four times the cells (0.005 m
-    against 0.01 m) must not take 1.5 times the peak. Evaluating the kernel
+    """The kernel is evaluated in blocks of at most _KERNEL_BLOCK entries: on
+    the pose with the most support vectors (82), four times the cells (0.005
+    m against 0.01 m) must not take 1.5 times the peak. Evaluating the kernel
     over all points at once peaked at 37.7 and 149.6 MB."""
     model = max(pipeline["svms"].values(), key=lambda m: len(m.alphas))
     peaks = []
     for cell in (0.01, 0.005):
-        spec = candidate_grid_spec(cell)
-        tracemalloc.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a pose may trace two regions
-                extract_contour(model, spec)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a pose may trace two regions
+            peaks.append(_traced_peak(extract_contour, model, candidate_grid_spec(cell)))
     assert peaks[1] <= 1.5 * peaks[0]
 
 

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from arplace import planner
 from arplace.cli import BadConfigError, PipelineConfig, main
 from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
@@ -524,6 +525,23 @@ def test_plan_refuses_a_separation_whose_grid_is_too_large(artifacts, tmp_path, 
     assert rc == 3
     assert f"1037813 cells is above the limit of {MAX_GRID_CELLS}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_transform_checks_every_plan_grid_before_any_map(artifacts, tmp_path, capsys,
+                                                             monkeypatch):
+    """cell_size 0.0012 passes the config check (979,104 candidate cells), and
+    the plan grids of 0.20-0.35 m are within the limit too; that of 0.40 m
+    (1,003,920 cells) is not, so the command exits 3 before any map."""
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was computed")
+
+    monkeypatch.setattr(planner, "compute_map", no_map)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cell_size": 0.0012}))
+    rc = main(["eval", "transform", "--config", str(cfg), "--model", str(artifacts["model"]),
+               "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "1003920 cells" in capsys.readouterr().err
 
 
 def test_plan_command_is_the_merge_experiment_point(artifacts, tmp_path, capsys):

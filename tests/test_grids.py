@@ -59,6 +59,42 @@ def test_grid_size_is_bounded():
         GridSpec.covering(0.15, 1.05, -0.78, 0.78, 5e-324)
 
 
+def test_grid_cell_centers_are_finite():
+    GridSpec(0.0, 0.0, 1e308, 2, 1)
+    for origin_x, cell_size, nx in ((0.0, 1e308, 3), (1e308, 1e308, 2), (-1e308, 1e308, 4)):
+        with pytest.raises(ValueError, match="float range"):
+            GridSpec(origin_x, 0.0, cell_size, nx, 1)
+
+
+# (header line of a good 3 x 4 file that replaces its namesake, line the
+# error names, error type); line 1 is a comment, lines 2-5 the header
+BAD_SPECS = {
+    "too_many_cells": ("nx_ny 1001 1000", "line 5:", GridSizeError),
+    "no_rows": ("nx_ny 0 4", "line 5:", ValueError),
+    "no_columns": ("nx_ny 3 -1", "line 5:", ValueError),
+    "centers_beyond_the_float_range": ("cell_size 1e308", "line 5:", ValueError),
+    "zero_cell": ("cell_size 0", "line 4:", ValueError),
+    "negative_cell": ("cell_size -0.1", "line 4:", ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_load_grid_text_names_the_line_of_a_spec_it_refuses(tmp_path, name):
+    """A header that GridSpec refuses names the nx_ny line, or the
+    cell_size line for a cell size that is not positive; a cell count over
+    the limit stays a GridSizeError."""
+    line, where, error = BAD_SPECS[name]
+    good = tmp_path / "good.txt"
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)), good,
+                   header_lines=["test grid"])
+    key = line.split()[0]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(line + "\n" if ln.startswith(key + " ") else ln
+                           for ln in good.read_text().splitlines(keepends=True)))
+    with pytest.raises(error, match=f"^{where}"):
+        load_grid_text(bad)
+
+
 def test_text_round_trip_is_exact(tmp_path):
     grid = _grid()
     path = tmp_path / "g.txt"
