@@ -28,7 +28,8 @@ from .grids import GridSizeError, GridSpec, load_grid_text, save_grid_text, save
 from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
                        compute_map, cost_map, merge)
 from .planner import plan_to_sexp
-from .shapemodel import DegenerateShapeError, GSMModel, RegressionRankError, train_gsm
+from .shapemodel import (DegenerateShapeError, GSMModel, RegressionRankError,
+                         finite_numbers, train_gsm)
 from .simworld import (Dataset, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, generate_dataset,
                        robot_bounds)
@@ -155,10 +156,13 @@ def _load_json(path):
 
 def _parse_belief(path) -> GaussianBelief:
     raw = _load_json(path)
-    if "cov" not in raw:
-        return GaussianBelief.isotropic(raw["mean"], raw["sigma_xy"], raw["sigma_psi"])
-    cov = np.asarray(raw["cov"], dtype=float)
-    return GaussianBelief(raw["mean"], np.diag(cov) if cov.ndim == 1 else cov)
+    mean = finite_numbers(raw["mean"], "belief mean")
+    if "cov" in raw:
+        cov = finite_numbers(raw["cov"], "belief cov")
+        return GaussianBelief(mean, np.diag(cov) if cov.ndim == 1 else cov)
+    sigma_xy, sigma_psi = (float(finite_numbers(raw[key], f"belief {key}", ()))
+                           for key in ("sigma_xy", "sigma_psi"))
+    return GaussianBelief.isotropic(mean, sigma_xy, sigma_psi)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ class GSMModel:
         are ignored."""
         if not isinstance(d, dict):
             raise TypeError(f"a model is a JSON object, not {type(d).__name__}")
-        if d.get("version") != MODEL_FORMAT_VERSION:
+        if isinstance(d.get("version"), bool) or d.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model version {d.get('version')!r}")
         mean = _numbers(d, "mean", None)
         m = mean.size // 2
@@ -416,14 +416,26 @@ def _require(ok: bool, key: str, what: str):
 
 
 def _numbers(d: dict, key: str, shape: tuple | None) -> np.ndarray:
-    """d[key] as a float array of finite numbers, of the shape given if not None."""
-    try:
-        a = np.asarray(d[key])
-    except ValueError:  # nested lists of different lengths
-        raise ValueError(f"model key {key!r} must hold finite numbers") from None
-    _require(a.dtype.kind in "iuf" and bool(np.all(np.isfinite(a))), key, "hold finite numbers")
-    _require(shape is None or a.shape == shape, key, f"have shape {shape}, not {a.shape}")
-    return a.astype(float)
+    return finite_numbers(d[key], f"model key {key!r}", shape)
+
+
+def finite_numbers(value, what: str, shape: tuple | None = None) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array of the shape
+    given if not None. A string, boolean, null, object or ragged list among
+    them, or a number that is not finite as a float, raises ValueError naming
+    what."""
+    items = np.array(value, dtype=object)  # ragged lists give an array of lists
+    a = None
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items.flat):
+        try:
+            a = items.astype(float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if a is None or not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must hold finite numbers")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, not {a.shape}")
+    return a
 
 
 def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from arplace import classifier
 from arplace.classifier import (_KERNEL_BLOCK, _MS_SEGMENTS, KKT_TOLERANCE, Boundary,
                                 EmptySuccessRegionError, SVMConvergenceError,
                                 SVMModel, _marching_squares, _start_at_max_x_crossing,
@@ -120,22 +121,33 @@ def test_train_svm_matches_the_reference_solver_on_ring_data():
     assert (model.bias, model.pair_steps, model.kkt_violation) == (bias, steps, violation)
 
 
-@st.composite
-def _small_labeled_sets(draw):
-    n = draw(st.integers(4, 40))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
+def _lattice_set(n, seed, scale):
+    """(X, y): n points on a lattice of the given scale with random labels,
+    both classes present. Points on a coarse lattice repeat, which makes ties
+    in the selection."""
     rng = np.random.default_rng(seed)
-    # points on a coarse lattice repeat, which makes ties in the selection
-    scale = draw(st.sampled_from([0.05, 0.2, 0.5]))
     pts = np.round(rng.uniform(-1.0, 1.0, (n, 2)) / scale) * scale * 0.3
     labels = rng.choice([-1.0, 1.0], n)
     labels[:2] = [1.0, -1.0]
-    return (pts, labels,
-            draw(st.sampled_from([0.05, 0.1, 0.3])), draw(st.sampled_from([0.5, 40.0])))
+    return pts, labels
+
+
+@st.composite
+def _small_labeled_sets(draw):
+    X, y = _lattice_set(draw(st.integers(4, 40)), draw(st.integers(0, 2 ** 32 - 1)),
+                        draw(st.sampled_from([0.05, 0.2, 0.5])))
+    return X, y, draw(st.sampled_from([0.05, 0.1, 0.3])), draw(st.sampled_from([0.5, 40.0]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_labeled_sets())
+# Together these reach every branch of the written-out update, for positive
+# and negative i and j: the step clipped at i's bound and at j's, i leaving
+# up and entering low, j leaving low and entering up, and an index that left
+# a set re-entering it. None reaches the empty-set exit: on finite points
+# the equality constraint keeps both sets non-empty.
+@example((*_lattice_set(9, 44788, 0.05), 0.3, 0.5))
+@example((*_lattice_set(9, 28681, 0.5), 0.3, 40.0))
 def test_train_svm_matches_the_reference_solver(case):
     X, y, sigma, cost = case
     sv, alphas, bias, steps, violation = _train_svm_reference(X, y, sigma, cost)
@@ -149,6 +161,24 @@ def test_train_svm_matches_the_reference_solver(case):
     assert model.bias == bias
     assert model.pair_steps == steps
     assert model.kkt_violation == violation
+
+
+@pytest.mark.parametrize("limit", [642, 10])
+def test_train_svm_stops_at_the_pair_step_limit(monkeypatch, limit):
+    """The ring set takes 643 steps. Stopped one short, its violation is
+    within KKT_TOLERANCE and the model records the limit; stopped at 10, the
+    solver has not converged."""
+    X, y = _ring_set(seed=5)
+    monkeypatch.setattr(classifier, "_MAX_PAIR_STEPS", limit)
+    sv, alphas, bias, steps, violation = _train_svm_reference(X, y, max_steps=limit)
+    assert steps == limit
+    if violation > KKT_TOLERANCE:
+        with pytest.raises(SVMConvergenceError):
+            train_svm(X, y)
+        return
+    model = train_svm(X, y)
+    np.testing.assert_array_equal(model.alphas, alphas)
+    assert (model.bias, model.pair_steps, model.kkt_violation) == (bias, limit, violation)
 
 
 def test_train_svm_rejects_a_degenerate_box():
@@ -629,6 +659,16 @@ def test_resample_closed_equal_arc_spacing():
     assert np.all((np.abs(pts) < 1e-12) | (np.abs(pts - 1) < 1e-12)
                   | ((pts > 0) & (pts < 1)))
     assert seg.max() == pytest.approx(4.0 / 16, abs=1e-9)
+
+
+def test_train_per_pose_work_on_the_session_dataset(pipeline):
+    """The solver's record on the seed-42 dataset, the numbers the train
+    command prints: 165,935 pair steps over the 16 fits, 89,106 of them on
+    the worst pose, every fit within the solver's internal target."""
+    svms = pipeline["svms"].values()
+    assert sum(m.pair_steps for m in svms) == 165_935
+    assert max(m.pair_steps for m in svms) == 89_106
+    assert max(m.kkt_violation for m in svms) <= 1e-10
 
 
 def test_train_per_pose_one_model_per_object(pipeline):

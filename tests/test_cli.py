@@ -192,6 +192,9 @@ BAD_BELIEFS = {
     "sigma_huge_integer": '{"mean": [0.14, 0.0, 0.0], "sigma_xy": 1%s, "sigma_psi": 0.1}'
                           % ("0" * 400),
     "cov_huge_integer": '{"mean": [0.14, 0.0, 0.0], "cov": [1%s, 0.01, 0.01]}' % ("0" * 400),
+    # JSON strings and booleans are not numbers
+    "text_and_boolean": '{"mean": [0.12, 0.0, "0"], "sigma_xy": true, "sigma_psi": 0.1}',
+    "boolean_in_cov": '{"mean": [0.14, 0.0, 0.0], "cov": [0.01, true, 0.01]}',
 }
 
 
@@ -256,6 +259,8 @@ BAD_MODELS = {
     "nan_in_mean": (lambda m: json.dumps({**m, "mean": [math.nan] + m["mean"][1:]}),
                     "'mean'"),
     "text_in_mean": (lambda m: json.dumps({**m, "mean": ["0.1"] + m["mean"][1:]}), "'mean'"),
+    "boolean_in_mean": (lambda m: json.dumps({**m, "mean": [True] + m["mean"][1:]}), "'mean'"),
+    "boolean_version": (lambda m: json.dumps({**m, "version": True}), "version"),
     "other_m": (lambda m: json.dumps({**m, "m": m["m"] + 1}), "'m'"),
     "other_d": (lambda m: json.dumps({**m, "d": 3}), "'d'"),
     "one_row_modes": (lambda m: json.dumps({**m, "modes": m["modes"][:1]}), "'modes'"),

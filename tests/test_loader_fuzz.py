@@ -41,9 +41,20 @@ def number_lists(n):
     return st.lists(st.floats() | EXTREME_NUMBERS | st.just("1"), min_size=n, max_size=n)
 
 
-def _run(tmp_path, argv):
+def _run(tmp_path, argv, refused=False):
+    """Run argv; a file the loaders must refuse exits 3."""
     rc = main(argv + ["--seed", "0", "--out", str(tmp_path / "out")])
-    assert rc in (0, 3, 4), f"exit {rc}"
+    assert rc == 3 if refused else rc in (0, 3, 4), f"exit {rc}"
+
+
+def _holds_text_or_boolean(value):
+    """Whether a JSON value holds a string or a boolean at any depth: never
+    a number, so a loader that reads the value as numbers refuses it."""
+    if isinstance(value, (str, bool)):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(_holds_text_or_boolean, value))
 
 
 def _write_json(path, value):
@@ -118,12 +129,20 @@ def _set_number(model, key, index, value):
     model[key] = a.tolist()
 
 
+# the model keys read as numbers
+NUMERIC_MODEL_KEYS = ("version", "m", "d", "mean", "modes", "eigenvalues", "energy", "W1", "W2",
+                      "r_squared", "training_bounds")
+
+
 @fuzz(60)
 @given(edits=st.lists(_model_edits(), max_size=2), numbers=st.lists(_number_edits(), max_size=2))
 # landmarks about 1e305 m out, whose fill overflowed
 @example(edits=[], numbers=[("W2", 0, 1e308)])
+# a boolean among the numbers read as 1.0
+@example(edits=[], numbers=[("mean", 0, True)])
 def test_fuzzed_model_never_exits_5(files, tmp_path, edits, numbers):
-    """The map runs on every model that loads."""
+    """The map runs on every model that loads, and a string or boolean
+    among the model's numbers is refused."""
     model = json.loads(files["model"].read_text())
     for key, index, value in numbers:
         _set_number(model, key, index, value)
@@ -139,7 +158,8 @@ def test_fuzzed_model_never_exits_5(files, tmp_path, edits, numbers):
             parent[path[-1]] = value
     bad = tmp_path / "model.json"
     _write_json(bad, model)
-    _run(tmp_path, ["map", "--model", str(bad), "--belief", str(files["belief"])])
+    refused = any(_holds_text_or_boolean(model.get(k)) for k in NUMERIC_MODEL_KEYS)
+    _run(tmp_path, ["map", "--model", str(bad), "--belief", str(files["belief"])], refused)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +180,17 @@ BELIEFS = (JSON_VALUES
 @given(raw=BELIEFS)
 # a belief 4.5e306 m along the table edge: its rows overflowed the fill's estimate
 @example(raw={"mean": [0.0, 4.49423283715579e+306, 0.0], "cov": [0.0, 0.0, 0.0]})
+# a string and a boolean read as numbers
+@example(raw={"mean": [0.12, 0.0, "0"], "sigma_xy": True, "sigma_psi": 0.1})
 def test_fuzzed_belief_never_exits_5(files, tmp_path, raw):
-    """The map runs on every belief that loads."""
+    """The map runs on every belief that loads, and a string or boolean
+    among the numbers the loader reads is refused."""
     belief = tmp_path / "belief.json"
     _write_json(belief, raw)
-    _run(tmp_path, ["map", "--model", str(files["model"]), "--belief", str(belief)])
+    refused = isinstance(raw, dict) and any(
+        _holds_text_or_boolean(raw.get(k))
+        for k in (("mean", "cov") if "cov" in raw else ("mean", "sigma_xy", "sigma_psi")))
+    _run(tmp_path, ["map", "--model", str(files["model"]), "--belief", str(belief)], refused)
 
 
 # ---------------------------------------------------------------------------

@@ -355,9 +355,10 @@ def test_reconstruct_at_zero_coefficients_is_the_mean(gsm):
     np.testing.assert_allclose(landmarks[:, 1], gsm.pdm.mean[m:])
 
 
-# traced peak of the training chain, in bytes: 5.3 MB measured, 13.9 MB when
-# the pair table stacked a negated copy of K and the decision surfaces ran
-# in blocks of 4,096 points
+# traced peak of the training chain, in bytes: 5.0 MB measured, 5.2 MB when
+# train_per_pose kept every record's position as a Python tuple, 13.9 MB
+# when the pair table stacked a negated copy of K and the decision surfaces
+# ran in blocks of 4,096 points
 TRAINING_MEMORY_BUDGET = 6.5e6
 
 
