@@ -21,6 +21,15 @@ _MAX_PAIR_STEPS = 500_000
 _KERNEL_BLOCK = 2 ** 17  # kernel entries per block: 1 MB per temporary, 1,024 points at 82 SVs
 
 
+def _block_rows(n_sv: int) -> int:
+    """Points per block of a decision surface over n_sv support vectors: the
+    largest power of two whose block holds at most _KERNEL_BLOCK kernel
+    entries (at least 1). BLAS sums the rows of K @ alphas in groups of
+    four, and a block that started inside a group would change the bits of
+    its values, and so the trained model's."""
+    return 1 << max(0, (_KERNEL_BLOCK // max(1, n_sv)).bit_length() - 1)
+
+
 class SVMConvergenceError(RuntimeError):
     def __init__(self, violation: float):
         super().__init__(f"SVM did not converge; final KKT violation {violation:.3e}")
@@ -42,45 +51,88 @@ class SVMModel:
     kkt_violation: float = 0.0
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
-        """Decision value of each point, evaluated in blocks of at most
-        _KERNEL_BLOCK kernel entries (points times support vectors), so that
-        the kernel temporaries grow neither with the grid nor with the
-        support vectors. The points per block are a power of two: BLAS sums
-        the rows of K @ alphas in groups of four, and a block that started
-        inside a group would change the bits of its values, and so the
-        trained model's."""
+        """Decision value of each point, evaluated in blocks of _block_rows
+        points, so that the kernel temporaries grow neither with the grid
+        nor with the support vectors."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.empty(len(pts))
-        rows = 1 << max(0, (_KERNEL_BLOCK // max(1, len(self.alphas))).bit_length() - 1)
+        rows = _block_rows(len(self.alphas))
         for start in range(0, len(pts), rows):
             block = slice(start, start + rows)
             K = gaussian_kernel(pts[block], self.support_points, self.kernel_sigma)
             out[block] = K @ self.alphas + self.bias
         return out
 
+    def grid_values(self, grid_spec: GridSpec) -> np.ndarray:
+        """(nx, ny) decision values at the cell centers, the floats of
+        decision_values(grid_spec.center_points()) in the same blocks. The
+        squared distance of center (xs[i], ys[j]) to a support vector is
+        dx2[i] + dy2[j], summed from per-axis tables: a block adds each grid
+        row's dx2 to the part of dy2 it covers, so no point is subtracted one
+        by one."""
+        xs, ys = grid_spec.centers()
+        ny, n, n_sv = grid_spec.ny, grid_spec.nx * grid_spec.ny, len(self.alphas)
+        dy2 = np.subtract.outer(ys, self.support_points[:, 1])
+        dy2 *= dy2
+        out = np.empty(n)
+        rows = _block_rows(n_sv)
+        buf = np.empty((min(rows, n), n_sv))
+        scale = -2.0 * self.kernel_sigma ** 2  # as in gaussian_kernel
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            K = buf[:stop - start]
+            first, last = start // ny, (stop - 1) // ny  # the grid rows the block spans
+            dx2 = np.subtract.outer(xs[first:last + 1], self.support_points[:, 0])
+            dx2 *= dx2
+            for i in range(first, last + 1):
+                lo, hi = max(start, i * ny), min(stop, (i + 1) * ny)
+                np.add(dx2[i - first], dy2[lo - i * ny:hi - i * ny], out=K[lo - start:hi - start])
+            np.divide(K, scale, out=K)
+            np.exp(K, out=K)
+            out[start:stop] = K @ self.alphas + self.bias
+        return out.reshape(grid_spec.nx, ny)
+
 
 def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """(len(a), len(b)) kernel matrix exp(-|a_i - b_j|^2 / 2 sigma^2) of two
-    point sets, with the squared distance summed as dx*dx + dy*dy, negated,
-    divided by 2 sigma^2 and exponentiated. It is built in place in the
-    result, with one temporary of the same shape for dy*dy."""
+    point sets, with the squared distance summed as dx*dx + dy*dy, divided
+    by -2 sigma^2 and exponentiated; IEEE division is sign-symmetric, so
+    that is the float of negating and dividing by 2 sigma^2. It is built in
+    place in the result, with one temporary of the same shape for dy*dy."""
     K = np.subtract(a[:, 0:1], b[:, 0])
     np.multiply(K, K, out=K)
     dy = np.subtract(a[:, 1:2], b[:, 1])
     np.multiply(dy, dy, out=dy)
     np.add(K, dy, out=K)
-    np.negative(K, out=K)
-    np.divide(K, 2.0 * sigma ** 2, out=K)
+    np.divide(K, -2.0 * sigma ** 2, out=K)
     return np.exp(K, out=K)
 
 
+class _PairTable:
+    """Kernel K of the base positions X and the rows KK[k] = [K[k]; -K[k]]
+    of its (n, 2, n) pair table, read through a list of (2, n) views. It
+    depends on X and kernel_sigma only, so every fit on the same positions
+    can share one."""
+
+    def __init__(self, X: np.ndarray, kernel_sigma: float):
+        self.X, self.kernel_sigma = X, kernel_sigma
+        self.K = gaussian_kernel(X, X, kernel_sigma)
+        self.diag = np.diag(self.K).tolist()
+        KK = np.empty((len(X), 2, len(X)))
+        KK[:, 0] = self.K
+        np.negative(self.K, out=KK[:, 1])
+        self.rows = list(KK)
+
+
 def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
-              positive_class_weight: float = 2.0) -> SVMModel:
+              positive_class_weight: float = 2.0, *, table: _PairTable | None = None
+              ) -> SVMModel:
     """Fit the dual soft-margin problem on the (n, 2) base positions X with
     labels y (+1 success, -1 failure) by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
-    Mismatched shapes, fewer than 2 samples, other labels or a missing class
-    raise ValueError.
+    Mismatched shapes, non-finite positions, fewer than 2 samples, other
+    labels or a missing class raise ValueError. table, when given, is the
+    _PairTable of X at kernel_sigma, built by the caller for several fits.
 
     The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
     with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
@@ -98,24 +150,24 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2 or y.shape != (len(X),):
         raise ValueError(f"need X of shape (n, 2) and y of shape (n,), not {X.shape} and {y.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("base positions must be finite")
     if len(y) < 2:
         raise ValueError("need at least 2 samples")
     if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
         raise ValueError("labels must be +1 or -1, and both classes must be present")
-    K = gaussian_kernel(X, X, kernel_sigma)
     C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
     if C.min() <= 2e-14:
         raise ValueError("box bounds cost_C and cost_C * positive_class_weight "
                          "must exceed 2e-14")
+    if table is None:
+        table = _PairTable(X, kernel_sigma)
+    elif table.kernel_sigma != kernel_sigma or not np.array_equal(table.X, X):
+        raise ValueError("the pair table belongs to other positions or another kernel_sigma")
+    K, KK, diag = table.K, table.rows, table.diag
 
     n = len(y)
     pos, cs, c_top = (y > 0).tolist(), C.tolist(), (C - 1e-14).tolist()
-    diag = np.diag(K).tolist()
-    # KK[k] = [K[k]; -K[k]], read through a list of its (2, n) row views
-    KK = np.empty((n, 2, n))
-    KK[:, 0] = K
-    np.negative(K, out=KK[:, 1])
-    KK = list(KK)
     alpha = [0.0] * n
     # at alpha = 0 a positive index is only in up and a negative only in low
     up = pos.copy()
@@ -290,7 +342,8 @@ def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> lis
     gy = np.concatenate([[ys[0] - step_y], ys, [ys[-1] + step_y]])
 
     pos = v > 0
-    case = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:] + 8 * pos[:-1, 1:])
+    two, four, eight = np.uint8(2), np.uint8(4), np.uint8(8)  # a byte per cell, not eight
+    case = pos[:-1, :-1] + two * pos[1:, :-1] + four * pos[1:, 1:] + eight * pos[:-1, 1:]
     i, j = np.nonzero((case != 0) & (case != 15))
     code = case[i, j]
     v00, v10, v11, v01 = v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]
@@ -341,8 +394,7 @@ def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
     orientation of _MS_SEGMENTS a loop around a positive region runs
     clockwise and one around a hole counterclockwise."""
     xs, ys = grid_spec.centers()
-    values = model.decision_values(grid_spec.center_points()).reshape(grid_spec.nx, grid_spec.ny)
-    loops = _marching_squares(values, xs, ys)
+    loops = _marching_squares(model.grid_values(grid_spec), xs, ys)
     clockwise_areas = np.array([-signed_area(loop) for loop in loops])
     n_positive = np.count_nonzero(clockwise_areas > 0)
     if n_positive == 0:
@@ -362,19 +414,15 @@ def _start_at_max_x_crossing(loop: np.ndarray) -> np.ndarray:
     would wreck landmark correspondence; the ray crossing is stable.
     """
     cx, cy = loop.mean(axis=0)
-    n = len(loop)
-    best = None
-    for k in range(n):
-        y1, y2 = loop[k, 1], loop[(k + 1) % n, 1]
-        if (y1 > cy) == (y2 > cy):
-            continue
-        t = (cy - y1) / (y2 - y1)
-        x = loop[k, 0] + t * (loop[(k + 1) % n, 0] - loop[k, 0])
-        if x > cx and (best is None or x > best[2]):
-            best = (k, t, x)
-    if best is None:
+    ahead = np.roll(loop, -1, axis=0)  # the end point of each edge
+    edges = np.flatnonzero((loop[:, 1] > cy) != (ahead[:, 1] > cy))
+    y1 = loop[edges, 1]
+    t = (cy - y1) / (ahead[edges, 1] - y1)
+    x = loop[edges, 0] + t * (ahead[edges, 0] - loop[edges, 0])
+    if not np.any(x > cx):
         return np.roll(loop, -int(np.argmax(loop[:, 0])), axis=0)
-    k, t, x = best
+    best = int(np.argmax(x))  # the first of equal maxima, right of the centroid
+    k, t, x = int(edges[best]), t[best], x[best]
     start = np.array([x, cy])
     if t < 1e-9:
         return np.roll(loop, -k, axis=0)
@@ -393,6 +441,18 @@ def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                          dtype=(float, 2), count=len(records))
     labels = np.fromiter((1.0 if r.label == "success" else -1.0 for r in records),
                          dtype=float, count=len(records))
-    return {obj: train_svm(points[pose == k], labels[pose == k], kernel_sigma=kernel_sigma,
-                           cost_C=cost_C, positive_class_weight=positive_class_weight)
-            for obj, k in index.items()}
+    # the poses of each distinct base-position array share one pair table,
+    # and one table at a time is alive
+    groups: dict[bytes, list] = {}
+    for obj, k in index.items():
+        groups.setdefault(points[pose == k].tobytes(), []).append(obj)
+    fits = {}
+    for objs in groups.values():
+        X = points[pose == index[objs[0]]]
+        table = _PairTable(X, kernel_sigma)
+        for obj in objs:
+            fits[obj] = train_svm(X, labels[pose == index[obj]], kernel_sigma=kernel_sigma,
+                                  cost_C=cost_C, positive_class_weight=positive_class_weight,
+                                  table=table)
+        del table
+    return {obj: fits[obj] for obj in index}

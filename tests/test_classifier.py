@@ -1,6 +1,9 @@
+import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,13 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 from arplace import classifier
 from arplace.classifier import (_KERNEL_BLOCK, _MS_SEGMENTS, KKT_TOLERANCE, Boundary,
                                 EmptySuccessRegionError, SVMConvergenceError,
-                                SVMModel, _marching_squares, _start_at_max_x_crossing,
-                                extract_contour, gaussian_kernel, points_in_polygon,
-                                signed_area, train_svm)
+                                SVMModel, _marching_squares, _PairTable,
+                                _start_at_max_x_crossing, extract_contour, gaussian_kernel,
+                                points_in_polygon, signed_area, train_per_pose, train_svm)
 from arplace.evaluation import candidate_grid_spec
+from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
 from arplace.placemap import _fill_counts
 from arplace.shapemodel import _ArcTable
+from arplace.simworld import TrialRecord
 
 def _ring_set(seed=0, n=120):
     """(X, y) with positives inside a disk of radius 0.2, negatives in a
@@ -201,6 +206,17 @@ def test_train_svm_rejects_bad_training_arrays(X, y, match):
         train_svm(X, y)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_train_svm_rejects_non_finite_positions(bad, column):
+    """A NaN position once "converged" after 1 step with violation 0.0, and
+    an infinite one ended in a reduction error from the bias."""
+    X = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
+    X[2, column] = bad
+    with pytest.raises(ValueError, match="base positions must be finite"):
+        train_svm(X, np.array([1.0, -1.0, 1.0, -1.0]))
+
+
 def _decision_values_reference(model, pts):
     """The decision surface with the squared distances summed over an
     (n, n_sv, 2) temporary: the values decision_values must reproduce."""
@@ -229,6 +245,36 @@ def test_decision_values_match_the_3d_sum(n, n_sv, seed, sigma, lattice):
                                   _decision_values_reference(model, pts))
     np.testing.assert_array_equal(model.decision_values(pts[0]),
                                   _decision_values_reference(model, pts[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40), n_sv=st.integers(0, 40),
+       block=st.sampled_from([2 ** 4, 2 ** 6, 2 ** 9, _KERNEL_BLOCK]),
+       seed=st.integers(0, 2 ** 32 - 1), sigma=st.sampled_from([0.03, 0.1, 0.37]),
+       on_centers=st.booleans())
+# the real block size: 2,048 points at 40 support vectors, so the first
+# block ends inside grid row 43 of 47 and the second is short
+@example(nx=50, ny=47, n_sv=40, block=_KERNEL_BLOCK, seed=3, sigma=0.1, on_centers=False)
+# one row of 7 points per block: every block but the last spans a row end
+@example(nx=9, ny=3, n_sv=1, block=2 ** 3, seed=0, sigma=0.1, on_centers=True)
+def test_grid_values_are_the_decision_values_of_the_cell_centers(nx, ny, n_sv, block, seed,
+                                                                  sigma, on_centers):
+    """Bit for bit, over grid shapes, support-vector counts and block sizes
+    whose blocks start and end inside grid rows and whose last block is
+    short. Support points on cell centers give zero distances."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(rng.uniform(-1.0, 0.0), rng.uniform(-1.0, 0.0), rng.uniform(0.01, 0.1),
+                    nx, ny)
+    if on_centers:
+        sv = spec.center_points()[rng.integers(0, nx * ny, n_sv)]
+    else:
+        sv = rng.uniform(-1.2, 1.2, (n_sv, 2))
+    model = SVMModel(support_points=sv, alphas=rng.normal(size=n_sv), bias=float(rng.normal()),
+                     kernel_sigma=sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "_KERNEL_BLOCK", block)
+        np.testing.assert_array_equal(
+            model.grid_values(spec), model.decision_values(spec.center_points()).reshape(nx, ny))
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:
@@ -521,7 +567,48 @@ def _extract_contour_reference(model, grid_spec):
     loop = loops[int(np.argmax([abs(signed_area(l)) for l in loops]))]
     if signed_area(loop) < 0:
         loop = loop[::-1]
-    return _start_at_max_x_crossing(loop)
+    return _start_at_max_x_crossing_reference(loop)
+
+
+def _start_at_max_x_crossing_reference(loop):
+    """The start rotation edge by edge: the loop _start_at_max_x_crossing
+    must reproduce."""
+    cx, cy = loop.mean(axis=0)
+    n = len(loop)
+    best = None
+    for k in range(n):
+        y1, y2 = loop[k, 1], loop[(k + 1) % n, 1]
+        if (y1 > cy) == (y2 > cy):
+            continue
+        t = (cy - y1) / (y2 - y1)
+        x = loop[k, 0] + t * (loop[(k + 1) % n, 0] - loop[k, 0])
+        if x > cx and (best is None or x > best[2]):
+            best = (k, t, x)
+    if best is None:
+        return np.roll(loop, -int(np.argmax(loop[:, 0])), axis=0)
+    k, t, x = best
+    if t < 1e-9:
+        return np.roll(loop, -k, axis=0)
+    return np.vstack([np.array([x, cy]), np.roll(loop, -(k + 1), axis=0)])
+
+
+@st.composite
+def _polygons(draw):
+    """Random polygons, self-crossing ones among them. On a coarse lattice
+    vertices lie on the ray and crossings tie; some loops cross the ray
+    nowhere right of their centroid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(3, 30))
+    return rng.integers(-2, 3, (n, 2)) * 0.5 if draw(st.booleans()) else rng.normal(size=(n, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop=_polygons())
+# a square with a vertex on the ray: the loop starts at that vertex (t = 0)
+@example(loop=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+def test_start_at_max_x_crossing_matches_the_edge_loop(loop):
+    np.testing.assert_array_equal(_start_at_max_x_crossing(loop),
+                                  _start_at_max_x_crossing_reference(loop))
 
 
 def _contour_and_warnings(extract, model, spec):
@@ -669,6 +756,66 @@ def test_train_per_pose_work_on_the_session_dataset(pipeline):
     assert sum(m.pair_steps for m in svms) == 165_935
     assert max(m.pair_steps for m in svms) == 89_106
     assert max(m.kkt_violation for m in svms) <= 1e-10
+
+
+def _pose_set(base_sets, seed):
+    """A dataset-like object with one pose per entry of base_sets, the
+    positions of each pose in the given order and labels from a ring rule
+    with label noise."""
+    rng = np.random.default_rng(seed)
+    objects = [ObjectFeatures(0.05 * (k + 1), 0.0) for k in range(len(base_sets))]
+    per_pose = []
+    for obj, bases in zip(objects, base_sets):
+        per_pose.append([])
+        for x, y in bases:
+            inside = 0.05 < math.hypot(x, y) < 0.2 + 0.1 * obj.dx_obj
+            label = "success" if inside != (rng.uniform() < 0.05) else "failure"
+            per_pose[-1].append(TrialRecord(obj, RobotOffset(x, y), label,
+                                            "none" if label == "success" else "slip"))
+    # the poses' records interleaved: a pose's records need not be contiguous
+    records = [r for row in itertools.zip_longest(*per_pose) for r in row if r is not None]
+    return SimpleNamespace(object_grid=objects, records=records)
+
+
+def test_train_per_pose_equals_separate_fits_and_shares_one_table(monkeypatch):
+    """Poses 0, 2 and 3 stand on the same base positions and share one pair
+    table; pose 1 stands on a shuffled copy of them, pose 4 on a subset, so
+    each gets its own. Every fit equals train_svm on that pose's arrays, and
+    at most one table is alive at a time."""
+    rng = np.random.default_rng(7)
+    base = [tuple(p) for p in np.round(rng.uniform(-0.3, 0.3, (60, 2)), 3).tolist()]
+    shuffled = [base[k] for k in rng.permutation(len(base))]
+    data = _pose_set([base, shuffled, base, base, base[:40]], seed=1)
+    built, alive = [], weakref.WeakSet()
+
+    class CountedTable(_PairTable):
+        def __init__(self, X, kernel_sigma):
+            assert len(alive) == 0
+            super().__init__(X, kernel_sigma)
+            built.append(len(X))
+            alive.add(self)
+
+    monkeypatch.setattr(classifier, "_PairTable", CountedTable)
+    fits = train_per_pose(data, kernel_sigma=0.05, cost_C=10.0)
+    assert built == [60, 60, 40]
+    assert list(fits) == data.object_grid
+    for obj, model in fits.items():
+        rows = [r for r in data.records if r.object == obj]
+        X = np.array([(r.robot.dx_rob, r.robot.dy_rob) for r in rows])
+        y = np.array([1.0 if r.label == "success" else -1.0 for r in rows])
+        alone = train_svm(X, y, kernel_sigma=0.05, cost_C=10.0)
+        np.testing.assert_array_equal(model.support_points, alone.support_points)
+        np.testing.assert_array_equal(model.alphas, alone.alphas)
+        assert (model.bias, model.pair_steps, model.kkt_violation) == \
+            (alone.bias, alone.pair_steps, alone.kkt_violation)
+
+
+@pytest.mark.parametrize("other", ["positions", "sigma"])
+def test_train_svm_refuses_the_pair_table_of_other_positions(other):
+    X, y = _ring_set(n=40)
+    table = _PairTable(X + 0.01 if other == "positions" else X, 0.1)
+    with pytest.raises(ValueError, match="pair table"):
+        train_svm(X, y, kernel_sigma=0.2 if other == "sigma" else 0.1, table=table)
 
 
 def test_train_per_pose_one_model_per_object(pipeline):

@@ -83,6 +83,11 @@ BAD_CONFIGS = {
     "world_negative_corridor_width": ({"world": {"corridor_width": -1.0}}, "gen-data"),
     "world_nan_grasp_margin": ({"world": {"grasp_margin": math.nan}}, "gen-data"),
     "world_infinite_handle_length": ({"world": {"handle_length": math.inf}}, "gen-data"),
+    "cell_size_infinite": ({"cell_size": math.inf}, "map"),
+    "kernel_sigma_infinite": ({"kernel_sigma": math.inf}, "gen-data"),
+    # an integer that no float holds
+    "cell_size_beyond_the_float_range": ({"cell_size": 10**400}, "map"),
+    "world_beyond_the_float_range": ({"world": {"robot_radius": -10**400}}, "gen-data"),
 }
 
 
@@ -373,6 +378,15 @@ def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
     assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "631202542d3148cc81e51371c47fedf29ed60ce511c759eb068aeab9c940ff1b"
+
+
+def test_gen_data_bytes_are_fixed(tmp_path, capsys):
+    """`gen-data --seed 42` writes the dataset the benchmark's fixed model
+    was trained on; its bytes must stay these."""
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "2df42da440062128f79a3a74279c7ce43fa7991cee2523af73cbbf727d66bc91"
 
 
 def test_eval_accuracy_trains_under_its_config(tmp_path, capsys):

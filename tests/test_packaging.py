@@ -4,6 +4,7 @@ imports, and every public name has a caller that is not a test."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -112,3 +113,40 @@ def test_public_names_have_a_caller():
                 uncalled.append(f"{path.stem}.{qualname}")
     assert sorted(set(uncalled) - NO_CALLER_NEEDED) == []
     assert NO_CALLER_NEEDED <= set(uncalled), "an allowlisted name has a caller now"
+
+
+_FAILING_HYPOTHESIS_FILE = '''
+import warnings
+
+import pytest
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_generated_example_fails(x):
+    assert x < 5
+
+
+def test_the_same_warning_from_elsewhere_is_an_error():
+    with pytest.raises(DeprecationWarning):
+        warnings.warn("mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+
+
+def test_the_next_test_runs():
+    pass
+'''
+
+
+def test_a_failing_hypothesis_example_is_reported(tmp_path):
+    """Printing a falsifying example imports libcst, whose import warns. The
+    one ignore entry of filterwarnings lets the session report the failure
+    and go on; that warning from any other module stays an error."""
+    (tmp_path / "test_generated.py").write_text(_FAILING_HYPOTHESIS_FILE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          "test_generated.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout
+    assert "1 failed, 2 passed" in run.stdout
+    assert "Falsifying example: test_generated_example_fails(" in run.stdout
+    assert run.returncode == 1

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arplace import shapemodel
 from arplace.classifier import extract_contour, train_per_pose
@@ -128,6 +128,34 @@ def test_optimize_landmarks_raises_when_target_unreachable():
     contours = [_circle(0.3) + rng.normal(0.0, 0.05, (24, 2)) for _ in range(6)]
     with pytest.raises(DegenerateShapeError):
         optimize_landmarks(contours, m=8, energy_target=0.999999)
+
+
+def _gaps_ok_reference(fractions, min_gap):
+    """The gap test as array calls: the answers _gaps_ok must give."""
+    f = np.sort(fractions % 1.0)
+    gaps = np.diff(np.concatenate([f, [f[0] + 1.0]]))
+    return bool(np.all(gaps >= min_gap))
+
+
+@st.composite
+def _landmark_moves(draw):
+    """Fractions as optimize_landmarks makes them: m uniform fractions, each
+    moved by a few base steps and wrapped, against its minimum gap. Gaps
+    land exactly on the minimum, and moves cross 0 and 1."""
+    m = draw(st.integers(4, 24))
+    moves = np.array(draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m)))
+    return (np.arange(m) / m + moves / (8 * m)) % 1.0, 1.0 / (2 * m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_landmark_moves(),
+                 st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30)
+                           .map(np.array), st.floats(0.0, 0.6))))
+# gaps of exactly min_gap, once across the wrap-around, from fractions outside [0, 1)
+@example((np.array([-0.25, 0.0, 1.25, 0.5]), 0.25))
+def test_gaps_ok_matches_the_array_expression(case):
+    fractions, min_gap = case
+    assert shapemodel._gaps_ok(fractions, min_gap) == _gaps_ok_reference(fractions, min_gap)
 
 
 class _ArcTableReference:

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
@@ -253,6 +255,25 @@ def test_dataset_csv_columns_are_found_by_name(w, tmp_path):
     assert back.comments == ["column order test"]
 
 
+def test_load_csv_grids_keep_the_first_of_equal_values(w, tmp_path):
+    """Number strings of equal value ("0.1" and "0.10", "0" and "-0") make
+    distinct instances; each grid holds the instance of the first row with
+    that value, in the order the values first appear."""
+    path = tmp_path / "d.csv"
+    path.write_text("object_dx,object_dpsi,robot_dx,robot_dy,label,cause\n"
+                    "0.10,0,0.5,-0,failure,slip\n"
+                    "0.2,0,0.5,0,success,none\n"
+                    "0.1,-0,0.50,0.0,failure,slip\n"
+                    "0.2,0.3,0.6,0,success,none\n")
+    data = Dataset.load_csv(path, w)
+    objects = list(dict.fromkeys(r.object for r in data.records))
+    robots = list(dict.fromkeys(r.robot for r in data.records))
+    assert data.object_grid == objects and len(objects) == 3
+    assert data.robot_grid == robots and len(robots) == 2
+    assert all(a is b for a, b in zip(data.object_grid + data.robot_grid, objects + robots))
+    assert data.records[2].object is not data.records[0].object
+
+
 def test_world_config_json_round_trip(w, tmp_path):
     """Every world constant written under a config file's "world" key comes
     back as the same WorldConfig."""
@@ -260,3 +281,51 @@ def test_world_config_json_round_trip(w, tmp_path):
     changed = dataclasses.replace(w, robot_radius=0.12, local_minimum_rate=0.0)
     path.write_text(json.dumps({"world": dataclasses.asdict(changed)}))
     assert PipelineConfig.from_file(path).world_config(0) == changed
+
+
+def _save_csv_reference(data, path, header_lines):
+    """The writer as csv.writer rows of separately formatted numbers: the
+    bytes save_csv must reproduce."""
+    with open(path, "w", newline="") as f:
+        for line in header_lines:
+            f.write(f"# {line}\n")
+        w = csv.writer(f)
+        w.writerow(("object_dx", "object_dpsi", "robot_dx", "robot_dy", "label", "cause"))
+        for r in data.records:
+            w.writerow([f"{r.object.dx_obj:.17g}", f"{r.object.dpsi_obj:.17g}",
+                        f"{r.robot.dx_rob:.17g}", f"{r.robot.dy_rob:.17g}", r.label, r.cause])
+
+
+# equal pairs that print apart (0.0 and -0.0), and the extremes of %.17g
+_CSV_OBJECTS = list(itertools.product((0.0, -0.0, 1 / 3, 1e300), (0.0, -2.5, math.pi)))
+_CSV_ROBOTS = list(itertools.product((0.0, -0.0, 5e-324, 1 / 3), (-0.0, 0.1, -1e300)))
+_CSV_OUTCOMES = [("success", "none"), ("failure", "slip"), ("failure", "unreachable_theory")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 2),
+                               st.booleans(), st.booleans()), max_size=40),
+       header=st.lists(st.sampled_from(["seed=1", "config_hash=ab", ""]), max_size=3))
+def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows, header):
+    """An object or base position of a row is either the one instance that
+    every row with its values shares, or a new, equal instance; 0.0 and -0.0
+    make equal instances that print apart."""
+    objects = [ObjectFeatures(*v) for v in _CSV_OBJECTS]
+    robots = [RobotOffset(*v) for v in _CSV_ROBOTS]
+    records = [TrialRecord(ObjectFeatures(*_CSV_OBJECTS[i]) if new_obj else objects[i],
+                           RobotOffset(*_CSV_ROBOTS[j]) if new_rob else robots[j],
+                           *_CSV_OUTCOMES[k])
+               for i, j, k, new_obj, new_rob in rows]
+    data = Dataset(world=default_world(0), object_grid=objects, robot_grid=robots,
+                   records=records)
+    tmp = tmp_path_factory.mktemp("csv")
+    data.save_csv(tmp / "a.csv", header_lines=header)
+    _save_csv_reference(data, tmp / "b.csv", header)
+    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+
+
+def test_save_csv_keeps_the_bytes_of_a_generated_dataset(w, tmp_path):
+    data = generate_dataset(w, default_object_grid()[:3], default_robot_grid(), seed=9)
+    data.save_csv(tmp_path / "a.csv", header_lines=["seed=9", "tool_version=x"])
+    _save_csv_reference(data, tmp_path / "b.csv", ["seed=9", "tool_version=x"])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
