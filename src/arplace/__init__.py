@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .geometry import ObjectFeatures, RobotOffset, wrap_angle
 from .grids import ARPlaceGrid, CostGrid, GridSpec, load_grid_text, save_grid_text, save_pgm
 from .simworld import (Dataset, TrialRecord, WorldConfig, default_object_grid,
-                       default_robot_grid, default_world, execute_trial,
-                       generate_dataset, geometric_success,
-                       theoretically_reachable)
+                       default_robot_grid, default_world, generate_dataset,
+                       geometric_success, run_trials)
 from .classifier import Boundary, SVMModel, train_per_pose, train_svm
 from .shapemodel import (PDM, GSMModel, RegressionModel, assemble_H, fit_pdm,
                          fit_regression, optimize_landmarks, train_gsm)

@@ -18,8 +18,8 @@ from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
                       SceneObject, apply_merge_transform, detect_merge_flaw,
                       project, two_pickup_plan)
 from .shapemodel import GSMModel
-from .simworld import (WorldConfig, default_robot_grid, execute_trial,
-                       geometric_success, grasp_outcome, robot_bounds)
+from .simworld import (SUCCESS, WorldConfig, default_robot_grid, geometric_success,
+                       grasp_outcome, robot_bounds, run_trials)
 
 
 def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[float, float]:
@@ -212,30 +212,25 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
         raise ValueError("sizes must be ascending")
     test_rng = np.random.default_rng((seed, 0))
     test_offsets = _random_offsets(n_test, test_rng)
-    test_y = []
-    for idx, r in enumerate(test_offsets):
-        rec = execute_trial(object_pose, r, world, (seed, 1, idx))
-        test_y.append(1 if rec.label == "success" else -1)
+    test_records = run_trials([object_pose] * n_test, test_offsets, world,
+                              [(seed, 1, idx) for idx in range(n_test)])
     test_X = np.array([[r.dx_rob, r.dy_rob] for r in test_offsets])
-    test_y = np.array(test_y)
+    test_y = np.array([1 if rec.label == SUCCESS else -1 for rec in test_records])
 
     # trial idx draws from (seed, 3, idx), so each size trains on a prefix
     offsets = _random_offsets(max(sizes), np.random.default_rng((seed, 2)))
-    labels, executed = [], []
-    for idx, offset in enumerate(offsets):
-        rec = execute_trial(object_pose, offset, world, (seed, 3, idx),
-                            check_reachability=use_capability_filter)
-        labels.append(1.0 if rec.label == "success" else -1.0)
-        executed.append(rec.executed)
+    records = run_trials([object_pose] * len(offsets), offsets, world,
+                         [(seed, 3, idx) for idx in range(len(offsets))],
+                         check_reachability=use_capability_filter)
+    y = np.array([1.0 if rec.label == SUCCESS else -1.0 for rec in records])
     X = np.array([[r.dx_rob, r.dy_rob] for r in offsets])
-    y = np.array(labels)
     points = []
     for size in sizes:
         model = train_svm(X[:size], y[:size], kernel_sigma, cost_C, positive_class_weight)
         pred = np.where(model.decision_values(test_X) > 0, 1, -1)
         points.append(AccuracyPoint(size=size,
                                     accuracy=float(np.mean(pred == test_y)),
-                                    executed=sum(executed[:size])))
+                                    executed=sum(rec.executed for rec in records[:size])))
     return points
 
 

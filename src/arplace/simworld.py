@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import ObjectFeatures, RobotOffset, wrap_angle
+from .geometry import TWO_PI, ObjectFeatures, RobotOffset
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -34,6 +34,8 @@ CAUSES = (
     "slip",
     "local_minimum",
 )
+_NONE, _UNREACHABLE, _TABLE_COLLISION, _OBJECT_COLLISION, _EMPTY_GRIP, _SLIP, \
+    _LOCAL_MINIMUM = range(len(CAUSES))
 
 
 @dataclass(frozen=True)
@@ -172,62 +174,38 @@ class Dataset:
                    records=records, comments=comments)
 
 
-def handle_position(obj: ObjectFeatures, world: WorldConfig) -> tuple[float, float]:
-    """Grasp handle in the GSM frame; the object sits at (-dx_obj, 0)."""
-    return (-obj.dx_obj + world.handle_length * math.cos(obj.dpsi_obj),
-            world.handle_length * math.sin(obj.dpsi_obj))
-
-
-def _handle_bearing(xb: float, yb: float, hx: float, hy: float) -> float:
-    """Bearing of the handle relative to the robot front (the robot faces the
-    table, i.e. the -x direction)."""
-    return abs(wrap_angle(math.atan2(hy - yb, hx - xb) - math.pi))
-
-
-def corridor_coords(obj: ObjectFeatures, xb: float, yb: float,
-                    world: WorldConfig) -> tuple[float, float]:
-    """Base position in the handle-axis frame: (along, lateral) where the
-    axis points from the handle away from the object at angle dpsi_obj."""
-    hx, hy = handle_position(obj, world)
-    ux, uy = math.cos(obj.dpsi_obj), math.sin(obj.dpsi_obj)
-    rx, ry = xb - hx, yb - hy
-    return (rx * ux + ry * uy, -rx * uy + ry * ux)
-
-
-def corridor_halfwidth(along: float, world: WorldConfig) -> float:
-    """Lateral arm slack at a given stand-off distance; shrinks linearly
-    with distance from the near end of the reach interval."""
-    w = world.corridor_width - world.corridor_taper * (along - world.reach_min)
-    return max(0.5 * w, 0.0)
-
-
-def _first_failure(obj: ObjectFeatures, x: float, y: float, world: WorldConfig,
-                   grasp_margin: float, table_margin: float, clearance: float) -> str:
-    """First failing stage of a reach-grasp from base position (x, y) under
-    the given margins, in the order of the action sequence; "none" when all
-    pass."""
-    if x < world.robot_radius + table_margin:
-        return "table_collision"
-    if math.hypot(x + obj.dx_obj, y) < clearance:
-        return "object_collision"
-    along, lateral = corridor_coords(obj, x, y, world)
-    if not (world.reach_min + grasp_margin <= along <= world.reach_max - grasp_margin):
-        return "empty_grip"
-    hx, hy = handle_position(obj, world)
-    if _handle_bearing(x, y, hx, hy) > world.reach_halfangle:
-        return "empty_grip"
-    if abs(lateral) > corridor_halfwidth(along, world) - grasp_margin:
-        return "slip"
-    return "none"
-
-
-def theoretically_reachable(obj: ObjectFeatures, robot: RobotOffset,
-                            world: WorldConfig) -> bool:
-    """Kinematic upper bound: the outcome test of grasp_outcome with zero
-    gripper margin, table margin and object clearance. Each margin only
-    narrows a stage, so with non-negative margins this is a superset of
-    every geometrically successful pose."""
-    return _first_failure(obj, robot.dx_rob, robot.dy_rob, world, 0.0, 0.0, 0.0) == "none"
+def _first_failure(dx_obj, dpsi_obj, x, y, world: WorldConfig, grasp_margin: float,
+                   table_margin: float, clearance: float) -> np.ndarray:
+    """CAUSES index of the first failing stage of a reach-grasp from base
+    position (x, y), elementwise over broadcast arrays; 0 ("none") where all
+    pass. In the order of the action sequence: table_collision (x below
+    robot_radius + table_margin), object_collision (closer than clearance
+    to the object at (-dx_obj, 0)), empty_grip (the stand-off along the
+    handle axis outside the reach interval narrowed by grasp_margin, or the
+    handle bearing more than reach_halfangle off the robot front, which
+    faces -x), then slip (the lateral offset from the axis beyond the
+    corridor half-width less grasp_margin). The handle sits handle_length
+    from the object along dpsi_obj, and its axis points away from the
+    object. The half-width, corridor_width/2 at reach_min, shrinks by
+    corridor_taper/2 per metre of stand-off down to 0. Each margin only
+    narrows a stage, so the zero margins pass a superset of the
+    geometrically successful poses: the reachability filter."""
+    with np.errstate(invalid="ignore"):  # an infinite base gives NaN, as math does
+        c, s = np.cos(dpsi_obj), np.sin(dpsi_obj)
+        rx = x - (world.handle_length * c - dx_obj)
+        ry = y - world.handle_length * s
+        along, lateral = rx * c + ry * s, -rx * s + ry * c
+        # angle from the robot front (-x) to the handle, wrapped as geometry.wrap_angle
+        bearing = np.abs(np.pi - ((np.pi - (np.arctan2(-ry, -rx) - np.pi)) % TWO_PI))
+        halfwidth = np.maximum(0.5 * (world.corridor_width
+                                      - world.corridor_taper * (along - world.reach_min)), 0.0)
+        empty = (~((world.reach_min + grasp_margin <= along)
+                   & (along <= world.reach_max - grasp_margin))
+                 | (bearing > world.reach_halfangle))
+        code = np.where(np.abs(lateral) > halfwidth - grasp_margin, _SLIP, _NONE)
+        code = np.where(empty, _EMPTY_GRIP, code)
+        code = np.where(np.hypot(x + dx_obj, y) < clearance, _OBJECT_COLLISION, code)
+        return np.where(x < world.robot_radius + table_margin, _TABLE_COLLISION, code)
 
 
 def grasp_outcome(obj: ObjectFeatures, xb: float, yb: float,
@@ -235,8 +213,8 @@ def grasp_outcome(obj: ObjectFeatures, xb: float, yb: float,
     """Deterministic outcome of the reach-grasp stages at an achieved base
     position (local-minimum events excluded). Returns a cause, "none" on
     success."""
-    return _first_failure(obj, xb, yb, world, world.grasp_margin, world.table_margin,
-                          world.min_object_clearance)
+    return CAUSES[_first_failure(obj.dx_obj, obj.dpsi_obj, xb, yb, world, world.grasp_margin,
+                                 world.table_margin, world.min_object_clearance)]
 
 
 def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfig) -> bool:
@@ -244,29 +222,37 @@ def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfi
     return grasp_outcome(obj, robot.dx_rob, robot.dy_rob, world) == "none"
 
 
-def execute_trial(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfig,
-                  rng, check_reachability: bool = True) -> TrialRecord:
-    """Run one navigate-reach-grasp trial.
-
-    Theoretically unreachable commands are labeled without simulation. The
-    achieved base pose is the command plus Gaussian navigation noise; the
-    first failing stage determines the cause. rng is a Generator or a seed
-    for np.random.default_rng, which is built only for a simulated trial.
-    """
-    if check_reachability and not theoretically_reachable(obj, robot, world):
-        return TrialRecord(obj, robot, FAILURE, "unreachable_theory")
-    rng = np.random.default_rng(rng)
-    noise = rng.normal(0.0, 1.0, size=2) * world.nav_noise_sigma
-    xb = robot.dx_rob + noise[0]
-    yb = robot.dy_rob + noise[1]
-    cause = grasp_outcome(obj, xb, yb, world)
-    if cause in ("table_collision", "object_collision"):
-        return TrialRecord(obj, robot, FAILURE, cause)
-    if rng.uniform() < world.local_minimum_rate:
-        return TrialRecord(obj, robot, FAILURE, "local_minimum")
-    if cause != "none":
-        return TrialRecord(obj, robot, FAILURE, cause)
-    return TrialRecord(obj, robot, SUCCESS, "none")
+def run_trials(objects, robots, world: WorldConfig, streams,
+               check_reachability: bool = True) -> list[TrialRecord]:
+    """Trial k of objects[k], robots[k] on streams[k], a Generator or a seed
+    for np.random.default_rng. With check_reachability, a command that fails
+    the stage test at zero margins is labeled "unreachable_theory" and never
+    builds its generator. A simulated trial draws normal(size=2) navigation
+    noise, scaled by nav_noise_sigma, and its achieved base pose's first
+    failing stage is the cause. Unless the robot hit the table or the
+    object, it then draws uniform(), and below local_minimum_rate the
+    controller is stuck in a local minimum."""
+    n = len(objects)
+    if not n == len(robots) == len(streams):
+        raise ValueError("objects, robots and streams need one entry per trial")
+    dx, dpsi = np.array([(o.dx_obj, o.dpsi_obj) for o in objects], dtype=float).reshape(-1, 2).T
+    x, y = np.array([(r.dx_rob, r.dy_rob) for r in robots], dtype=float).reshape(-1, 2).T
+    run = np.arange(n)
+    if check_reachability:
+        run = np.flatnonzero(_first_failure(dx, dpsi, x, y, world, 0.0, 0.0, 0.0) == _NONE)
+    rngs = [np.random.default_rng(streams[k]) for k in run]
+    noise = np.reshape([rng.normal(0.0, 1.0, size=2) for rng in rngs], (-1, 2)).T
+    xb, yb = x[run] + world.nav_noise_sigma * noise[0], y[run] + world.nav_noise_sigma * noise[1]
+    outcome = _first_failure(dx[run], dpsi[run], xb, yb, world, world.grasp_margin,
+                             world.table_margin, world.min_object_clearance)
+    codes = np.full(n, _UNREACHABLE)
+    for k, rng, code in zip(run.tolist(), rngs, outcome.tolist()):
+        if code not in (_TABLE_COLLISION, _OBJECT_COLLISION) and \
+                rng.uniform() < world.local_minimum_rate:
+            code = _LOCAL_MINIMUM
+        codes[k] = code
+    return [TrialRecord(obj, rob, SUCCESS if code == _NONE else FAILURE, CAUSES[code])
+            for obj, rob, code in zip(objects, robots, codes.tolist())]
 
 
 def generate_dataset(world: WorldConfig, object_grid, robot_grid, seed: int,
@@ -277,10 +263,10 @@ def generate_dataset(world: WorldConfig, object_grid, robot_grid, seed: int,
     never builds its generator."""
     if not object_grid or not robot_grid:
         raise ValueError("grids must be non-empty")
-    records = [execute_trial(obj, rob, world, (seed, i * len(robot_grid) + j),
-                             check_reachability=use_capability_filter)
-               for i, obj in enumerate(object_grid)
-               for j, rob in enumerate(robot_grid)]
+    records = run_trials([obj for obj in object_grid for _ in robot_grid],
+                         list(robot_grid) * len(object_grid), world,
+                         [(seed, k) for k in range(len(object_grid) * len(robot_grid))],
+                         check_reachability=use_capability_filter)
     return Dataset(world=world, object_grid=list(object_grid),
                    robot_grid=list(robot_grid), records=records)
 

@@ -372,8 +372,8 @@ def test_huge_seeds_are_accepted(artifacts, tmp_path, capsys):
 
 
 def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
-    """`eval accuracy --seed 0` runs execute_trial and trains and evaluates
-    SVMs; its report must keep these bytes."""
+    """`eval accuracy --seed 0` runs trials through run_trials and trains
+    and evaluates SVMs; its report must keep these bytes."""
     out = tmp_path / "acc.txt"
     assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \

@@ -139,19 +139,19 @@ def test_accuracy_curve_filter_reduces_executed_trials(world):
 
 def test_accuracy_curve_runs_each_training_trial_once(world, monkeypatch):
     """All sizes share one run of the max(sizes) training trials: each trial
-    seed is used once. The report bytes are pinned in test_cli."""
-    calls = []
-    real = evaluation.execute_trial
+    stream is used once. The report bytes are pinned in test_cli."""
+    streams = []
+    real = evaluation.run_trials
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return real(*args, **kwargs)
+    def counted(objects, robots, world, trial_streams, **kwargs):
+        streams.extend(trial_streams)
+        return real(objects, robots, world, trial_streams, **kwargs)
 
-    monkeypatch.setattr(evaluation, "execute_trial", counted)
+    monkeypatch.setattr(evaluation, "run_trials", counted)
     accuracy_curve(world, ObjectFeatures(0.11, 0.2), [20, 50, 100],
                    use_capability_filter=True, seed=0, n_test=30)
-    assert len(calls) == 30 + 100
-    assert len(set(calls)) == len(calls)
+    assert len(streams) == 30 + 100
+    assert len(set(streams)) == len(streams)
 
 
 def test_accuracy_curve_requires_ascending_sizes(world):

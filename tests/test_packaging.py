@@ -150,3 +150,15 @@ def test_a_failing_hypothesis_example_is_reported(tmp_path):
     assert "1 failed, 2 passed" in run.stdout
     assert "Falsifying example: test_generated_example_fails(" in run.stdout
     assert run.returncode == 1
+
+
+def test_the_readme_library_example_runs():
+    """The README's "Library example" runs as written, so a renamed or
+    deleted public name cannot leave it stale."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library example"):]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    run = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()

@@ -301,8 +301,14 @@ def test_compute_map_keeps_its_bytes(gsm, name):
 
 
 def test_compute_map_memory_does_not_grow_with_samples(gsm):
+    """Eight times the samples take at most twice the peak, and the working
+    memory beyond the (n, m, 2) float polygons that the call must hold does
+    not grow by more than 15%. Measured peaks with numpy 2.4 (m = 20, a
+    37 x 65 grid): 1.41 MB at n = 500 and 2.61 MB at n = 4,000, of which
+    0.16 and 1.28 MB are polygons, leaving 1.25 and 1.33 MB."""
     belief = GaussianBelief.isotropic((0.14, 0.0, 0.0), 0.02, 0.1)
     spec = GridSpec.covering(0.15, 1.05, -0.8, 0.8, 0.025)
+    polygon_bytes = len(gsm.pdm.mean) * 8  # m points of 2 floats per sample
 
     def peak(n):
         tracemalloc.start()
@@ -312,7 +318,9 @@ def test_compute_map_memory_does_not_grow_with_samples(gsm):
         finally:
             tracemalloc.stop()
 
-    assert peak(4000) <= 2 * peak(500)
+    peaks = {n: peak(n) for n in (500, 4000)}
+    assert peaks[4000] <= 2 * peaks[500]
+    assert peaks[4000] - 4000 * polygon_bytes <= 1.15 * (peaks[500] - 500 * polygon_bytes)
 
 
 # ---------------------------------------------------------------------------

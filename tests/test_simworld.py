@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
-from arplace.simworld import (Dataset, TrialRecord, corridor_coords, corridor_halfwidth,
-                              default_object_grid, default_robot_grid,
-                              default_world, execute_trial, generate_dataset,
-                              geometric_success, grasp_outcome,
-                              handle_position, theoretically_reachable)
+from arplace.simworld import (CAUSES, Dataset, TrialRecord, _first_failure,
+                              default_object_grid, default_robot_grid, default_world,
+                              generate_dataset, grasp_outcome, run_trials)
 
 
 @pytest.fixture(scope="module")
@@ -22,32 +21,150 @@ def w():
     return default_world(seed=0)
 
 
+def _first_failure_reference(obj, x, y, world, grasp_margin, table_margin, clearance):
+    """The stage test as a scalar cascade of math calls, stage by stage:
+    table, object, reach interval, bearing, slip. The handle sits at
+    (-dx_obj + handle_length cos dpsi, handle_length sin dpsi); (along,
+    lateral) is the base in the frame of the handle axis."""
+    if x < world.robot_radius + table_margin:
+        return "table_collision"
+    if math.hypot(x + obj.dx_obj, y) < clearance:
+        return "object_collision"
+    ux, uy = math.cos(obj.dpsi_obj), math.sin(obj.dpsi_obj)
+    hx, hy = -obj.dx_obj + world.handle_length * ux, world.handle_length * uy
+    rx, ry = x - hx, y - hy
+    along, lateral = rx * ux + ry * uy, -rx * uy + ry * ux
+    if not (world.reach_min + grasp_margin <= along <= world.reach_max - grasp_margin):
+        return "empty_grip"
+    if abs(wrap_angle(math.atan2(hy - y, hx - x) - math.pi)) > world.reach_halfangle:
+        return "empty_grip"
+    halfwidth = max(0.5 * (world.corridor_width
+                           - world.corridor_taper * (along - world.reach_min)), 0.0)
+    if abs(lateral) > halfwidth - grasp_margin:
+        return "slip"
+    return "none"
+
+
+def _margins(world):
+    return world.grasp_margin, world.table_margin, world.min_object_clearance
+
+
+def _stage_test(objs, x, y, world, margins):
+    """Causes of _first_failure over lists of objects and base coordinates."""
+    codes = _first_failure(np.array([o.dx_obj for o in objs]), np.array([o.dpsi_obj for o in objs]),
+                           np.asarray(x, dtype=float), np.asarray(y, dtype=float), world, *margins)
+    return [CAUSES[c] for c in codes.tolist()]
+
+
+WIDE_MARGINS = {"grasp_margin": 0.07, "table_margin": 0.05, "min_object_clearance": 0.3}
+
+
+# ---------------------------------------------------------------------------
+# the stage test against the scalar cascade
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("margins", [{}, WIDE_MARGINS], ids=["default", "wide_margins"])
+def test_first_failure_matches_the_scalar_cascade(w, margins):
+    """On 200,000 seeded random (pose, base) pairs, every cause occurs and
+    every decision equals the cascade's.
+
+    The inputs are seeded, not searched for the exact stage boundaries:
+    np.hypot and np.arctan2 may differ from math.hypot and math.atan2 in
+    the last bit (with numpy 2.4 on x86-64 they did on 0.6% and 7.7% of a
+    million random inputs), so a search would find 1-ulp disagreements at a
+    boundary that are not defects."""
+    world = dataclasses.replace(w, **margins)
+    rng = np.random.default_rng(17)
+    n = 200_000
+    objs = [ObjectFeatures(dx, dpsi) for dx, dpsi in
+            zip(rng.uniform(0.0, 0.3, n).tolist(), rng.uniform(-math.pi, math.pi, n).tolist())]
+    x, y = rng.uniform(0.0, 1.3, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist()
+    got = _stage_test(objs, x, y, world, _margins(world))
+    want = [_first_failure_reference(o, xb, yb, world, *_margins(world))
+            for o, xb, yb in zip(objs, x, y)]
+    assert got == want
+    assert set(want) == set(CAUSES) - {"unreachable_theory", "local_minimum"}
+
+
+def test_first_failure_matches_the_scalar_cascade_on_the_default_grids(w):
+    """Every pair of the default grids, at zero margins (the reachability
+    filter) and at the world's margins."""
+    pairs = list(itertools.product(default_object_grid(), default_robot_grid()))
+    objs = [o for o, _ in pairs]
+    x, y = [r.dx_rob for _, r in pairs], [r.dy_rob for _, r in pairs]
+    for margins in ((0.0, 0.0, 0.0), _margins(w)):
+        assert _stage_test(objs, x, y, w, margins) == \
+            [_first_failure_reference(o, xb, yb, w, *margins) for o, xb, yb in zip(objs, x, y)]
+
+
+def test_first_failure_matches_the_scalar_cascade_off_the_reals(w):
+    """NaN and infinite base coordinates take the cascade's decision, with
+    no warning: a NaN fails the reach interval, an infinite x passes the
+    table and object tests."""
+    values = [math.nan, math.inf, -math.inf, 0.0, 0.5, -0.3]
+    objs = [ObjectFeatures(0.12, psi) for psi in (0.0, 0.4, -math.pi / 2, math.pi)]
+    cases = [(o, xb, yb) for o in objs for xb in values for yb in values
+             if not (math.isfinite(xb) and math.isfinite(yb))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _stage_test([o for o, _, _ in cases], [c[1] for c in cases],
+                          [c[2] for c in cases], w, _margins(w))
+    assert got == [_first_failure_reference(o, xb, yb, w, *_margins(w)) for o, xb, yb in cases]
+    assert {"table_collision", "empty_grip"} <= set(got)
+
+
+def test_first_failure_of_a_batch_equals_one_call_per_pair(w):
+    """A batch and single calls give the same causes, and grasp_outcome is
+    the single call at the world's margins."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    objs = [ObjectFeatures(dx, dpsi) for dx, dpsi in
+            zip(rng.uniform(0.0, 0.3, n).tolist(), rng.uniform(-0.8, 0.8, n).tolist())]
+    x, y = rng.uniform(0.0, 1.3, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist()
+    batch = _stage_test(objs, x, y, w, _margins(w))
+    single = [CAUSES[_first_failure(o.dx_obj, o.dpsi_obj, xb, yb, w, *_margins(w))]
+              for o, xb, yb in zip(objs, x, y)]
+    assert batch == single
+    assert [grasp_outcome(o, xb, yb, w) for o, xb, yb in zip(objs[:200], x, y)] == batch[:200]
+
+
 # ---------------------------------------------------------------------------
 # deterministic geometry
 # ---------------------------------------------------------------------------
 
 def test_handle_position_zero_rotation(w):
-    obj = ObjectFeatures(0.12, 0.0)
-    hx, hy = handle_position(obj, w)
-    assert hx == pytest.approx(-0.12 + w.handle_length)
-    assert hy == pytest.approx(0.0)
+    """The handle of an unrotated object sits handle_length in front of it,
+    at (-dx_obj + handle_length, 0): the reach interval, narrowed by the
+    gripper margin, starts reach_min + grasp_margin beyond it."""
+    obj = ObjectFeatures(0.2, 0.0)
+    start = -0.2 + w.handle_length + w.reach_min + w.grasp_margin
+    assert grasp_outcome(obj, start + 1e-6, 0.0, w) == "none"
+    assert grasp_outcome(obj, start - 1e-6, 0.0, w) == "empty_grip"
 
 
 def test_corridor_coords_identity_at_zero_rotation(w):
+    """With the handle at the origin and no rotation, the corridor frame is
+    the GSM frame: the slip boundary at x = 0.5 lies at the half-width
+    of stand-off 0.5, less the gripper margin, on either side."""
     obj = ObjectFeatures(w.handle_length, 0.0)  # handle at the origin
-    along, lateral = corridor_coords(obj, 0.5, 0.2, w)
-    assert along == pytest.approx(0.5)
-    assert lateral == pytest.approx(0.2)
+    edge = 0.5 * (w.corridor_width - w.corridor_taper * (0.5 - w.reach_min)) - w.grasp_margin
+    for side in (1.0, -1.0):
+        assert grasp_outcome(obj, 0.5, side * (edge - 1e-6), w) == "none"
+        assert grasp_outcome(obj, 0.5, side * (edge + 1e-6), w) == "slip"
 
 
 def test_corridor_halfwidth_tapers_linearly(w):
-    near = corridor_halfwidth(w.reach_min, w)
-    far = corridor_halfwidth(w.reach_max, w)
-    assert near == pytest.approx(0.5 * w.corridor_width)
-    assert far < near
-    mid = corridor_halfwidth(0.5 * (w.reach_min + w.reach_max), w)
-    assert mid == pytest.approx(0.5 * (near + far))
-    assert corridor_halfwidth(100.0, w) == 0.0
+    """The slip boundary narrows linearly with the stand-off, from
+    corridor_width / 2 at reach_min, and a half-width tapered below 0 stays
+    0: then only the axis itself holds without a gripper margin."""
+    obj = ObjectFeatures(w.handle_length, 0.0)  # handle at the origin
+    for along in (0.3, 0.5, 0.7, 0.9):
+        half = 0.5 * w.corridor_width - 0.5 * w.corridor_taper * (along - w.reach_min)
+        assert grasp_outcome(obj, along, half - w.grasp_margin - 1e-6, w) == "none"
+        assert grasp_outcome(obj, along, half - w.grasp_margin + 1e-6, w) == "slip"
+    steep = dataclasses.replace(w, corridor_taper=2.0, grasp_margin=0.0)
+    assert grasp_outcome(obj, 0.8, 0.0, steep) == "none"  # -0.25 before the clamp
+    assert grasp_outcome(obj, 0.8, 1e-9, steep) == "slip"
 
 
 def test_grasp_outcome_known_cases(w):
@@ -69,53 +186,59 @@ def test_success_region_rotates_with_the_handle(w):
     far = (0.85, 0.0)
     assert grasp_outcome(straight, *far, w) == "none"
     assert grasp_outcome(rotated, *far, w) != "none"
-    hx, hy = handle_position(rotated, w)
+    hx, hy = -0.12 + w.handle_length * math.cos(0.6), w.handle_length * math.sin(0.6)
     swung = (hx + 0.8 * math.cos(0.6), hy + 0.8 * math.sin(0.6))
     assert grasp_outcome(rotated, *swung, w) == "none"
 
 
+def _random_pairs(rng, n):
+    objs = [ObjectFeatures(rng.uniform(0.0, 0.3), rng.uniform(-0.8, 0.8)) for _ in range(n)]
+    robs = [RobotOffset(rng.uniform(0.0, 1.3), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    return objs, robs
+
+
 def test_reachability_is_superset_of_success(w):
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        obj = ObjectFeatures(rng.uniform(0.0, 0.3), rng.uniform(-0.8, 0.8))
-        rob = RobotOffset(rng.uniform(0.0, 1.3), rng.uniform(-1.0, 1.0))
-        if geometric_success(obj, rob, w):
-            assert theoretically_reachable(obj, rob, w)
+    objs, robs = _random_pairs(np.random.default_rng(7), 500)
+    x, y = [r.dx_rob for r in robs], [r.dy_rob for r in robs]
+    success = np.array(_stage_test(objs, x, y, w, _margins(w))) == "none"
+    reachable = np.array(_stage_test(objs, x, y, w, (0.0, 0.0, 0.0))) == "none"
+    assert success.any()
+    assert not (success & ~reachable).any()
 
 
 def _reachable_reference(obj, robot, world):
     """The corridor formula of the reachability filter written out on its
     own: table clearance, reach interval, corridor half-width without the
-    gripper margin, and the arm-sector bearing. The oracle that
-    theoretically_reachable (grasp_outcome's stages with zero margins) must
-    equal."""
+    gripper margin, and the arm-sector bearing. The oracle that the filter
+    of run_trials (the stage test with zero margins) must equal."""
     if robot.dx_rob < world.robot_radius:
         return False
-    along, lateral = corridor_coords(obj, robot.dx_rob, robot.dy_rob, world)
+    c, s = math.cos(obj.dpsi_obj), math.sin(obj.dpsi_obj)
+    hx, hy = world.handle_length * c - obj.dx_obj, world.handle_length * s
+    rx, ry = robot.dx_rob - hx, robot.dy_rob - hy
+    along, lateral = rx * c + ry * s, ry * c - rx * s
     if not (world.reach_min <= along <= world.reach_max):
         return False
-    if abs(lateral) > corridor_halfwidth(along, world):
+    if abs(lateral) > max(0.0, 0.5 * (world.corridor_width
+                                      - world.corridor_taper * (along - world.reach_min))):
         return False
-    hx, hy = handle_position(obj, world)
     bearing = abs(wrap_angle(math.atan2(hy - robot.dy_rob, hx - robot.dx_rob) - math.pi))
     return bearing <= world.reach_halfangle
 
 
-@pytest.mark.parametrize("margins", [
-    {},
-    {"grasp_margin": 0.07, "table_margin": 0.05, "min_object_clearance": 0.3},
-], ids=["default", "wide_margins"])
+@pytest.mark.parametrize("margins", [{}, WIDE_MARGINS], ids=["default", "wide_margins"])
 def test_reachability_equals_the_corridor_formula(w, margins):
     """On 3,000 seeded (pose, base) pairs and on every pair of the default
-    grids, whatever the world's margins."""
+    grids, whatever the world's margins, run_trials executes exactly the
+    reachable trials."""
     world = dataclasses.replace(w, **margins)
-    rng = np.random.default_rng(11)
-    pairs = [(ObjectFeatures(rng.uniform(0.0, 0.3), rng.uniform(-0.8, 0.8)),
-              RobotOffset(rng.uniform(0.0, 1.3), rng.uniform(-1.0, 1.0)))
-             for _ in range(3000)]
-    pairs += [(obj, rob) for obj in default_object_grid() for rob in default_robot_grid()]
-    reachable = [_reachable_reference(obj, rob, world) for obj, rob in pairs]
-    assert [theoretically_reachable(obj, rob, world) for obj, rob in pairs] == reachable
+    objs, robs = _random_pairs(np.random.default_rng(11), 3000)
+    for obj, rob in itertools.product(default_object_grid(), default_robot_grid()):
+        objs.append(obj)
+        robs.append(rob)
+    reachable = [_reachable_reference(obj, rob, world) for obj, rob in zip(objs, robs)]
+    records = run_trials(objs, robs, world, list(range(len(objs))))
+    assert [rec.executed for rec in records] == reachable
     assert 0.1 < np.mean(reachable) < 0.9
 
 
@@ -134,18 +257,45 @@ def test_trial_record_consistency_checks():
 
 
 def test_execute_trial_deterministic_per_seed(w):
+    """A trial's record depends only on its stream: a seed, or the generator
+    built from it."""
     obj, rob = ObjectFeatures(0.12, 0.2), RobotOffset(0.6, 0.1)
-    a = execute_trial(obj, rob, w, np.random.default_rng(3))
-    b = execute_trial(obj, rob, w, np.random.default_rng(3))
-    assert a == b
+    a = run_trials([obj], [rob], w, [np.random.default_rng(3)])
+    assert a == run_trials([obj], [rob], w, [np.random.default_rng(3)])
+    assert a == run_trials([obj], [rob], w, [3])
 
 
 def test_unreachable_commands_are_not_executed(w):
     obj, rob = ObjectFeatures(0.12, 0.0), RobotOffset(2.5, 0.0)
-    rec = execute_trial(obj, rob, w, np.random.default_rng(0))
+    stream = np.random.default_rng(0)
+    state = stream.bit_generator.state
+    (rec,) = run_trials([obj], [rob], w, [stream])
     assert rec.label == "failure"
     assert rec.cause == "unreachable_theory"
     assert not rec.executed
+    assert stream.bit_generator.state == state  # nothing was drawn
+
+
+def test_only_trials_clear_of_table_and_object_can_stick(w):
+    """At local_minimum_rate 1 every executed trial that did not hit the
+    table or the object ends in a local minimum, and the collisions keep
+    their cause."""
+    stuck = dataclasses.replace(w, local_minimum_rate=1.0)
+    obj = ObjectFeatures(0.05, 0.0)
+    robs = [RobotOffset(x, y) for x in (0.11, 0.12, 0.125, 0.5) for y in (-0.02, 0.0, 0.02)]
+    causes = [rec.cause for rec in run_trials([obj] * len(robs) * 20, robs * 20, stuck,
+                                              list(range(len(robs) * 20)),
+                                              check_reachability=False)]
+    assert set(causes) == {"table_collision", "object_collision", "local_minimum"}
+
+
+@pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (0, 1, 0)])
+def test_run_trials_refuses_lists_of_different_lengths(w, lengths):
+    """zip would drop the trials beyond the shortest list without a word."""
+    objs, robs, streams = lengths
+    with pytest.raises(ValueError, match="one entry per trial"):
+        run_trials([ObjectFeatures(0.12, 0.0)] * objs, [RobotOffset(0.5, 0.0)] * robs, w,
+                   list(range(streams)))
 
 
 def test_success_frequency_matches_gaussian_mass_oracle(w):
@@ -155,29 +305,26 @@ def test_success_frequency_matches_gaussian_mass_oracle(w):
     obj = ObjectFeatures(0.12, 0.1)
     # straddle the slip boundary so the rate is genuinely intermediate
     along = 0.55
-    lat = corridor_halfwidth(along, w) - w.grasp_margin
-    hx, hy = handle_position(obj, w)
+    lat = 0.5 * (w.corridor_width - w.corridor_taper * (along - w.reach_min)) - w.grasp_margin
     ux, uy = math.cos(0.1), math.sin(0.1)
+    hx, hy = -0.12 + w.handle_length * ux, w.handle_length * uy
     base = (hx + along * ux - lat * uy, hy + along * uy + lat * ux)
 
     sigma = w.nav_noise_sigma
     span = np.linspace(-4 * sigma, 4 * sigma, 81)
     weights = np.exp(-0.5 * (span / sigma) ** 2)
     weights /= weights.sum()
-    mass = 0.0
-    for ex, wx in zip(span, weights):
-        for ey, wy in zip(span, weights):
-            if grasp_outcome(obj, base[0] + ex, base[1] + ey, w) == "none":
-                mass += wx * wy
+    ex, ey = np.meshgrid(span, span, indexing="ij")
+    inside = _first_failure(obj.dx_obj, obj.dpsi_obj, base[0] + ex, base[1] + ey, w,
+                            *_margins(w)) == 0
+    mass = float(np.sum(np.outer(weights, weights)[inside]))
     expected = mass * (1.0 - w.local_minimum_rate)
+    assert 0.2 < mass < 0.8
 
     n = 4000
-    hits = 0
-    for t in range(n):
-        rec = execute_trial(obj, RobotOffset(*base), w,
-                            np.random.default_rng((99, t)),
-                            check_reachability=False)
-        hits += rec.label == "success"
+    records = run_trials([obj] * n, [RobotOffset(*base)] * n, w,
+                         [(99, t) for t in range(n)], check_reachability=False)
+    hits = sum(rec.label == "success" for rec in records)
     assert hits / n == pytest.approx(expected, abs=0.03)
 
 
@@ -189,28 +336,52 @@ def test_generate_dataset_reproducible_and_order_independent(w):
     assert a.records == b.records
     # each record runs on the stream of its own pair index, whatever ran before
     k = len(robs) + 3
-    assert a.records[k] == execute_trial(objs[1], robs[3], w,
-                                         np.random.default_rng((5, k)))
+    assert a.records[k] == run_trials([objs[1]], [robs[3]], w, [(5, k)])[0]
     assert generate_dataset(w, objs, robs, seed=6).records != a.records
 
 
+def _trial_reference(obj, robot, world, rng, check_reachability):
+    """One trial on its own generator, the stages by the scalar cascade: the
+    record run_trials must give."""
+    margins = _margins(world)
+    if check_reachability and _first_failure_reference(
+            obj, robot.dx_rob, robot.dy_rob, world, 0.0, 0.0, 0.0) != "none":
+        return TrialRecord(obj, robot, "failure", "unreachable_theory")
+    noise = rng.normal(0.0, 1.0, size=2) * world.nav_noise_sigma
+    cause = _first_failure_reference(obj, robot.dx_rob + noise[0], robot.dy_rob + noise[1],
+                                     world, *margins)
+    if cause not in ("table_collision", "object_collision") and \
+            rng.uniform() < world.local_minimum_rate:
+        cause = "local_minimum"
+    return TrialRecord(obj, robot, "success" if cause == "none" else "failure", cause)
+
+
 def _generate_dataset_reference(world, object_grid, robot_grid, seed, use_capability_filter):
-    """generate_dataset with a generator built for every pair before the
-    reachability filter runs: the records generate_dataset must reproduce."""
-    return [execute_trial(obj, rob, world,
-                          np.random.default_rng((seed, i * len(robot_grid) + j)),
-                          check_reachability=use_capability_filter)
+    """generate_dataset as one trial at a time, with a generator built for
+    every pair before the reachability filter runs: the records
+    generate_dataset must reproduce."""
+    return [_trial_reference(obj, rob, world,
+                             np.random.default_rng((seed, i * len(robot_grid) + j)),
+                             use_capability_filter)
             for i, obj in enumerate(object_grid)
             for j, rob in enumerate(robot_grid)]
 
 
 @pytest.mark.parametrize("seed", [0, 42])
 def test_generate_dataset_matches_eager_generators(w, seed):
+    """Filtered on the default grids, and unfiltered on two poses with bases
+    next to the table and the object, so that collisions, which draw no
+    local-minimum number, occur among the trials."""
     objs, robs = default_object_grid(), default_robot_grid()
     data = generate_dataset(w, objs, robs, seed=seed)
     assert data.records == _generate_dataset_reference(w, objs, robs, seed, True)
-    unfiltered = generate_dataset(w, objs[:2], robs, seed=seed, use_capability_filter=False)
-    assert unfiltered.records == _generate_dataset_reference(w, objs[:2], robs, seed, False)
+    near = [RobotOffset(x, y) for x in (0.11, 0.12, 0.13) for y in (-0.05, 0.0, 0.05)]
+    unfiltered = generate_dataset(w, objs[:2], robs + near, seed=seed,
+                                  use_capability_filter=False)
+    reference = _generate_dataset_reference(w, objs[:2], robs + near, seed, False)
+    assert unfiltered.records == reference
+    assert {"table_collision", "object_collision", "local_minimum", "none"} <= \
+        {rec.cause for rec in reference}
 
 
 def test_capability_filter_preserves_executed_trials(w):
