@@ -18,6 +18,7 @@ from .grids import GridSpec
 KKT_TOLERANCE = 1e-3     # convergence contract
 _SOLVE_EPS = 1e-10       # internal target, for order-independent solutions
 _MAX_PAIR_STEPS = 500_000
+_PAIR_ROWS = 256         # cached pair entries per table: 1.7 MB of rows at n = 432
 _KERNEL_BLOCK = 2 ** 17  # kernel entries per block: 1 MB per temporary, 1,024 points at 82 SVs
 
 
@@ -48,6 +49,7 @@ class SVMModel:
     kernel_sigma: float
     # solver record of train_svm; zero for a model built by hand
     pair_steps: int = 0
+    pair_rows: int = 0           # pair entries the fit built, not found in the table
     kkt_violation: float = 0.0
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
@@ -109,19 +111,29 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
 
 
 class _PairTable:
-    """Kernel K of the base positions X and the rows KK[k] = [K[k]; -K[k]]
-    of its (n, 2, n) pair table, read through a list of (2, n) views. It
+    """Kernel K of the base positions X and a bounded cache of pair entries.
+    The entry of the pair (i, j), keyed i * n + j, is the (2, n) update row
+    [K[j] - K[i]; K[i] - K[j]] and the curvature quad of the pair. It
     depends on X and kernel_sigma only, so every fit on the same positions
-    can share one."""
+    can share one; the cache is emptied when it holds _PAIR_ROWS entries."""
 
     def __init__(self, X: np.ndarray, kernel_sigma: float):
         self.X, self.kernel_sigma = X, kernel_sigma
         self.K = gaussian_kernel(X, X, kernel_sigma)
-        self.diag = np.diag(self.K).tolist()
-        KK = np.empty((len(X), 2, len(X)))
-        KK[:, 0] = self.K
-        np.negative(self.K, out=KK[:, 1])
-        self.rows = list(KK)
+        self.pairs: dict[int, tuple[np.ndarray, float]] = {}
+
+    def build_pair(self, i: int, j: int) -> tuple[np.ndarray, float]:
+        """Build, cache and return the entry of the pair (i, j)."""
+        if len(self.pairs) >= _PAIR_ROWS:
+            self.pairs.clear()
+        K = self.K
+        row = np.empty((2, len(K)))
+        np.subtract(K[j], K[i], out=row[0])
+        # not -row[0]: where K[i] and K[j] tie this is +0.0, as (-K[j]) - (-K[i]) is
+        np.subtract(K[i], K[j], out=row[1])
+        quad = max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
+        entry = self.pairs[i * len(K) + j] = (row, quad)
+        return entry
 
 
 def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
@@ -140,11 +152,12 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     step * (y_i Q[:, i] - y_j Q[:, j]) and negating. It is kept as one (2, n)
     selection array H: row 0 is myg on the index set up and -inf off it,
     row 1 is -myg on low and -inf off it. One argmax per row picks the pair
-    (the first maximum of -myg is the first minimum of myg), and the rows of
-    KK[k] = [K[k]; -K[k]] update both at once. IEEE negation is exact, so
-    row 1 holds the negation of the floats a separate min-array would. A box
-    bound above 2e-14 puts every index in up or low, so myg[k] is always in
-    one row; membership changes only at the pair just stepped.
+    (the first maximum of -myg is the first minimum of myg), and the pair's
+    table entry [K[j] - K[i]; K[i] - K[j]] updates both at once. IEEE
+    rounding is sign-symmetric, so row 1 holds the negation of the floats a
+    separate min-array would, up to the sign of zeros, which compare equal.
+    A box bound above 2e-14 puts every index in up or low, so myg[k] is
+    always in one row; membership changes only at the pair just stepped.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -164,7 +177,6 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         table = _PairTable(X, kernel_sigma)
     elif table.kernel_sigma != kernel_sigma or not np.array_equal(table.X, X):
         raise ValueError("the pair table belongs to other positions or another kernel_sigma")
-    K, KK, diag = table.K, table.rows, table.diag
 
     n = len(y)
     pos, cs, c_top = (y > 0).tolist(), C.tolist(), (C - 1e-14).tolist()
@@ -175,9 +187,11 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     # myg = y at alpha = 0, where grad = -1
     H = np.where([up, low], [y, -y], -np.inf)
     D = np.empty_like(H)
-    argmax, h_item, k_item = H.argmax, H.item, K.item
-    subtract, multiply, add = np.subtract, np.multiply, np.add
+    argmax, h_item = H.argmax, H.item
+    get, build_pair = table.pairs.get, table.build_pair
+    multiply, add = np.multiply, np.add
     violation = np.inf
+    rows = 0
     for steps in range(_MAX_PAIR_STEPS):
         i, j = argmax(1).tolist()
         if not up[i] or not low[j]:  # one set is empty
@@ -186,9 +200,11 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         violation = h_item(0, i) + h_item(1, j)
         if violation <= _SOLVE_EPS:
             break
-        quad = diag[i] + diag[j] - 2.0 * k_item(i, j)
-        if quad < 1e-12:
-            quad = 1e-12
+        entry = get(i * n + j)
+        if entry is None:
+            entry = build_pair(i, j)
+            rows += 1
+        row, quad = entry
         step = violation / quad
         # clip to the box for alpha_i + y_i*step, alpha_j - y_j*step
         a_i, a_j, pos_i, pos_j = alpha[i], alpha[j], pos[i], pos[j]
@@ -198,8 +214,7 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         room = a_j if pos_j else cs[j] - a_j
         if room < step:
             step = room
-        subtract(KK[j], KK[i], D)
-        multiply(D, step, D)
+        multiply(row, step, D)
         add(H, D, H)
         # H already holds myg[k] where membership stays. The update is written
         # out for i and for j: a loop over (i, j) costs about 6% of a step.
@@ -242,7 +257,8 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
 
     sv = alpha > 1e-12
     return SVMModel(support_points=X[sv].copy(), alphas=(y * alpha)[sv].copy(),
-                    bias=bias, kernel_sigma=kernel_sigma, pair_steps=steps, kkt_violation=violation)
+                    bias=bias, kernel_sigma=kernel_sigma, pair_steps=steps, pair_rows=rows,
+                    kkt_violation=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +408,12 @@ def extract_contour(model: SVMModel, grid_spec: GridSpec) -> np.ndarray:
     """Largest closed positive-region contour of the decision surface on the
     grid, counterclockwise, starting at the vertex of maximal dx_rob. By the
     orientation of _MS_SEGMENTS a loop around a positive region runs
-    clockwise and one around a hole counterclockwise."""
+    clockwise and one around a hole counterclockwise.
+
+    The policy: the outer loop of the positive region of largest area is
+    kept, so the holes inside it are filled; every other positive region is
+    dropped with a warning. No positive region raises
+    EmptySuccessRegionError."""
     xs, ys = grid_spec.centers()
     loops = _marching_squares(model.grid_values(grid_spec), xs, ys)
     clockwise_areas = np.array([-signed_area(loop) for loop in loops])

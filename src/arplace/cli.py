@@ -210,6 +210,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     print(f"trained model: d={gsm.pdm.d} energy={gsm.pdm.energy:.4f} "
           f"r2={np.round(gsm.regression.r_squared, 4).tolist()} "
           f"svm_steps={sum(m.pair_steps for m in svms.values())} "
+          f"svm_rows={sum(m.pair_rows for m in svms.values())} "
           f"max_pose_steps={max(m.pair_steps for m in svms.values())} "
           f"max_kkt_violation={max(m.kkt_violation for m in svms.values()):.3g} "
           f"-> {args.out}")

@@ -71,11 +71,11 @@ def test_svm_solution_satisfies_dual_constraints():
 
 
 def _train_svm_reference(X, y, kernel_sigma=0.1, cost_C=40.0, positive_class_weight=2.0,
-                         solve_eps=1e-10, max_steps=500_000):
+                         solve_eps=1e-10, max_steps=500_000, pairs=None):
     """Maximal-violating-pair solver written with whole-array masks and the
     gradient of the dual itself: the loop train_svm must reproduce float
     for float. Returns (support points, signed alphas, bias, pair steps,
-    final violation)."""
+    final violation); appends the (i, j) of every step to pairs if given."""
     n = len(y)
     d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
     K = np.exp(-d2 / (2.0 * kernel_sigma ** 2))
@@ -105,6 +105,8 @@ def _train_svm_reference(X, y, kernel_sigma=0.1, cost_C=40.0, positive_class_wei
         alpha[j] -= y[j] * step
         grad += step * (y[i] * Q[:, i] - y[j] * Q[:, j])
         steps += 1
+        if pairs is not None:
+            pairs.append((i, j))
     free = (alpha > 1e-10) & (alpha < C - 1e-10)
     myg = -y * grad
     if free.any():
@@ -117,13 +119,31 @@ def _train_svm_reference(X, y, kernel_sigma=0.1, cost_C=40.0, positive_class_wei
     return X[sv], (y * alpha)[sv], bias, steps, violation
 
 
-def test_train_svm_matches_the_reference_solver_on_ring_data():
+def _rows_built(pairs, limit):
+    """Pair rows a cache of at most limit entries builds for the pair
+    sequence, emptied when full: the pair_rows train_svm must report."""
+    cache, built = set(), 0
+    for pair in pairs:
+        if pair not in cache:
+            if len(cache) >= limit:
+                cache.clear()
+            cache.add(pair)
+            built += 1
+    return built
+
+
+def test_train_svm_matches_the_reference_solver_on_ring_data(monkeypatch):
+    """Also with a one-entry pair cache, which every new pair empties."""
     X, y = _ring_set(seed=5)
-    sv, alphas, bias, steps, violation = _train_svm_reference(X, y)
-    model = train_svm(X, y)
-    np.testing.assert_array_equal(model.support_points, sv)
-    np.testing.assert_array_equal(model.alphas, alphas)
-    assert (model.bias, model.pair_steps, model.kkt_violation) == (bias, steps, violation)
+    pairs = []
+    sv, alphas, bias, steps, violation = _train_svm_reference(X, y, pairs=pairs)
+    for limit in (classifier._PAIR_ROWS, 1):
+        monkeypatch.setattr(classifier, "_PAIR_ROWS", limit)
+        model = train_svm(X, y)
+        np.testing.assert_array_equal(model.support_points, sv)
+        np.testing.assert_array_equal(model.alphas, alphas)
+        assert (model.bias, model.pair_steps, model.kkt_violation) == (bias, steps, violation)
+        assert model.pair_rows == _rows_built(pairs, limit)
 
 
 def _lattice_set(n, seed, scale):
@@ -154,18 +174,24 @@ def _small_labeled_sets(draw):
 @example((*_lattice_set(9, 44788, 0.05), 0.3, 0.5))
 @example((*_lattice_set(9, 28681, 0.5), 0.3, 40.0))
 def test_train_svm_matches_the_reference_solver(case):
+    """Also with a one-entry pair cache, which every new pair empties."""
     X, y, sigma, cost = case
-    sv, alphas, bias, steps, violation = _train_svm_reference(X, y, sigma, cost)
-    if violation > KKT_TOLERANCE:
-        with pytest.raises(SVMConvergenceError):
-            train_svm(X, y, kernel_sigma=sigma, cost_C=cost)
-        return
-    model = train_svm(X, y, kernel_sigma=sigma, cost_C=cost)
-    np.testing.assert_array_equal(model.support_points, sv)
-    np.testing.assert_array_equal(model.alphas, alphas)
-    assert model.bias == bias
-    assert model.pair_steps == steps
-    assert model.kkt_violation == violation
+    pairs = []
+    sv, alphas, bias, steps, violation = _train_svm_reference(X, y, sigma, cost, pairs=pairs)
+    for limit in (classifier._PAIR_ROWS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "_PAIR_ROWS", limit)
+            if violation > KKT_TOLERANCE:
+                with pytest.raises(SVMConvergenceError):
+                    train_svm(X, y, kernel_sigma=sigma, cost_C=cost)
+                continue
+            model = train_svm(X, y, kernel_sigma=sigma, cost_C=cost)
+        np.testing.assert_array_equal(model.support_points, sv)
+        np.testing.assert_array_equal(model.alphas, alphas)
+        assert model.bias == bias
+        assert model.pair_steps == steps
+        assert model.pair_rows == _rows_built(pairs, limit)
+        assert model.kkt_violation == violation
 
 
 @pytest.mark.parametrize("limit", [642, 10])
@@ -338,11 +364,19 @@ def test_gaussian_kernel_memory_is_its_result_and_one_temporary():
     assert _traced_peak(gaussian_kernel, a, b, 0.1) <= 2.5 * 500 * 300 * 8
 
 
-def test_train_svm_memory_is_three_kernel_matrices():
-    """K plus its (n, 2, n) pair table, about 3 n^2 floats on 613 ring
-    points; negating K and stacking both copies peaked at 4.0 n^2."""
+def test_train_svm_memory_is_the_kernel_and_the_bounded_pair_rows(monkeypatch):
+    """On 613 ring points a fit holds at most K, the temporary that builds
+    K, and _PAIR_ROWS pair rows of 2 n floats (2.04 n^2 measured, where the
+    stacked (n, 2, n) table took 3 n^2). On a table built beforehand, the
+    rows are the fit's memory: at most one row beyond a full cache, the last
+    entry, outlives a clear (16 rows: 247 KB measured; unbounded, the fit's
+    161 rows took 1.7 MB)."""
     X, y = _ring_set(seed=0, n=700)
-    assert _traced_peak(train_svm, X, y) <= 3.5 * len(X) ** 2 * 8
+    n = len(X)
+    assert _traced_peak(train_svm, X, y) <= (2 * n * n + classifier._PAIR_ROWS * 2 * n) * 8
+    monkeypatch.setattr(classifier, "_PAIR_ROWS", 16)
+    table = _PairTable(X, 0.1)
+    assert _traced_peak(train_svm, X, y, table=table) <= (17 * 2 * n + 32 * n) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +793,12 @@ def test_resample_closed_equal_arc_spacing():
 
 def test_train_per_pose_work_on_the_session_dataset(pipeline):
     """The solver's record on the seed-42 dataset, the numbers the train
-    command prints: 165,935 pair steps over the 16 fits, 89,106 of them on
-    the worst pose, every fit within the solver's internal target."""
+    command prints: 165,935 pair steps over the 16 fits, 11,901 pair rows
+    built for them (the cache misses 7.2% of the steps), 89,106 steps on the
+    worst pose, every fit within the solver's internal target."""
     svms = pipeline["svms"].values()
     assert sum(m.pair_steps for m in svms) == 165_935
+    assert sum(m.pair_rows for m in svms) == 11_901
     assert max(m.pair_steps for m in svms) == 89_106
     assert max(m.kkt_violation for m in svms) <= 1e-10
 
@@ -789,34 +825,64 @@ def _pose_set(base_sets, seed):
 def test_train_per_pose_equals_separate_fits_and_shares_one_table(monkeypatch):
     """Poses 0, 2 and 3 stand on the same base positions and share one pair
     table; pose 1 stands on a shuffled copy of them, pose 4 on a subset, so
-    each gets its own. Every fit equals train_svm on that pose's arrays, and
-    at most one table is alive at a time."""
+    each gets its own. Every fit equals train_svm on that pose's arrays, at
+    most one table is alive at a time, and no table's pair cache holds more
+    than _PAIR_ROWS entries, also when one entry empties it."""
     rng = np.random.default_rng(7)
     base = [tuple(p) for p in np.round(rng.uniform(-0.3, 0.3, (60, 2)), 3).tolist()]
     shuffled = [base[k] for k in rng.permutation(len(base))]
     data = _pose_set([base, shuffled, base, base, base[:40]], seed=1)
-    built, alive = [], weakref.WeakSet()
+    alone = {}
+    for obj in data.object_grid:
+        rows = [r for r in data.records if r.object == obj]
+        X = np.array([(r.robot.dx_rob, r.robot.dy_rob) for r in rows])
+        y = np.array([1.0 if r.label == "success" else -1.0 for r in rows])
+        alone[obj] = train_svm(X, y, kernel_sigma=0.05, cost_C=10.0)
+    built, caches, alive = [], [], weakref.WeakSet()
 
     class CountedTable(_PairTable):
         def __init__(self, X, kernel_sigma):
             assert len(alive) == 0
             super().__init__(X, kernel_sigma)
             built.append(len(X))
+            caches.append(self.pairs)  # the dict outlives its table
             alive.add(self)
 
     monkeypatch.setattr(classifier, "_PairTable", CountedTable)
-    fits = train_per_pose(data, kernel_sigma=0.05, cost_C=10.0)
-    assert built == [60, 60, 40]
-    assert list(fits) == data.object_grid
-    for obj, model in fits.items():
-        rows = [r for r in data.records if r.object == obj]
-        X = np.array([(r.robot.dx_rob, r.robot.dy_rob) for r in rows])
-        y = np.array([1.0 if r.label == "success" else -1.0 for r in rows])
-        alone = train_svm(X, y, kernel_sigma=0.05, cost_C=10.0)
-        np.testing.assert_array_equal(model.support_points, alone.support_points)
-        np.testing.assert_array_equal(model.alphas, alone.alphas)
-        assert (model.bias, model.pair_steps, model.kkt_violation) == \
-            (alone.bias, alone.pair_steps, alone.kkt_violation)
+    for limit in (classifier._PAIR_ROWS, 1):
+        monkeypatch.setattr(classifier, "_PAIR_ROWS", limit)
+        built.clear()
+        caches.clear()
+        fits = train_per_pose(data, kernel_sigma=0.05, cost_C=10.0)
+        assert built == [60, 60, 40]
+        assert all(0 < len(cache) <= limit for cache in caches)
+        assert list(fits) == data.object_grid
+        for obj, model in fits.items():
+            np.testing.assert_array_equal(model.support_points, alone[obj].support_points)
+            np.testing.assert_array_equal(model.alphas, alone[obj].alphas)
+            assert (model.bias, model.pair_steps, model.kkt_violation) == \
+                (alone[obj].bias, alone[obj].pair_steps, alone[obj].kkt_violation)
+
+
+def test_pair_entry_is_the_difference_of_the_stacked_table_rows():
+    """The entry of (i, j), keyed i * n + j, holds byte for byte the rows
+    KK[j] - KK[i] of the stacked table KK[k] = [K[k]; -K[k]] it replaced,
+    also at kernel ties, where row 1 is +0.0 and negating row 0 would give
+    -0.0, and the pair's curvature, clamped at 1e-12 for coincident points."""
+    X, _ = _lattice_set(30, 3, 0.5)  # a coarse lattice: repeated points and kernel ties
+    table = _PairTable(X, 0.3)
+    K, n = table.K, len(X)
+    KK = np.stack([K, -K], axis=1)
+    ties = clamped = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        row, quad = entry = table.build_pair(i, j)
+        assert table.pairs[i * n + j] is entry
+        assert row.tobytes() == (KK[j] - KK[i]).tobytes()
+        assert quad == max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        ties += i != j and np.any(K[i] == K[j])
+        clamped += quad == 1e-12
+    assert len(table.pairs) <= classifier._PAIR_ROWS
+    assert ties > 0 and clamped > n  # every i == j, and the repeated points
 
 
 @pytest.mark.parametrize("other", ["positions", "sigma"])

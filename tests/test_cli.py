@@ -420,7 +420,7 @@ def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys
     assert main(["train", "--data", str(bare), "--seed", "0",
                  "--out", str(tmp_path / "bare.json")]) == 0
     assert (tmp_path / "bare.json").read_bytes() == artifacts["model"].read_bytes()
-    assert re.search(r"svm_steps=[1-9][0-9]* max_pose_steps=[1-9][0-9]* "
+    assert re.search(r"svm_steps=[1-9][0-9]* svm_rows=[1-9][0-9]* max_pose_steps=[1-9][0-9]* "
                      r"max_kkt_violation=[0-9.e+-]+ ", capsys.readouterr().out)
 
 

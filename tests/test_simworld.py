@@ -132,7 +132,7 @@ def test_first_failure_of_a_batch_equals_one_call_per_pair(w):
 # deterministic geometry
 # ---------------------------------------------------------------------------
 
-def test_handle_position_zero_rotation(w):
+def test_reach_interval_starts_beyond_the_handle(w):
     """The handle of an unrotated object sits handle_length in front of it,
     at (-dx_obj + handle_length, 0): the reach interval, narrowed by the
     gripper margin, starts reach_min + grasp_margin beyond it."""
@@ -142,7 +142,7 @@ def test_handle_position_zero_rotation(w):
     assert grasp_outcome(obj, start - 1e-6, 0.0, w) == "empty_grip"
 
 
-def test_corridor_coords_identity_at_zero_rotation(w):
+def test_slip_edge_lies_at_the_tapered_half_width(w):
     """With the handle at the origin and no rotation, the corridor frame is
     the GSM frame: the slip boundary at x = 0.5 lies at the half-width
     of stand-off 0.5, less the gripper margin, on either side."""
@@ -256,7 +256,7 @@ def test_trial_record_consistency_checks():
         TrialRecord(obj, rob, "banana", "none")
 
 
-def test_execute_trial_deterministic_per_seed(w):
+def test_run_trials_is_deterministic_per_stream(w):
     """A trial's record depends only on its stream: a seed, or the generator
     built from it."""
     obj, rob = ObjectFeatures(0.12, 0.2), RobotOffset(0.6, 0.1)
