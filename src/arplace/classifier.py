@@ -8,6 +8,7 @@ shape model places its landmarks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .grids import GridSpec
 KKT_TOLERANCE = 1e-3     # convergence contract
 _SOLVE_EPS = 1e-10       # internal target, for order-independent solutions
 _MAX_PAIR_STEPS = 500_000
-_PAIR_ROWS = 256         # cached pair entries per table: 1.7 MB of rows at n = 432
+_PAIR_ROWS = 256         # cached pair entries per fit: 1.7 MB of rows at n = 432
 _KERNEL_BLOCK = 2 ** 17  # kernel entries per block: 1 MB per temporary, 1,024 points at 82 SVs
 
 
@@ -49,7 +50,7 @@ class SVMModel:
     kernel_sigma: float
     # solver record of train_svm; zero for a model built by hand
     pair_steps: int = 0
-    pair_rows: int = 0           # pair entries the fit built, not found in the table
+    pair_rows: int = 0           # pair entries the fit built: its cache misses
     kkt_violation: float = 0.0
 
     def decision_values(self, pts: np.ndarray) -> np.ndarray:
@@ -110,41 +111,33 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(K, out=K)
 
 
-class _PairTable:
-    """Kernel K of the base positions X and a bounded cache of pair entries.
-    The entry of the pair (i, j), keyed i * n + j, is the (2, n) update row
-    [K[j] - K[i]; K[i] - K[j]] and the curvature quad of the pair. It
-    depends on X and kernel_sigma only, so every fit on the same positions
-    can share one; the cache is emptied when it holds _PAIR_ROWS entries."""
+class _Kernel:
+    """Kernel matrix K of the base positions X at kernel_sigma, for fits to share."""
 
     def __init__(self, X: np.ndarray, kernel_sigma: float):
         self.X, self.kernel_sigma = X, kernel_sigma
         self.K = gaussian_kernel(X, X, kernel_sigma)
-        self.pairs: dict[int, tuple[np.ndarray, float]] = {}
 
-    def build_pair(self, i: int, j: int) -> tuple[np.ndarray, float]:
-        """Build, cache and return the entry of the pair (i, j)."""
-        if len(self.pairs) >= _PAIR_ROWS:
-            self.pairs.clear()
-        K = self.K
-        row = np.empty((2, len(K)))
-        np.subtract(K[j], K[i], out=row[0])
-        # not -row[0]: where K[i] and K[j] tie this is +0.0, as (-K[j]) - (-K[i]) is
-        np.subtract(K[i], K[j], out=row[1])
-        quad = max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
-        entry = self.pairs[i * len(K) + j] = (row, quad)
-        return entry
+
+def _pair_entry(K: np.ndarray, i: int, j: int) -> tuple[np.ndarray, float]:
+    """Update row [K[j] - K[i]; K[i] - K[j]] and curvature of the pair (i, j)."""
+    row = np.empty((2, len(K)))
+    np.subtract(K[j], K[i], out=row[0])
+    # not -row[0]: where K[i] and K[j] tie this is +0.0, as (-K[j]) - (-K[i]) is
+    np.subtract(K[i], K[j], out=row[1])
+    return row, max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
 
 
 def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
-              positive_class_weight: float = 2.0, *, table: _PairTable | None = None
+              positive_class_weight: float = 2.0, *, kernel: _Kernel | None = None
               ) -> SVMModel:
     """Fit the dual soft-margin problem on the (n, 2) base positions X with
     labels y (+1 success, -1 failure) by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
     Mismatched shapes, non-finite positions, fewer than 2 samples, other
-    labels or a missing class raise ValueError. table, when given, is the
-    _PairTable of X at kernel_sigma, built by the caller for several fits.
+    labels, a missing class, and a kernel_sigma or box bound that is not
+    finite and positive (above 2e-14) raise ValueError. kernel, when given,
+    is the _Kernel of X at kernel_sigma, built by the caller for several fits.
 
     The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
     with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
@@ -153,11 +146,12 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     selection array H: row 0 is myg on the index set up and -inf off it,
     row 1 is -myg on low and -inf off it. One argmax per row picks the pair
     (the first maximum of -myg is the first minimum of myg), and the pair's
-    table entry [K[j] - K[i]; K[i] - K[j]] updates both at once. IEEE
-    rounding is sign-symmetric, so row 1 holds the negation of the floats a
-    separate min-array would, up to the sign of zeros, which compare equal.
-    A box bound above 2e-14 puts every index in up or low, so myg[k] is
-    always in one row; membership changes only at the pair just stepped.
+    entry [K[j] - K[i]; K[i] - K[j]] updates both at once. IEEE rounding is
+    sign-symmetric, so row 1 holds the negation of the floats a separate
+    min-array would, up to the sign of zeros, which compare equal. A box
+    bound above 2e-14 puts every index in up or low, so myg[k] is always in
+    one row; membership changes only at the pair just stepped. Each fit
+    caches its own entries and empties the cache when it holds _PAIR_ROWS.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -169,14 +163,16 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         raise ValueError("need at least 2 samples")
     if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
         raise ValueError("labels must be +1 or -1, and both classes must be present")
+    # every comparison with NaN is False, so NaN fails these
+    if not (0.0 < kernel_sigma < math.inf and
+            all(2e-14 < c < math.inf for c in (cost_C, cost_C * positive_class_weight))):
+        raise ValueError("kernel_sigma must be finite and positive, and the box bounds "
+                         "cost_C and cost_C * positive_class_weight finite and above 2e-14")
+    if kernel is None:
+        kernel = _Kernel(X, kernel_sigma)
+    elif kernel.kernel_sigma != kernel_sigma or not np.array_equal(kernel.X, X):
+        raise ValueError("the kernel belongs to other positions or another kernel_sigma")
     C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
-    if C.min() <= 2e-14:
-        raise ValueError("box bounds cost_C and cost_C * positive_class_weight "
-                         "must exceed 2e-14")
-    if table is None:
-        table = _PairTable(X, kernel_sigma)
-    elif table.kernel_sigma != kernel_sigma or not np.array_equal(table.X, X):
-        raise ValueError("the pair table belongs to other positions or another kernel_sigma")
 
     n = len(y)
     pos, cs, c_top = (y > 0).tolist(), C.tolist(), (C - 1e-14).tolist()
@@ -187,8 +183,8 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     # myg = y at alpha = 0, where grad = -1
     H = np.where([up, low], [y, -y], -np.inf)
     D = np.empty_like(H)
-    argmax, h_item = H.argmax, H.item
-    get, build_pair = table.pairs.get, table.build_pair
+    pairs = {}  # this fit's pair entries, keyed i * n + j
+    argmax, h_item, get = H.argmax, H.item, pairs.get
     multiply, add = np.multiply, np.add
     violation = np.inf
     rows = 0
@@ -202,7 +198,9 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
             break
         entry = get(i * n + j)
         if entry is None:
-            entry = build_pair(i, j)
+            if len(pairs) >= _PAIR_ROWS:
+                pairs.clear()
+            entry = pairs[i * n + j] = _pair_entry(kernel.K, i, j)
             rows += 1
         row, quad = entry
         step = violation / quad
@@ -251,9 +249,7 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     if free.any():
         bias = float(np.mean(myg[free]))
     else:
-        up = np.array(up)
-        low = np.array(low)
-        bias = float((np.max(myg[up]) + np.min(myg[low])) / 2.0)
+        bias = float((np.max(myg[np.array(up)]) + np.min(myg[np.array(low)])) / 2.0)
 
     sv = alpha > 1e-12
     return SVMModel(support_points=X[sv].copy(), alphas=(y * alpha)[sv].copy(),
@@ -344,12 +340,11 @@ def _edge_crossing(a, b, x1, x2, y1, y2):
 
 
 def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
-    """Zero-level contours of values sampled at (xs x ys); returns closed
-    loops as (k, 2) vertex arrays.
-
-    Cases, edge crossings and saddle decisions are computed for all cells at
-    once; segments come out cell by cell in row-major order, and only their
-    chaining into loops runs in Python."""
+    """Zero-level contours of values sampled at (xs x ys): closed (k, 2)
+    vertex loops, one per cycle of segments. Cases, crossings and saddles
+    are computed for all cells at once, segments come out cell by cell in
+    row-major order, and a loop runs from its first segment's start point
+    through the end points of its segments."""
     step_x = xs[1] - xs[0] if len(xs) > 1 else 1.0
     step_y = ys[1] - ys[0] if len(ys) > 1 else 1.0
     v = np.full((values.shape[0] + 2, values.shape[1] + 2), _MS_PAD)
@@ -379,28 +374,23 @@ def _marching_squares(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> lis
     starts = crossings[cell, edges[:, 0]]
     ends = crossings[cell, edges[:, 1]]
 
-    # chain segments into loops, matching end points to 9 decimals
-    start_key = list(map(tuple, np.round(starts, 9).tolist()))
-    end_key = list(map(tuple, np.round(ends, 9).tolist()))
-    by_start = {}
-    for idx, key in enumerate(start_key):
-        by_start.setdefault(key, []).append(idx)
-    loops = []
-    used = [False] * len(start_key)
-    for first in range(len(start_key)):
-        if used[first]:
-            continue
-        chain = [first]
-        used[first] = True
-        while True:
-            nxt = next((s for s in by_start.get(end_key[chain[-1]], ()) if not used[s]), None)
-            if nxt is None:
-                break
-            chain.append(nxt)
-            used[nxt] = True
-            if end_key[nxt] == start_key[first]:
-                loops.append(np.concatenate([starts[first:first + 1], ends[chain[:-1]]]))
-                break
+    # a crossing is named by its grid edge, 2 * (padded index of the edge's
+    # lower-left corner) + (0 along x, 1 along y); each crossed edge ends one
+    # segment and starts another, so the successors are a permutation
+    corner = 2 * (i * v.shape[1] + j)[cell]
+    offset = np.array([0, 2 * v.shape[1] + 1, 2, 1])  # bottom, right, top, left
+    start_name = corner + offset[edges[:, 0]]
+    order = np.argsort(start_name)
+    succ = order[np.searchsorted(start_name, corner + offset[edges[:, 1]], sorter=order)].tolist()
+    loops, used = [], [False] * len(succ)
+    for first in range(len(succ)):
+        chain, k = [], first
+        while not used[k]:
+            used[k] = True
+            chain.append(k)
+            k = succ[k]
+        if chain:
+            loops.append(np.concatenate([starts[first:first + 1], ends[chain[:-1]]]))
     return loops
 
 
@@ -462,18 +452,18 @@ def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                          dtype=(float, 2), count=len(records))
     labels = np.fromiter((1.0 if r.label == "success" else -1.0 for r in records),
                          dtype=float, count=len(records))
-    # the poses of each distinct base-position array share one pair table,
-    # and one table at a time is alive
+    # the poses of each distinct base-position array share one kernel, and
+    # one kernel at a time is alive
     groups: dict[bytes, list] = {}
     for obj, k in index.items():
         groups.setdefault(points[pose == k].tobytes(), []).append(obj)
     fits = {}
     for objs in groups.values():
         X = points[pose == index[objs[0]]]
-        table = _PairTable(X, kernel_sigma)
+        kernel = _Kernel(X, kernel_sigma)
         for obj in objs:
             fits[obj] = train_svm(X, labels[pose == index[obj]], kernel_sigma=kernel_sigma,
                                   cost_C=cost_C, positive_class_weight=positive_class_weight,
-                                  table=table)
-        del table
+                                  kernel=kernel)
+        del kernel
     return {obj: fits[obj] for obj in index}

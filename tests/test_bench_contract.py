@@ -42,3 +42,19 @@ def test_train_chain_reproduces_the_fixed_model(tmp_path):
     with open(workloads.PROVENANCE_PATH) as f:
         prov = json.load(f)
     assert hashlib.sha256(out["model_bytes"]).hexdigest() == prov["sha256"]
+
+
+def test_train_operation_feeds_the_per_layer_counters(tmp_path):
+    """The benchmark's layer view of training comes from the tracer's
+    wrappers: 16 fits through the module attribute classifier.train_svm,
+    16 contours and their 502 support vectors at dataset seed 42. A fit
+    that bypassed the attribute would zero these and still train."""
+    t = tracer.Tracer()
+    w = workloads.Train(1, str(tmp_path))
+    _, inp = w.make_input(0)
+    with t.patched():
+        out = w.run(inp)
+    assert w.check(inp, out) is None
+    assert t.counters["classifier.train_svm.calls"] == 16
+    assert t.counters["classifier.extract_contour.calls"] == 16
+    assert t.counters["classifier.support_vectors"] == 502

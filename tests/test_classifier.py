@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from arplace import classifier
 from arplace.classifier import (_KERNEL_BLOCK, _MS_SEGMENTS, KKT_TOLERANCE, Boundary,
                                 EmptySuccessRegionError, SVMConvergenceError,
-                                SVMModel, _marching_squares, _PairTable,
+                                SVMModel, _Kernel, _marching_squares, _pair_entry,
                                 _start_at_max_x_crossing, extract_contour, gaussian_kernel,
                                 points_in_polygon, signed_area, train_per_pose, train_svm)
 from arplace.evaluation import candidate_grid_spec
@@ -218,6 +218,21 @@ def test_train_svm_rejects_a_degenerate_box():
         train_svm(*_ring_set(), cost_C=1e-14, positive_class_weight=2.0)
 
 
+@pytest.mark.parametrize("setting", [
+    {"cost_C": math.nan}, {"cost_C": math.inf}, {"positive_class_weight": math.nan},
+    {"positive_class_weight": math.inf}, {"positive_class_weight": -1.0},
+    {"kernel_sigma": math.nan}, {"kernel_sigma": math.inf}, {"kernel_sigma": 0.0},
+    {"kernel_sigma": -0.1},
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_train_svm_rejects_nonsense_hyperparameters(setting):
+    """A comparison with NaN is False, so a NaN box bound once passed the
+    2e-14 check, and on this set cost_C NaN "converged" in 42 steps with
+    violation 0.0; a NaN or zero kernel_sigma gave a model with bias NaN and
+    no support vectors after 1 step."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        train_svm(*_ring_set(), **setting)
+
+
 @pytest.mark.parametrize("X, y, match", [
     (np.zeros((3, 2)), np.array([1.0, -1.0]), "shape"),
     (np.zeros((3, 3)), np.array([1.0, -1.0, 1.0]), "shape"),
@@ -367,7 +382,7 @@ def test_gaussian_kernel_memory_is_its_result_and_one_temporary():
 def test_train_svm_memory_is_the_kernel_and_the_bounded_pair_rows(monkeypatch):
     """On 613 ring points a fit holds at most K, the temporary that builds
     K, and _PAIR_ROWS pair rows of 2 n floats (2.04 n^2 measured, where the
-    stacked (n, 2, n) table took 3 n^2). On a table built beforehand, the
+    stacked (n, 2, n) table took 3 n^2). On a kernel built beforehand, the
     rows are the fit's memory: at most one row beyond a full cache, the last
     entry, outlives a clear (16 rows: 247 KB measured; unbounded, the fit's
     161 rows took 1.7 MB)."""
@@ -375,8 +390,8 @@ def test_train_svm_memory_is_the_kernel_and_the_bounded_pair_rows(monkeypatch):
     n = len(X)
     assert _traced_peak(train_svm, X, y) <= (2 * n * n + classifier._PAIR_ROWS * 2 * n) * 8
     monkeypatch.setattr(classifier, "_PAIR_ROWS", 16)
-    table = _PairTable(X, 0.1)
-    assert _traced_peak(train_svm, X, y, table=table) <= (17 * 2 * n + 32 * n) * 8
+    kernel = _Kernel(X, 0.1)
+    assert _traced_peak(train_svm, X, y, kernel=kernel) <= (17 * 2 * n + 32 * n) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +478,19 @@ def _marching_squares_reference(values, xs, ys):
         t = 0.5 if a == b else a / (a - b)
         return (gx[i1] + t * (gx[i2] - gx[i1]), gy[j1] + t * (gy[j2] - gy[j1]))
 
-    segments = []
+    segments = []  # (start, end), each a (point, edge) pair
     for i in range(v.shape[0] - 1):
         for j in range(v.shape[1] - 1):
             c = [v[i, j] > 0, v[i + 1, j] > 0, v[i + 1, j + 1] > 0, v[i, j + 1] > 0]
             case = c[0] | (c[1] << 1) | (c[2] << 2) | (c[3] << 3)
             if case in (0, 15):
                 continue
-            bottom = interp(i, j, i + 1, j)
-            right = interp(i + 1, j, i + 1, j + 1)
-            top = interp(i + 1, j + 1, i, j + 1)
-            left = interp(i, j + 1, i, j)
+            # an edge is named by its axis and its lower-left corner, so the
+            # two cells that share it name it alike
+            bottom = (interp(i, j, i + 1, j), ("x", i, j))
+            right = (interp(i + 1, j, i + 1, j + 1), ("y", i + 1, j))
+            top = (interp(i + 1, j + 1, i, j + 1), ("x", i, j + 1))
+            left = (interp(i, j + 1, i, j), ("y", i, j))
             table = {
                 1: [(left, bottom)], 2: [(bottom, right)], 3: [(left, right)],
                 4: [(right, top)], 6: [(bottom, top)], 7: [(left, top)],
@@ -492,12 +509,9 @@ def _marching_squares_reference(values, xs, ys):
                 segs = table[case]
             segments.extend(segs)
 
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
-
     by_start = {}
     for idx, (a, _) in enumerate(segments):
-        by_start.setdefault(key(a), []).append(idx)
+        by_start.setdefault(a[1], []).append(idx)
     loops, used = [], set()
     for idx, (a, b) in enumerate(segments):
         if idx in used:
@@ -505,24 +519,34 @@ def _marching_squares_reference(values, xs, ys):
         loop = [a, b]
         used.add(idx)
         while True:
-            nxt = next((k for k in by_start.get(key(loop[-1]), []) if k not in used), None)
+            nxt = next((k for k in by_start.get(loop[-1][1], []) if k not in used), None)
             if nxt is None:
                 break
             loop.append(segments[nxt][1])
             used.add(nxt)
-            if key(loop[-1]) == key(loop[0]):
+            if loop[-1][1] == loop[0][1]:
                 loop.pop()
-                loops.append(np.array(loop))
+                loops.append(np.array([point for point, _ in loop]))
                 break
     return loops
 
 
+def _crossed_edges(values):
+    """Edges of the padded grid whose ends lie on either side of zero: each
+    ends one segment and starts another, so there are as many segments."""
+    pos = np.pad(values > 0, 1)
+    return np.count_nonzero(pos[1:] != pos[:-1]) + np.count_nonzero(pos[:, 1:] != pos[:, :-1])
+
+
 def _assert_same_loops(values, xs, ys):
+    """The loops of _marching_squares are the reference's, and every
+    segment lies in exactly one of them: a loop of k vertices is k segments."""
     got = _marching_squares(values, xs, ys)
     want = _marching_squares_reference(values, xs, ys)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+    assert sum(len(loop) for loop in got) == _crossed_edges(values)
     return got
 
 
@@ -560,6 +584,45 @@ def test_marching_squares_matches_the_cell_loop_on_random_fields():
         # few distinct values, so saddles and a == b ties are common
         values = rng.integers(-2, 3, (nx, ny)) * rng.choice([1.0, 0.3])
         _assert_same_loops(values, np.linspace(0.0, 1.0, nx), np.linspace(-1.0, 0.5, ny))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e7])
+def test_marching_squares_traces_the_disk_in_one_loop(offset):
+    """Chained by coordinates rounded to 9 decimals, the disk on a 1 cm
+    grid gave loops of [154] vertices for 156 segments at x offset 0, and of
+    [2, 152, 2] and [158] for 160 segments at 1e5 and 1e7 m."""
+    model = _disk_model(cx=offset)
+    spec = GridSpec.covering(offset - 0.5, offset + 0.5, -0.5, 0.5, 0.01)
+    values = model.grid_values(spec)
+    loops = _assert_same_loops(values, *spec.centers())
+    assert len(loops) == 1
+
+
+def _smooth_field(rng, nx, ny, border):
+    """A few Gaussian bumps of either sign on an (nx, ny) grid, rounded to
+    0.05 so that exact zeros, and crossings at grid points where several
+    edges meet, are common. With border, one bump sits on the grid's edge."""
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    field = np.full((nx, ny), -0.3)
+    for k in range(rng.integers(1, 5)):
+        cx, cy = rng.uniform(0, nx - 1), rng.uniform(0, ny - 1)
+        if border and k == 0:
+            cx = rng.choice([0.0, nx - 1.0])
+        width = rng.uniform(1.0, 3.0)
+        field += rng.uniform(-0.5, 1.5) * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / width ** 2)
+    return np.round(field / 0.05) * 0.05
+
+
+@pytest.mark.parametrize("border", [False, True], ids=["inside", "touching_the_border"])
+def test_marching_squares_puts_every_segment_in_one_loop_on_smooth_fields(border):
+    rng = np.random.default_rng(23 + border)
+    zeros = 0
+    for _ in range(150):
+        nx, ny = rng.integers(3, 16, 2)
+        values = _smooth_field(rng, nx, ny, border)
+        zeros += np.any(values == 0.0)
+        _assert_same_loops(values, np.linspace(0.0, 1.0, nx), np.linspace(-1.0, 0.5, ny))
+    assert zeros > 50
 
 
 def test_extract_contour_recovers_analytic_circle():
@@ -793,12 +856,12 @@ def test_resample_closed_equal_arc_spacing():
 
 def test_train_per_pose_work_on_the_session_dataset(pipeline):
     """The solver's record on the seed-42 dataset, the numbers the train
-    command prints: 165,935 pair steps over the 16 fits, 11,901 pair rows
-    built for them (the cache misses 7.2% of the steps), 89,106 steps on the
-    worst pose, every fit within the solver's internal target."""
+    command prints: 165,935 pair steps over the 16 fits, 11,534 pair rows
+    built for them (the fits' caches miss 6.95% of the steps), 89,106 steps
+    on the worst pose, every fit within the solver's internal target."""
     svms = pipeline["svms"].values()
     assert sum(m.pair_steps for m in svms) == 165_935
-    assert sum(m.pair_rows for m in svms) == 11_901
+    assert sum(m.pair_rows for m in svms) == 11_534
     assert max(m.pair_steps for m in svms) == 89_106
     assert max(m.kkt_violation for m in svms) <= 1e-10
 
@@ -822,75 +885,70 @@ def _pose_set(base_sets, seed):
     return SimpleNamespace(object_grid=objects, records=records)
 
 
-def test_train_per_pose_equals_separate_fits_and_shares_one_table(monkeypatch):
-    """Poses 0, 2 and 3 stand on the same base positions and share one pair
-    table; pose 1 stands on a shuffled copy of them, pose 4 on a subset, so
-    each gets its own. Every fit equals train_svm on that pose's arrays, at
-    most one table is alive at a time, and no table's pair cache holds more
-    than _PAIR_ROWS entries, also when one entry empties it."""
+def test_train_per_pose_equals_separate_fits_and_shares_one_kernel(monkeypatch):
+    """Poses 0, 2 and 3 stand on the same base positions and share one
+    kernel; pose 1 stands on a shuffled copy of them, pose 4 on a subset, so
+    each gets its own. Every fit equals train_svm on that pose's arrays, its
+    pair rows included, so no fit reuses another's pair cache, also when one
+    entry empties it; at most one kernel is alive at a time."""
     rng = np.random.default_rng(7)
     base = [tuple(p) for p in np.round(rng.uniform(-0.3, 0.3, (60, 2)), 3).tolist()]
     shuffled = [base[k] for k in rng.permutation(len(base))]
     data = _pose_set([base, shuffled, base, base, base[:40]], seed=1)
-    alone = {}
-    for obj in data.object_grid:
-        rows = [r for r in data.records if r.object == obj]
-        X = np.array([(r.robot.dx_rob, r.robot.dy_rob) for r in rows])
-        y = np.array([1.0 if r.label == "success" else -1.0 for r in rows])
-        alone[obj] = train_svm(X, y, kernel_sigma=0.05, cost_C=10.0)
-    built, caches, alive = [], [], weakref.WeakSet()
+    built, alive = [], weakref.WeakSet()
 
-    class CountedTable(_PairTable):
+    class CountedKernel(_Kernel):
         def __init__(self, X, kernel_sigma):
             assert len(alive) == 0
             super().__init__(X, kernel_sigma)
             built.append(len(X))
-            caches.append(self.pairs)  # the dict outlives its table
             alive.add(self)
 
-    monkeypatch.setattr(classifier, "_PairTable", CountedTable)
+    monkeypatch.setattr(classifier, "_Kernel", CountedKernel)
     for limit in (classifier._PAIR_ROWS, 1):
         monkeypatch.setattr(classifier, "_PAIR_ROWS", limit)
+        alone = {}
+        for obj in data.object_grid:
+            rows = [r for r in data.records if r.object == obj]
+            X = np.array([(r.robot.dx_rob, r.robot.dy_rob) for r in rows])
+            y = np.array([1.0 if r.label == "success" else -1.0 for r in rows])
+            alone[obj] = train_svm(X, y, kernel_sigma=0.05, cost_C=10.0)
         built.clear()
-        caches.clear()
         fits = train_per_pose(data, kernel_sigma=0.05, cost_C=10.0)
         assert built == [60, 60, 40]
-        assert all(0 < len(cache) <= limit for cache in caches)
         assert list(fits) == data.object_grid
         for obj, model in fits.items():
             np.testing.assert_array_equal(model.support_points, alone[obj].support_points)
             np.testing.assert_array_equal(model.alphas, alone[obj].alphas)
-            assert (model.bias, model.pair_steps, model.kkt_violation) == \
-                (alone[obj].bias, alone[obj].pair_steps, alone[obj].kkt_violation)
+            assert (model.bias, model.pair_steps, model.pair_rows, model.kkt_violation) == \
+                (alone[obj].bias, alone[obj].pair_steps, alone[obj].pair_rows,
+                 alone[obj].kkt_violation)
 
 
 def test_pair_entry_is_the_difference_of_the_stacked_table_rows():
-    """The entry of (i, j), keyed i * n + j, holds byte for byte the rows
-    KK[j] - KK[i] of the stacked table KK[k] = [K[k]; -K[k]] it replaced,
-    also at kernel ties, where row 1 is +0.0 and negating row 0 would give
-    -0.0, and the pair's curvature, clamped at 1e-12 for coincident points."""
+    """The entry of (i, j) holds byte for byte the rows KK[j] - KK[i] of the
+    stacked table KK[k] = [K[k]; -K[k]] it replaced, also at kernel ties,
+    where row 1 is +0.0 and negating row 0 would give -0.0, and the pair's
+    curvature, clamped at 1e-12 for coincident points."""
     X, _ = _lattice_set(30, 3, 0.5)  # a coarse lattice: repeated points and kernel ties
-    table = _PairTable(X, 0.3)
-    K, n = table.K, len(X)
+    K, n = _Kernel(X, 0.3).K, len(X)
     KK = np.stack([K, -K], axis=1)
     ties = clamped = 0
     for i, j in itertools.product(range(n), repeat=2):
-        row, quad = entry = table.build_pair(i, j)
-        assert table.pairs[i * n + j] is entry
+        row, quad = _pair_entry(K, i, j)
         assert row.tobytes() == (KK[j] - KK[i]).tobytes()
         assert quad == max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
         ties += i != j and np.any(K[i] == K[j])
         clamped += quad == 1e-12
-    assert len(table.pairs) <= classifier._PAIR_ROWS
     assert ties > 0 and clamped > n  # every i == j, and the repeated points
 
 
 @pytest.mark.parametrize("other", ["positions", "sigma"])
-def test_train_svm_refuses_the_pair_table_of_other_positions(other):
+def test_train_svm_refuses_the_kernel_of_other_positions(other):
     X, y = _ring_set(n=40)
-    table = _PairTable(X + 0.01 if other == "positions" else X, 0.1)
-    with pytest.raises(ValueError, match="pair table"):
-        train_svm(X, y, kernel_sigma=0.2 if other == "sigma" else 0.1, table=table)
+    kernel = _Kernel(X + 0.01 if other == "positions" else X, 0.1)
+    with pytest.raises(ValueError, match="kernel belongs"):
+        train_svm(X, y, kernel_sigma=0.2 if other == "sigma" else 0.1, kernel=kernel)
 
 
 def test_train_per_pose_one_model_per_object(pipeline):
