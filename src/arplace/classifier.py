@@ -443,15 +443,13 @@ def _start_at_max_x_crossing(loop: np.ndarray) -> np.ndarray:
 
 def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
                    positive_class_weight: float = 2.0) -> dict:
-    """One classifier per object pose of a trial dataset (simworld.Dataset or
-    anything with object_grid / records), keyed in object_grid order."""
-    records = dataset.records
+    """One classifier per object pose of a simworld.Dataset, keyed in
+    object_grid order; grid entries of equal value are one pose. A trial
+    with cause code 0 ("none") is a positive sample, any other a negative."""
     index = {obj: k for k, obj in enumerate(dataset.object_grid)}
-    pose = np.fromiter((index[r.object] for r in records), dtype=np.intp, count=len(records))
-    points = np.fromiter(((r.robot.dx_rob, r.robot.dy_rob) for r in records),
-                         dtype=(float, 2), count=len(records))
-    labels = np.fromiter((1.0 if r.label == "success" else -1.0 for r in records),
-                         dtype=float, count=len(records))
+    pose = np.array([index[obj] for obj in dataset.object_grid], dtype=np.intp)[dataset.pose]
+    points = np.array([(r.dx_rob, r.dy_rob) for r in dataset.robot_grid])[dataset.base]
+    labels = np.where(dataset.cause == 0, 1.0, -1.0)
     # the poses of each distinct base-position array share one kernel, and
     # one kernel at a time is alive
     groups: dict[bytes, list] = {}

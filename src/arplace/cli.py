@@ -182,7 +182,7 @@ def cmd_gen_data(args, cfg: PipelineConfig) -> int:
                                seed=args.seed,
                                use_capability_filter=cfg.use_capability_filter)
     dataset.save_csv(args.out, header_lines=_header(cfg, args.seed))
-    print(f"wrote {len(dataset.records)} trials "
+    print(f"wrote {len(dataset.cause)} trials "
           f"({dataset.executed_count()} executed) to {args.out}")
     return EXIT_OK
 

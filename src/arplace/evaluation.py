@@ -11,14 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import train_svm
-from .geometry import ObjectFeatures, RobotOffset
+from .geometry import ObjectFeatures
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
 from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
                       SceneObject, apply_merge_transform, detect_merge_flaw,
                       project, two_pickup_plan)
 from .shapemodel import GSMModel
-from .simworld import (SUCCESS, WorldConfig, default_robot_grid, geometric_success,
+from .simworld import (CAUSES, WorldConfig, default_robot_grid, geometric_success,
                        grasp_outcome, robot_bounds, run_trials)
 
 
@@ -188,11 +188,17 @@ class AccuracyPoint:
     executed: int
 
 
-def _random_offsets(n: int, rng: np.random.Generator) -> list[RobotOffset]:
+def _random_trials(object_pose: ObjectFeatures, n: int, world: WorldConfig, seed: int,
+                   stream: int, check_reachability: bool = True):
+    """n base positions (x, y) drawn on (seed, stream), uniform over the
+    default robot grid's bounds, and the CAUSES codes of their trials for
+    object_pose, trial idx on the stream (seed, stream + 1, idx)."""
     x_min, x_max, y_min, y_max = robot_bounds(default_robot_grid())
-    return [RobotOffset(float(x), float(y))
-            for x, y in zip(rng.uniform(x_min, x_max, n),
-                            rng.uniform(y_min, y_max, n))]
+    rng = np.random.default_rng((seed, stream))
+    X = np.column_stack([rng.uniform(x_min, x_max, n), rng.uniform(y_min, y_max, n)])
+    return X, run_trials(np.full(n, object_pose.dx_obj), np.full(n, object_pose.dpsi_obj),
+                         X[:, 0], X[:, 1], world, [(seed, stream + 1, idx) for idx in range(n)],
+                         check_reachability=check_reachability)
 
 
 def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
@@ -210,27 +216,18 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     """
     if sorted(sizes) != list(sizes):
         raise ValueError("sizes must be ascending")
-    test_rng = np.random.default_rng((seed, 0))
-    test_offsets = _random_offsets(n_test, test_rng)
-    test_records = run_trials([object_pose] * n_test, test_offsets, world,
-                              [(seed, 1, idx) for idx in range(n_test)])
-    test_X = np.array([[r.dx_rob, r.dy_rob] for r in test_offsets])
-    test_y = np.array([1 if rec.label == SUCCESS else -1 for rec in test_records])
-
+    test_X, test_codes = _random_trials(object_pose, n_test, world, seed, 0)
     # trial idx draws from (seed, 3, idx), so each size trains on a prefix
-    offsets = _random_offsets(max(sizes), np.random.default_rng((seed, 2)))
-    records = run_trials([object_pose] * len(offsets), offsets, world,
-                         [(seed, 3, idx) for idx in range(len(offsets))],
-                         check_reachability=use_capability_filter)
-    y = np.array([1.0 if rec.label == SUCCESS else -1.0 for rec in records])
-    X = np.array([[r.dx_rob, r.dy_rob] for r in offsets])
+    X, codes = _random_trials(object_pose, max(sizes), world, seed, 2, use_capability_filter)
+    y = np.where(codes == 0, 1.0, -1.0)  # code 0 is "none", a success
+    executed = codes != CAUSES.index("unreachable_theory")
     points = []
     for size in sizes:
         model = train_svm(X[:size], y[:size], kernel_sigma, cost_C, positive_class_weight)
-        pred = np.where(model.decision_values(test_X) > 0, 1, -1)
+        pred = model.decision_values(test_X) > 0
         points.append(AccuracyPoint(size=size,
-                                    accuracy=float(np.mean(pred == test_y)),
-                                    executed=sum(rec.executed for rec in records[:size])))
+                                    accuracy=float(np.mean(pred == (test_codes == 0))),
+                                    executed=int(np.count_nonzero(executed[:size]))))
     return points
 
 

@@ -30,8 +30,8 @@ class ObjectFeatures:
     dpsi_obj: float
 
     def __post_init__(self):
-        if not (self.dx_obj >= 0.0):
-            raise ValueError("dx_obj must be non-negative")
+        if not (math.isfinite(self.dx_obj) and self.dx_obj >= 0.0 and math.isfinite(self.dpsi_obj)):
+            raise ValueError("object features must be finite, dx_obj non-negative")
         object.__setattr__(self, "dpsi_obj", wrap_angle(self.dpsi_obj))
 
 

@@ -75,20 +75,15 @@ class TrialRecord:
     label: str
     cause: str
 
-    def __post_init__(self):
-        if self.label not in (SUCCESS, FAILURE):
-            raise ValueError(f"unknown label {self.label!r}")
-        if self.label == SUCCESS and self.cause != "none":
-            raise ValueError("successful trials carry no failure cause")
-        if self.cause not in CAUSES:
-            raise ValueError(f"unknown cause {self.cause!r}")
-
     @property
     def executed(self) -> bool:
         return self.cause != "unreachable_theory"
 
 
 _CSV_COLUMNS = ("object_dx", "object_dpsi", "robot_dx", "robot_dy", "label", "cause")
+# the label of each CAUSES code: only "none" is a success
+_LABELS = [SUCCESS] + [FAILURE] * (len(CAUSES) - 1)
+_CODES = {(label, cause): k for k, (label, cause) in enumerate(zip(_LABELS, CAUSES))}
 
 
 @dataclass
@@ -96,31 +91,33 @@ class Dataset:
     world: WorldConfig
     object_grid: list[ObjectFeatures]
     robot_grid: list[RobotOffset]
-    records: list[TrialRecord] = field(default_factory=list)
+    pose: np.ndarray  # per trial, the index of its object pose in object_grid
+    base: np.ndarray  # per trial, the index of its base position in robot_grid
+    cause: np.ndarray  # per trial, the index of its cause in CAUSES
     comments: list[str] = field(default_factory=list)  # "# " lines of a loaded file
 
+    @property
+    def records(self) -> list[TrialRecord]:
+        """The trials as TrialRecords, built on each call; only perfbench/ reads them."""
+        return [TrialRecord(self.object_grid[i], self.robot_grid[j], _LABELS[c], CAUSES[c])
+                for i, j, c in zip(self.pose.tolist(), self.base.tolist(), self.cause.tolist())]
+
     def executed_count(self) -> int:
-        return sum(1 for r in self.records if r.executed)
+        return int(np.count_nonzero(self.cause != _UNREACHABLE))
 
     def save_csv(self, path, header_lines: list[str] | None = None):
         """The header lines as "# " comments, then the rows of csv.writer's
         default dialect: comma-separated and CRLF-terminated, without
         quotes, since no number, label or cause holds a comma, quote or line
-        break. Each distinct ObjectFeatures and RobotOffset instance is
-        formatted once, and the file is written in one call."""
-        texts = {}  # by id: equal values such as 0.0 and -0.0 print apart
-
-        def text(pair, a, b):
-            t = texts.get(id(pair))
-            if t is None:
-                t = texts[id(pair)] = f"{a:.17g},{b:.17g}"
-            return t
-
+        break. Each grid entry and outcome is formatted once, and the file
+        is written in one call."""
+        objects = [f"{o.dx_obj:.17g},{o.dpsi_obj:.17g}," for o in self.object_grid]
+        robots = [f"{r.dx_rob:.17g},{r.dy_rob:.17g}," for r in self.robot_grid]
+        outcomes = [f"{label},{cause}\r\n" for label, cause in zip(_LABELS, CAUSES)]
         lines = [f"# {line}\n" for line in header_lines or []]
         lines.append(",".join(_CSV_COLUMNS) + "\r\n")
-        lines += [f"{text(r.object, r.object.dx_obj, r.object.dpsi_obj)},"
-                  f"{text(r.robot, r.robot.dx_rob, r.robot.dy_rob)},{r.label},{r.cause}\r\n"
-                  for r in self.records]
+        lines += [objects[i] + robots[j] + outcomes[c]
+                  for i, j, c in zip(self.pose.tolist(), self.base.tolist(), self.cause.tolist())]
         with open(path, "w", newline="") as f:
             f.write("".join(lines))
 
@@ -128,9 +125,12 @@ class Dataset:
     def load_csv(cls, path, world: WorldConfig) -> "Dataset":
         """Read a file written by save_csv. "#" lines are comments; the
         columns are found by header name. Each distinct pair of number
-        strings becomes one ObjectFeatures or RobotOffset, shared by its
-        rows. A missing column raises KeyError; a short row, a bad number or
-        a bad label raises ValueError naming the file line."""
+        strings is parsed once into a grid index. Pairs of equal value
+        ("0.10" and "0.1", "0" and "-0") share the entry of the first, and
+        each grid keeps the order in which its values first appear. A
+        missing column raises KeyError; a short row, a bad number or a label
+        that does not go with its cause raises ValueError naming the file
+        line."""
         comments = []
 
         def data_lines(f):
@@ -140,7 +140,8 @@ class Dataset:
                 else:
                     yield ln
 
-        records, objects, robots = [], {}, {}
+        objects, robots = {}, {}  # grid entry -> its index
+        object_ix, robot_ix, trials = {}, {}, []  # pair of number strings -> grid index
         with open(path, newline="") as f:
             reader = csv.reader(data_lines(f))
             header = next(reader, [])
@@ -154,24 +155,24 @@ class Dataset:
                     if len(row) < width:
                         raise ValueError(f"{len(row)} fields, the header has {len(header)}")
                     ox, op, rx, ry, label, cause = fields(row)
-                    obj = objects.get((ox, op))
-                    if obj is None:
-                        obj = objects[ox, op] = ObjectFeatures(float(ox), float(op))
-                    rob = robots.get((rx, ry))
-                    if rob is None:
-                        rob = robots[rx, ry] = RobotOffset(float(rx), float(ry))
-                    records.append(TrialRecord(obj, rob, label, cause))
+                    i = object_ix.get((ox, op))
+                    if i is None:
+                        obj = ObjectFeatures(float(ox), float(op))
+                        i = object_ix[ox, op] = objects.setdefault(obj, len(objects))
+                    j = robot_ix.get((rx, ry))
+                    if j is None:
+                        rob = RobotOffset(float(rx), float(ry))
+                        j = robot_ix[rx, ry] = robots.setdefault(rob, len(robots))
+                    if (label, cause) not in _CODES:
+                        raise ValueError(f"label {label!r} does not go with cause {cause!r}")
+                    trials.append((i, j, _CODES[label, cause]))
             except (ValueError, csv.Error) as e:
                 # comments holds every "#" line read so far
                 raise ValueError(f"line {reader.line_num + len(comments)}: {e}") from None
-        if not records:
+        if not trials:
             raise ValueError("no trial rows")
-        # the grids in order of first appearance; equal values from other
-        # strings ("0.10", "-0") keep the first instance
-        object_grid = list(dict.fromkeys(objects.values()))
-        robot_grid = list(dict.fromkeys(robots.values()))
-        return cls(world=world, object_grid=object_grid, robot_grid=robot_grid,
-                   records=records, comments=comments)
+        pose, base, codes = np.array(trials, dtype=np.intp).T
+        return cls(world, list(objects), list(robots), pose, base, codes, comments)
 
 
 def _first_failure(dx_obj, dpsi_obj, x, y, world: WorldConfig, grasp_margin: float,
@@ -222,21 +223,21 @@ def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfi
     return grasp_outcome(obj, robot.dx_rob, robot.dy_rob, world) == "none"
 
 
-def run_trials(objects, robots, world: WorldConfig, streams,
-               check_reachability: bool = True) -> list[TrialRecord]:
-    """Trial k of objects[k], robots[k] on streams[k], a Generator or a seed
-    for np.random.default_rng. With check_reachability, a command that fails
-    the stage test at zero margins is labeled "unreachable_theory" and never
-    builds its generator. A simulated trial draws normal(size=2) navigation
-    noise, scaled by nav_noise_sigma, and its achieved base pose's first
-    failing stage is the cause. Unless the robot hit the table or the
-    object, it then draws uniform(), and below local_minimum_rate the
-    controller is stuck in a local minimum."""
-    n = len(objects)
-    if not n == len(robots) == len(streams):
-        raise ValueError("objects, robots and streams need one entry per trial")
-    dx, dpsi = np.array([(o.dx_obj, o.dpsi_obj) for o in objects], dtype=float).reshape(-1, 2).T
-    x, y = np.array([(r.dx_rob, r.dy_rob) for r in robots], dtype=float).reshape(-1, 2).T
+def run_trials(dx_obj, dpsi_obj, x, y, world: WorldConfig, streams,
+               check_reachability: bool = True) -> np.ndarray:
+    """CAUSES codes of the trials: trial k commands the base position
+    (x[k], y[k]) for the object pose (dx_obj[k], dpsi_obj[k]) and runs on
+    streams[k], a Generator or a seed for np.random.default_rng. With
+    check_reachability, a command that fails the stage test at zero margins
+    is "unreachable_theory" and never builds its generator. A simulated
+    trial draws normal(size=2) navigation noise, scaled by nav_noise_sigma,
+    and its achieved base pose's first failing stage is the cause. Unless
+    the robot hit the table or the object, it then draws uniform(), and
+    below local_minimum_rate the controller is stuck in a local minimum."""
+    n = len(streams)
+    dx, dpsi, x, y = (np.asarray(a, dtype=float) for a in (dx_obj, dpsi_obj, x, y))
+    if any(a.shape != (n,) for a in (dx, dpsi, x, y)):
+        raise ValueError("coordinates and streams need one entry per trial")
     run = np.arange(n)
     if check_reachability:
         run = np.flatnonzero(_first_failure(dx, dpsi, x, y, world, 0.0, 0.0, 0.0) == _NONE)
@@ -251,24 +252,24 @@ def run_trials(objects, robots, world: WorldConfig, streams,
                 rng.uniform() < world.local_minimum_rate:
             code = _LOCAL_MINIMUM
         codes[k] = code
-    return [TrialRecord(obj, rob, SUCCESS if code == _NONE else FAILURE, CAUSES[code])
-            for obj, rob, code in zip(objects, robots, codes.tolist())]
+    return codes
 
 
 def generate_dataset(world: WorldConfig, object_grid, robot_grid, seed: int,
                      use_capability_filter: bool = True) -> Dataset:
     """One trial per (object, robot) pair, each on an independent RNG stream
-    derived from (seed, pair index), so a record does not depend on the
+    derived from (seed, pair index), so a trial does not depend on the
     order in which the pairs run. A pair the reachability filter rejects
     never builds its generator."""
     if not object_grid or not robot_grid:
         raise ValueError("grids must be non-empty")
-    records = run_trials([obj for obj in object_grid for _ in robot_grid],
-                         list(robot_grid) * len(object_grid), world,
-                         [(seed, k) for k in range(len(object_grid) * len(robot_grid))],
-                         check_reachability=use_capability_filter)
-    return Dataset(world=world, object_grid=list(object_grid),
-                   robot_grid=list(robot_grid), records=records)
+    pose = np.repeat(np.arange(len(object_grid)), len(robot_grid))
+    base = np.tile(np.arange(len(robot_grid)), len(object_grid))
+    dx, dpsi = np.array([(o.dx_obj, o.dpsi_obj) for o in object_grid])[pose].T
+    x, y = np.array([(r.dx_rob, r.dy_rob) for r in robot_grid])[base].T
+    cause = run_trials(dx, dpsi, x, y, world, [(seed, k) for k in range(len(pose))],
+                       check_reachability=use_capability_filter)
+    return Dataset(world, list(object_grid), list(robot_grid), pose, base, cause)
 
 
 def default_world(seed: int = 0) -> WorldConfig:

@@ -48,7 +48,9 @@ def test_train_operation_feeds_the_per_layer_counters(tmp_path):
     """The benchmark's layer view of training comes from the tracer's
     wrappers: 16 fits through the module attribute classifier.train_svm,
     16 contours and their 502 support vectors at dataset seed 42. A fit
-    that bypassed the attribute would zero these and still train."""
+    that bypassed the attribute would zero these and still train. The
+    trial counters and the grasp success rate read Dataset.records and
+    executed_count(): 6,912 trials, 1,108 executed, 864 of them successes."""
     t = tracer.Tracer()
     w = workloads.Train(1, str(tmp_path))
     _, inp = w.make_input(0)
@@ -58,3 +60,6 @@ def test_train_operation_feeds_the_per_layer_counters(tmp_path):
     assert t.counters["classifier.train_svm.calls"] == 16
     assert t.counters["classifier.extract_contour.calls"] == 16
     assert t.counters["classifier.support_vectors"] == 502
+    assert t.counters["simworld.trials"] == 6912
+    assert t.counters["simworld.trials_executed"] == 1108
+    assert w.quality([out])["grasp_success_rate"] == 864 / 1108

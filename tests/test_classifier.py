@@ -3,7 +3,6 @@ import math
 import tracemalloc
 import warnings
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from arplace.geometry import ObjectFeatures, RobotOffset
 from arplace.grids import GridSpec
 from arplace.placemap import _fill_counts
 from arplace.shapemodel import _ArcTable
-from arplace.simworld import TrialRecord
+from arplace.simworld import CAUSES, Dataset, default_world
 
 def _ring_set(seed=0, n=120):
     """(X, y) with positives inside a disk of radius 0.2, negatives in a
@@ -867,22 +866,23 @@ def test_train_per_pose_work_on_the_session_dataset(pipeline):
 
 
 def _pose_set(base_sets, seed):
-    """A dataset-like object with one pose per entry of base_sets, the
-    positions of each pose in the given order and labels from a ring rule
-    with label noise."""
+    """A Dataset with one pose per entry of base_sets, the positions of each
+    pose in the given order and labels from a ring rule with label noise:
+    cause "none" inside the ring, "slip" outside."""
     rng = np.random.default_rng(seed)
     objects = [ObjectFeatures(0.05 * (k + 1), 0.0) for k in range(len(base_sets))]
+    robots = list(dict.fromkeys(RobotOffset(x, y) for bases in base_sets for x, y in bases))
     per_pose = []
-    for obj, bases in zip(objects, base_sets):
+    for k, (obj, bases) in enumerate(zip(objects, base_sets)):
         per_pose.append([])
         for x, y in bases:
             inside = 0.05 < math.hypot(x, y) < 0.2 + 0.1 * obj.dx_obj
-            label = "success" if inside != (rng.uniform() < 0.05) else "failure"
-            per_pose[-1].append(TrialRecord(obj, RobotOffset(x, y), label,
-                                            "none" if label == "success" else "slip"))
-    # the poses' records interleaved: a pose's records need not be contiguous
-    records = [r for row in itertools.zip_longest(*per_pose) for r in row if r is not None]
-    return SimpleNamespace(object_grid=objects, records=records)
+            cause = "none" if inside != (rng.uniform() < 0.05) else "slip"
+            per_pose[-1].append((k, robots.index(RobotOffset(x, y)), CAUSES.index(cause)))
+    # the poses' trials interleaved: a pose's trials need not be contiguous
+    trials = [t for row in itertools.zip_longest(*per_pose) for t in row if t is not None]
+    pose, base, cause = np.array(trials).T
+    return Dataset(default_world(0), objects, robots, pose, base, cause)
 
 
 def test_train_per_pose_equals_separate_fits_and_shares_one_kernel(monkeypatch):
@@ -908,10 +908,10 @@ def test_train_per_pose_equals_separate_fits_and_shares_one_kernel(monkeypatch):
     for limit in (classifier._PAIR_ROWS, 1):
         monkeypatch.setattr(classifier, "_PAIR_ROWS", limit)
         alone = {}
-        for obj in data.object_grid:
-            rows = [r for r in data.records if r.object == obj]
-            X = np.array([(r.robot.dx_rob, r.robot.dy_rob) for r in rows])
-            y = np.array([1.0 if r.label == "success" else -1.0 for r in rows])
+        for k, obj in enumerate(data.object_grid):
+            rows = data.pose == k
+            X = np.array([(r.dx_rob, r.dy_rob) for r in data.robot_grid])[data.base[rows]]
+            y = np.where(data.cause[rows] == CAUSES.index("none"), 1.0, -1.0)
             alone[obj] = train_svm(X, y, kernel_sigma=0.05, cost_C=10.0)
         built.clear()
         fits = train_per_pose(data, kernel_sigma=0.05, cost_C=10.0)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from arplace import planner
+from arplace import planner, simworld
 from arplace.cli import BadConfigError, PipelineConfig, main
 from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
@@ -380,13 +380,53 @@ def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
         "631202542d3148cc81e51371c47fedf29ed60ce511c759eb068aeab9c940ff1b"
 
 
-def test_gen_data_bytes_are_fixed(tmp_path, capsys):
-    """`gen-data --seed 42` writes the dataset the benchmark's fixed model
-    was trained on; its bytes must stay these."""
+GEN_DATA_SHA256 = {
+    0: "c454f2e8f5091219998b64751df193dd6e414956f5e220101b1bc78010e36fc8",
+    3: "42a5b1c62ad47936f000d43d1b54602c8e4fe99065de01b1b0d161f67179e92a",
+    5: "429808a02037098d22e6d01097a6a7ea380057162ee335ae38396bc7ed72f2c8",
+    23: "584f6c9a566ae64bae65687754b2344491f9b68f8b0fec8a05cc9eabd8391e10",
+    42: "2df42da440062128f79a3a74279c7ce43fa7991cee2523af73cbbf727d66bc91",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_DATA_SHA256))
+def test_gen_data_bytes_are_fixed(tmp_path, capsys, seed):
+    """`gen-data` writes these bytes; at seed 42 they are the dataset the
+    benchmark's fixed model was trained on."""
     out = tmp_path / "data.csv"
-    assert main(["gen-data", "--seed", "42", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "2df42da440062128f79a3a74279c7ce43fa7991cee2523af73cbbf727d66bc91"
+    assert main(["gen-data", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DATA_SHA256[seed]
+
+
+# seed 42's model is the benchmark's fixed model, pinned in test_bench_contract
+MODEL_SHA256 = {
+    0: "b3ce18a37bffff480300632f25ba103adacb8acdebb185a779b6d511760a3ac3",
+    5: "6b99e1569e4aa4c804df67ec4a55b866a0bba126b85a32d4ea4899a3f59b04d3",
+    23: "2dcc416db5ba27910a113fd421c50a86e48398ca72a1a8cde05c1f53bf189ddf",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MODEL_SHA256))
+def test_gen_data_then_train_bytes_are_fixed(tmp_path, capsys, seed):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["gen-data", "--seed", str(seed), "--out", str(data)]) == 0
+    assert main(["train", "--seed", str(seed), "--data", str(data), "--out", str(model)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_SHA256[seed]
+
+
+def test_gen_data_and_train_build_no_trial_record(tmp_path, capsys, monkeypatch):
+    """From the simulator to the solver the trials stay columns of grid
+    indices and cause codes: with TrialRecord made to raise, gen-data and
+    train still write the pinned bytes."""
+    class NoRecord:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a TrialRecord was built")
+
+    monkeypatch.setattr(simworld, "TrialRecord", NoRecord)
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["gen-data", "--seed", "0", "--out", str(data)]) == 0
+    assert main(["train", "--seed", "0", "--data", str(data), "--out", str(model)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_SHA256[0]
 
 
 def test_eval_accuracy_trains_under_its_config(tmp_path, capsys):
@@ -442,6 +482,40 @@ def test_train_refuses_a_dataset_whose_grid_is_too_large(artifacts, tmp_path, ca
     assert rc == 3
     assert f"{nx} x {ny} = {nx * ny} cells" in err and str(wide) in err
     assert not (tmp_path / "m.json").exists()
+
+
+def _train_on_edited_row(artifacts, tmp_path, capsys, values):
+    """Exit code and stderr of train on the dataset with the fields of file
+    line 36, a trial row, set by column to values."""
+    lines = artifacts["data"].read_text().splitlines()
+    fields = lines[35].split(",")
+    for column, value in values.items():
+        fields[column] = value
+    lines[35] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--data", str(bad), "--seed", "0", "--out", str(tmp_path / "m.json")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [(0, "inf"), (1, "nan"), (1, "inf"), (1, "-inf")])
+def test_train_refuses_non_finite_object_features(artifacts, tmp_path, capsys, column, value):
+    """A non-finite edge distance or orientation is a bad row, refused with
+    its file line, not a one-sample pose or an SVD failure after training."""
+    rc, err = _train_on_edited_row(artifacts, tmp_path, capsys, {column: value})
+    assert rc == 3
+    assert "line 36:" in err and "finite" in err
+
+
+def test_train_refuses_a_label_that_does_not_go_with_its_cause(artifacts, tmp_path, capsys):
+    """A success has cause none, a failure any other cause in CAUSES: an
+    unknown label, a success with a failure cause, an unknown cause and a
+    failure with cause none are each refused with their file line."""
+    for label, cause in [("banana", "none"), ("success", "slip"), ("failure", "gremlins"),
+                         ("failure", "none")]:
+        rc, err = _train_on_edited_row(artifacts, tmp_path, capsys, {4: label, 5: cause})
+        assert rc == 3
+        assert "line 36:" in err and repr(label) in err and repr(cause) in err
 
 
 def test_train_rejects_a_dataset_without_rows(tmp_path, capsys):

@@ -143,9 +143,9 @@ def test_accuracy_curve_runs_each_training_trial_once(world, monkeypatch):
     streams = []
     real = evaluation.run_trials
 
-    def counted(objects, robots, world, trial_streams, **kwargs):
+    def counted(dx_obj, dpsi_obj, x, y, world, trial_streams, **kwargs):
         streams.extend(trial_streams)
-        return real(objects, robots, world, trial_streams, **kwargs)
+        return real(dx_obj, dpsi_obj, x, y, world, trial_streams, **kwargs)
 
     monkeypatch.setattr(evaluation, "run_trials", counted)
     accuracy_curve(world, ObjectFeatures(0.11, 0.2), [20, 50, 100],

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
-from arplace.simworld import (CAUSES, Dataset, TrialRecord, _first_failure,
-                              default_object_grid, default_robot_grid, default_world,
-                              generate_dataset, grasp_outcome, run_trials)
+from arplace.simworld import (CAUSES, Dataset, _first_failure, default_object_grid,
+                              default_robot_grid, default_world, generate_dataset,
+                              grasp_outcome, run_trials)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,20 @@ def _stage_test(objs, x, y, world, margins):
     codes = _first_failure(np.array([o.dx_obj for o in objs]), np.array([o.dpsi_obj for o in objs]),
                            np.asarray(x, dtype=float), np.asarray(y, dtype=float), world, *margins)
     return [CAUSES[c] for c in codes.tolist()]
+
+
+def _run(objs, robs, world, streams, **kwargs):
+    """Causes of run_trials over lists of objects and base positions."""
+    codes = run_trials([o.dx_obj for o in objs], [o.dpsi_obj for o in objs],
+                       [r.dx_rob for r in robs], [r.dy_rob for r in robs], world, streams,
+                       **kwargs)
+    return [CAUSES[c] for c in codes.tolist()]
+
+
+def _trials(data):
+    """The trials of a dataset as (object pose, base position, cause)."""
+    return [(data.object_grid[i], data.robot_grid[j], CAUSES[c])
+            for i, j, c in zip(data.pose.tolist(), data.base.tolist(), data.cause.tolist())]
 
 
 WIDE_MARGINS = {"grasp_margin": 0.07, "table_margin": 0.05, "min_object_clearance": 0.3}
@@ -237,8 +251,8 @@ def test_reachability_equals_the_corridor_formula(w, margins):
         objs.append(obj)
         robs.append(rob)
     reachable = [_reachable_reference(obj, rob, world) for obj, rob in zip(objs, robs)]
-    records = run_trials(objs, robs, world, list(range(len(objs))))
-    assert [rec.executed for rec in records] == reachable
+    causes = _run(objs, robs, world, list(range(len(objs))))
+    assert [cause != "unreachable_theory" for cause in causes] == reachable
     assert 0.1 < np.mean(reachable) < 0.9
 
 
@@ -246,33 +260,24 @@ def test_reachability_equals_the_corridor_formula(w, margins):
 # trials and datasets
 # ---------------------------------------------------------------------------
 
-def test_trial_record_consistency_checks():
-    obj, rob = ObjectFeatures(0.1, 0.0), RobotOffset(0.5, 0.0)
-    with pytest.raises(ValueError):
-        TrialRecord(obj, rob, "success", "slip")
-    with pytest.raises(ValueError):
-        TrialRecord(obj, rob, "failure", "gremlins")
-    with pytest.raises(ValueError):
-        TrialRecord(obj, rob, "banana", "none")
-
-
 def test_run_trials_is_deterministic_per_stream(w):
-    """A trial's record depends only on its stream: a seed, or the generator
-    built from it."""
-    obj, rob = ObjectFeatures(0.12, 0.2), RobotOffset(0.6, 0.1)
-    a = run_trials([obj], [rob], w, [np.random.default_rng(3)])
-    assert a == run_trials([obj], [rob], w, [np.random.default_rng(3)])
-    assert a == run_trials([obj], [rob], w, [3])
+    """A trial's cause depends only on its stream: a seed, or the generator
+    built from it. At local_minimum_rate 0.5 the two outcomes of a
+    reachable command are equally likely, so 40 streams that agree across
+    calls but not with each other show that each stream decides."""
+    half = dataclasses.replace(w, local_minimum_rate=0.5)
+    objs, robs = [ObjectFeatures(0.12, 0.2)] * 40, [RobotOffset(0.6, 0.1)] * 40
+    a = _run(objs, robs, half, [np.random.default_rng(k) for k in range(40)])
+    assert a == _run(objs, robs, half, [np.random.default_rng(k) for k in range(40)])
+    assert a == _run(objs, robs, half, list(range(40)))
+    assert set(a) == {"none", "local_minimum"}
 
 
 def test_unreachable_commands_are_not_executed(w):
     obj, rob = ObjectFeatures(0.12, 0.0), RobotOffset(2.5, 0.0)
     stream = np.random.default_rng(0)
     state = stream.bit_generator.state
-    (rec,) = run_trials([obj], [rob], w, [stream])
-    assert rec.label == "failure"
-    assert rec.cause == "unreachable_theory"
-    assert not rec.executed
+    assert _run([obj], [rob], w, [stream]) == ["unreachable_theory"]
     assert stream.bit_generator.state == state  # nothing was drawn
 
 
@@ -283,18 +288,18 @@ def test_only_trials_clear_of_table_and_object_can_stick(w):
     stuck = dataclasses.replace(w, local_minimum_rate=1.0)
     obj = ObjectFeatures(0.05, 0.0)
     robs = [RobotOffset(x, y) for x in (0.11, 0.12, 0.125, 0.5) for y in (-0.02, 0.0, 0.02)]
-    causes = [rec.cause for rec in run_trials([obj] * len(robs) * 20, robs * 20, stuck,
-                                              list(range(len(robs) * 20)),
-                                              check_reachability=False)]
+    causes = _run([obj] * len(robs) * 20, robs * 20, stuck, list(range(len(robs) * 20)),
+                  check_reachability=False)
     assert set(causes) == {"table_collision", "object_collision", "local_minimum"}
 
 
 @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (0, 1, 0)])
 def test_run_trials_refuses_lists_of_different_lengths(w, lengths):
-    """zip would drop the trials beyond the shortest list without a word."""
+    """zip would drop the trials beyond the shortest list without a word,
+    and broadcasting would stretch a list of one entry over every trial."""
     objs, robs, streams = lengths
     with pytest.raises(ValueError, match="one entry per trial"):
-        run_trials([ObjectFeatures(0.12, 0.0)] * objs, [RobotOffset(0.5, 0.0)] * robs, w,
+        run_trials([0.12] * objs, [0.0] * objs, [0.5] * robs, [0.0] * robs, w,
                    list(range(streams)))
 
 
@@ -322,9 +327,9 @@ def test_success_frequency_matches_gaussian_mass_oracle(w):
     assert 0.2 < mass < 0.8
 
     n = 4000
-    records = run_trials([obj] * n, [RobotOffset(*base)] * n, w,
-                         [(99, t) for t in range(n)], check_reachability=False)
-    hits = sum(rec.label == "success" for rec in records)
+    causes = _run([obj] * n, [RobotOffset(*base)] * n, w, [(99, t) for t in range(n)],
+                  check_reachability=False)
+    hits = causes.count("none")
     assert hits / n == pytest.approx(expected, abs=0.03)
 
 
@@ -333,32 +338,32 @@ def test_generate_dataset_reproducible_and_order_independent(w):
     robs = default_robot_grid()[::9]
     a = generate_dataset(w, objs, robs, seed=5)
     b = generate_dataset(w, objs, robs, seed=5)
-    assert a.records == b.records
-    # each record runs on the stream of its own pair index, whatever ran before
+    assert _trials(a) == _trials(b)
+    # each trial runs on the stream of its own pair index, whatever ran before
     k = len(robs) + 3
-    assert a.records[k] == run_trials([objs[1]], [robs[3]], w, [(5, k)])[0]
-    assert generate_dataset(w, objs, robs, seed=6).records != a.records
+    assert _trials(a)[k] == (objs[1], robs[3], _run([objs[1]], [robs[3]], w, [(5, k)])[0])
+    assert _trials(generate_dataset(w, objs, robs, seed=6)) != _trials(a)
 
 
 def _trial_reference(obj, robot, world, rng, check_reachability):
     """One trial on its own generator, the stages by the scalar cascade: the
-    record run_trials must give."""
+    (object pose, base position, cause) that run_trials must give."""
     margins = _margins(world)
     if check_reachability and _first_failure_reference(
             obj, robot.dx_rob, robot.dy_rob, world, 0.0, 0.0, 0.0) != "none":
-        return TrialRecord(obj, robot, "failure", "unreachable_theory")
+        return obj, robot, "unreachable_theory"
     noise = rng.normal(0.0, 1.0, size=2) * world.nav_noise_sigma
     cause = _first_failure_reference(obj, robot.dx_rob + noise[0], robot.dy_rob + noise[1],
                                      world, *margins)
     if cause not in ("table_collision", "object_collision") and \
             rng.uniform() < world.local_minimum_rate:
         cause = "local_minimum"
-    return TrialRecord(obj, robot, "success" if cause == "none" else "failure", cause)
+    return obj, robot, cause
 
 
 def _generate_dataset_reference(world, object_grid, robot_grid, seed, use_capability_filter):
     """generate_dataset as one trial at a time, with a generator built for
-    every pair before the reachability filter runs: the records
+    every pair before the reachability filter runs: the trials
     generate_dataset must reproduce."""
     return [_trial_reference(obj, rob, world,
                              np.random.default_rng((seed, i * len(robot_grid) + j)),
@@ -374,14 +379,14 @@ def test_generate_dataset_matches_eager_generators(w, seed):
     local-minimum number, occur among the trials."""
     objs, robs = default_object_grid(), default_robot_grid()
     data = generate_dataset(w, objs, robs, seed=seed)
-    assert data.records == _generate_dataset_reference(w, objs, robs, seed, True)
+    assert _trials(data) == _generate_dataset_reference(w, objs, robs, seed, True)
     near = [RobotOffset(x, y) for x in (0.11, 0.12, 0.13) for y in (-0.05, 0.0, 0.05)]
     unfiltered = generate_dataset(w, objs[:2], robs + near, seed=seed,
                                   use_capability_filter=False)
     reference = _generate_dataset_reference(w, objs[:2], robs + near, seed, False)
-    assert unfiltered.records == reference
+    assert _trials(unfiltered) == reference
     assert {"table_collision", "object_collision", "local_minimum", "none"} <= \
-        {rec.cause for rec in reference}
+        {cause for _, _, cause in reference}
 
 
 def test_capability_filter_preserves_executed_trials(w):
@@ -390,11 +395,8 @@ def test_capability_filter_preserves_executed_trials(w):
     full = generate_dataset(w, objs, robs, seed=11, use_capability_filter=False)
     filt = generate_dataset(w, objs, robs, seed=11, use_capability_filter=True)
     assert filt.executed_count() < full.executed_count()
-    for rf, ru in zip(filt.records, full.records):
-        if rf.executed:
-            assert rf == ru
-        else:
-            assert ru.label == "failure" or rf.cause == "unreachable_theory"
+    for rf, ru in zip(_trials(filt), _trials(full)):
+        assert rf == ru or (rf[2] == "unreachable_theory" and ru[2] != "none")
 
 
 def test_dataset_csv_round_trip(w, tmp_path):
@@ -403,13 +405,13 @@ def test_dataset_csv_round_trip(w, tmp_path):
     path = tmp_path / "d.csv"
     data.save_csv(path, header_lines=["round-trip test"])
     back = Dataset.load_csv(path, w)
-    assert back.records == data.records
+    assert _trials(back) == _trials(data)
     assert back.object_grid == data.object_grid
     assert back.robot_grid == data.robot_grid
 
 
 def test_dataset_csv_columns_are_found_by_name(w, tmp_path):
-    """A file with its columns in another order loads to the same records."""
+    """A file with its columns in another order loads to the same trials."""
     data = generate_dataset(w, default_object_grid()[:2],
                             default_robot_grid()[::13], seed=2)
     path = tmp_path / "d.csv"
@@ -420,29 +422,37 @@ def test_dataset_csv_columns_are_found_by_name(w, tmp_path):
     permuted.write_text("\n".join([lines[0]] + [",".join(row[k] for k in order)
                                                 for row in csv.reader(lines[1:])]) + "\n")
     back = Dataset.load_csv(permuted, w)
-    assert back.records == data.records
+    assert _trials(back) == _trials(data)
     assert back.object_grid == data.object_grid
     assert back.robot_grid == data.robot_grid
     assert back.comments == ["column order test"]
 
 
 def test_load_csv_grids_keep_the_first_of_equal_values(w, tmp_path):
-    """Number strings of equal value ("0.1" and "0.10", "0" and "-0") make
-    distinct instances; each grid holds the instance of the first row with
-    that value, in the order the values first appear."""
+    """Number strings of equal value ("0.1" and "0.10", "0" and "-0") are
+    one grid entry, which keeps the value of the first row that has it; the
+    grids hold the values in the order they first appear. So the -0 of the
+    first row stands for all three rows at the same base, as saving shows."""
     path = tmp_path / "d.csv"
     path.write_text("object_dx,object_dpsi,robot_dx,robot_dy,label,cause\n"
                     "0.10,0,0.5,-0,failure,slip\n"
                     "0.2,0,0.5,0,success,none\n"
                     "0.1,-0,0.50,0.0,failure,slip\n"
-                    "0.2,0.3,0.6,0,success,none\n")
+                    "0.3,0,0.6,0,success,none\n")
     data = Dataset.load_csv(path, w)
-    objects = list(dict.fromkeys(r.object for r in data.records))
-    robots = list(dict.fromkeys(r.robot for r in data.records))
-    assert data.object_grid == objects and len(objects) == 3
-    assert data.robot_grid == robots and len(robots) == 2
-    assert all(a is b for a, b in zip(data.object_grid + data.robot_grid, objects + robots))
-    assert data.records[2].object is not data.records[0].object
+    assert data.object_grid == [ObjectFeatures(0.1, 0.0), ObjectFeatures(0.2, 0.0),
+                                ObjectFeatures(0.3, 0.0)]
+    assert data.robot_grid == [RobotOffset(0.5, 0.0), RobotOffset(0.6, 0.0)]
+    assert math.copysign(1.0, data.robot_grid[0].dy_rob) == -1.0
+    assert data.pose.tolist() == [0, 1, 0, 2] and data.base.tolist() == [0, 0, 0, 1]
+    assert [CAUSES[c] for c in data.cause.tolist()] == ["slip", "none", "slip", "none"]
+    data.save_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (
+        b"object_dx,object_dpsi,robot_dx,robot_dy,label,cause\r\n"
+        b"0.10000000000000001,0,0.5,-0,failure,slip\r\n"
+        b"0.20000000000000001,0,0.5,-0,success,none\r\n"
+        b"0.10000000000000001,0,0.5,-0,failure,slip\r\n"
+        b"0.29999999999999999,0,0.59999999999999998,0,success,none\r\n")
 
 
 def test_world_config_json_round_trip(w, tmp_path):
@@ -462,37 +472,45 @@ def _save_csv_reference(data, path, header_lines):
             f.write(f"# {line}\n")
         w = csv.writer(f)
         w.writerow(("object_dx", "object_dpsi", "robot_dx", "robot_dy", "label", "cause"))
-        for r in data.records:
-            w.writerow([f"{r.object.dx_obj:.17g}", f"{r.object.dpsi_obj:.17g}",
-                        f"{r.robot.dx_rob:.17g}", f"{r.robot.dy_rob:.17g}", r.label, r.cause])
+        for obj, rob, cause in _trials(data):
+            w.writerow([f"{obj.dx_obj:.17g}", f"{obj.dpsi_obj:.17g}",
+                        f"{rob.dx_rob:.17g}", f"{rob.dy_rob:.17g}",
+                        "success" if cause == "none" else "failure", cause])
 
 
 # equal pairs that print apart (0.0 and -0.0), and the extremes of %.17g
 _CSV_OBJECTS = list(itertools.product((0.0, -0.0, 1 / 3, 1e300), (0.0, -2.5, math.pi)))
 _CSV_ROBOTS = list(itertools.product((0.0, -0.0, 5e-324, 1 / 3), (-0.0, 0.1, -1e300)))
-_CSV_OUTCOMES = [("success", "none"), ("failure", "slip"), ("failure", "unreachable_theory")]
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 2),
-                               st.booleans(), st.booleans()), max_size=40),
+@given(rows=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                               st.integers(0, len(CAUSES) - 1)), max_size=40),
        header=st.lists(st.sampled_from(["seed=1", "config_hash=ab", ""]), max_size=3))
 def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, rows, header):
-    """An object or base position of a row is either the one instance that
-    every row with its values shares, or a new, equal instance; 0.0 and -0.0
-    make equal instances that print apart."""
+    """Rows of any object pose, base position and cause. The grids hold
+    entries of equal value that print apart, 0.0 and -0.0, and each row is
+    written with the value of its own entry."""
     objects = [ObjectFeatures(*v) for v in _CSV_OBJECTS]
     robots = [RobotOffset(*v) for v in _CSV_ROBOTS]
-    records = [TrialRecord(ObjectFeatures(*_CSV_OBJECTS[i]) if new_obj else objects[i],
-                           RobotOffset(*_CSV_ROBOTS[j]) if new_rob else robots[j],
-                           *_CSV_OUTCOMES[k])
-               for i, j, k, new_obj, new_rob in rows]
-    data = Dataset(world=default_world(0), object_grid=objects, robot_grid=robots,
-                   records=records)
+    pose, base, cause = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    data = Dataset(default_world(0), objects, robots, pose, base, cause)
     tmp = tmp_path_factory.mktemp("csv")
     data.save_csv(tmp / "a.csv", header_lines=header)
     _save_csv_reference(data, tmp / "b.csv", header)
     assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+
+
+def test_save_csv_writes_equal_grid_entries_as_each_prints(tmp_path):
+    """0.0 and -0.0 are equal values that print apart: rows of the two grid
+    entries are written as 0 and -0."""
+    data = Dataset(default_world(0), [ObjectFeatures(0.0, 0.0), ObjectFeatures(-0.0, 0.0)],
+                   [RobotOffset(0.5, 0.0), RobotOffset(0.5, -0.0)],
+                   np.array([0, 1, 1]), np.array([1, 0, 1]), np.array([0, 5, 1]))
+    data.save_csv(tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes().splitlines()[1:] == [
+        b"0,0,0.5,-0,success,none", b"-0,0,0.5,0,failure,slip",
+        b"-0,0,0.5,-0,failure,unreachable_theory"]
 
 
 def test_save_csv_keeps_the_bytes_of_a_generated_dataset(w, tmp_path):
