@@ -115,6 +115,10 @@ class _Kernel:
     """Kernel matrix K of the base positions X at kernel_sigma, for fits to share."""
 
     def __init__(self, X: np.ndarray, kernel_sigma: float):
+        # NaN fails every comparison, and sigma ** 2 is not taken where it would overflow
+        if not (0.0 < kernel_sigma < 1e154 and -math.inf < -2.0 * kernel_sigma ** 2 < 0.0):
+            raise ValueError("kernel_sigma must be finite and positive, and -2 kernel_sigma^2, "
+                             f"the kernel's divisor, finite and nonzero, not {kernel_sigma!r}")
         self.X, self.kernel_sigma = X, kernel_sigma
         self.K = gaussian_kernel(X, X, kernel_sigma)
 
@@ -135,23 +139,22 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     labels y (+1 success, -1 failure) by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
     Mismatched shapes, non-finite positions, fewer than 2 samples, other
-    labels, a missing class, and a kernel_sigma or box bound that is not
-    finite and positive (above 2e-14) raise ValueError. kernel, when given,
+    labels, a missing class, a box bound not finite or at most 2e-14, and a
+    kernel_sigma that _Kernel refuses raise ValueError. kernel, when given,
     is the _Kernel of X at kernel_sigma, built by the caller for several fits.
 
-    The loop tracks myg = -y * grad of the dual objective 1/2 a'Qa - e'a,
-    with Q = yy' * K. Since y = +-1 and K is exactly symmetric, the update
-    myg += step * (K[j] - K[i]) gives the same floats as updating grad by
-    step * (y_i Q[:, i] - y_j Q[:, j]) and negating. It is kept as one (2, n)
-    selection array H: row 0 is myg on the index set up and -inf off it,
-    row 1 is -myg on low and -inf off it. One argmax per row picks the pair
-    (the first maximum of -myg is the first minimum of myg), and the pair's
-    entry [K[j] - K[i]; K[i] - K[j]] updates both at once. IEEE rounding is
-    sign-symmetric, so row 1 holds the negation of the floats a separate
-    min-array would, up to the sign of zeros, which compare equal. A box
-    bound above 2e-14 puts every index in up or low, so myg[k] is always in
-    one row; membership changes only at the pair just stepped. Each fit
-    caches its own entries and empties the cache when it holds _PAIR_ROWS.
+    The loop runs on the signed duals beta = y * alpha, each in its box
+    [min(0, y_k C_k), max(0, y_k C_k)]; IEEE rounding is sign-symmetric, so
+    beta_k is y_k times the unsigned alpha_k, float for float. It tracks
+    myg = -y * grad of the dual objective 1/2 a'Qa - e'a, Q = yy' * K; as
+    y = +-1 and K is exactly symmetric, myg += step * (K[j] - K[i]) gives the
+    floats of updating grad and negating. H is a (2, n) selection array: row
+    0 is myg on the index set up and row 1 is -myg on low, -inf elsewhere.
+    One argmax per row picks the pair (the first maximum of -myg is the first
+    minimum of myg), and the entry [K[j] - K[i]; K[i] - K[j]] updates both
+    rows, so row 1 holds the negated floats of a min-array, up to the sign of
+    zeros, which compare equal. A box bound above 2e-14 keeps every index in
+    up or low.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -163,24 +166,21 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         raise ValueError("need at least 2 samples")
     if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
         raise ValueError("labels must be +1 or -1, and both classes must be present")
-    # every comparison with NaN is False, so NaN fails these
-    if not (0.0 < kernel_sigma < math.inf and
-            all(2e-14 < c < math.inf for c in (cost_C, cost_C * positive_class_weight))):
-        raise ValueError("kernel_sigma must be finite and positive, and the box bounds "
-                         "cost_C and cost_C * positive_class_weight finite and above 2e-14")
+    # every comparison with NaN is False, so NaN fails this
+    if not all(2e-14 < c < math.inf for c in (cost_C, cost_C * positive_class_weight)):
+        raise ValueError("the box bounds cost_C and cost_C * positive_class_weight must be "
+                         "finite and positive, above 2e-14")
     if kernel is None:
         kernel = _Kernel(X, kernel_sigma)
     elif kernel.kernel_sigma != kernel_sigma or not np.array_equal(kernel.X, X):
         raise ValueError("the kernel belongs to other positions or another kernel_sigma")
-    C = np.where(y > 0, cost_C * positive_class_weight, cost_C)
-
     n = len(y)
-    pos, cs, c_top = (y > 0).tolist(), C.tolist(), (C - 1e-14).tolist()
-    alpha = [0.0] * n
-    # at alpha = 0 a positive index is only in up and a negative only in low
-    up = pos.copy()
-    low = [not p for p in pos]
-    # myg = y at alpha = 0, where grad = -1
+    yC = np.where(y > 0, cost_C * positive_class_weight, -cost_C)
+    lo, hi = np.minimum(yC, 0.0), np.maximum(yC, 0.0)
+    los, his, bottom, top = (a.tolist() for a in (lo, hi, lo + 1e-14, hi - 1e-14))
+    beta = [0.0] * n
+    up, low = [0.0 < t for t in top], [0.0 > b for b in bottom]
+    # myg = y at beta = 0, where grad = -1
     H = np.where([up, low], [y, -y], -np.inf)
     D = np.empty_like(H)
     pairs = {}  # this fit's pair entries, keyed i * n + j
@@ -204,35 +204,27 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
             rows += 1
         row, quad = entry
         step = violation / quad
-        # clip to the box for alpha_i + y_i*step, alpha_j - y_j*step
-        a_i, a_j, pos_i, pos_j = alpha[i], alpha[j], pos[i], pos[j]
-        room = cs[i] - a_i if pos_i else a_i
+        # clip to the box for beta_i + step, beta_j - step
+        b_i, b_j = beta[i], beta[j]
+        room = his[i] - b_i
         if room < step:
             step = room
-        room = a_j if pos_j else cs[j] - a_j
+        room = b_j - los[j]
         if room < step:
             step = room
         multiply(row, step, D)
         add(H, D, H)
         # H already holds myg[k] where membership stays. The update is written
         # out for i and for j: a loop over (i, j) costs about 6% of a step.
-        if pos_i:
-            alpha[i] = a_i = a_i + step
-            u, l = a_i < c_top[i], a_i > 1e-14
-        else:
-            alpha[i] = a_i = a_i - step
-            u, l = a_i > 1e-14, a_i < c_top[i]
+        beta[i] = b_i = b_i + step
+        u, l = b_i < top[i], b_i > bottom[i]
         if not u or l != low[i]:  # i is in up
             g = h_item(0, i)
             up[i], low[i] = u, l
             H[0, i] = g if u else -np.inf
             H[1, i] = -g if l else -np.inf
-        if pos_j:
-            alpha[j] = a_j = a_j - step
-            u, l = a_j < c_top[j], a_j > 1e-14
-        else:
-            alpha[j] = a_j = a_j + step
-            u, l = a_j > 1e-14, a_j < c_top[j]
+        beta[j] = b_j = b_j - step
+        u, l = b_j < top[j], b_j > bottom[j]
         if u != up[j] or not l:  # j is in low
             g = h_item(0, j) if up[j] else -h_item(1, j)
             up[j], low[j] = u, l
@@ -244,17 +236,16 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     if violation > KKT_TOLERANCE:
         raise SVMConvergenceError(violation)
 
-    alpha = np.array(alpha)
-    free = (alpha > 1e-10) & (alpha < C - 1e-10)
+    beta = np.array(beta)
+    free = (beta > lo + 1e-10) & (beta < hi - 1e-10)
     if free.any():
         bias = float(np.mean(myg[free]))
     else:
         bias = float((np.max(myg[np.array(up)]) + np.min(myg[np.array(low)])) / 2.0)
 
-    sv = alpha > 1e-12
-    return SVMModel(support_points=X[sv].copy(), alphas=(y * alpha)[sv].copy(),
-                    bias=bias, kernel_sigma=kernel_sigma, pair_steps=steps, pair_rows=rows,
-                    kkt_violation=violation)
+    sv = np.abs(beta) > 1e-12
+    return SVMModel(support_points=X[sv], alphas=beta[sv], bias=bias, kernel_sigma=kernel_sigma,
+                    pair_steps=steps, pair_rows=rows, kkt_violation=violation)
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,10 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     if args.experiment == "robustness":
         gsm = _read("model", GSMModel.load, args.model)
         sweep = SweepSpec(cell_size=cfg.cell_size, n_map_samples=cfg.n_samples)
-        res = robustness_experiment(sweep, gsm, world, seed=args.seed)
+        try:
+            res = robustness_experiment(sweep, gsm, world, seed=args.seed)
+        except EmptySuccessRegionError as e:  # no fixed offset in this world
+            raise BadConfigError(f"config world {cfg.world}: {e}")
         lines.append("sigma_obj arplace fixed chi2 p")
         for p in res.points:
             lines.append(f"{p.sigma_obj:.2f} {p.rate('arplace'):.3f} "
@@ -300,8 +303,11 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         lines.append("size filtered_acc filtered_exec unfiltered_acc unfiltered_exec")
         svm = {"kernel_sigma": cfg.kernel_sigma, "cost_C": cfg.cost_C,
                "positive_class_weight": cfg.class_weight}
-        filt = accuracy_curve(world, obj, sizes, True, seed=args.seed, **svm)
-        raw = accuracy_curve(world, obj, sizes, False, seed=args.seed, **svm)
+        try:
+            filt = accuracy_curve(world, obj, sizes, True, seed=args.seed, **svm)
+            raw = accuracy_curve(world, obj, sizes, False, seed=args.seed, **svm)
+        except ValueError as e:  # SVM constants that train_svm refuses
+            raise BadConfigError(f"config cannot train the accuracy curve: {e}")
         for a, b in zip(filt, raw):
             lines.append(f"{a.size} {a.accuracy:.3f} {a.executed} "
                          f"{b.accuracy:.3f} {b.executed}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import train_svm
+from .classifier import EmptySuccessRegionError, train_svm
 from .geometry import ObjectFeatures
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
@@ -98,7 +98,7 @@ def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, f
     cells = [r for r in default_robot_grid()
              if geometric_success(mean_obj, r, world)]
     if not cells:
-        raise RuntimeError("mean pose has no successful candidate cell")
+        raise EmptySuccessRegionError("mean pose has no successful candidate cell")
     # offset from the object position (-dx, 0) to the region centroid
     return (float(np.mean([r.dx_rob for r in cells])) + mean_obj.dx_obj,
             float(np.mean([r.dy_rob for r in cells])))
@@ -212,7 +212,8 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     With the capability filter on, theoretically unreachable commands are
     labeled failures without running the simulated trial, cutting the
     executed-trial count. Sample points and trial noise depend only on the
-    seed, so filtered and unfiltered runs see identical data.
+    seed, so filtered and unfiltered runs see identical data. A one-class
+    prefix scores as the constant classifier of its class, as in LIBSVM.
     """
     if sorted(sizes) != list(sizes):
         raise ValueError("sizes must be ascending")
@@ -223,8 +224,10 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     executed = codes != CAUSES.index("unreachable_theory")
     points = []
     for size in sizes:
-        model = train_svm(X[:size], y[:size], kernel_sigma, cost_C, positive_class_weight)
-        pred = model.decision_values(test_X) > 0
+        pred = np.full(n_test, y[0] > 0)  # train_svm refuses a prefix of one class
+        if np.any(y[:size] != y[0]):
+            model = train_svm(X[:size], y[:size], kernel_sigma, cost_C, positive_class_weight)
+            pred = model.decision_values(test_X) > 0
         points.append(AccuracyPoint(size=size,
                                     accuracy=float(np.mean(pred == (test_codes == 0))),
                                     executed=int(np.count_nonzero(executed[:size]))))

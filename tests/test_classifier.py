@@ -165,11 +165,11 @@ def _small_labeled_sets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_small_labeled_sets())
-# Together these reach every branch of the written-out update, for positive
-# and negative i and j: the step clipped at i's bound and at j's, i leaving
-# up and entering low, j leaving low and entering up, and an index that left
-# a set re-entering it. None reaches the empty-set exit: on finite points
-# the equality constraint keeps both sets non-empty.
+# Together these reach every branch of the written-out update, with i and j
+# of either class: the step clipped at i's bound and at j's, i leaving up and
+# entering low, j leaving low and entering up, and an index that left a set
+# re-entering it. None reaches the empty-set exit: on finite points the
+# equality constraint keeps both sets non-empty.
 @example((*_lattice_set(9, 44788, 0.05), 0.3, 0.5))
 @example((*_lattice_set(9, 28681, 0.5), 0.3, 40.0))
 def test_train_svm_matches_the_reference_solver(case):
@@ -221,13 +221,14 @@ def test_train_svm_rejects_a_degenerate_box():
     {"cost_C": math.nan}, {"cost_C": math.inf}, {"positive_class_weight": math.nan},
     {"positive_class_weight": math.inf}, {"positive_class_weight": -1.0},
     {"kernel_sigma": math.nan}, {"kernel_sigma": math.inf}, {"kernel_sigma": 0.0},
-    {"kernel_sigma": -0.1},
+    {"kernel_sigma": -0.1}, {"kernel_sigma": 1e200}, {"kernel_sigma": 1e-300},
 ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
 def test_train_svm_rejects_nonsense_hyperparameters(setting):
     """A comparison with NaN is False, so a NaN box bound once passed the
     2e-14 check, and on this set cost_C NaN "converged" in 42 steps with
     violation 0.0; a NaN or zero kernel_sigma gave a model with bias NaN and
-    no support vectors after 1 step."""
+    no support vectors after 1 step. So did 1e-300, where the kernel's
+    divisor -2 sigma^2 is 0, and at 1e200 sigma ** 2 overflowed."""
     with pytest.raises(ValueError, match="finite and positive"):
         train_svm(*_ring_set(), **setting)
 

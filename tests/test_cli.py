@@ -398,11 +398,21 @@ def test_gen_data_bytes_are_fixed(tmp_path, capsys, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DATA_SHA256[seed]
 
 
-# seed 42's model is the benchmark's fixed model, pinned in test_bench_contract
+# seed 42's model is the benchmark's fixed model, also pinned in test_bench_contract
 MODEL_SHA256 = {
     0: "b3ce18a37bffff480300632f25ba103adacb8acdebb185a779b6d511760a3ac3",
     5: "6b99e1569e4aa4c804df67ec4a55b866a0bba126b85a32d4ea4899a3f59b04d3",
     23: "2dcc416db5ba27910a113fd421c50a86e48398ca72a1a8cde05c1f53bf189ddf",
+    42: "7b33ba6673e850c61778e51166e7d9e19a3c1c53df1eb76f3e80b2014bc60d7f",
+}
+
+# the solver's work behind each pinned model, as the train summary line reports
+# it: a change to the pair cache or the selection can move these and no byte
+SOLVER_COUNTERS = {
+    0: "svm_steps=122157 svm_rows=12270 max_pose_steps=36052 max_kkt_violation=9.96e-11",
+    5: "svm_steps=71043 svm_rows=5527 max_pose_steps=7933 max_kkt_violation=9.93e-11",
+    23: "svm_steps=154199 svm_rows=9354 max_pose_steps=47764 max_kkt_violation=9.96e-11",
+    42: "svm_steps=165935 svm_rows=11534 max_pose_steps=89106 max_kkt_violation=9.97e-11",
 }
 
 
@@ -410,8 +420,10 @@ MODEL_SHA256 = {
 def test_gen_data_then_train_bytes_are_fixed(tmp_path, capsys, seed):
     data, model = tmp_path / "data.csv", tmp_path / "model.json"
     assert main(["gen-data", "--seed", str(seed), "--out", str(data)]) == 0
+    capsys.readouterr()
     assert main(["train", "--seed", str(seed), "--data", str(data), "--out", str(model)]) == 0
     assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_SHA256[seed]
+    assert f" {SOLVER_COUNTERS[seed]} -> " in capsys.readouterr().out
 
 
 def test_gen_data_and_train_build_no_trial_record(tmp_path, capsys, monkeypatch):
@@ -439,6 +451,60 @@ def test_eval_accuracy_trains_under_its_config(tmp_path, capsys):
         assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)] + extra) == 0
         bodies.append(out.read_text().split("\n", 1)[1])
     assert bodies[0] != bodies[1]
+
+
+def test_eval_accuracy_scores_a_one_class_prefix_as_its_constant_classifier(tmp_path, capsys):
+    """At seed 18 the first 20 training trials hold no success, which
+    train_svm refuses; that prefix is scored as always predicting failure,
+    right on the 129 of 150 test trials that fail, with and without the
+    filter."""
+    out = tmp_path / "acc.txt"
+    assert main(["eval", "accuracy", "--seed", "18", "--out", str(out)]) == 0
+    row = next(ln.split() for ln in out.read_text().splitlines() if ln.startswith("20 "))
+    assert (row[1], row[3]) == ("0.860", "0.860")
+
+
+# SVM constants within the config's ranges that the solver cannot use: a
+# kernel_sigma whose -2 sigma^2 overflows or underflows, a box bound at or
+# below 2e-14, and one that overflows
+UNUSABLE_SVM_CONSTANTS = {
+    "sigma_1e200": {"kernel_sigma": 1e200},
+    "sigma_1e-300": {"kernel_sigma": 1e-300},
+    "cost_1e-20": {"cost_C": 1e-20},
+    "weighted_cost_overflows": {"cost_C": 1e300, "class_weight": 1e10},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_SVM_CONSTANTS))
+def test_unusable_svm_constants_exit_3(artifacts, tmp_path, capsys, name):
+    """train and eval accuracy both refuse them as a config error. Before,
+    the sigmas ended in an OverflowError (exit 5) or, at 1e-300, in a model
+    with bias NaN: eval accuracy exited 0, and train claimed an empty
+    success region."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(UNUSABLE_SVM_CONSTANTS[name]))
+    bare = tmp_path / "bare.csv"  # no header, so no config_hash to match
+    bare.write_text("".join(ln for ln in artifacts["data"].read_text().splitlines(True)
+                            if not ln.startswith("#")))
+    for command in (["train", "--data", str(bare)], ["eval", "accuracy"]):
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg), "--seed", "0", "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "kernel_sigma" in err if "sigma" in name else "cost_C" in err
+
+
+def test_eval_robustness_in_a_world_without_a_success_cell_exits_3(artifacts, tmp_path,
+                                                                   capsys):
+    """A corridor of width 0 passes WorldConfig's checks, but the fixed
+    baseline has no success cell to aim at: a config error naming the world,
+    not a RuntimeError (exit 5)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": {"corridor_width": 0.0}}))
+    rc = main(["eval", "robustness", "--config", str(cfg), "--model", str(artifacts["model"]),
+               "--seed", "0", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "config world {'corridor_width': 0.0}" in capsys.readouterr().err
 
 
 def test_train_refuses_a_dataset_from_another_config(artifacts, tmp_path, capsys):
