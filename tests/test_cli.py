@@ -401,6 +401,7 @@ def test_gen_data_bytes_are_fixed(tmp_path, capsys, seed):
 # seed 42's model is the benchmark's fixed model, also pinned in test_bench_contract
 MODEL_SHA256 = {
     0: "b3ce18a37bffff480300632f25ba103adacb8acdebb185a779b6d511760a3ac3",
+    3: "25d32f08f40f6ba9ce6d265331a4e599e912813191dbe5a5dc8cf364cb318588",
     5: "6b99e1569e4aa4c804df67ec4a55b866a0bba126b85a32d4ea4899a3f59b04d3",
     23: "2dcc416db5ba27910a113fd421c50a86e48398ca72a1a8cde05c1f53bf189ddf",
     42: "7b33ba6673e850c61778e51166e7d9e19a3c1c53df1eb76f3e80b2014bc60d7f",
@@ -410,6 +411,7 @@ MODEL_SHA256 = {
 # it: a change to the pair cache or the selection can move these and no byte
 SOLVER_COUNTERS = {
     0: "svm_steps=122157 svm_rows=12270 max_pose_steps=36052 max_kkt_violation=9.96e-11",
+    3: "svm_steps=87442 svm_rows=5575 max_pose_steps=8763 max_kkt_violation=9.98e-11",
     5: "svm_steps=71043 svm_rows=5527 max_pose_steps=7933 max_kkt_violation=9.93e-11",
     23: "svm_steps=154199 svm_rows=9354 max_pose_steps=47764 max_kkt_violation=9.96e-11",
     42: "svm_steps=165935 svm_rows=11534 max_pose_steps=89106 max_kkt_violation=9.97e-11",
@@ -466,31 +468,40 @@ def test_eval_accuracy_scores_a_one_class_prefix_as_its_constant_classifier(tmp_
 
 # SVM constants within the config's ranges that the solver cannot use: a
 # kernel_sigma whose -2 sigma^2 overflows or underflows, a box bound at or
-# below 2e-14, and one that overflows
+# below 2e-14, and one that overflows, also as a product of integers that
+# Python would keep exact; and in a world without a success,
+# where every accuracy-curve prefix holds one class and trains no SVM (eval
+# accuracy exited 0 there, with every accuracy 1.000)
 UNUSABLE_SVM_CONSTANTS = {
     "sigma_1e200": {"kernel_sigma": 1e200},
+    "sigma_1e200_where_no_prefix_trains": {"world": {"corridor_width": 0.0},
+                                           "kernel_sigma": 1e200},
     "sigma_1e-300": {"kernel_sigma": 1e-300},
     "cost_1e-20": {"cost_C": 1e-20},
     "weighted_cost_overflows": {"cost_C": 1e300, "class_weight": 1e10},
+    "integer_weighted_cost_overflows": {"cost_C": 10**300, "class_weight": 10**300},
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNUSABLE_SVM_CONSTANTS))
 def test_unusable_svm_constants_exit_3(artifacts, tmp_path, capsys, name):
-    """train and eval accuracy both refuse them as a config error. Before,
-    the sigmas ended in an OverflowError (exit 5) or, at 1e-300, in a model
-    with bias NaN: eval accuracy exited 0, and train claimed an empty
-    success region."""
+    """train and eval accuracy both refuse them as a fault of the config, on
+    reading it: train names the config, not the dataset, and exits 3 even
+    when its dataset file is missing. Before, the sigmas ended in an
+    OverflowError (exit 5) or, at 1e-300, in a model with bias NaN: eval
+    accuracy exited 0, and train claimed an empty success region."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(UNUSABLE_SVM_CONSTANTS[name]))
     bare = tmp_path / "bare.csv"  # no header, so no config_hash to match
     bare.write_text("".join(ln for ln in artifacts["data"].read_text().splitlines(True)
                             if not ln.startswith("#")))
-    for command in (["train", "--data", str(bare)], ["eval", "accuracy"]):
+    for command in (["train", "--data", str(bare)], ["eval", "accuracy"],
+                    ["train", "--data", str(tmp_path / "missing.csv")]):
         out = tmp_path / "out"
         assert main(command + ["--config", str(cfg), "--seed", "0", "--out", str(out)]) == 3
         assert not out.exists()
         err = capsys.readouterr().err
+        assert err.startswith("error: config SVM constants: ") and "dataset" not in err
         assert "kernel_sigma" in err if "sigma" in name else "cost_C" in err
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -152,6 +153,15 @@ def test_accuracy_curve_runs_each_training_trial_once(world, monkeypatch):
                    use_capability_filter=True, seed=0, n_test=30)
     assert len(streams) == 30 + 100
     assert len(set(streams)) == len(streams)
+
+
+def test_accuracy_curve_refuses_unusable_svm_constants_where_no_prefix_trains(world):
+    """With a corridor of width 0 every trial fails, so no prefix trains an
+    SVM; constants that train_svm refuses still raise, as they do in train."""
+    no_success = dataclasses.replace(world, corridor_width=0.0)
+    for svm in ({"kernel_sigma": 1e200}, {"cost_C": 1e-20}):
+        with pytest.raises(ValueError, match="kernel_sigma" if "kernel_sigma" in svm else "cost_C"):
+            accuracy_curve(no_success, ObjectFeatures(0.14, 0.0), [20, 50], True, **svm)
 
 
 def test_accuracy_curve_requires_ascending_sizes(world):

@@ -1,10 +1,11 @@
 import json
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arplace import shapemodel
 from arplace.classifier import extract_contour, train_per_pose
@@ -201,6 +202,51 @@ def _placement_cost_reference(lms, d):
     dists = [np.linalg.norm(_reconstruct(pdm, pdm.project(lm)) - lm, axis=1) for lm in lms]
     l = float(np.mean(np.concatenate(dists)))
     return (2.0 - pdm.energy) * l * l, pdm.energy, l
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(4, 20), N=st.integers(3, 24), d_draw=st.integers(0, 38),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=20, N=16, d_draw=1, seed=0)  # the pipeline's shape: N - 1 < 2m
+@example(m=4, N=16, d_draw=1, seed=0)   # N - 1 > 2m
+def test_placement_cost_from_the_gram_matrix_matches_the_model(m, N, d_draw, seed):
+    """The cost scored from the N x N Gram matrix equals the one of the
+    fitted 2m x 2m covariance model, with each boundary reconstructed on its
+    own, to rtol 1e-14, in both regimes N - 1 < 2m and N - 1 > 2m. Where the
+    d-th and (d+1)-th eigenvalues nearly tie, or the modes after d hold under
+    1% of the variance, the d-mode residual is set by rounding in either
+    form, so such draws are skipped."""
+    rank = min(2 * m, N - 1)
+    assume(rank >= 2)
+    d = 1 + d_draw % (rank - 1)
+    rng = np.random.default_rng(seed)
+    lms = rng.normal(0.0, rng.uniform(0.01, 10.0), (N, m, 2)) + rng.normal(0.0, 1.0, 2)
+    H = assemble_H(lms)
+    evals = np.linalg.svd(H - H.mean(axis=1)[:, None], compute_uv=False) ** 2
+    assume(evals[d - 1] - evals[d] >= 0.05 * evals[0] and evals[d:].sum() >= 0.01 * evals.sum())
+    np.testing.assert_allclose(placement_cost(lms, d), _placement_cost_reference(lms, d),
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("N, m, d, error", [
+    (1, 20, 1, ValueError), (16, 20, 0, ValueError), (16, 20, 16, ValueError),
+    (16, 4, 9, ValueError), (16, 4, 8, None), (16, 20, 15, None),
+    (5, 20, 1, DegenerateShapeError),
+])
+def test_placement_cost_raises_what_fit_pdm_raises(N, m, d, error):
+    """Fewer than 2 boundaries and a d outside [1, min(2m, N - 1)] raise
+    ValueError, identical boundaries DegenerateShapeError, in both."""
+    rng = np.random.default_rng(3)
+    lms = rng.normal(size=(N, m, 2)) if error is not DegenerateShapeError else \
+        np.repeat(rng.normal(size=(1, m, 2)), N, axis=0)
+    if error is None:
+        fit_pdm(assemble_H(lms), d)
+        placement_cost(lms, d)
+        return
+    with pytest.raises(error) as want:
+        fit_pdm(assemble_H(lms), d)
+    with pytest.raises(error, match=re.escape(str(want.value))):
+        placement_cost(lms, d)
 
 
 def _optimize_landmarks_reference(contours, m=20, energy_target=0.95):
