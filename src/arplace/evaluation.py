@@ -16,7 +16,7 @@ from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
 from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
                       SceneObject, apply_merge_transform, detect_merge_flaw,
-                      project, two_pickup_plan)
+                      plan_duration, project, two_pickup_plan)
 from .shapemodel import GSMModel
 from .simworld import (CAUSES, WorldConfig, default_robot_grid, geometric_success,
                        grasp_outcome, robot_bounds, run_trials)
@@ -298,7 +298,8 @@ def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
     plan = two_pickup_plan()
     trace_a = project(plan, scene, gsm, world, spec,
                       rng=np.random.default_rng(rng_base + (0,)))
-    point = TransformPoint(separation, trace_a, trace_a.duration)
+    point = TransformPoint(separation, trace_a,
+                           plan_duration(trace_a, trace_a.time_model))
     point.flaw = detect_merge_flaw(plan, scene, gsm, spec,
                                    rng=np.random.default_rng(rng_base + (1,)),
                                    threshold=threshold)
@@ -306,7 +307,7 @@ def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
         point.plan_b = apply_merge_transform(plan, point.flaw)
         point.trace_b = project(point.plan_b, scene, gsm, world, spec,
                                 rng=np.random.default_rng(rng_base + (2,)))
-        point.duration_b = point.trace_b.duration
+        point.duration_b = plan_duration(point.trace_b, point.trace_b.time_model)
     return point
 
 

@@ -58,6 +58,8 @@ class Designator:
     def __post_init__(self):
         if self.purpose not in ("pick_up", "joint_pick_up"):
             raise ValueError(f"unknown designator purpose {self.purpose!r}")
+        if isinstance(self.objects, str):
+            raise ValueError("objects must be a sequence of names, not one string")
         self.objects = tuple(self.objects)
         if not self.objects:
             raise ValueError("a designator must name at least one object")
@@ -81,6 +83,8 @@ class PlanNode:
             raise ValueError("at_location requires a location designator")
         if self.kind != AT_LOCATION and self.location is not None:
             raise ValueError("only at_location carries a location")
+        if self.kind in (PERCEIVE, ACHIEVE) and self.children:
+            raise ValueError(f"{self.kind} carries no children")
 
     def walk(self):
         yield self
@@ -183,10 +187,6 @@ class ExecutionTrace:
     events: list[TraceEvent] = field(default_factory=list)
 
     @property
-    def duration(self) -> float:
-        return plan_duration(self, self.time_model)
-
-    @property
     def grasp_outcomes(self) -> list[dict]:
         return [e.detail for e in self.events if e.kind == "grasp"]
 
@@ -227,7 +227,9 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     """Simulate a plan: navigation drives to resolved locations (skipped when
     the robot is already there, with position noise on arrival), perception
     snaps a belief to the true state and shrinks its covariance, and grasps
-    run against the true object state from the achieved base position.
+    run against the true object state from the achieved base position. An
+    object that a location, perceive or achieve node names and the scene
+    lacks raises UnresolvableDesignatorError before any map is computed.
 
     The plan and the scene passed in are never written: resolved cells are
     kept per projection and perception updates copies of the scene's objects,
@@ -237,25 +239,18 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     rng = np.random.default_rng(rng)
     scene = Scene({name: replace(obj) for name, obj in scene.objects.items()},
                   scene.robot_xy)
-    for node in plan.walk():
-        if node.kind == AT_LOCATION:
-            for name in node.location.objects:
-                if name not in scene.objects:
-                    raise UnresolvableDesignatorError(
-                        f"unknown object {name!r} in location designator")
+    named = {name for node in plan.walk()
+             for name in (node.location.objects if node.kind == AT_LOCATION else
+                          node.goal[1:] if node.kind in (PERCEIVE, ACHIEVE) else ())}
+    missing = sorted(named - scene.objects.keys())
+    if missing:
+        raise UnresolvableDesignatorError(f"unknown objects {missing}")
 
     trace = ExecutionTrace(time_model)
-    robot = list(scene.robot_xy)
+    robot = tuple(scene.robot_xy)
     targets: dict[Designator, tuple[tuple[float, float], float]] = {}
-
-    def emit(kind, detail):
-        trace.events.append(TraceEvent(kind, detail))
-
-    def run(node: PlanNode):
-        if node.kind == SEQUENCE:
-            for c in node.children:
-                run(c)
-        elif node.kind == AT_LOCATION:
+    for node in plan.walk():  # pre-order: a location is reached before its children run
+        if node.kind == AT_LOCATION:
             d = node.location
             if d.resolved is None and d not in targets:
                 targets[d] = resolve_location(d, scene, gsm, spec,
@@ -266,16 +261,15 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
                 sigma = world.nav_noise_sigma
                 achieved = (tx + sigma * rng.standard_normal(),
                             ty + sigma * rng.standard_normal())
-                emit("navigate", {"from": tuple(robot), "goal": (tx, ty),
-                                  "achieved": achieved, "distance": dist})
-                robot[0], robot[1] = achieved
-            for c in node.children:
-                run(c)
+                trace.events.append(TraceEvent("navigate", {
+                    "from": robot, "goal": (tx, ty), "achieved": achieved,
+                    "distance": dist}))
+                robot = achieved
         elif node.kind == PERCEIVE:
             obj = scene.objects[node.goal[1]]
             cov = obj.belief.cov * _PERCEPTION_SHRINK
             obj.belief = GaussianBelief(obj.truth, cov)
-            emit("perceive", {"object": obj.name})
+            trace.events.append(TraceEvent("perceive", {"object": obj.name}))
         elif node.kind == ACHIEVE:
             obj = scene.objects[node.goal[1]]
             dx, y, psi = obj.truth
@@ -284,10 +278,9 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
             success = cause == "none"
             if success and rng.random() < world.local_minimum_rate:
                 success, cause = False, "local_minimum"
-            emit("grasp", {"object": obj.name, "success": success,
-                           "cause": cause, "robot": tuple(robot)})
-
-    run(plan)
+            trace.events.append(TraceEvent("grasp", {
+                "object": obj.name, "success": success, "cause": cause,
+                "robot": robot}))
     return trace
 
 

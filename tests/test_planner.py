@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from arplace import planner
 from arplace.evaluation import make_two_cup_scene
 from arplace.grids import GridSpec
-from arplace.planner import (Designator, Flaw, TimeModel,
-                             UnresolvableDesignatorError, apply_merge_transform,
-                             detect_merge_flaw, pickup_task, plan_duration,
-                             plan_to_sexp, project, resolve_location, sequence,
-                             two_pickup_plan)
+from arplace.planner import (Designator, Flaw, PlanNode, TimeModel,
+                             UnresolvableDesignatorError, achieve_grasp,
+                             apply_merge_transform, at_location,
+                             detect_merge_flaw, perceive, pickup_task,
+                             plan_duration, plan_to_sexp, project,
+                             resolve_location, sequence, two_pickup_plan)
 
 
 def _spec(sep):
@@ -58,6 +60,19 @@ def test_designator_validation():
     assert {d: 1}[d] == 1
 
 
+def test_designator_refuses_a_bare_string():
+    """A string is a sequence of characters, not of object names."""
+    with pytest.raises(ValueError, match="not one string"):
+        Designator("pick_up", "cup-a")
+    assert Designator("pick_up", ("cup-a",)).objects == ("cup-a",)
+
+
+@pytest.mark.parametrize("kind", ["perceive", "achieve"])
+def test_leaf_nodes_carry_no_children(kind):
+    with pytest.raises(ValueError, match="carries no children"):
+        PlanNode(kind, goal=("object-pose", "cup-a"), children=[perceive("cup-b")])
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -79,7 +94,7 @@ def test_project_is_deterministic(gsm, world):
                 _spec(0.4), rng=np.random.default_rng(5))
     assert [(e.kind, e.detail) for e in a.events] == \
         [(e.kind, e.detail) for e in b.events]
-    assert a.duration == b.duration
+    assert plan_duration(a, a.time_model) == plan_duration(b, b.time_model)
 
 
 def test_project_leaves_the_scene_beliefs_unchanged(gsm, world):
@@ -95,7 +110,7 @@ def test_project_leaves_the_scene_beliefs_unchanged(gsm, world):
                 rng=np.random.default_rng(5))
     assert [(e.kind, e.detail) for e in a.events] == \
         [(e.kind, e.detail) for e in b.events]
-    assert a.duration == b.duration
+    assert plan_duration(a, a.time_model) == plan_duration(b, b.time_model)
 
 
 def test_project_leaves_the_plan_unchanged(gsm, world):
@@ -110,7 +125,7 @@ def test_project_leaves_the_plan_unchanged(gsm, world):
                 rng=np.random.default_rng(5))
     assert [(e.kind, e.detail) for e in a.events] == \
         [(e.kind, e.detail) for e in b.events]
-    assert a.duration == b.duration
+    assert plan_duration(a, a.time_model) == plan_duration(b, b.time_model)
 
 
 def test_project_rejects_unknown_objects(gsm, world):
@@ -119,6 +134,53 @@ def test_project_rejects_unknown_objects(gsm, world):
     with pytest.raises(UnresolvableDesignatorError):
         project(plan, scene, gsm, world, _spec(0.4),
                 rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("leaf", [perceive, achieve_grasp])
+def test_project_checks_every_named_object_before_any_map(gsm, world, monkeypatch, leaf):
+    """An object that only a perceive or achieve node names is checked with
+    the location designators, before the first map."""
+    maps = []
+    monkeypatch.setattr(planner, "compute_map", lambda *a, **k: maps.append(a))
+    plan = sequence(pickup_task("cup-a"), leaf("cup-z"))
+    with pytest.raises(UnresolvableDesignatorError, match=r"\['cup-z'\]"):
+        project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
+                rng=np.random.default_rng(0))
+    assert maps == []
+
+
+def test_project_nested_plan(gsm, world, monkeypatch):
+    """Projection runs the plan in pre-order: an at-location navigates
+    before its children, an inner location is not left when it ends, and a
+    designator shared by two tasks is resolved once and reached once."""
+    resolved = []
+
+    def counting(d, *args, **kwargs):
+        resolved.append(d)
+        return resolve_location(d, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "resolve_location", counting)
+    # cup-a's location holds an inner location for cup-b, whose designator
+    # a second task shares
+    outer, shared = Designator("pick_up", ("cup-a",)), Designator("pick_up", ("cup-b",))
+    plan = sequence(
+        at_location(outer, perceive("cup-a"), at_location(shared, perceive("cup-b")),
+                    achieve_grasp("cup-a")),
+        at_location(shared, achieve_grasp("cup-b")))
+    a = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
+                rng=np.random.default_rng(3))
+    assert [(e.kind, e.detail.get("object")) for e in a.events] == [
+        ("navigate", None), ("perceive", "cup-a"), ("navigate", None),
+        ("perceive", "cup-b"), ("grasp", "cup-a"), ("grasp", "cup-b")]
+    assert resolved == [outer, shared]  # designators compare by identity
+    # both grasps run from where the inner location left the robot
+    inner_base = a.events[2].detail["achieved"]
+    assert [g["robot"] for g in a.grasp_outcomes] == [inner_base, inner_base]
+    b = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
+                rng=np.random.default_rng(3))
+    assert [(e.kind, e.detail) for e in a.events] == \
+        [(e.kind, e.detail) for e in b.events]
+    assert len(resolved) == 4
 
 
 def test_resolve_location_rejects_unknown_objects(gsm):
@@ -146,8 +208,9 @@ def test_plan_duration_matches_trace_clock(gsm, world):
     clock = 0.0
     for e in trace.events:
         clock += tm.event_duration(e)
-    assert trace.duration == plan_duration(trace, tm) == clock
-    assert plan_duration(trace, TimeModel()) != trace.duration
+    assert plan_duration(trace, trace.time_model) == clock
+    assert plan_duration(trace, TimeModel()) != clock
+    assert not hasattr(trace, "duration")  # no second way to time a trace
     # independent recomputation from the event details
     want = 0.0
     for e in trace.events:
