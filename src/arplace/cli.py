@@ -25,8 +25,8 @@ from .evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                          transformation_benefit)
 from .geometry import ObjectFeatures
 from .grids import GridSizeError, GridSpec, load_grid_text, save_grid_text, save_pgm
-from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
-                       compute_map, cost_map, merge)
+from .placemap import (MAX_MAP_SAMPLES, GaussianBelief, apply_robot_uncertainty,
+                       best_cell, compute_map, cost_map, merge)
 from .planner import plan_to_sexp
 from .shapemodel import (DegenerateShapeError, GSMModel, RegressionRankError,
                          finite_numbers, train_gsm)
@@ -60,10 +60,10 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Read a JSON override file. Unknown keys, values of the wrong type
-        or out of range, SVM constants that the solver refuses, a cell size
-        whose grid over the default base positions has more than
-        grids.MAX_GRID_CELLS cells, and world constants that WorldConfig
-        rejects raise BadConfigError."""
+        or out of range (n_samples above placemap.MAX_MAP_SAMPLES too), SVM
+        constants that the solver refuses, a cell size whose grid over the
+        default base positions has more than grids.MAX_GRID_CELLS cells, and
+        world constants that WorldConfig rejects raise BadConfigError."""
         raw = _read("config", _load_json, path)
         _check_fields(cls, raw, "config")
         cfg = cls(**raw)
@@ -96,11 +96,11 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-# exclusive (lower, upper) bounds of the numeric config values; counts stay
-# below 2**63, the int64 range that numpy sizes arrays in
+# exclusive (lower, upper) bounds of the numeric config values; counts stay below
+# 2**63, numpy's int64 array sizes, and map samples at most MAX_MAP_SAMPLES
 _OPEN_RANGES = {
     "kernel_sigma": (0, None), "cost_C": (0, None), "class_weight": (0, None),
-    "n_landmarks": (3, 2**63), "n_samples": (0, 2**63), "cell_size": (0, None),
+    "n_landmarks": (3, 2**63), "n_samples": (0, MAX_MAP_SAMPLES + 1), "cell_size": (0, None),
     "extraction_cell": (0, None), "merge_threshold": (0, 1), "energy_target": (0, 1),
 }
 
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--belief", required=True)
-    sp.add_argument("--samples", type=_number(int, at_least=1, below=2**63))
+    sp.add_argument("--samples", type=_number(int, at_least=1, below=MAX_MAP_SAMPLES + 1))
     sp.add_argument("--robot-sigma", type=_number(at_least=0), default=0.0)
     sp.set_defaults(func=cmd_map)
 

@@ -18,8 +18,8 @@ from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
                       SceneObject, apply_merge_transform, detect_merge_flaw,
                       plan_duration, project, two_pickup_plan)
 from .shapemodel import GSMModel
-from .simworld import (CAUSES, WorldConfig, default_robot_grid, geometric_success,
-                       grasp_outcome, robot_bounds, run_trials)
+from .simworld import (CAUSES, WorldConfig, default_robot_grid, first_failure, robot_bounds,
+                       run_trials)
 
 
 def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[float, float]:
@@ -95,13 +95,12 @@ def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, f
     mean_obj = ObjectFeatures(
         dx_obj=0.5 * (spec.dx_range[0] + spec.dx_range[1]),
         dpsi_obj=0.5 * (spec.dpsi_range[0] + spec.dpsi_range[1]))
-    cells = [r for r in default_robot_grid()
-             if geometric_success(mean_obj, r, world)]
-    if not cells:
+    x, y = np.array([(r.dx_rob, r.dy_rob) for r in default_robot_grid()]).T
+    ok = first_failure(mean_obj.dx_obj, mean_obj.dpsi_obj, x, y, world) == 0  # "none"
+    if not ok.any():
         raise EmptySuccessRegionError("mean pose has no successful candidate cell")
     # offset from the object position (-dx, 0) to the region centroid
-    return (float(np.mean([r.dx_rob for r in cells])) + mean_obj.dx_obj,
-            float(np.mean([r.dy_rob for r in cells])))
+    return float(np.mean(x[ok])) + mean_obj.dx_obj, float(np.mean(y[ok]))
 
 
 def candidate_grid_spec(cell_size: float = 0.025) -> GridSpec:
@@ -130,7 +129,7 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
     fixed_offset = fixed_strategy_offset(world, spec)
     result = SweepResult(spec=spec)
     for s_idx, sigma in enumerate(spec.sigma_obj_values):
-        successes = {"arplace": 0, "fixed": 0}
+        successes = np.zeros(2, dtype=int)  # arplace, fixed
         for t in range(spec.trials_per_cell):
             rng = np.random.default_rng((seed, s_idx, t))
             dx_true = rng.uniform(*spec.dx_range)
@@ -162,16 +161,13 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
 
             exec_noise = spec.sigma_rob * rng.normal(0.0, 1.0, 2)
             lm_draw = rng.random()
-            for name, target in (("arplace", arplace_target),
-                                 ("fixed", fixed_target)):
-                achieved = np.asarray(target) + exec_noise
-                cause = grasp_outcome(true_obj, float(achieved[0]),
-                                      float(achieved[1]), world)
-                ok = cause == "none" and lm_draw >= world.local_minimum_rate
-                successes[name] += int(ok)
-        stat, p = chi_square(successes["arplace"], spec.trials_per_cell,
-                             successes["fixed"], spec.trials_per_cell)
-        result.points.append(SweepPoint(sigma_obj=sigma, successes=successes,
+            # both strategies' achieved bases against the true object, one row each
+            achieved = np.array([arplace_target, fixed_target]) + exec_noise
+            ok = first_failure(true_obj.dx_obj, true_obj.dpsi_obj, *achieved.T, world) == 0
+            successes += ok & (lm_draw >= world.local_minimum_rate)
+        a, f = successes.tolist()
+        stat, p = chi_square(a, spec.trials_per_cell, f, spec.trials_per_cell)
+        result.points.append(SweepPoint(sigma_obj=sigma, successes={"arplace": a, "fixed": f},
                                         n_trials=spec.trials_per_cell,
                                         chi2_stat=stat, p_value=p))
     return result

@@ -20,6 +20,9 @@ from .grids import ARPlaceGrid, CostGrid, GridSpec
 from .shapemodel import GSMModel
 
 DEFAULT_N_SAMPLES = 100
+# most samples of a map from the CLI's --samples or config n_samples: a 20-landmark
+# map at this count peaks at 71 MB under tracemalloc. Library calls take any count.
+MAX_MAP_SAMPLES = 2**17
 
 
 @dataclass(frozen=True, eq=False)

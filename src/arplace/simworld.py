@@ -175,22 +175,24 @@ class Dataset:
         return cls(world, list(objects), list(robots), pose, base, codes, comments)
 
 
-def _first_failure(dx_obj, dpsi_obj, x, y, world: WorldConfig, grasp_margin: float,
-                   table_margin: float, clearance: float) -> np.ndarray:
+def first_failure(dx_obj, dpsi_obj, x, y, world: WorldConfig, margins: bool = True) -> np.ndarray:
     """CAUSES index of the first failing stage of a reach-grasp from base
     position (x, y), elementwise over broadcast arrays; 0 ("none") where all
     pass. In the order of the action sequence: table_collision (x below
-    robot_radius + table_margin), object_collision (closer than clearance
-    to the object at (-dx_obj, 0)), empty_grip (the stand-off along the
-    handle axis outside the reach interval narrowed by grasp_margin, or the
-    handle bearing more than reach_halfangle off the robot front, which
-    faces -x), then slip (the lateral offset from the axis beyond the
-    corridor half-width less grasp_margin). The handle sits handle_length
-    from the object along dpsi_obj, and its axis points away from the
-    object. The half-width, corridor_width/2 at reach_min, shrinks by
-    corridor_taper/2 per metre of stand-off down to 0. Each margin only
-    narrows a stage, so the zero margins pass a superset of the
-    geometrically successful poses: the reachability filter."""
+    robot_radius + table_margin), object_collision (closer than
+    min_object_clearance to the object at (-dx_obj, 0)), empty_grip (the
+    stand-off along the handle axis outside the reach interval narrowed by
+    grasp_margin, or the handle bearing more than reach_halfangle off the
+    robot front, which faces -x), then slip (the lateral offset from the
+    axis beyond the corridor half-width less grasp_margin). The handle sits
+    handle_length from the object along dpsi_obj, and its axis points away
+    from the object. The half-width, corridor_width/2 at reach_min, shrinks
+    by corridor_taper/2 per metre of stand-off down to 0. Each margin only
+    narrows a stage, so margins=False, which sets grasp_margin, table_margin
+    and min_object_clearance to 0, passes a superset of the geometrically
+    successful poses: the reachability filter."""
+    grasp, table, clearance = ((world.grasp_margin, world.table_margin,
+                                world.min_object_clearance) if margins else (0.0, 0.0, 0.0))
     with np.errstate(invalid="ignore"):  # an infinite base gives NaN, as math does
         c, s = np.cos(dpsi_obj), np.sin(dpsi_obj)
         rx = x - (world.handle_length * c - dx_obj)
@@ -200,22 +202,19 @@ def _first_failure(dx_obj, dpsi_obj, x, y, world: WorldConfig, grasp_margin: flo
         bearing = np.abs(np.pi - ((np.pi - (np.arctan2(-ry, -rx) - np.pi)) % TWO_PI))
         halfwidth = np.maximum(0.5 * (world.corridor_width
                                       - world.corridor_taper * (along - world.reach_min)), 0.0)
-        empty = (~((world.reach_min + grasp_margin <= along)
-                   & (along <= world.reach_max - grasp_margin))
+        empty = (~((world.reach_min + grasp <= along) & (along <= world.reach_max - grasp))
                  | (bearing > world.reach_halfangle))
-        code = np.where(np.abs(lateral) > halfwidth - grasp_margin, _SLIP, _NONE)
+        code = np.where(np.abs(lateral) > halfwidth - grasp, _SLIP, _NONE)
         code = np.where(empty, _EMPTY_GRIP, code)
         code = np.where(np.hypot(x + dx_obj, y) < clearance, _OBJECT_COLLISION, code)
-        return np.where(x < world.robot_radius + table_margin, _TABLE_COLLISION, code)
+        return np.where(x < world.robot_radius + table, _TABLE_COLLISION, code)
 
 
-def grasp_outcome(obj: ObjectFeatures, xb: float, yb: float,
-                  world: WorldConfig) -> str:
+def grasp_outcome(obj: ObjectFeatures, xb: float, yb: float, world: WorldConfig) -> str:
     """Deterministic outcome of the reach-grasp stages at an achieved base
     position (local-minimum events excluded). Returns a cause, "none" on
     success."""
-    return CAUSES[_first_failure(obj.dx_obj, obj.dpsi_obj, xb, yb, world, world.grasp_margin,
-                                 world.table_margin, world.min_object_clearance)]
+    return CAUSES[first_failure(obj.dx_obj, obj.dpsi_obj, xb, yb, world)]
 
 
 def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfig) -> bool:
@@ -228,30 +227,27 @@ def run_trials(dx_obj, dpsi_obj, x, y, world: WorldConfig, streams,
     """CAUSES codes of the trials: trial k commands the base position
     (x[k], y[k]) for the object pose (dx_obj[k], dpsi_obj[k]) and runs on
     streams[k], a Generator or a seed for np.random.default_rng. With
-    check_reachability, a command that fails the stage test at zero margins
-    is "unreachable_theory" and never builds its generator. A simulated
+    check_reachability, a command that fails first_failure(margins=False)
+    is "unreachable_theory" and never builds its generator. Every other
     trial draws normal(size=2) navigation noise, scaled by nav_noise_sigma,
-    and its achieved base pose's first failing stage is the cause. Unless
-    the robot hit the table or the object, it then draws uniform(), and
-    below local_minimum_rate the controller is stuck in a local minimum."""
+    then one uniform(); its achieved base's first failing stage is its
+    cause, or local_minimum where the uniform is below local_minimum_rate
+    and the robot hit neither table nor object."""
     n = len(streams)
     dx, dpsi, x, y = (np.asarray(a, dtype=float) for a in (dx_obj, dpsi_obj, x, y))
     if any(a.shape != (n,) for a in (dx, dpsi, x, y)):
         raise ValueError("coordinates and streams need one entry per trial")
     run = np.arange(n)
     if check_reachability:
-        run = np.flatnonzero(_first_failure(dx, dpsi, x, y, world, 0.0, 0.0, 0.0) == _NONE)
-    rngs = [np.random.default_rng(streams[k]) for k in run]
-    noise = np.reshape([rng.normal(0.0, 1.0, size=2) for rng in rngs], (-1, 2)).T
-    xb, yb = x[run] + world.nav_noise_sigma * noise[0], y[run] + world.nav_noise_sigma * noise[1]
-    outcome = _first_failure(dx[run], dpsi[run], xb, yb, world, world.grasp_margin,
-                             world.table_margin, world.min_object_clearance)
+        run = np.flatnonzero(first_failure(dx, dpsi, x, y, world, margins=False) == _NONE)
+    rngs = (np.random.default_rng(streams[k]) for k in run.tolist())
+    ex, ey, u = np.reshape([(*rng.normal(0.0, 1.0, size=2).tolist(), rng.uniform())
+                            for rng in rngs], (-1, 3)).T
+    outcome = first_failure(dx[run], dpsi[run], x[run] + world.nav_noise_sigma * ex,
+                            y[run] + world.nav_noise_sigma * ey, world)
+    collided = (outcome == _TABLE_COLLISION) | (outcome == _OBJECT_COLLISION)
     codes = np.full(n, _UNREACHABLE)
-    for k, rng, code in zip(run.tolist(), rngs, outcome.tolist()):
-        if code not in (_TABLE_COLLISION, _OBJECT_COLLISION) and \
-                rng.uniform() < world.local_minimum_rate:
-            code = _LOCAL_MINIMUM
-        codes[k] = code
+    codes[run] = np.where(~collided & (u < world.local_minimum_rate), _LOCAL_MINIMUM, outcome)
     return codes
 
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from arplace import planner, simworld
-from arplace.cli import BadConfigError, PipelineConfig, main
+from arplace.cli import BadConfigError, PipelineConfig, build_parser, main
 from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
                            load_grid_text, save_grid_text)
+from arplace.placemap import MAX_MAP_SAMPLES
 from arplace.shapemodel import GSMModel
 from arplace.simworld import default_world
 
@@ -324,6 +325,10 @@ BAD_ARGUMENTS = {
     "plan_infinite_separation": (["plan", "--separation", "inf"], "--separation"),
     "map_samples_beyond_int64": (["map", "--samples", "1" + "0" * 400], "--samples"),
     "map_samples_at_int64_limit": (["map", "--samples", str(2**63)], "--samples"),
+    # more samples than placemap.MAX_MAP_SAMPLES: 10**15 would ask for 21 PiB of draws
+    "map_samples_above_the_map_limit": (["map", "--samples", str(MAX_MAP_SAMPLES + 1)],
+                                        "--samples"),
+    "map_samples_1e15": (["map", "--samples", str(10**15)], "--samples"),
 }
 
 
@@ -340,6 +345,36 @@ def test_bad_argument_is_a_usage_error(artifacts, tmp_path, capsys, name):
     assert e.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", [MAX_MAP_SAMPLES + 1, 10**11])
+def test_config_map_samples_above_the_limit_exit_3(artifacts, tmp_path, capsys, samples):
+    """A config n_samples above placemap.MAX_MAP_SAMPLES is refused when the
+    config is read, in both commands that draw that many samples per map,
+    before any map is drawn."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": samples}))
+    with pytest.raises(BadConfigError, match="n_samples"):
+        PipelineConfig.from_file(cfg)
+    out = tmp_path / "out"
+    for argv in (["map", "--belief", str(artifacts["belief"])], ["eval", "robustness"]):
+        rc = main(argv + ["--model", str(artifacts["model"]), "--config", str(cfg),
+                          "--seed", "0", "--out", str(out)])
+        assert rc == 3
+        assert f"config n_samples must be in (0, {MAX_MAP_SAMPLES + 1})" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_map_sample_limit_itself_is_accepted(tmp_path):
+    """The limit is inclusive on the command line and in a config; neither
+    check draws a map."""
+    args = build_parser().parse_args(["map", "--model", "m.json", "--belief", "b.json",
+                                      "--samples", str(MAX_MAP_SAMPLES), "--seed", "0",
+                                      "--out", "m.txt"])
+    assert args.samples == MAX_MAP_SAMPLES
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": MAX_MAP_SAMPLES}))
+    assert PipelineConfig.from_file(cfg).n_samples == MAX_MAP_SAMPLES
 
 
 # every subcommand with the inputs it requires; --seed comes last

@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ from arplace.evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                                 chi_square, fixed_strategy_offset,
                                 make_two_cup_scene, robustness_experiment)
 from arplace.geometry import ObjectFeatures
-from arplace.simworld import default_robot_grid, geometric_success
+from arplace.shapemodel import GSMModel
+from arplace.simworld import (CAUSES, default_robot_grid, first_failure, geometric_success,
+                              grasp_outcome)
+
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "gsm_seed42.json"
 
 # Frozen references computed independently from the textbook statistic
 # sum (O - E)^2 / E on the 2x2 table and the chi-square survival function
@@ -76,6 +81,24 @@ def test_fixed_offset_is_the_mean_pose_region_centroid(world):
     assert off[0] > 0.0  # stands clear of the table
 
 
+@pytest.mark.parametrize("margins", [{}, {"grasp_margin": 0.07, "table_margin": 0.05,
+                                         "min_object_clearance": 0.3}],
+                         ids=["default", "wide_margins"])
+def test_fixed_offset_equals_the_mean_over_geometric_successes(world, margins):
+    """The one batch stage test over the 432 candidate bases gives the same
+    floats as averaging the bases that geometric_success accepts, one call
+    each."""
+    world = dataclasses.replace(world, **margins)
+    spec = SweepSpec()
+    mean_obj = ObjectFeatures(0.5 * (spec.dx_range[0] + spec.dx_range[1]),
+                              0.5 * (spec.dpsi_range[0] + spec.dpsi_range[1]))
+    cells = [r for r in default_robot_grid() if geometric_success(mean_obj, r, world)]
+    assert 0 < len(cells) < len(default_robot_grid())
+    assert fixed_strategy_offset(world, spec) == (
+        float(np.mean([r.dx_rob for r in cells])) + mean_obj.dx_obj,
+        float(np.mean([r.dy_rob for r in cells])))
+
+
 def test_candidate_grid_covers_the_training_rectangle():
     spec = candidate_grid_spec(0.025)
     xs, ys = spec.centers()
@@ -118,6 +141,41 @@ def test_fixed_strategy_degrades_monotonically_without_execution_noise(gsm, worl
         rates += [p.rate("fixed") for p in res.points]
     rates /= n_seeds
     assert rates[0] > rates[1] > rates[2]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sweep_outcomes_equal_grasp_outcome_per_strategy(world, monkeypatch, seed):
+    """On the benchmark model, each sweep trial tests both strategies'
+    achieved bases in one stage-test call, against the trial's true object;
+    each row's cause equals grasp_outcome's for that object and base."""
+    objects, calls = [], []
+
+    def recorded_object(**features):
+        objects.append(ObjectFeatures(**features))
+        return objects[-1]
+
+    def recorded_stage_test(dx_obj, dpsi_obj, x, y, w, **kwargs):
+        codes = first_failure(dx_obj, dpsi_obj, x, y, w, **kwargs)
+        calls.append((dx_obj, dpsi_obj, np.array(x), np.array(y), codes))
+        return codes
+
+    monkeypatch.setattr(evaluation, "ObjectFeatures", recorded_object)
+    monkeypatch.setattr(evaluation, "first_failure", recorded_stage_test)
+    spec = SweepSpec(trials_per_cell=20, n_map_samples=50)
+    result = robustness_experiment(spec, GSMModel.load(BENCH_MODEL), world, seed=seed)
+    monkeypatch.undo()
+    # the first object and call are the fixed offset's mean pose; one of each per trial follows
+    trials = list(zip(objects[1:], calls[1:]))
+    assert len(objects) == len(calls) == 1 + 5 * 20
+    causes = set()
+    for obj, (dx_obj, dpsi_obj, x, y, codes) in trials:
+        assert (dx_obj, dpsi_obj) == (obj.dx_obj, obj.dpsi_obj) and codes.shape == (2,)
+        want = [grasp_outcome(obj, float(xb), float(yb), world) for xb, yb in zip(x, y)]
+        assert [CAUSES[c] for c in codes.tolist()] == want
+        causes.update(want)
+    assert {"none", "slip"} <= causes
+    assert sum(p.successes["arplace"] + p.successes["fixed"] for p in result.points) <= \
+        sum(int(np.count_nonzero(codes == 0)) for _, (_, _, _, _, codes) in trials)
 
 
 # ---------------------------------------------------------------------------

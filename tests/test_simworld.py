@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
-from arplace.simworld import (CAUSES, Dataset, _first_failure, default_object_grid,
+from arplace.simworld import (CAUSES, Dataset, default_object_grid, first_failure,
                               default_robot_grid, default_world, generate_dataset,
                               grasp_outcome, run_trials)
 
@@ -21,11 +21,15 @@ def w():
     return default_world(seed=0)
 
 
-def _first_failure_reference(obj, x, y, world, grasp_margin, table_margin, clearance):
+def _first_failure_reference(obj, x, y, world, margins=True):
     """The stage test as a scalar cascade of math calls, stage by stage:
     table, object, reach interval, bearing, slip. The handle sits at
     (-dx_obj + handle_length cos dpsi, handle_length sin dpsi); (along,
-    lateral) is the base in the frame of the handle axis."""
+    lateral) is the base in the frame of the handle axis. margins=False
+    sets the grasp margin, table margin and object clearance to 0."""
+    grasp_margin, table_margin, clearance = ((world.grasp_margin, world.table_margin,
+                                              world.min_object_clearance)
+                                             if margins else (0.0, 0.0, 0.0))
     if x < world.robot_radius + table_margin:
         return "table_collision"
     if math.hypot(x + obj.dx_obj, y) < clearance:
@@ -45,14 +49,10 @@ def _first_failure_reference(obj, x, y, world, grasp_margin, table_margin, clear
     return "none"
 
 
-def _margins(world):
-    return world.grasp_margin, world.table_margin, world.min_object_clearance
-
-
-def _stage_test(objs, x, y, world, margins):
-    """Causes of _first_failure over lists of objects and base coordinates."""
-    codes = _first_failure(np.array([o.dx_obj for o in objs]), np.array([o.dpsi_obj for o in objs]),
-                           np.asarray(x, dtype=float), np.asarray(y, dtype=float), world, *margins)
+def _stage_test(objs, x, y, world, margins=True):
+    """Causes of first_failure over lists of objects and base coordinates."""
+    codes = first_failure(np.array([o.dx_obj for o in objs]), np.array([o.dpsi_obj for o in objs]),
+                          np.asarray(x, dtype=float), np.asarray(y, dtype=float), world, margins)
     return [CAUSES[c] for c in codes.tolist()]
 
 
@@ -93,9 +93,8 @@ def test_first_failure_matches_the_scalar_cascade(w, margins):
     objs = [ObjectFeatures(dx, dpsi) for dx, dpsi in
             zip(rng.uniform(0.0, 0.3, n).tolist(), rng.uniform(-math.pi, math.pi, n).tolist())]
     x, y = rng.uniform(0.0, 1.3, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist()
-    got = _stage_test(objs, x, y, world, _margins(world))
-    want = [_first_failure_reference(o, xb, yb, world, *_margins(world))
-            for o, xb, yb in zip(objs, x, y)]
+    got = _stage_test(objs, x, y, world)
+    want = [_first_failure_reference(o, xb, yb, world) for o, xb, yb in zip(objs, x, y)]
     assert got == want
     assert set(want) == set(CAUSES) - {"unreachable_theory", "local_minimum"}
 
@@ -106,9 +105,9 @@ def test_first_failure_matches_the_scalar_cascade_on_the_default_grids(w):
     pairs = list(itertools.product(default_object_grid(), default_robot_grid()))
     objs = [o for o, _ in pairs]
     x, y = [r.dx_rob for _, r in pairs], [r.dy_rob for _, r in pairs]
-    for margins in ((0.0, 0.0, 0.0), _margins(w)):
+    for margins in (False, True):
         assert _stage_test(objs, x, y, w, margins) == \
-            [_first_failure_reference(o, xb, yb, w, *margins) for o, xb, yb in zip(objs, x, y)]
+            [_first_failure_reference(o, xb, yb, w, margins) for o, xb, yb in zip(objs, x, y)]
 
 
 def test_first_failure_matches_the_scalar_cascade_off_the_reals(w):
@@ -122,8 +121,8 @@ def test_first_failure_matches_the_scalar_cascade_off_the_reals(w):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _stage_test([o for o, _, _ in cases], [c[1] for c in cases],
-                          [c[2] for c in cases], w, _margins(w))
-    assert got == [_first_failure_reference(o, xb, yb, w, *_margins(w)) for o, xb, yb in cases]
+                          [c[2] for c in cases], w)
+    assert got == [_first_failure_reference(o, xb, yb, w) for o, xb, yb in cases]
     assert {"table_collision", "empty_grip"} <= set(got)
 
 
@@ -135,8 +134,8 @@ def test_first_failure_of_a_batch_equals_one_call_per_pair(w):
     objs = [ObjectFeatures(dx, dpsi) for dx, dpsi in
             zip(rng.uniform(0.0, 0.3, n).tolist(), rng.uniform(-0.8, 0.8, n).tolist())]
     x, y = rng.uniform(0.0, 1.3, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist()
-    batch = _stage_test(objs, x, y, w, _margins(w))
-    single = [CAUSES[_first_failure(o.dx_obj, o.dpsi_obj, xb, yb, w, *_margins(w))]
+    batch = _stage_test(objs, x, y, w)
+    single = [CAUSES[first_failure(o.dx_obj, o.dpsi_obj, xb, yb, w)]
               for o, xb, yb in zip(objs, x, y)]
     assert batch == single
     assert [grasp_outcome(o, xb, yb, w) for o, xb, yb in zip(objs[:200], x, y)] == batch[:200]
@@ -214,8 +213,8 @@ def _random_pairs(rng, n):
 def test_reachability_is_superset_of_success(w):
     objs, robs = _random_pairs(np.random.default_rng(7), 500)
     x, y = [r.dx_rob for r in robs], [r.dy_rob for r in robs]
-    success = np.array(_stage_test(objs, x, y, w, _margins(w))) == "none"
-    reachable = np.array(_stage_test(objs, x, y, w, (0.0, 0.0, 0.0))) == "none"
+    success = np.array(_stage_test(objs, x, y, w)) == "none"
+    reachable = np.array(_stage_test(objs, x, y, w, margins=False)) == "none"
     assert success.any()
     assert not (success & ~reachable).any()
 
@@ -293,6 +292,30 @@ def test_only_trials_clear_of_table_and_object_can_stick(w):
     assert set(causes) == {"table_collision", "object_collision", "local_minimum"}
 
 
+def test_each_executed_trial_draws_two_normals_then_one_uniform(w):
+    """Every executed trial, whether it succeeds, slips, sticks or hits the
+    table or the object, leaves its generator where normal(size=2) and then
+    one uniform() leave a fresh generator on the same seed; an unreachable
+    command leaves its generator untouched."""
+    obj = ObjectFeatures(0.05, 0.0)
+    robs = [RobotOffset(x, y) for x in (0.11, 0.12, 0.125, 0.5, 2.5) for y in (-0.02, 0.0, 0.3)]
+    half = dataclasses.replace(w, local_minimum_rate=0.5)
+    for check_reachability in (False, True):
+        streams = [np.random.default_rng(k) for k in range(len(robs) * 4)]
+        causes = _run([obj] * len(streams), robs * 4, half, streams,
+                      check_reachability=check_reachability)
+        for k, (stream, cause) in enumerate(zip(streams, causes)):
+            fresh = np.random.default_rng(k)
+            if cause != "unreachable_theory":
+                fresh.normal(0.0, 1.0, size=2)
+                fresh.uniform()
+            assert stream.bit_generator.state == fresh.bit_generator.state, (k, cause)
+        # the filter turns away every base next to the table or the object
+        want = {"none", "local_minimum"} | ({"unreachable_theory"} if check_reachability else
+                                            {"table_collision", "object_collision"})
+        assert want <= set(causes)
+
+
 @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (0, 1, 0)])
 def test_run_trials_refuses_lists_of_different_lengths(w, lengths):
     """zip would drop the trials beyond the shortest list without a word,
@@ -320,8 +343,7 @@ def test_success_frequency_matches_gaussian_mass_oracle(w):
     weights = np.exp(-0.5 * (span / sigma) ** 2)
     weights /= weights.sum()
     ex, ey = np.meshgrid(span, span, indexing="ij")
-    inside = _first_failure(obj.dx_obj, obj.dpsi_obj, base[0] + ex, base[1] + ey, w,
-                            *_margins(w)) == 0
+    inside = first_failure(obj.dx_obj, obj.dpsi_obj, base[0] + ex, base[1] + ey, w) == 0
     mass = float(np.sum(np.outer(weights, weights)[inside]))
     expected = mass * (1.0 - w.local_minimum_rate)
     assert 0.2 < mass < 0.8
@@ -348,15 +370,13 @@ def test_generate_dataset_reproducible_and_order_independent(w):
 def _trial_reference(obj, robot, world, rng, check_reachability):
     """One trial on its own generator, the stages by the scalar cascade: the
     (object pose, base position, cause) that run_trials must give."""
-    margins = _margins(world)
     if check_reachability and _first_failure_reference(
-            obj, robot.dx_rob, robot.dy_rob, world, 0.0, 0.0, 0.0) != "none":
+            obj, robot.dx_rob, robot.dy_rob, world, margins=False) != "none":
         return obj, robot, "unreachable_theory"
     noise = rng.normal(0.0, 1.0, size=2) * world.nav_noise_sigma
-    cause = _first_failure_reference(obj, robot.dx_rob + noise[0], robot.dy_rob + noise[1],
-                                     world, *margins)
-    if cause not in ("table_collision", "object_collision") and \
-            rng.uniform() < world.local_minimum_rate:
+    stuck = rng.uniform() < world.local_minimum_rate
+    cause = _first_failure_reference(obj, robot.dx_rob + noise[0], robot.dy_rob + noise[1], world)
+    if cause not in ("table_collision", "object_collision") and stuck:
         cause = "local_minimum"
     return obj, robot, cause
 
@@ -375,8 +395,8 @@ def _generate_dataset_reference(world, object_grid, robot_grid, seed, use_capabi
 @pytest.mark.parametrize("seed", [0, 42])
 def test_generate_dataset_matches_eager_generators(w, seed):
     """Filtered on the default grids, and unfiltered on two poses with bases
-    next to the table and the object, so that collisions, which draw no
-    local-minimum number, occur among the trials."""
+    next to the table and the object, so that collisions, whose
+    local-minimum number decides nothing, occur among the trials."""
     objs, robs = default_object_grid(), default_robot_grid()
     data = generate_dataset(w, objs, robs, seed=seed)
     assert _trials(data) == _generate_dataset_reference(w, objs, robs, seed, True)
