@@ -28,8 +28,8 @@ from .grids import GridSizeError, GridSpec, load_grid_text, save_grid_text, save
 from .placemap import (MAX_MAP_SAMPLES, GaussianBelief, apply_robot_uncertainty,
                        best_cell, compute_map, cost_map, merge)
 from .planner import plan_to_sexp
-from .shapemodel import (DegenerateShapeError, GSMModel, RegressionRankError,
-                         finite_numbers, train_gsm)
+from .shapemodel import (MAX_LANDMARKS, DegenerateShapeError, GSMModel,
+                         RegressionRankError, finite_numbers, train_gsm)
 from .simworld import (Dataset, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, generate_dataset,
                        robot_bounds)
@@ -60,10 +60,11 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         """Read a JSON override file. Unknown keys, values of the wrong type
-        or out of range (n_samples above placemap.MAX_MAP_SAMPLES too), SVM
-        constants that the solver refuses, a cell size whose grid over the
-        default base positions has more than grids.MAX_GRID_CELLS cells, and
-        world constants that WorldConfig rejects raise BadConfigError."""
+        or out of range (n_samples above placemap.MAX_MAP_SAMPLES and
+        n_landmarks above shapemodel.MAX_LANDMARKS too), SVM constants that the
+        solver refuses, a cell size whose grid over the default base positions
+        has more than grids.MAX_GRID_CELLS cells, and world constants that
+        WorldConfig rejects raise BadConfigError."""
         raw = _read("config", _load_json, path)
         _check_fields(cls, raw, "config")
         cfg = cls(**raw)
@@ -96,11 +97,12 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-# exclusive (lower, upper) bounds of the numeric config values; counts stay below
-# 2**63, numpy's int64 array sizes, and map samples at most MAX_MAP_SAMPLES
+# exclusive (lower, upper) bounds of the numeric config values; landmarks at most
+# MAX_LANDMARKS and map samples at most MAX_MAP_SAMPLES
 _OPEN_RANGES = {
     "kernel_sigma": (0, None), "cost_C": (0, None), "class_weight": (0, None),
-    "n_landmarks": (3, 2**63), "n_samples": (0, MAX_MAP_SAMPLES + 1), "cell_size": (0, None),
+    "n_landmarks": (3, MAX_LANDMARKS + 1), "n_samples": (0, MAX_MAP_SAMPLES + 1),
+    "cell_size": (0, None),
     "extraction_cell": (0, None), "merge_threshold": (0, 1), "energy_target": (0, 1),
 }
 

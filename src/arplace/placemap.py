@@ -183,6 +183,12 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
     out_k = p_k + sum_j w_jk (p_j - p_k) / sum_j w_jk. Sigma 0 is the
     identity and an exactly uniform map is preserved exactly. A negative or
     non-finite sigma raises ValueError.
+
+    The sum runs only over the box of cells within the kernel's reach of a
+    step of the map (a cell that differs from its neighbour before it).
+    Outside the box every p_j - p_k is +0.0, so those cells pass through as
+    p_k + 0.0, the value the full sum gives; inside it each cell takes the
+    same terms in the same order.
     """
     sigma = float(sigma)
     if not (math.isfinite(sigma) and sigma >= 0.0):
@@ -192,23 +198,34 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
         return ARPlaceGrid(spec=grid.spec, probs=grid.probs.copy(), frame=grid.frame)
     h = grid.spec.cell_size
     p = grid.probs
-    num = np.zeros_like(p)
-    den = np.zeros_like(p)
     nx, ny = p.shape
     r = math.ceil(min(_TRUNCATE_SIGMAS * sigma / h, max(nx, ny)))
     ri, rj = min(r, nx - 1), min(r, ny - 1)
-    for di in range(-ri, ri + 1):
-        for dj in range(-rj, rj + 1):
-            w = math.exp(-0.5 * ((di * h) ** 2 + (dj * h) ** 2) / var)
-            if w < 1e-13:
-                continue
-            src_i = slice(max(di, 0), nx + min(di, 0))
-            dst_i = slice(max(-di, 0), nx + min(-di, 0))
-            src_j = slice(max(dj, 0), ny + min(dj, 0))
-            dst_j = slice(max(-dj, 0), ny + min(-dj, 0))
-            num[dst_i, dst_j] += w * (p[src_i, src_j] - p[dst_i, dst_j])
-            den[dst_i, dst_j] += w
-    out = p + num / den
+    out = p + 0.0
+    # the later cell of each pair of neighbours that differ: a cell whose reach
+    # holds none of these sees one value in all of its reach
+    step = np.zeros(p.shape, dtype=bool)
+    step[1:] = np.diff(p, axis=0) != 0
+    step[:, 1:] |= np.diff(p, axis=1) != 0
+    rows, cols = np.flatnonzero(step.any(axis=1)), np.flatnonzero(step.any(axis=0))
+    if len(rows):
+        # the box [i0, i1) x [j0, j1): every cell within reach of a step
+        i0, i1 = max(rows[0] - ri, 0), min(rows[-1] + ri + 1, nx)
+        j0, j1 = max(cols[0] - rj, 0), min(cols[-1] + rj + 1, ny)
+        num = np.zeros((i1 - i0, j1 - j0))
+        den = np.zeros_like(num)
+        for di in range(-ri, ri + 1):
+            for dj in range(-rj, rj + 1):
+                w = math.exp(-0.5 * ((di * h) ** 2 + (dj * h) ** 2) / var)
+                if w < 1e-13:
+                    continue
+                # destination cells of the box whose source lies on the grid
+                a0, a1 = max(i0, -di), min(i1, nx - di)
+                b0, b1 = max(j0, -dj), min(j1, ny - dj)
+                dst = (slice(a0 - i0, a1 - i0), slice(b0 - j0, b1 - j0))
+                num[dst] += w * (p[a0 + di:a1 + di, b0 + dj:b1 + dj] - p[a0:a1, b0:b1])
+                den[dst] += w
+        out[i0:i1, j0:j1] = p[i0:i1, j0:j1] + num / den
     return ARPlaceGrid(spec=grid.spec, probs=np.clip(out, 0.0, 1.0), frame=grid.frame)
 
 

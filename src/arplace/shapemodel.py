@@ -28,6 +28,10 @@ GSM_MODES = 2  # deformation modes of the model
 # farthest landmark a model file may reach, in m; the map fill multiplies two
 # coordinate differences, whose product then stays inside the float range
 MAX_REACH = 1e100
+# most landmarks of a model trained from the CLI's config n_landmarks: train_gsm on
+# the seed-42 dataset peaks at 35 MB under tracemalloc at this count, and the tried
+# placements it remembers grow about as m**2. Library calls take any count.
+MAX_LANDMARKS = 256
 
 
 class DegenerateShapeError(RuntimeError):

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from arplace.evaluation import candidate_grid_spec, merge_experiment, transforma
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
                            load_grid_text, save_grid_text)
 from arplace.placemap import MAX_MAP_SAMPLES
-from arplace.shapemodel import GSMModel
+from arplace.shapemodel import MAX_LANDMARKS, GSMModel
 from arplace.simworld import default_world
 
 
@@ -377,6 +378,31 @@ def test_map_sample_limit_itself_is_accepted(tmp_path):
     assert PipelineConfig.from_file(cfg).n_samples == MAX_MAP_SAMPLES
 
 
+@pytest.mark.parametrize("landmarks", [MAX_LANDMARKS + 1, 10**12])
+def test_config_landmarks_above_the_limit_exit_3(artifacts, tmp_path, capsys, landmarks):
+    """A config n_landmarks above shapemodel.MAX_LANDMARKS is refused when the
+    config is read: gen-data writes no dataset under it, and train starts no
+    fit, where 10**12 landmarks would ask for terabytes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_landmarks": landmarks}))
+    with pytest.raises(BadConfigError, match="n_landmarks"):
+        PipelineConfig.from_file(cfg)
+    out = tmp_path / "out"
+    for argv in (["gen-data"], ["train", "--data", str(artifacts["data"])]):
+        rc = main(argv + ["--config", str(cfg), "--seed", "0", "--out", str(out)])
+        assert rc == 3
+        assert f"config n_landmarks must be in (3, {MAX_LANDMARKS + 1})" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_landmark_limit_itself_is_accepted(tmp_path):
+    """The limit is inclusive; the check trains nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_landmarks": MAX_LANDMARKS}))
+    assert PipelineConfig.from_file(cfg).n_landmarks == MAX_LANDMARKS
+
+
 # every subcommand with the inputs it requires; --seed comes last
 SUBCOMMANDS = {
     "gen-data": ["gen-data"],
@@ -413,6 +439,33 @@ def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
     assert main(["eval", "accuracy", "--seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "631202542d3148cc81e51371c47fedf29ed60ce511c759eb068aeab9c940ff1b"
+
+
+BENCH_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "gsm_seed42.json"
+
+# outputs whose bytes pass through the robot-noise convolution, on the fixed
+# benchmark model: a map conditioned on robot noise, and plans whose merged
+# locations come from best_cell's smoothed argmax
+CONVOLVED_OUTPUTS = {
+    "map_robot_sigma": (["map", "--belief", "belief.json", "--robot-sigma", "0.05",
+                         "--seed", "1"],
+                        "807bef3882ab464f176515e0f1fe371cbc5d57fb84cf21e7be40791accc4c559"),
+    "plan_separation_0.45": (["plan", "--separation", "0.45", "--seed", "0"],
+                             "c5100a3574212aa997f63a7fa28ec2e596f0dee2ebd109ae8034471543fff6a4"),
+    "eval_transform": (["eval", "transform", "--seed", "0"],
+                       "d480d00cc9386481ebb72fb67c364746d488a16798acd0fcbcdf78895b6105e4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVOLVED_OUTPUTS))
+def test_convolved_output_bytes_are_fixed(tmp_path, capsys, name):
+    argv, sha = CONVOLVED_OUTPUTS[name]
+    (tmp_path / "belief.json").write_text(json.dumps(
+        {"mean": [0.14, 0.0, 0.1], "sigma_xy": 0.05, "sigma_psi": 0.1}))
+    argv = [str(tmp_path / a) if a == "belief.json" else a for a in argv]
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--model", str(BENCH_MODEL), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 GEN_DATA_SHA256 = {

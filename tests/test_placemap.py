@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -382,6 +383,100 @@ def test_robot_uncertainty_smooths_towards_the_mean():
     out = apply_robot_uncertainty(_grid(probs), 0.05)
     assert out.probs[4, 5] < 1.0
     assert out.probs[4, 6] > 0.0
+
+
+def _full_grid_reference(grid, sigma):
+    """The offset loop over every destination cell of the grid, as it ran
+    before the convolution was limited to the box around the map's steps."""
+    var = sigma * sigma
+    if var == 0.0:
+        return grid.probs.copy()
+    h = grid.spec.cell_size
+    p = grid.probs
+    num = np.zeros_like(p)
+    den = np.zeros_like(p)
+    nx, ny = p.shape
+    r = math.ceil(min(6.0 * sigma / h, max(nx, ny)))
+    ri, rj = min(r, nx - 1), min(r, ny - 1)
+    for di in range(-ri, ri + 1):
+        for dj in range(-rj, rj + 1):
+            w = math.exp(-0.5 * ((di * h) ** 2 + (dj * h) ** 2) / var)
+            if w < 1e-13:
+                continue
+            src_i = slice(max(di, 0), nx + min(di, 0))
+            dst_i = slice(max(-di, 0), nx + min(-di, 0))
+            src_j = slice(max(dj, 0), ny + min(dj, 0))
+            dst_j = slice(max(-dj, 0), ny + min(-dj, 0))
+            num[dst_i, dst_j] += w * (p[src_i, src_j] - p[dst_i, dst_j])
+            den[dst_i, dst_j] += w
+    return np.clip(p + num / den, 0.0, 1.0)
+
+
+def _assert_same_bytes_as_full_grid(probs, sigma, cell=0.025):
+    probs = np.asarray(probs, dtype=float)
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, cell, *probs.shape))
+    assert apply_robot_uncertainty(grid, sigma).probs.tobytes() == \
+        _full_grid_reference(grid, sigma).tobytes()
+
+
+@st.composite
+def plateau_maps(draw):
+    """A map of a few plateau values, each painted on a random rectangle
+    over a background plateau; -0.0 and tiny values are among them."""
+    nx, ny = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    values = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.3, 0.999, 1e-300])
+    probs = np.full((nx, ny), draw(values))
+    for _ in range(draw(st.integers(0, 4))):
+        i0, i1 = sorted(draw(st.integers(0, nx)) for _ in range(2))
+        j0, j1 = sorted(draw(st.integers(0, ny)) for _ in range(2))
+        probs[i0:i1, j0:j1] = draw(values)
+    return probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(plateau_maps(), st.sampled_from([0.004, 0.01, 0.02, 0.03, 0.05, 0.2]))
+def test_robot_uncertainty_box_is_exact_on_plateau_maps(probs, sigma):
+    _assert_same_bytes_as_full_grid(probs, sigma)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 0.37, 1.0])
+def test_robot_uncertainty_of_a_constant_map_is_an_exact_copy(value):
+    probs = np.full((12, 9), value)
+    _assert_same_bytes_as_full_grid(probs, 0.05)
+    out = apply_robot_uncertainty(_grid(probs, spec=GridSpec(0.0, 0.0, 0.025, 12, 9)), 0.05)
+    np.testing.assert_array_equal(out.probs, 0.0 + probs)
+    assert out.probs is not probs
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 23), (19, 0), (19, 23),
+                                  (0, 11), (19, 11), (9, 0), (9, 23), (9, 11)])
+@pytest.mark.parametrize("background", [0.0, 1.0])
+def test_robot_uncertainty_box_is_exact_for_one_changed_cell(cell, background):
+    """One cell at each corner, on each border and inside a 20x24 map; at
+    sigma 0.02 the reach is 5 cells, so most of the map lies outside the
+    box."""
+    probs = np.full((20, 24), background)
+    probs[cell] = 0.6
+    _assert_same_bytes_as_full_grid(probs, 0.02)
+
+
+@pytest.mark.parametrize("shape", [(1, 30), (30, 1), (1, 1), (2, 1)])
+def test_robot_uncertainty_box_is_exact_on_single_row_and_column_grids(shape):
+    probs = np.zeros(shape)
+    probs.flat[len(probs.flat) // 2] = 1.0
+    probs.flat[-1] = 0.4
+    for sigma in (0.01, 0.05):
+        _assert_same_bytes_as_full_grid(probs, sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.2, 1e300, 1e-200])
+def test_robot_uncertainty_box_is_exact_at_wide_and_extreme_sigmas(sigma):
+    """At 0.2 the 6-sigma reach (48 cells) is wider than the grid; 1e300
+    makes every weight 1 and 1e-200 is the identity."""
+    probs = np.zeros((20, 24))
+    probs[3:7, 15:18] = 1.0
+    probs[12, 4] = 0.25
+    _assert_same_bytes_as_full_grid(probs, sigma)
 
 
 # ---------------------------------------------------------------------------
