@@ -17,7 +17,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]; ties at pi resolve to +pi."""
+    """Wrap an angle to (-pi, pi], elementwise on arrays; ties at pi resolve to +pi."""
     return math.pi - ((math.pi - a) % TWO_PI)
 
 

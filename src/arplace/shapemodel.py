@@ -28,9 +28,9 @@ GSM_MODES = 2  # deformation modes of the model
 # farthest landmark a model file may reach, in m; the map fill multiplies two
 # coordinate differences, whose product then stays inside the float range
 MAX_REACH = 1e100
-# most landmarks of a model trained from the CLI's config n_landmarks: train_gsm on
-# the seed-42 dataset peaks at 35 MB under tracemalloc at this count, and the tried
-# placements it remembers grow about as m**2. Library calls take any count.
+# most landmarks of a model trained from the CLI's config n_landmarks, a bound on
+# time: train on the seed-42 dataset takes about 10 s at this count and 58 s at 512
+# (2 vCPUs); train_gsm's traced peak at 512 is 18 MB. Library calls take any count.
 MAX_LANDMARKS = 256
 
 
@@ -208,8 +208,10 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
     re-optimization) until the captured energy exceeds the target; when
     GSM_MODES modes do not reach it, DegenerateShapeError is raised.
 
-    A placement already evaluated at the current d is not evaluated again:
-    the cost only falls, so one that was not taken then cannot be taken now.
+    At each d the 6m moves (landmark i by +4, -4, +2, -2, +1, -1 base
+    steps) are tried in one cyclic sweep, each from the placement of the
+    last move taken, and the sweep stops after 6m candidates in a row
+    without a move: the placement is then a local minimum over every move.
     Candidates are scored by placement_cost, from the N x N Gram matrix; the
     energy returned, and compared with the target, is fit_pdm's for the
     final placement, the model's own.
@@ -223,28 +225,24 @@ def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
     min_gap = 1.0 / (2 * m)
     fractions = np.arange(m) / m
     landmarks = table.at(fractions)
+    moves = [(i, sign * mult * base_step) for i in range(m)
+             for mult in (4.0, 2.0, 1.0) for sign in (1.0, -1.0)]
 
     for d in range(1, GSM_MODES + 1):
         cost = placement_cost(landmarks, d)[0]
-        seen = {fractions.tobytes()}
-        improved = True
-        while improved:
-            improved = False
-            for i in range(m):
-                for mult in (4.0, 2.0, 1.0):
-                    for sign in (1.0, -1.0):
-                        trial = fractions.copy()
-                        trial[i] = (trial[i] + sign * mult * base_step) % 1.0
-                        key = trial.tobytes()
-                        if key in seen or not _gaps_ok(trial, min_gap):
-                            continue
-                        seen.add(key)
-                        moved = landmarks.copy()
-                        moved[:, i] = table.at(trial[i:i + 1])[:, 0]
-                        c2 = placement_cost(moved, d)[0]
-                        if c2 < cost - 1e-15:
-                            fractions, landmarks, cost = trial, moved, c2
-                            improved = True
+        k = last = 0  # candidates tried, and their count at the last move taken
+        while k < last + len(moves):
+            i, step = moves[k % len(moves)]
+            k += 1
+            trial = fractions.copy()
+            trial[i] = (trial[i] + step) % 1.0
+            if not _gaps_ok(trial, min_gap):
+                continue
+            moved = landmarks.copy()
+            moved[:, i] = table.at(trial[i:i + 1])[:, 0]
+            c2 = placement_cost(moved, d)[0]
+            if c2 < cost - 1e-15:
+                fractions, landmarks, cost, last = trial, moved, c2, k
         energy = fit_pdm(assemble_H(landmarks), d).energy
         if energy > energy_target:
             return landmarks, d, energy, fractions

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import TWO_PI, ObjectFeatures, RobotOffset
+from .geometry import ObjectFeatures, RobotOffset, wrap_angle
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -198,8 +198,8 @@ def first_failure(dx_obj, dpsi_obj, x, y, world: WorldConfig, margins: bool = Tr
         rx = x - (world.handle_length * c - dx_obj)
         ry = y - world.handle_length * s
         along, lateral = rx * c + ry * s, -rx * s + ry * c
-        # angle from the robot front (-x) to the handle, wrapped as geometry.wrap_angle
-        bearing = np.abs(np.pi - ((np.pi - (np.arctan2(-ry, -rx) - np.pi)) % TWO_PI))
+        # angle from the robot front (-x) to the handle
+        bearing = np.abs(wrap_angle(np.arctan2(-ry, -rx) - np.pi))
         halfwidth = np.maximum(0.5 * (world.corridor_width
                                       - world.corridor_taper * (along - world.reach_min)), 0.0)
         empty = (~((world.reach_min + grasp <= along) & (along <= world.reach_max - grasp))

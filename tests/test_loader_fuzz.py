@@ -2,11 +2,18 @@
 model, belief, grid), driven through cli.main. A file is refused with exit 3
 (bad file) or, where the other input is missing, 4; a mutation that leaves
 the file valid runs the command to exit 0. No case may end in 5 (an error
-inside the program) or 1."""
+inside the program) or 1. Last, every subcommand runs on fuzzed arguments
+and configs in a child process whose memory is capped, so that a count
+without a stated limit fails the test instead of exhausting the machine."""
 
 import dataclasses
 import json
 import math
+import os
+import resource
+import signal
+import sys
+import traceback
 import warnings
 
 import numpy as np
@@ -262,3 +269,142 @@ def test_fuzzed_dataset_never_exits_5(dataset_lines, tmp_path, rows, edits):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "multiple positive regions")
         _run(tmp_path, ["train", "--data", str(bad)])
+
+
+# ---------------------------------------------------------------------------
+# every subcommand, under a memory cap
+# ---------------------------------------------------------------------------
+
+# address space, in bytes, that the child may map beyond what it holds at the fork
+MEMORY_HEADROOM = 2**30
+CHILD_SECONDS = 60  # a child still running after this is killed: a hang fails
+
+
+def _exit_code_under_cap(*argvs):
+    """main on each argv in turn, up to the first nonzero exit, in a forked
+    child whose address space may grow by at most MEMORY_HEADROOM, so that
+    an allocation beyond it raises MemoryError (exit 5) in the child alone.
+    Returns the child's exit code: the last main's, argparse's SystemExit
+    code, 1 for an exception that escapes main, and minus the signal number
+    when a signal ends it."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            with open("/proc/self/statm") as f:
+                mapped = int(f.read().split()[0]) * resource.getpagesize()
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (mapped + MEMORY_HEADROOM, resource.getrlimit(
+                                   resource.RLIMIT_AS)[1]))
+            signal.alarm(CHILD_SECONDS)
+            for argv in argvs:
+                code = main(argv)
+                if code:
+                    break
+        except SystemExit as e:
+            code = e.code
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+# argument values: numbers of every size and kind as text, and some that are not numbers
+ARG_TEXTS = st.one_of(*(s.map(str) for s in (st.integers(-5, 2**70), st.floats(),
+                                             st.floats(0, 1), EXTREME_NUMBERS)),
+                      st.sampled_from(["", "abc", "1_0", " 2", "0x10", "--seed"]))
+
+
+def _input(kind):
+    """A file argument: the good file of its kind, or a path no file lives at."""
+    return st.sampled_from([f"@{kind}", "@missing"])
+
+
+def _command(head, required=(), optional=()):
+    """argv of a subcommand: head, the (option, value strategy) pairs of
+    required, and each pair of optional or not."""
+    pairs = st.tuples(*(st.tuples(st.just(k), v) for k, v in required))
+    maybe = st.tuples(*(st.none() | st.tuples(st.just(k), v) for k, v in optional))
+    return st.tuples(head, pairs, maybe).map(
+        lambda t: list(t[0]) + [a for pair in t[1] + t[2] if pair for a in pair])
+
+
+SUBCOMMANDS = {
+    "gen-data": _command(st.just(["gen-data"])),
+    # @fresh: a dataset that gen-data writes under the same config and seed
+    "train": _command(st.just(["train"]), [("--data", st.sampled_from(
+        ["@fresh", "@data", "@missing"]))]),
+    "map": _command(st.just(["map"]), [("--model", _input("model")),
+                                       ("--belief", _input("belief"))],
+                    [("--samples", ARG_TEXTS), ("--robot-sigma", ARG_TEXTS)]),
+    "merge": _command(st.lists(_input("grid"), min_size=1, max_size=3).map(
+        lambda grids: ["merge"] + grids)),
+    "cost": _command(st.tuples(st.just("cost"), _input("grid")),
+                     [("--robot-x", ARG_TEXTS), ("--robot-y", ARG_TEXTS)],
+                     [("--retry-penalty", ARG_TEXTS), ("--nav-speed", ARG_TEXTS)]),
+    "plan": _command(st.just(["plan"]), [("--model", _input("model"))],
+                     [("--separation", ARG_TEXTS), ("--threshold", ARG_TEXTS)]),
+    # eval robustness on a model that loads runs its whole sweep (about 11 s),
+    # so it only gets the missing model
+    "eval": _command(st.sampled_from([["eval", "accuracy"], ["eval", "transform"]]),
+                     [("--model", _input("model"))])
+            | _command(st.just(["eval", "robustness"]), [("--model", st.just("@missing"))]),
+    "export-pgm": _command(st.tuples(st.just("export-pgm"), _input("grid"))),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(files, dataset_lines, tmp_path_factory):
+    """One good file of each kind the subcommands read, and a missing path."""
+    root = tmp_path_factory.mktemp("cap")
+    data = root / "data.csv"
+    data.write_text("\n".join(dataset_lines) + "\n")
+    grid = root / "grid.txt"
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)), grid)
+    return {"@model": files["model"], "@belief": files["belief"], "@missing": files["missing"],
+            "@data": data, "@grid": grid}
+
+
+def _run_capped(inputs, tmp_path, argv, common):
+    """The exit code, under the memory cap, of argv with its @ names
+    resolved and the common options (seed, config) and --out appended; a
+    @fresh dataset is first written by gen-data with the same options."""
+    paths = dict(inputs, **{"@fresh": tmp_path / "fresh.csv"})
+    argvs = [[str(paths.get(a, a)) for a in argv] + common + ["--out", str(tmp_path / "out")]]
+    if "@fresh" in argv:
+        argvs.insert(0, ["gen-data"] + common + ["--out", str(paths["@fresh"])])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "multiple positive regions")
+        return _exit_code_under_cap(*argvs)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+@fuzz(10)
+@given(data=st.data())
+def test_every_subcommand_exits_0_2_3_or_4_under_a_memory_cap(inputs, tmp_path, command, data):
+    """Each subcommand, on fuzzed option values, good or missing input files
+    and, when given, a fuzzed config, ends in 0, 2, 3 or 4 within its time
+    and memory."""
+    argv = data.draw(SUBCOMMANDS[command], "argv")
+    raw = data.draw(st.none() | CONFIGS, "config")
+    common = ["--seed", data.draw(ARG_TEXTS | st.integers(0, 50).map(str), "seed")]
+    if raw is not None:
+        _write_json(tmp_path / "cfg.json", raw)
+        common += ["--config", str(tmp_path / "cfg.json")]
+    code = _run_capped(inputs, tmp_path, argv, common)
+    assert code in (0, 2, 3, 4), f"exit {code}"
+
+
+@pytest.mark.parametrize("count, argv", [("n_landmarks", ["train", "--data", "@fresh"]),
+                                         ("n_samples", ["map", "--model", "@model",
+                                                        "--belief", "@belief"])])
+def test_counts_beyond_their_limits_exit_3_under_a_memory_cap(inputs, tmp_path, count, argv):
+    """A config count of 10**8 is refused when the config is read. Without
+    its stated limit the child would run out of its capped memory (gigabytes
+    for either count) and exit 5."""
+    _write_json(tmp_path / "cfg.json", {count: 10**8})
+    common = ["--seed", "0", "--config", str(tmp_path / "cfg.json")]
+    assert _run_capped(inputs, tmp_path, argv, common) == 3
