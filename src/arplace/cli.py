@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import typing
 
@@ -148,7 +149,8 @@ def _header_fields(lines: list[str]) -> dict:
 
 
 def _read(kind: str, load, path):
-    """load(path) for an input file of the given kind. A missing file raises
+    """load(path) for an input file of the given kind. A missing file, or a
+    path that names a directory or runs through a file, raises
     MissingInputError (exit 4); a malformed one, on which load raises
     KeyError, TypeError, ValueError or OverflowError (bad JSON, a bad
     number, a missing key, an integer too large for a float), raises
@@ -157,6 +159,8 @@ def _read(kind: str, load, path):
         return load(path)
     except FileNotFoundError:
         raise MissingInputError(f"{kind} file not found: {path}")
+    except (IsADirectoryError, NotADirectoryError) as e:
+        raise MissingInputError(f"{kind} file cannot be read: {path}: {e.strerror}")
     except KeyError as e:
         raise BadConfigError(f"{kind} {path} lacks the key {e}")
     except (TypeError, ValueError, OverflowError) as e:  # incl. JSONDecodeError, UnicodeDecodeError
@@ -424,6 +428,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "eval" and args.experiment != "accuracy" and args.model is None:
         parser.error(f"eval {args.experiment} requires --model")
+    # an output that cannot be written is refused before any work
+    out_dir = os.path.dirname(args.out) or "."
+    if not args.out or os.path.isdir(args.out):
+        parser.error(f"argument --out: {args.out!r} names no file")
+    if not os.path.isdir(out_dir):
+        parser.error(f"argument --out: no directory {out_dir!r}")
     try:
         cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
         return args.func(args, cfg)

@@ -21,7 +21,7 @@ from .shapemodel import GSMModel
 
 DEFAULT_N_SAMPLES = 100
 # most samples of a map from the CLI's --samples or config n_samples: a 20-landmark
-# map at this count peaks at 71 MB under tracemalloc. Library calls take any count.
+# map at this count peaks at 50 MB under tracemalloc. Library calls take any count.
 MAX_MAP_SAMPLES = 2**17
 
 
@@ -44,10 +44,14 @@ class GaussianBelief:
         cov = np.array(self.cov, dtype=float)
         if mean.shape != (3,) or cov.shape != (3, 3):
             raise ValueError("belief needs a 3-vector mean and 3x3 covariance")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        # checked on the 12 Python floats, which round as the arrays would
+        c = cov.tolist()
+        if not all(map(math.isfinite, mean.tolist() + c[0] + c[1] + c[2])):
             raise ValueError("belief mean and covariance must be finite")
-        # np.allclose(cov, cov.T, atol=1e-12) spelled out, for finite entries
-        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):
+        # np.allclose(cov, cov.T, atol=1e-12) spelled out, for finite entries;
+        # a diagonal entry always passes
+        if not all(abs(c[i][j] - c[j][i]) <= 1e-12 + 1e-5 * abs(c[j][i])
+                   for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))):
             raise ValueError("covariance must be symmetric")
         evals, evecs = np.linalg.eigh(cov)
         if evals[0] < -1e-12:
@@ -76,6 +80,24 @@ class GaussianBelief:
 _FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
 
 
+def _count_below(v: np.ndarray, lines: np.ndarray, first, n: int, step: float) -> np.ndarray:
+    """For each v[i], not NaN, the number of lines[first[i] + t], t < n,
+    strictly below it, the n lines ascending about step apart. One division,
+    then steps to the exact count against those floats; a quotient beyond the
+    float range clamps to 0 or n all the same. first is an index array or a
+    scalar."""
+    with np.errstate(over="ignore"):
+        a = np.ceil((v - lines[first]) / step)
+    a = np.fmin(np.fmax(a, 0), n).astype(np.intp)
+    while True:
+        up = (a < n) & (lines[first + np.minimum(a, n - 1)] < v)
+        down = (a > 0) & ~(lines[first + np.maximum(a - 1, 0)] < v)
+        if not (up.any() or down.any()):
+            return a
+        a += up
+        a -= down
+
+
 def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
     """(nx, ny) number of polygons containing each cell center, polygon k
     translated by shifts[k] along y.
@@ -86,12 +108,12 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
     an edge crosses exactly the rows between the counts of its two end
     points. Each crossing is intersected with its row using the float
     expressions of classifier.points_in_polygon and becomes k, the number of
-    cell centers strictly to its left. Sorted per (polygon, row), the
-    crossings k1 <= k2 <= ... bound the inside spans [k1, k2), [k3, k4), ...;
-    a difference array and a cumulative sum turn the spans into counts.
-    Every membership decision equals points_in_polygon's on center_points()
-    - [0, shift]. The work is m row lookups per polygon plus one step per
-    crossing.
+    cell centers strictly to its left, counted by the same rule. Sorted per
+    (polygon, row), the crossings k1 <= k2 <= ... bound the inside spans
+    [k1, k2), [k3, k4), ...; a difference array and a cumulative sum turn
+    the spans into counts. Every membership decision equals
+    points_in_polygon's on center_points() - [0, shift]. The work is m row
+    lookups per polygon plus one column lookup per crossing.
     """
     xs, ys = spec.centers()
     nx, ny = spec.nx, spec.ny
@@ -105,20 +127,10 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
         y_rows = (ys[None, :] - shifts[start:start + _FILL_BLOCK, None]).ravel()
         bx, by = block[:, :, 0].ravel(), block[:, :, 1].ravel()
         row0 = np.repeat(np.arange(nb) * ny, m)
-        # rows strictly below each vertex: one division, then steps to the exact
-        # count; a quotient beyond the float range clamps to 0 or ny all the same
-        with np.errstate(over="ignore"):
-            a = np.ceil((by - y_rows[row0]) / spec.cell_size)
-        a = np.fmin(np.fmax(a, 0), ny).astype(np.intp)
-        while True:
-            up = (a < ny) & (y_rows[row0 + np.minimum(a, ny - 1)] < by)
-            down = (a > 0) & ~(y_rows[row0 + np.maximum(a - 1, 0)] < by)
-            if not (up.any() or down.any()):
-                break
-            a += up
-            a -= down
+        a = _count_below(by, y_rows, row0, ny, spec.cell_size)
         # edge v runs to vertex nxt[v] and crosses the rows [lo, lo + span)
-        nxt = np.roll(np.arange(nb * m).reshape(nb, m), -1, axis=1).ravel()
+        nxt = np.arange(1, nb * m + 1)
+        nxt[m - 1::m] -= m
         lo = np.minimum(a, a[nxt])
         span = np.abs(a - a[nxt])
         v = np.repeat(np.arange(nb * m), span)
@@ -128,7 +140,7 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
         y = y_rows[row]
         xint = bx[v] + (y - by[v]) * (bx[w] - bx[v]) / (by[w] - by[v])
         # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort(row * width + np.searchsorted(xs, xint, side="left"))
+        keys = np.sort(row * width + _count_below(xint, xs, 0, nx, spec.cell_size))
         diff += np.bincount(keys[0::2] % size, minlength=size)
         diff -= np.bincount(keys[1::2] % size, minlength=size)
     return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)

@@ -200,11 +200,15 @@ def plan_duration(trace: ExecutionTrace, time_model: TimeModel) -> float:
 
 
 def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
-                     spec: GridSpec, rng) -> tuple[tuple[float, float], float]:
+                     spec: GridSpec, rng,
+                     above: float | None = None) -> tuple[tuple[float, float], float] | None:
     """The best cell of the joint success map of the objects the designator
     must reach, as (world-frame center, probability): one world-frame map per
     object on a seed drawn from np.random.default_rng(rng) in designator
-    order, multiplied cellwise. The designator is left unchanged."""
+    order, multiplied cellwise. The designator is left unchanged.
+
+    With above set, a map none of whose cells exceeds it gives None without
+    the tie-break search: the best cell's probability is one of its cells."""
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
@@ -213,6 +217,8 @@ def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
         compute_map(gsm, scene.objects[name].belief, spec,
                     rng=rng.integers(2 ** 31), frame="world")
         for name in designator.objects])
+    if above is not None and not grid.probs.max() > above:
+        return None
     (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
     return grid.spec.cell_center(i, j), p
 
@@ -320,8 +326,8 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
         if set(a.location.objects) == set(b.location.objects):
             continue
         joint = Designator("joint_pick_up", a.location.objects + b.location.objects)
-        location = resolve_location(joint, scene, gsm, spec, rng)
-        if location[1] > threshold:
+        location = resolve_location(joint, scene, gsm, spec, rng, above=threshold)
+        if location is not None and location[1] > threshold:
             return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
     return None
 

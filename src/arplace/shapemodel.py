@@ -32,6 +32,8 @@ MAX_REACH = 1e100
 # time: train on the seed-42 dataset takes about 10 s at this count and 58 s at 512
 # (2 vCPUs); train_gsm's traced peak at 512 is 18 MB. Library calls take any count.
 MAX_LANDMARKS = 256
+# rows of landmark polygons predicted together; bounds the working memory
+_PREDICT_BLOCK = 256
 
 
 class DegenerateShapeError(RuntimeError):
@@ -82,16 +84,20 @@ class PDM:
 
         Built from elementwise products rather than a matrix product, so a
         row's polygon has the same bits whatever the number of rows: BLAS
-        takes a different kernel for a single row than for many. Each
-        coordinate is summed in place in the result, so the working memory
-        beyond it is one (n, m) product.
+        takes a different kernel for a single row than for many. Both
+        coordinates of a block of rows are summed in place in the result, as
+        mean + b_1 m_1 + b_2 m_2 + ..., so the working memory beyond it is one
+        block's product.
         """
+        mean = self.mean.reshape(2, self.m).T
+        modes = self.modes.T.reshape(self.d, 2, self.m).transpose(0, 2, 1).copy()  # (d, m, 2)
         out = np.empty((len(b), self.m, 2))
-        for c, rows in enumerate((slice(None, self.m), slice(self.m, None))):
-            acc = out[:, :, c]
-            acc[...] = self.mean[rows]
-            for k in range(self.d):
-                acc += b[:, k:k + 1] * self.modes[rows, k]
+        for start in range(0, len(b), _PREDICT_BLOCK):
+            acc, rows = out[start:start + _PREDICT_BLOCK], b[start:start + _PREDICT_BLOCK]
+            np.multiply(rows[:, 0, None, None], modes[0], out=acc)
+            acc += mean  # b_1 m_1 + mean has the bits of mean + b_1 m_1
+            for k in range(1, self.d):
+                acc += rows[:, k, None, None] * modes[k]
         return out
 
 
@@ -286,15 +292,16 @@ class RegressionModel:
         """(n, d) mode coefficients q^T W_k q, q = [dx, dpsi, 1], for n
         feature rows, without a range check. Elementwise products only, so a
         row's coefficients do not depend on the number of rows."""
-        q = (dx_obj, dpsi_obj, np.ones_like(dx_obj))
-        out = np.empty((len(dx_obj), self.d))
-        for k in range(self.d):
-            acc = np.zeros_like(dx_obj)
-            for i in range(3):
-                for j in range(3):
-                    acc = acc + self.W[k, i, j] * q[i] * q[j]
-            out[:, k] = acc
-        return out
+        q = np.stack((dx_obj, dpsi_obj, np.ones_like(dx_obj)))
+        # term 3i + j of mode k is (W[k, i, j] * q_i) * q_j, added in that order:
+        # a sum over the term axis would let NumPy pair the terms another way
+        terms = self.W[:, :, :, None] * q[:, None, :]
+        terms *= q
+        terms = terms.reshape(self.d, 9, -1)
+        acc = np.zeros((self.d, len(dx_obj)))
+        for t in range(9):
+            acc += terms[:, t]
+        return acc.T
 
 
 def fit_regression(B: np.ndarray, features: list[ObjectFeatures]) -> RegressionModel:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arplace import planner, simworld
+from arplace import cli, planner, simworld
 from arplace.cli import BadConfigError, PipelineConfig, build_parser, main
 from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
@@ -47,6 +47,42 @@ def test_missing_model_exit_code(artifacts, tmp_path, capsys):
                "--seed", "0", "--out", str(tmp_path / "m.txt")])
     assert rc == 4
     assert "not found" in capsys.readouterr().err
+
+
+# an input path that names a directory or runs through a file: the argv, the
+# kind the message names and the reason; {dir} and {through} are filled in,
+# the other inputs are good files
+DIRECTORY_INPUTS = {
+    "config": (["gen-data", "--config", "{dir}"], "config"),
+    "data": (["train", "--data", "{dir}"], "dataset"),
+    "model": (["map", "--model", "{dir}", "--belief", "{belief}"], "model"),
+    "belief": (["map", "--model", "{model}", "--belief", "{dir}"], "belief"),
+    "merge_grid": (["merge", "{grid}", "{dir}"], "grid"),
+    "cost_grid": (["cost", "{dir}", "--robot-x", "1.5", "--robot-y", "0"], "grid"),
+    "export_grid": (["export-pgm", "{dir}"], "grid"),
+    "plan_model": (["plan", "--model", "{dir}"], "model"),
+    "eval_model": (["eval", "transform", "--model", "{dir}"], "model"),
+    "model_through_a_file": (["map", "--model", "{through}", "--belief", "{belief}"],
+                             "model"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTORY_INPUTS))
+def test_directory_input_exits_4(artifacts, tmp_path, capsys, name):
+    """An input path that cannot name a file is a missing input (exit 4),
+    and the message names the kind, the path and the reason."""
+    grid = tmp_path / "grid.txt"
+    save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)), grid)
+    (tmp_path / "inputs").mkdir()
+    paths = {"dir": tmp_path / "inputs", "through": grid / "model.json", "grid": grid,
+             "model": artifacts["model"], "belief": artifacts["belief"]}
+    argv, kind = DIRECTORY_INPUTS[name]
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--seed", "0", "--out", str(out)]) == 4
+    through = name == "model_through_a_file"
+    assert (f"{kind} file cannot be read: {paths['through' if through else 'dir']}: "
+            + ("Not a directory" if through else "Is a directory")) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exit_code(artifacts, tmp_path, capsys):
@@ -423,6 +459,33 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert e.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("out", ["in_a_missing_directory", "a_directory", "empty"])
+def test_an_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, command, out):
+    """--out under a directory that does not exist, naming a directory, or
+    empty exits 2 before any input is read."""
+    path = {"in_a_missing_directory": str(tmp_path / "nowhere" / "out"),
+            "a_directory": str(tmp_path), "empty": ""}[out]
+    with pytest.raises(SystemExit) as e:
+        main(SUBCOMMANDS[command] + ["--out", path, "--seed", "0"])
+    assert e.value.code == 2
+    assert "argument --out" in capsys.readouterr().err
+    assert not (tmp_path / "nowhere").exists()
+
+
+def test_eval_robustness_refuses_its_out_before_the_sweep(artifacts, tmp_path, capsys,
+                                                          monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "robustness_experiment", sweep)
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "robustness", "--model", str(artifacts["model"]), "--seed", "7",
+              "--out", str(tmp_path / "nowhere" / "report.txt")])
+    assert e.value.code == 2
+    assert "argument --out: no directory" in capsys.readouterr().err
 
 
 def test_huge_seeds_are_accepted(artifacts, tmp_path, capsys):

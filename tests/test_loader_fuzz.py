@@ -319,8 +319,9 @@ ARG_TEXTS = st.one_of(*(s.map(str) for s in (st.integers(-5, 2**70), st.floats()
 
 
 def _input(kind):
-    """A file argument: the good file of its kind, or a path no file lives at."""
-    return st.sampled_from([f"@{kind}", "@missing"])
+    """A file argument: the good file of its kind, a path no file lives at, or
+    a directory."""
+    return st.sampled_from([f"@{kind}", "@missing", "@dir"])
 
 
 def _command(head, required=(), optional=()):
@@ -336,7 +337,7 @@ SUBCOMMANDS = {
     "gen-data": _command(st.just(["gen-data"])),
     # @fresh: a dataset that gen-data writes under the same config and seed
     "train": _command(st.just(["train"]), [("--data", st.sampled_from(
-        ["@fresh", "@data", "@missing"]))]),
+        ["@fresh", "@data", "@missing", "@dir"]))]),
     "map": _command(st.just(["map"]), [("--model", _input("model")),
                                        ("--belief", _input("belief"))],
                     [("--samples", ARG_TEXTS), ("--robot-sigma", ARG_TEXTS)]),
@@ -348,32 +349,37 @@ SUBCOMMANDS = {
     "plan": _command(st.just(["plan"]), [("--model", _input("model"))],
                      [("--separation", ARG_TEXTS), ("--threshold", ARG_TEXTS)]),
     # eval robustness on a model that loads runs its whole sweep (about 11 s),
-    # so it only gets the missing model
+    # so it only gets a model that does not load
     "eval": _command(st.sampled_from([["eval", "accuracy"], ["eval", "transform"]]),
                      [("--model", _input("model"))])
-            | _command(st.just(["eval", "robustness"]), [("--model", st.just("@missing"))]),
+            | _command(st.just(["eval", "robustness"]),
+                       [("--model", st.sampled_from(["@missing", "@dir"]))]),
     "export-pgm": _command(st.tuples(st.just("export-pgm"), _input("grid"))),
 }
 
 
 @pytest.fixture(scope="module")
 def inputs(files, dataset_lines, tmp_path_factory):
-    """One good file of each kind the subcommands read, and a missing path."""
+    """One good file of each kind the subcommands read, a missing path and a
+    directory."""
     root = tmp_path_factory.mktemp("cap")
     data = root / "data.csv"
     data.write_text("\n".join(dataset_lines) + "\n")
     grid = root / "grid.txt"
     save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)), grid)
     return {"@model": files["model"], "@belief": files["belief"], "@missing": files["missing"],
-            "@data": data, "@grid": grid}
+            "@data": data, "@grid": grid, "@dir": root}
 
 
-def _run_capped(inputs, tmp_path, argv, common):
+def _run_capped(inputs, tmp_path, argv, common, out="@out"):
     """The exit code, under the memory cap, of argv with its @ names
     resolved and the common options (seed, config) and --out appended; a
-    @fresh dataset is first written by gen-data with the same options."""
-    paths = dict(inputs, **{"@fresh": tmp_path / "fresh.csv"})
-    argvs = [[str(paths.get(a, a)) for a in argv] + common + ["--out", str(tmp_path / "out")]]
+    @fresh dataset is first written by gen-data with the same options. The
+    output is a file in tmp_path (@out) or under a directory that does not
+    exist (@nowhere)."""
+    paths = dict(inputs, **{"@fresh": tmp_path / "fresh.csv", "@out": tmp_path / "out",
+                            "@nowhere": tmp_path / "nowhere" / "out"})
+    argvs = [[str(paths.get(a, a)) for a in argv + common + ["--out", out]]]
     if "@fresh" in argv:
         argvs.insert(0, ["gen-data"] + common + ["--out", str(paths["@fresh"])])
     with warnings.catch_warnings():
@@ -386,16 +392,20 @@ def _run_capped(inputs, tmp_path, argv, common):
 @given(data=st.data())
 def test_every_subcommand_exits_0_2_3_or_4_under_a_memory_cap(inputs, tmp_path, command, data):
     """Each subcommand, on fuzzed option values, good or missing input files
-    and, when given, a fuzzed config, ends in 0, 2, 3 or 4 within its time
-    and memory."""
+    or directories, and when given a fuzzed config or a directory as config,
+    ends in 0, 2, 3 or 4 within its time and memory; with an --out under a
+    directory that does not exist, in 2 before it reads any input."""
     argv = data.draw(SUBCOMMANDS[command], "argv")
-    raw = data.draw(st.none() | CONFIGS, "config")
+    raw = data.draw(st.none() | st.just("@dir") | CONFIGS, "config")
     common = ["--seed", data.draw(ARG_TEXTS | st.integers(0, 50).map(str), "seed")]
-    if raw is not None:
+    if raw == "@dir":
+        common += ["--config", str(inputs["@dir"])]
+    elif raw is not None:
         _write_json(tmp_path / "cfg.json", raw)
         common += ["--config", str(tmp_path / "cfg.json")]
-    code = _run_capped(inputs, tmp_path, argv, common)
-    assert code in (0, 2, 3, 4), f"exit {code}"
+    out = data.draw(st.sampled_from(["@out", "@nowhere"]), "out")
+    code = _run_capped(inputs, tmp_path, argv, common, out)
+    assert code == 2 if out == "@nowhere" else code in (0, 2, 3, 4), f"exit {code}"
 
 
 @pytest.mark.parametrize("count, argv", [("n_landmarks", ["train", "--data", "@fresh"]),

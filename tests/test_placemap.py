@@ -11,7 +11,7 @@ from arplace.classifier import points_in_polygon
 from arplace.evaluation import candidate_grid_spec
 from arplace.geometry import ObjectFeatures
 from arplace.grids import ARPlaceGrid, GridSpec
-from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts,
+from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _count_below, _fill_counts,
                               apply_robot_uncertainty, best_cell, compute_map, cost_map,
                               merge, resample_to, sample_boundaries, union_edges)
 
@@ -100,6 +100,60 @@ def _near_symmetric(draw):
 @given(_near_symmetric())
 def test_belief_symmetry_check_decides_as_allclose(cov):
     assert _rejected_as_asymmetric(cov) == (not np.allclose(cov, cov.T, atol=1e-12))
+
+
+def _belief_refusal_reference(mean, cov):
+    """The message with which GaussianBelief refused (mean, cov) when its
+    checks ran on arrays, or None where it accepted them."""
+    mean, cov = np.array(mean, dtype=float), np.array(cov, dtype=float)
+    if mean.shape != (3,) or cov.shape != (3, 3):
+        return "belief needs a 3-vector mean and 3x3 covariance"
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        return "belief mean and covariance must be finite"
+    with np.errstate(over="ignore"):
+        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):
+            return "covariance must be symmetric"
+    if np.linalg.eigh(cov)[0][0] < -1e-12:
+        return "covariance must be positive semidefinite"
+    return None
+
+
+_ODD_ENTRIES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1e-12]
+
+
+@st.composite
+def _odd_beliefs(draw):
+    """Means and covariances with NaN, infinities, -0.0 and extremes among
+    their entries, and an entry moved to either side of the symmetry
+    tolerance 1e-12 + 1e-5 |c| of its mirror."""
+    entries = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from(_ODD_ENTRIES))
+    mean = draw(arrays(np.float64, (3,), elements=entries))
+    base = draw(arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)))
+    cov = base @ base.T * draw(st.sampled_from([1.0, 1e-9, 1e6]))
+    i, j = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]))
+    edge = 1e-12 + 1e-5 * abs(cov[j, i])
+    step = draw(st.sampled_from([None, 1.0, -1.0, 0.5, 2.0]))
+    if step is not None:
+        cov[i, j] = cov[j, i] + step * edge
+        for _ in range(draw(st.integers(-2, 2))):  # a float or two across the edge
+            cov[i, j] = np.nextafter(cov[i, j], np.inf)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        cov[a, b] = draw(st.sampled_from(_ODD_ENTRIES))
+    return mean, cov
+
+
+@settings(max_examples=400, deadline=None)
+@given(_odd_beliefs())
+def test_belief_accepts_and_refuses_as_the_array_checks_did(case):
+    mean, cov = case
+    want = _belief_refusal_reference(mean, cov)
+    try:
+        GaussianBelief(mean, cov)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == want
 
 
 def test_belief_accepts_semidefinite_covariance():
@@ -247,6 +301,33 @@ def test_fill_of_point_belief_draws(gsm):
     counts = _fill_counts(polygons, shifts, spec)
     np.testing.assert_array_equal(counts, _fill_oracle(polygons, shifts, spec))
     assert set(np.unique(counts)) == {0, 5}
+
+
+def test_count_below_is_searchsorted_on_and_beside_the_lines():
+    """The count of lines strictly below each value, by one division and
+    steps, equals searchsorted(side="left") for values on the lines, one
+    float beside them, far outside and infinite."""
+    xs = GridSpec(-0.35, 0.0, 0.1, 17, 1).centers()[0]
+    v = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                        [-1e300, 1e300, -np.inf, np.inf, -0.0, 0.0]])
+    np.testing.assert_array_equal(_count_below(v, xs, 0, len(xs), 0.1),
+                                  np.searchsorted(xs, v, side="left"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 9), st.integers(1, 5), st.integers(1, 9), st.integers(1, 9),
+       st.data())
+def test_fill_matches_oracle_with_vertices_on_cell_centers(m, n, nx, ny, data):
+    """Every vertex on a cell center, or one cell beyond the grid, and every
+    shift a whole number of cells, so that vertices sit on rows and vertical
+    edges cross rows exactly at centers."""
+    spec = GridSpec(0.0, 0.0, 0.25, nx, ny)
+    centers = st.integers(-1, max(nx, ny)).map(lambda k: 0.25 * k)
+    polygons = data.draw(arrays(np.float64, (n, m, 2), elements=centers))
+    shifts = data.draw(arrays(np.float64, (n,), elements=st.integers(-3, 3).map(
+        lambda k: 0.25 * k)))
+    np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
+                                  _fill_oracle(polygons, shifts, spec))
 
 
 _snapped = st.integers(-4, 12).map(lambda k: 0.25 * k)

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from arplace import planner
 from arplace.evaluation import make_two_cup_scene
 from arplace.grids import GridSpec
-from arplace.planner import (Designator, Flaw, PlanNode, TimeModel,
+from arplace.placemap import GaussianBelief
+from arplace.planner import (Designator, Flaw, PlanNode, SceneObject, TimeModel,
                              UnresolvableDesignatorError, achieve_grasp,
                              apply_merge_transform, at_location,
                              detect_merge_flaw, perceive, pickup_task,
@@ -261,6 +264,72 @@ def test_merge_flaw_absent_for_distant_cups(gsm):
     flaw = detect_merge_flaw(two_pickup_plan(), scene, gsm, _spec(0.60),
                              rng=np.random.default_rng(0))
     assert flaw is None
+
+
+def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
+    """detect_merge_flaw as it was before the early stop: every joint
+    designator runs the tie-break search, and its cell decides."""
+    rng = np.random.default_rng(rng)
+    tasks = planner._pickup_tasks(plan)
+    for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
+        if a.location is b.location or set(a.location.objects) == set(b.location.objects):
+            continue
+        joint = Designator("joint_pick_up", a.location.objects + b.location.objects)
+        location = resolve_location(joint, scene, gsm, spec, rng)
+        if location[1] > threshold:
+            return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
+    return None
+
+
+def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
+    """Three cups, so that a pair without a flaw leaves the generator to the
+    next pair: on random separations and thresholds the flaw, or None, is
+    the one of the search that runs best_cell on every joint map."""
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(16):
+        sep, gap = rng.uniform(0.3, 0.6, 2)
+        threshold = float(rng.choice([rng.uniform(0.01, 0.99), 0.85, 0.93, 0.95]))
+        scene = make_two_cup_scene(sep)
+        truth = (0.12, sep / 2 + gap, 0.0)
+        scene.objects["cup-c"] = SceneObject("cup-c", truth,
+                                             GaussianBelief.isotropic(truth, 0.005, 0.02))
+        plan = sequence(pickup_task("cup-a"), pickup_task("cup-b"), pickup_task("cup-c"))
+        spec = _spec(sep + 2 * gap)
+        seed = int(rng.integers(2 ** 31))
+        flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=seed, threshold=threshold)
+        assert flaw == _detect_merge_flaw_reference(plan, scene, gsm, spec, seed, threshold)
+        outcomes.add(flaw and flaw.tasks)
+    assert outcomes == {(0, 1), (1, 2), None}
+
+
+def test_a_joint_map_at_or_below_the_threshold_never_reaches_best_cell(gsm, monkeypatch):
+    """resolve_location(..., above=t) returns None without the tie-break
+    search when no cell of the joint map exceeds t, and searches as before
+    otherwise. At 0.45 m the map's peak lies above the cell best_cell picks,
+    so a flaw still needs that cell's probability above the threshold."""
+    joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
+    scene, spec = make_two_cup_scene(0.45), _spec(0.45)
+    best_cell, peaks = planner.best_cell, []
+
+    def recording(grid, radius):
+        peaks.append(float(grid.probs.max()))
+        return best_cell(grid, radius)
+
+    def refused(grid, radius):
+        raise AssertionError("the tie-break search ran")
+
+    monkeypatch.setattr(planner, "best_cell", recording)
+    location = resolve_location(joint, scene, gsm, spec, rng=5)
+    peak = peaks[0]
+    assert 0.0 < location[1] <= peak < 1.0
+    assert resolve_location(joint, scene, gsm, spec, rng=5,
+                            above=float(np.nextafter(peak, 0.0))) == location
+    monkeypatch.setattr(planner, "best_cell", refused)
+    for above in (peak, 1.0):
+        assert resolve_location(joint, scene, gsm, spec, rng=5, above=above) is None
+    assert detect_merge_flaw(two_pickup_plan(), scene, gsm, spec, rng=5,
+                             threshold=peak) is None
 
 
 def test_merge_transform_structural_diff(gsm):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -423,6 +424,49 @@ def test_fit_regression_rejects_rank_deficient_poses():
     feats = [ObjectFeatures(0.1, 0.0)] * 8  # all identical
     with pytest.raises(RegressionRankError):
         fit_regression(np.zeros((8, 1)), feats)
+
+
+def _predict_reference(W, dx, dpsi):
+    """(n, d) coefficients by the per-term loop: acc + W[k, i, j] * q_i * q_j
+    for i, j in order, from acc = 0."""
+    q = (dx, dpsi, np.ones_like(dx))
+    out = np.empty((len(dx), W.shape[0]))
+    for k in range(W.shape[0]):
+        acc = np.zeros_like(dx)
+        for i in range(3):
+            for j in range(3):
+                acc = acc + W[k, i, j] * q[i] * q[j]
+        out[:, k] = acc
+    return out
+
+
+def _landmarks_reference(pdm, b):
+    """(n, m, 2) polygons by the per-coordinate loop: mean, then + b_k m_k."""
+    out = np.empty((len(b), pdm.m, 2))
+    for c, rows in enumerate((slice(None, pdm.m), slice(pdm.m, None))):
+        acc = out[:, :, c]
+        acc[...] = pdm.mean[rows]
+        for k in range(pdm.d):
+            acc += b[:, k:k + 1] * pdm.modes[rows, k]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 100, 250, 600])
+def test_predict_landmarks_equals_the_per_term_loops(gsm, n):
+    """predict and predict_landmarks keep the bits of the per-term loops,
+    for full 3 x 3 weights (a model file may set the lower triangle) over
+    scales where a reordered sum would round differently, and for row
+    counts below, at and across a prediction block."""
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        W = rng.normal(size=(GSM_MODES, 3, 3)) * 10.0 ** rng.integers(-4, 5, (GSM_MODES, 3, 3))
+        dx = rng.uniform(-0.5, 0.5, n) * 10.0 ** rng.integers(-3, 2)
+        dpsi = rng.uniform(-np.pi, np.pi, n)
+        model = GSMModel(pdm=gsm.pdm, regression=dataclasses.replace(gsm.regression, W=W))
+        b = model.regression.predict(dx, dpsi)
+        assert b.tobytes() == _predict_reference(W, dx, dpsi).tobytes()
+        assert model.predict_landmarks(dx, dpsi).tobytes() == \
+            _landmarks_reference(gsm.pdm, _predict_reference(W, dx, dpsi)).tobytes()
 
 
 def test_deformation_warns_on_extrapolation(gsm):
