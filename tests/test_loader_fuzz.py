@@ -373,14 +373,15 @@ def inputs(files, dataset_lines, tmp_path_factory):
 
 def _run_capped(inputs, tmp_path, argv, common, out="@out"):
     """The exit code, under the memory cap, of argv with its @ names
-    resolved and the common options (seed, config) and --out appended; a
-    @fresh dataset is first written by gen-data with the same options. The
+    resolved and the common options (seed, config) and --out appended. The
     output is a file in tmp_path (@out) or under a directory that does not
-    exist (@nowhere)."""
+    exist (@nowhere). With @out a @fresh dataset is first written by
+    gen-data with the same options; with @nowhere argv runs alone, since it
+    must refuse its --out before it reads any input, even a missing one."""
     paths = dict(inputs, **{"@fresh": tmp_path / "fresh.csv", "@out": tmp_path / "out",
                             "@nowhere": tmp_path / "nowhere" / "out"})
     argvs = [[str(paths.get(a, a)) for a in argv + common + ["--out", out]]]
-    if "@fresh" in argv:
+    if "@fresh" in argv and out == "@out":
         argvs.insert(0, ["gen-data"] + common + ["--out", str(paths["@fresh"])])
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "multiple positive regions")

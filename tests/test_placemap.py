@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from arplace import placemap
 from arplace.classifier import points_in_polygon
 from arplace.evaluation import candidate_grid_spec
 from arplace.geometry import ObjectFeatures
@@ -500,12 +501,20 @@ def _assert_same_bytes_as_full_grid(probs, sigma, cell=0.025):
         _full_grid_reference(grid, sigma).tobytes()
 
 
+PERCENT = st.integers(0, 100).map(lambda k: k / 100)
+
+
 @st.composite
 def plateau_maps(draw):
     """A map of a few plateau values, each painted on a random rectangle
-    over a background plateau; -0.0 and tiny values are among them."""
+    over a background plateau; -0.0, tiny values, the two floats below 1.0,
+    the k/100 of a 100-sample map and the products of two such are among
+    them. A quarter of the maps are one row, and a quarter one column."""
     nx, ny = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-    values = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.3, 0.999, 1e-300])
+    nx, ny = draw(st.sampled_from([(nx, ny), (nx, ny), (1, ny), (nx, 1)]))
+    values = (st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.3, 0.999, 1e-300, 1.0 - 2.0 ** -52,
+                               1.0 - 2.0 ** -53])
+              | PERCENT | st.tuples(PERCENT, PERCENT).map(lambda kl: kl[0] * kl[1]))
     probs = np.full((nx, ny), draw(values))
     for _ in range(draw(st.integers(0, 4))):
         i0, i1 = sorted(draw(st.integers(0, nx)) for _ in range(2))
@@ -732,3 +741,128 @@ def test_best_cell_smoothing_prefers_plateau_interiors():
     (i, j), p = best_cell(grid, smooth_radius=0.05)
     assert 2 <= i <= 4 and 2 <= j <= 4
     assert p == 1.0  # probability still read from the raw map
+
+
+def _margin(sigma, cell, shape):
+    """best_cell's margin (2n+5) S 2**-53 for this kernel and map shape."""
+    _, _, _, _, w = placemap._kernel(sigma, cell, shape)
+    return (2 * len(w) + 5) * math.fsum(w) * 2.0 ** -53
+
+
+@st.composite
+def tie_break_cases(draw):
+    """(probs, sigma, cell): a plateau map, a radius of 0.2 to 40 cells (past
+    every grid's extent), and in half the cases the map's second value moved
+    to a gap from its maximum of 0.5 to 10**6 times best_cell's margin."""
+    probs = draw(plateau_maps())
+    cell = draw(st.sampled_from([0.025, 0.05]))
+    sigma = cell * draw(st.sampled_from([0.2, 0.3, 0.5, 0.8, 1.0, 1.5, 2.5, 5.0, 40.0]))
+    top = probs.max()
+    lower = probs[probs < top]
+    if len(lower) and draw(st.booleans()):
+        gap = draw(st.sampled_from([0.5, 0.99, 1.01, 2.0, 1e3, 1e6])) * \
+            _margin(sigma, cell, probs.shape)
+        probs = np.where(probs == lower.max(), max(top - gap, 0.0), probs)
+    return probs, sigma, cell
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_break_cases())
+def test_best_cell_is_the_argmax_of_the_full_smoothing(case):
+    """The plateau rule finds the cell the full smoothing would, on every
+    map: with and without a plateau, at gaps within and beyond the margin."""
+    probs, sigma, cell = case
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, cell, *probs.shape))
+    ij, p = best_cell(grid, sigma)
+    flat = int(np.argmax(_full_grid_reference(grid, sigma)))
+    assert ij == divmod(flat, probs.shape[1])
+    assert p == float(probs[ij])
+
+
+def _refused(*args):
+    raise AssertionError("this map should not be smoothed")
+
+
+def test_a_plateau_map_resolves_without_smoothing(monkeypatch):
+    """A 13x14 plateau of 1.0 holds an all-1.0 window of 11x11 cells (reach
+    5 at sigma 0.02 on 0.025-m cells), so no map is smoothed."""
+    probs = np.full((20, 24), 0.3)
+    probs[3:16, 4:18] = 1.0
+    probs[3, 4] = 0.99
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.025, 20, 24))
+    want = divmod(int(np.argmax(_full_grid_reference(grid, 0.02))), 24)
+    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
+    assert best_cell(grid, 0.02) == (want, 1.0)
+
+
+def test_a_plateau_cell_whose_lower_neighbour_weighs_too_little_still_wins(monkeypatch):
+    """At sigma 0.01 on 0.05-m cells the diagonal weight is exp(-25), about
+    1.4e-11: the 1e-6 drop at (1, 1) moves (0, 0)'s smoothed value by less
+    than half an ulp of 1.0, so (0, 0) smooths to 1.0 and is the argmax,
+    although its window holds a lower cell and (0, 4) is the first cell
+    whose window does not."""
+    probs = np.ones((20, 9))
+    probs[1, 1] = 1.0 - 1e-6
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.05, 20, 9))
+    assert int(np.argmax(_full_grid_reference(grid, 0.01))) == 0
+    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
+    assert best_cell(grid, 0.01) == ((0, 0), 1.0)
+
+
+def test_a_corner_cell_is_renormalized_over_its_weights_on_the_grid(monkeypatch):
+    """A 20x9 map at 1.0 but for (1, 1) at 1 - 4.0e-6, at sigma 0.01 on
+    0.05-m cells (reach 2, 3x3 offsets kept): (0, 0)'s one nonzero term,
+    about -5.6e-17, divided by its weights on the grid (1 + 7.5e-6) lies
+    just beyond half an ulp below 1.0, and divided by the whole kernel's
+    (1 + 1.5e-5) just within. So (0, 0) smooths below 1.0, and the argmax
+    is a later cell."""
+    probs = np.ones((20, 9))
+    probs[1, 1] = 0.9999960028949523
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.05, 20, 9))
+    flat = int(np.argmax(_full_grid_reference(grid, 0.01)))
+    assert flat > 0
+    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
+    assert best_cell(grid, 0.01) == (divmod(flat, 9), 1.0)
+
+
+def test_a_cell_one_ulp_below_the_maximum_can_smooth_to_it():
+    """(0, 0) at 1 - 2**-53 among cells at 1.0 smooths to exactly 1.0 and is
+    the argmax: a gap within the margin runs the full smoothing."""
+    probs = np.ones((12, 12))
+    probs[0, 0] = 1.0 - 2.0 ** -53
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.025, 12, 12))
+    assert _full_grid_reference(grid, 0.02)[0, 0] == 1.0
+    assert best_cell(grid, 0.02) == ((0, 0), 1.0 - 2.0 ** -53)
+
+
+def test_a_single_cell_maximum_takes_the_full_smoothing(monkeypatch):
+    """With one cell at the maximum no window is all maximum, and the
+    argmax comes from apply_robot_uncertainty."""
+    probs = np.full((20, 24), 0.5)
+    probs[8:16, 6:18] = 0.8
+    probs[2, 20] = 0.9
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.025, 20, 24))
+    calls = []
+    smooth = placemap.apply_robot_uncertainty
+    monkeypatch.setattr(placemap, "apply_robot_uncertainty",
+                        lambda g, s: calls.append(s) or smooth(g, s))
+    ij, p = best_cell(grid, 0.02)
+    assert calls == [0.02]
+    assert ij == divmod(int(np.argmax(_full_grid_reference(grid, 0.02))), 24)
+    assert ij != (2, 20) and p == 0.8
+
+
+def test_best_cell_at_an_underflowing_radius_is_the_plain_argmax(monkeypatch):
+    """1e-200 squared is 0: the map itself, first maximal cell, no
+    smoothing."""
+    probs = np.zeros((10, 10))
+    probs[1:6, 1:6] = 1.0
+    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.05, 10, 10))
+    assert best_cell(grid, 1e-200) == ((1, 1), 1.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1e-300])
+def test_best_cell_refuses_a_radius_that_is_not_finite_and_non_negative(radius):
+    with pytest.raises(ValueError, match="robot sigma must be finite and non-negative"):
+        best_cell(_grid(np.zeros((8, 10))), radius)
