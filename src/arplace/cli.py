@@ -232,8 +232,7 @@ def cmd_map(args, cfg: PipelineConfig) -> int:
     gsm = _read("model", GSMModel.load, args.model)
     belief = _read("belief", _parse_belief, args.belief)
     spec = candidate_grid_spec(cfg.cell_size)
-    n_samples = cfg.n_samples if args.samples is None else args.samples
-    grid = compute_map(gsm, belief, spec, n_samples=n_samples, rng=args.seed)
+    grid = compute_map(gsm, belief, spec, n_samples=cfg.n_samples, rng=args.seed)
     grid = apply_robot_uncertainty(grid, args.robot_sigma)
     save_grid_text(grid, args.out, header_lines=_header(cfg, args.seed))
     (i, j), p = best_cell(grid)
@@ -277,9 +276,8 @@ def _write_report(args, cfg: PipelineConfig, body: list[str]) -> int:
 
 def cmd_plan(args, cfg: PipelineConfig) -> int:
     gsm = _read("model", GSMModel.load, args.model)
-    threshold = cfg.merge_threshold if args.threshold is None else args.threshold
     point = merge_experiment(args.separation, gsm, cfg.world_config(args.seed),
-                             (args.seed,), cfg.cell_size, threshold)
+                             (args.seed,), cfg.cell_size, cfg.merge_threshold)
     lines = [f"plan A duration {point.duration_a:.2f} s "
              f"({point.trace_a.count('navigate')} navigations)"]
     if point.flaw is None:
@@ -436,6 +434,11 @@ def main(argv=None) -> int:
         parser.error(f"argument --out: no directory {out_dir!r}")
     try:
         cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        # flags that override config values are folded in, so that headers hash what ran
+        if getattr(args, "samples", None) is not None:
+            cfg = dataclasses.replace(cfg, n_samples=args.samples)
+        if getattr(args, "threshold", None) is not None:
+            cfg = dataclasses.replace(cfg, merge_threshold=args.threshold)
         return args.func(args, cfg)
     except (BadConfigError, GridSizeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -185,35 +185,6 @@ def compute_map(gsm: GSMModel, belief, grid_spec: GridSpec, n_samples: int = DEF
 _TRUNCATE_SIGMAS = 6.0
 
 
-def _kernel(sigma: float, h: float, shape: tuple[int, int]):
-    """The robot-noise kernel of standard deviation sigma (m) on cells of
-    size h for a map of this shape: (ri, rj, di, dj, w), the reach on each
-    axis and three lists of the kept offsets and their weights in the order
-    the sum takes them, a weight below 1e-13 dropped; None where sigma**2
-    underflows to 0, the identity. A negative or non-finite sigma raises
-    ValueError."""
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"robot sigma must be finite and non-negative, found {sigma}")
-    var = sigma * sigma  # 0 or inf where sigma ** 2 would raise
-    if var == 0.0:
-        return None
-    nx, ny = shape
-    r = math.ceil(min(_TRUNCATE_SIGMAS * sigma / h, max(nx, ny)))
-    ri, rj = min(r, nx - 1), min(r, ny - 1)
-    di, dj, w = [], [], []
-    col_sq = [(b * h) ** 2 for b in range(-rj, rj + 1)]
-    for a in range(-ri, ri + 1):
-        row_sq = (a * h) ** 2
-        for b, sq in enumerate(col_sq, -rj):
-            wt = math.exp(-0.5 * (row_sq + sq) / var)
-            if wt >= 1e-13:
-                di.append(a)
-                dj.append(b)
-                w.append(wt)
-    return ri, rj, di, dj, w
-
-
 def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
     """Condition the map on isotropic Gaussian robot position noise of
     standard deviation sigma (m).
@@ -231,12 +202,17 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
     p_k + 0.0, the value the full sum gives; inside it each cell takes the
     same terms in the same order.
     """
-    kernel = _kernel(sigma, grid.spec.cell_size, grid.probs.shape)
-    if kernel is None:
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"robot sigma must be finite and non-negative, found {sigma}")
+    var = sigma * sigma  # 0 or inf where sigma ** 2 would raise
+    if var == 0.0:
         return ARPlaceGrid(spec=grid.spec, probs=grid.probs.copy(), frame=grid.frame)
-    ri, rj, *offsets = kernel
+    h = grid.spec.cell_size
     p = grid.probs
     nx, ny = p.shape
+    r = math.ceil(min(_TRUNCATE_SIGMAS * sigma / h, max(nx, ny)))
+    ri, rj = min(r, nx - 1), min(r, ny - 1)
     out = p + 0.0
     # the later cell of each pair of neighbours that differ: a cell whose reach
     # holds none of these sees one value in all of its reach
@@ -250,13 +226,17 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
         j0, j1 = max(cols[0] - rj, 0), min(cols[-1] + rj + 1, ny)
         num = np.zeros((i1 - i0, j1 - j0))
         den = np.zeros_like(num)
-        for di, dj, w in zip(*offsets):
-            # destination cells of the box whose source lies on the grid
-            a0, a1 = max(i0, -di), min(i1, nx - di)
-            b0, b1 = max(j0, -dj), min(j1, ny - dj)
-            dst = (slice(a0 - i0, a1 - i0), slice(b0 - j0, b1 - j0))
-            num[dst] += w * (p[a0 + di:a1 + di, b0 + dj:b1 + dj] - p[a0:a1, b0:b1])
-            den[dst] += w
+        for di in range(-ri, ri + 1):
+            for dj in range(-rj, rj + 1):
+                w = math.exp(-0.5 * ((di * h) ** 2 + (dj * h) ** 2) / var)
+                if w < 1e-13:
+                    continue
+                # destination cells of the box whose source lies on the grid
+                a0, a1 = max(i0, -di), min(i1, nx - di)
+                b0, b1 = max(j0, -dj), min(j1, ny - dj)
+                dst = (slice(a0 - i0, a1 - i0), slice(b0 - j0, b1 - j0))
+                num[dst] += w * (p[a0 + di:a1 + di, b0 + dj:b1 + dj] - p[a0:a1, b0:b1])
+                den[dst] += w
         out[i0:i1, j0:j1] = p[i0:i1, j0:j1] + num / den
     return ARPlaceGrid(spec=grid.spec, probs=np.clip(out, 0.0, 1.0), frame=grid.frame)
 
@@ -325,50 +305,6 @@ def cost_map(grid: ARPlaceGrid, robot_xy: tuple[float, float],
     return CostGrid(spec=grid.spec, costs=costs, frame=grid.frame)
 
 
-def _plateau_argmax(p: np.ndarray, ri: int, rj: int, di: list, dj: list,
-                    w: list) -> int | None:
-    """The flat index np.argmax takes on the smoothed map, found without
-    smoothing it, or None where best_cell's plateau rule does not apply."""
-    nx, ny = p.shape
-    top = p.max()
-    if np.count_nonzero(p == top) < (ri + 1) * (rj + 1):
-        return None  # fewer top cells than the smallest clipped window holds
-    # the map padded by the reach with top, so that a clipped window is all
-    # top where its full window in the padding is
-    a, b = 2 * ri + 1, 2 * rj + 1
-    pad = np.full((nx + a - 1, ny + b - 1), top)
-    pad[ri:ri + nx, rj:rj + ny] = p
-    # the first cell whose window is all top, by an integer prefix sum
-    c = np.zeros((pad.shape[0] + 1, pad.shape[1] + 1), dtype=np.intp)
-    np.cumsum(np.cumsum(pad == top, axis=0), axis=1, out=c[1:, 1:])
-    full = (c[a:, b:] - c[:-a, b:] - c[a:, :-b] + c[:-a, :-b]) == a * b
-    if not full.any():
-        return None
-    su = math.fsum(w) * 2.0 ** -53  # S u
-    below = p[p < top]
-    if len(below) and not top - below.max() > (2 * len(w) + 5) * su:
-        return None
-    first = int(np.argmax(full))
-    # the top cells before it: each offset's term as apply_robot_uncertainty's
-    # loop forms it, +0.0 off the grid; a term below -2 S u keeps the cell
-    # below top, and the others are summed in the loop's order
-    cand = np.flatnonzero(p.ravel()[:first] == top)
-    width = pad.shape[1]
-    at = (np.array(di) * width + dj)[:, None] + (cand // ny + ri) * width + cand % ny + rj
-    wt = np.array(w)[:, None]
-    terms = wt * (pad.take(at) - top)
-    keep = terms.min(axis=0) >= -2.0 * su
-    if keep.any():
-        on = np.zeros(pad.shape)
-        on[ri:ri + nx, rj:rj + ny] = 1.0
-        num = np.cumsum(terms[:, keep], axis=0)[-1]
-        den = np.cumsum(wt * on.take(at[:, keep]), axis=0)[-1]
-        hit = np.flatnonzero(top + num / den == top)
-        if len(hit):
-            return int(cand[keep][hit[0]])
-    return first
-
-
 def best_cell(grid: ARPlaceGrid, smooth_radius: float = 0.0) -> tuple[tuple[int, int], float]:
     """Cell of maximal probability and its value; ties break on the smallest
     (row, col) index.
@@ -378,32 +314,7 @@ def best_cell(grid: ARPlaceGrid, smooth_radius: float = 0.0) -> tuple[tuple[int,
     one whose square underflows) is the map itself, and a negative or
     non-finite radius raises ValueError. The returned probability is read
     from the unsmoothed map.
-
-    Plateau rule, exact for probabilities in [0, 1]: let M be the map's
-    maximum, n the number of kept kernel offsets, S the sum of their weights
-    and u = 2**-53. Where M fills the clipped (2ri+1) x (2rj+1) window of
-    some cell, the map is not smoothed and the same cell is found:
-    - the first such cell smooths to M, its terms being all +0.0, and no
-      cell at M smooths above M, its terms being <= 0;
-    - a cell at p < M smooths below M if the gap from M to the next lower
-      value exceeds (2n+5) S u, else the full smoothing runs. Exactly, the
-      cell smooths to at most M - (M - p)/S, its own weight being 1; the
-      rounding of the sequential sums and of the division moves the
-      quotient by at most (2n+1)u/(1-(2n+1)u), the map's range being at
-      most 1; the final addition rounds to M only from within u of it; and
-      two units spare cover the rounding of the gap and of the margin;
-    - so the argmax is the first cell at M, up to that first cell, whose
-      smoothed value is M. Each of these takes the loop's terms in its
-      order. One with a term below -2 S u is below M without its sums, as
-      the sum is at most that term and the quotient then exceeds u; the
-      others are summed as the loop sums them.
-    A map with fewer cells at M than a corner's window holds, or with no
-    such window, takes the full smoothing.
     """
-    p = grid.probs
-    kernel = _kernel(smooth_radius, grid.spec.cell_size, p.shape)
-    flat = int(np.argmax(p)) if kernel is None else _plateau_argmax(p, *kernel)
-    if flat is None:
-        flat = int(np.argmax(apply_robot_uncertainty(grid, smooth_radius).probs))
+    flat = int(np.argmax(apply_robot_uncertainty(grid, smooth_radius).probs))
     ij = divmod(flat, grid.spec.ny)
-    return ij, float(p[ij])
+    return ij, float(grid.probs[ij])

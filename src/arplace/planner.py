@@ -19,16 +19,14 @@ import numpy as np
 
 from .geometry import ObjectFeatures
 from .grids import GridSpec
-from .placemap import GaussianBelief, best_cell, compute_map, merge
-# not called here; perfbench's tracer patches this module attribute
-from .placemap import apply_robot_uncertainty  # noqa: F401
+from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map, merge
 from .shapemodel import GSMModel
-from .simworld import WorldConfig, grasp_outcome
+from .simworld import WorldConfig, default_world, grasp_outcome
 
 MERGE_THRESHOLD = 0.85
-# best_cell smoothing radius (m): among equally likely cells, prefer the
-# interior of a plateau over its corners
-_TIE_BREAK_RADIUS = 0.02
+# the robot position noise (m) that location queries condition their maps on:
+# the default world's navigation noise, for project and detect_merge_flaw alike
+_NAV_NOISE_SIGMA = default_world().nav_noise_sigma
 # perception scales the belief covariance of the object it observes by this
 _PERCEPTION_SHRINK = 0.5
 
@@ -200,15 +198,15 @@ def plan_duration(trace: ExecutionTrace, time_model: TimeModel) -> float:
 
 
 def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
-                     spec: GridSpec, rng,
-                     above: float | None = None) -> tuple[tuple[float, float], float] | None:
+                     spec: GridSpec, rng) -> tuple[tuple[float, float], float]:
     """The best cell of the joint success map of the objects the designator
-    must reach, as (world-frame center, probability): one world-frame map per
-    object on a seed drawn from np.random.default_rng(rng) in designator
-    order, multiplied cellwise. The designator is left unchanged.
-
-    With above set, a map none of whose cells exceeds it gives None without
-    the tie-break search: the best cell's probability is one of its cells."""
+    must reach, conditioned on the default world's navigation noise, as
+    (world-frame center, probability): one world-frame map per object on a
+    seed drawn from np.random.default_rng(rng) in designator order,
+    multiplied cellwise, then apply_robot_uncertainty. The grasps share one
+    base and one arrival error, so the product is what is conditioned: the
+    probability is the chance that every grasp succeeds from the cell after
+    a noisy arrival. The designator is left unchanged."""
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
@@ -217,9 +215,7 @@ def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
         compute_map(gsm, scene.objects[name].belief, spec,
                     rng=rng.integers(2 ** 31), frame="world")
         for name in designator.objects])
-    if above is not None and not grid.probs.max() > above:
-        return None
-    (i, j), p = best_cell(grid, _TIE_BREAK_RADIUS)
+    (i, j), p = best_cell(apply_robot_uncertainty(grid, _NAV_NOISE_SIGMA))
     return grid.spec.cell_center(i, j), p
 
 
@@ -326,8 +322,8 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
         if set(a.location.objects) == set(b.location.objects):
             continue
         joint = Designator("joint_pick_up", a.location.objects + b.location.objects)
-        location = resolve_location(joint, scene, gsm, spec, rng, above=threshold)
-        if location is not None and location[1] > threshold:
+        location = resolve_location(joint, scene, gsm, spec, rng)
+        if location[1] > threshold:
             return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
     return None
 

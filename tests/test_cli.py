@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -9,13 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arplace import cli, planner, simworld
+from arplace import cli, placemap, planner, simworld
+from arplace.classifier import train_per_pose, train_svm
 from arplace.cli import BadConfigError, PipelineConfig, build_parser, main
-from arplace.evaluation import candidate_grid_spec, merge_experiment, transformation_benefit
+from arplace.evaluation import (SweepPoint, SweepResult, SweepSpec, accuracy_curve,
+                                candidate_grid_spec, merge_experiment, plan_grid_spec,
+                                transformation_benefit)
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
                            load_grid_text, save_grid_text)
 from arplace.placemap import MAX_MAP_SAMPLES
-from arplace.shapemodel import MAX_LANDMARKS, GSMModel
+from arplace.shapemodel import MAX_LANDMARKS, GSMModel, optimize_landmarks, train_gsm
 from arplace.simworld import default_world
 
 
@@ -508,15 +512,15 @@ BENCH_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "gsm
 
 # outputs whose bytes pass through the robot-noise convolution, on the fixed
 # benchmark model: a map conditioned on robot noise, and plans whose merged
-# locations come from best_cell's smoothed argmax
+# locations are resolved on joint maps conditioned on the navigation noise
 CONVOLVED_OUTPUTS = {
     "map_robot_sigma": (["map", "--belief", "belief.json", "--robot-sigma", "0.05",
                          "--seed", "1"],
                         "807bef3882ab464f176515e0f1fe371cbc5d57fb84cf21e7be40791accc4c559"),
     "plan_separation_0.45": (["plan", "--separation", "0.45", "--seed", "0"],
-                             "c5100a3574212aa997f63a7fa28ec2e596f0dee2ebd109ae8034471543fff6a4"),
+                             "33a32ddfbf57a37a4d47cc36c4900dbd5c5b372367c8c03e4e12fa5098049c27"),
     "eval_transform": (["eval", "transform", "--seed", "0"],
-                       "d480d00cc9386481ebb72fb67c364746d488a16798acd0fcbcdf78895b6105e4"),
+                       "06b7dc40b4809439eaa1a42d83c387dd47110bfd6071de8f6f3d84b6caef338c"),
 }
 
 
@@ -884,6 +888,86 @@ def test_plan_command_is_the_merge_experiment_point(artifacts, tmp_path, capsys)
     alone = merge_experiment(0.30, gsm, world, (3, 1))
     assert swept.flaw.proposed_location == alone.flaw.proposed_location
     assert (swept.duration_a, swept.duration_b) == (alone.duration_a, alone.duration_b)
+
+
+@pytest.mark.parametrize("argv, flag, config", [
+    (["map", "--belief", "belief.json"], ["--samples", "500"], {"n_samples": 500}),
+    (["plan", "--separation", "0.45"], ["--threshold", "0.9"], {"merge_threshold": 0.9}),
+], ids=["map_samples", "plan_threshold"])
+def test_an_overriding_flag_writes_the_bytes_of_its_config_value(artifacts, tmp_path, capsys,
+                                                                 argv, flag, config):
+    """--samples and --threshold override n_samples and merge_threshold: the
+    output, its header's config_hash included, is that of a config file
+    holding the same value, and not that of the default config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = [str(artifacts["belief"]) if a == "belief.json" else a for a in argv]
+    argv += ["--model", str(artifacts["model"]), "--seed", "1"]
+    by_flag, by_config = tmp_path / "flag.txt", tmp_path / "config.txt"
+    assert main(argv + flag + ["--out", str(by_flag)]) == 0
+    assert main(argv + ["--config", str(cfg), "--out", str(by_config)]) == 0
+    assert by_flag.read_bytes() == by_config.read_bytes()
+    header = by_flag.read_text().splitlines()[0]
+    assert f"config_hash={PipelineConfig.from_file(cfg).hash()}" in header
+    assert f"config_hash={PipelineConfig().hash()}" not in header
+
+
+def test_plan_command_reports_no_merge_for_distant_cups(tmp_path, capsys):
+    """At 0.60 m no joint cell of the fixed model clears the threshold: the
+    report ends with the no-merge line and names no plan B."""
+    out = tmp_path / "plan.txt"
+    assert main(["plan", "--separation", "0.60", "--seed", "0", "--model", str(BENCH_MODEL),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3 and lines[1].startswith("plan A duration ")
+    assert lines[2] == "no merge flaw detected; plan unchanged"
+
+
+def test_eval_robustness_reports_one_row_per_sweep_point(artifacts, tmp_path, capsys,
+                                                         monkeypatch):
+    """The sweep runs on the config's cell size and map samples, and each of
+    its points is one row of rates, chi-square statistic and p-value."""
+    calls = []
+
+    def sweep(spec, gsm, world, seed):
+        calls.append((spec, world, seed))
+        return SweepResult(spec, [
+            SweepPoint(0.0, {"arplace": 97, "fixed": 95}, 100, 0.1712, 0.679),
+            SweepPoint(0.15, {"arplace": 80, "fixed": 41}, 100, 31.27, 2.2e-08)])
+
+    monkeypatch.setattr(cli, "robustness_experiment", sweep)
+    out = tmp_path / "rob.txt"
+    assert main(["eval", "robustness", "--model", str(artifacts["model"]), "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert calls == [(SweepSpec(cell_size=0.025, n_map_samples=100), default_world(3), 3)]
+    assert out.read_text().splitlines()[1:] == [
+        "sigma_obj arplace fixed chi2 p",
+        "0.00 0.970 0.950 0.1712 0.679",
+        "0.15 0.800 0.410 31.2700 2.2e-08"]
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_pipeline_config_defaults_are_the_library_defaults():
+    """Each PipelineConfig default equals the default of the library code it
+    stands for, so a model trained on library defaults and one trained by
+    the CLI on the default config cannot drift apart."""
+    cfg = PipelineConfig()
+    for fn in (train_svm, train_per_pose, accuracy_curve):
+        assert (_default(fn, "kernel_sigma"), _default(fn, "cost_C"),
+                _default(fn, "positive_class_weight")) == \
+            (cfg.kernel_sigma, cfg.cost_C, cfg.class_weight), fn.__name__
+    assert _default(train_gsm, "n_landmarks") == _default(optimize_landmarks, "m") == \
+        cfg.n_landmarks
+    assert _default(train_gsm, "energy_target") == \
+        _default(optimize_landmarks, "energy_target") == cfg.energy_target
+    assert placemap.DEFAULT_N_SAMPLES == cfg.n_samples
+    assert planner.MERGE_THRESHOLD == cfg.merge_threshold
+    for fn in (candidate_grid_spec, plan_grid_spec, merge_experiment, transformation_benefit):
+        assert _default(fn, "cell_size") == cfg.cell_size, fn.__name__
+    assert SweepSpec().cell_size == cfg.cell_size
 
 
 def test_world_override_via_config(tmp_path, capsys):

@@ -744,8 +744,15 @@ def test_best_cell_smoothing_prefers_plateau_interiors():
 
 
 def _margin(sigma, cell, shape):
-    """best_cell's margin (2n+5) S 2**-53 for this kernel and map shape."""
-    _, _, _, _, w = placemap._kernel(sigma, cell, shape)
+    """(2n+5) S 2**-53 for the n offsets, of weight sum S, that the
+    robot-noise kernel keeps on this map shape: a gap from the maximum near
+    it is where a smoothed cell below the maximum can round up to it."""
+    nx, ny = shape
+    r = math.ceil(min(6.0 * sigma / cell, max(nx, ny)))
+    ri, rj = min(r, nx - 1), min(r, ny - 1)
+    w = [math.exp(-0.5 * ((a * cell) ** 2 + (b * cell) ** 2) / sigma ** 2)
+         for a in range(-ri, ri + 1) for b in range(-rj, rj + 1)]
+    w = [wt for wt in w if wt >= 1e-13]
     return (2 * len(w) + 5) * math.fsum(w) * 2.0 ** -53
 
 
@@ -753,7 +760,7 @@ def _margin(sigma, cell, shape):
 def tie_break_cases(draw):
     """(probs, sigma, cell): a plateau map, a radius of 0.2 to 40 cells (past
     every grid's extent), and in half the cases the map's second value moved
-    to a gap from its maximum of 0.5 to 10**6 times best_cell's margin."""
+    to a gap from its maximum of 0.5 to 10**6 times _margin."""
     probs = draw(plateau_maps())
     cell = draw(st.sampled_from([0.025, 0.05]))
     sigma = cell * draw(st.sampled_from([0.2, 0.3, 0.5, 0.8, 1.0, 1.5, 2.5, 5.0, 40.0]))
@@ -769,8 +776,8 @@ def tie_break_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(tie_break_cases())
 def test_best_cell_is_the_argmax_of_the_full_smoothing(case):
-    """The plateau rule finds the cell the full smoothing would, on every
-    map: with and without a plateau, at gaps within and beyond the margin."""
+    """best_cell finds the cell the full smoothing would, on every map: with
+    and without a plateau, at gaps within and beyond the margin."""
     probs, sigma, cell = case
     grid = _grid(probs, spec=GridSpec(0.0, 0.0, cell, *probs.shape))
     ij, p = best_cell(grid, sigma)
@@ -779,23 +786,19 @@ def test_best_cell_is_the_argmax_of_the_full_smoothing(case):
     assert p == float(probs[ij])
 
 
-def _refused(*args):
-    raise AssertionError("this map should not be smoothed")
-
-
-def test_a_plateau_map_resolves_without_smoothing(monkeypatch):
+def test_a_plateau_map_resolves_without_smoothing():
     """A 13x14 plateau of 1.0 holds an all-1.0 window of 11x11 cells (reach
-    5 at sigma 0.02 on 0.025-m cells), so no map is smoothed."""
+    5 at sigma 0.02 on 0.025-m cells): the first such cell smooths to 1.0
+    and wins over the plateau's cells before it."""
     probs = np.full((20, 24), 0.3)
     probs[3:16, 4:18] = 1.0
     probs[3, 4] = 0.99
     grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.025, 20, 24))
     want = divmod(int(np.argmax(_full_grid_reference(grid, 0.02))), 24)
-    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
     assert best_cell(grid, 0.02) == (want, 1.0)
 
 
-def test_a_plateau_cell_whose_lower_neighbour_weighs_too_little_still_wins(monkeypatch):
+def test_a_plateau_cell_whose_lower_neighbour_weighs_too_little_still_wins():
     """At sigma 0.01 on 0.05-m cells the diagonal weight is exp(-25), about
     1.4e-11: the 1e-6 drop at (1, 1) moves (0, 0)'s smoothed value by less
     than half an ulp of 1.0, so (0, 0) smooths to 1.0 and is the argmax,
@@ -805,11 +808,10 @@ def test_a_plateau_cell_whose_lower_neighbour_weighs_too_little_still_wins(monke
     probs[1, 1] = 1.0 - 1e-6
     grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.05, 20, 9))
     assert int(np.argmax(_full_grid_reference(grid, 0.01))) == 0
-    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
     assert best_cell(grid, 0.01) == ((0, 0), 1.0)
 
 
-def test_a_corner_cell_is_renormalized_over_its_weights_on_the_grid(monkeypatch):
+def test_a_corner_cell_is_renormalized_over_its_weights_on_the_grid():
     """A 20x9 map at 1.0 but for (1, 1) at 1 - 4.0e-6, at sigma 0.01 on
     0.05-m cells (reach 2, 3x3 offsets kept): (0, 0)'s one nonzero term,
     about -5.6e-17, divided by its weights on the grid (1 + 7.5e-6) lies
@@ -821,7 +823,6 @@ def test_a_corner_cell_is_renormalized_over_its_weights_on_the_grid(monkeypatch)
     grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.05, 20, 9))
     flat = int(np.argmax(_full_grid_reference(grid, 0.01)))
     assert flat > 0
-    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
     assert best_cell(grid, 0.01) == (divmod(flat, 9), 1.0)
 
 
@@ -852,12 +853,10 @@ def test_a_single_cell_maximum_takes_the_full_smoothing(monkeypatch):
     assert ij != (2, 20) and p == 0.8
 
 
-def test_best_cell_at_an_underflowing_radius_is_the_plain_argmax(monkeypatch):
-    """1e-200 squared is 0: the map itself, first maximal cell, no
-    smoothing."""
+def test_best_cell_at_an_underflowing_radius_is_the_plain_argmax():
+    """1e-200 squared is 0: the map itself, first maximal cell."""
     probs = np.zeros((10, 10))
     probs[1:6, 1:6] = 1.0
-    monkeypatch.setattr(placemap, "apply_robot_uncertainty", _refused)
     grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.05, 10, 10))
     assert best_cell(grid, 1e-200) == ((1, 1), 1.0)
 

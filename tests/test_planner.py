@@ -267,8 +267,8 @@ def test_merge_flaw_absent_for_distant_cups(gsm):
 
 
 def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
-    """detect_merge_flaw as it was before the early stop: every joint
-    designator runs the tie-break search, and its cell decides."""
+    """detect_merge_flaw spelled out: every joint designator is resolved,
+    and its cell's probability decides."""
     rng = np.random.default_rng(rng)
     tasks = planner._pickup_tasks(plan)
     for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
@@ -301,35 +301,6 @@ def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
         assert flaw == _detect_merge_flaw_reference(plan, scene, gsm, spec, seed, threshold)
         outcomes.add(flaw and flaw.tasks)
     assert outcomes == {(0, 1), (1, 2), None}
-
-
-def test_a_joint_map_at_or_below_the_threshold_never_reaches_best_cell(gsm, monkeypatch):
-    """resolve_location(..., above=t) returns None without the tie-break
-    search when no cell of the joint map exceeds t, and searches as before
-    otherwise. At 0.45 m the map's peak lies above the cell best_cell picks,
-    so a flaw still needs that cell's probability above the threshold."""
-    joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
-    scene, spec = make_two_cup_scene(0.45), _spec(0.45)
-    best_cell, peaks = planner.best_cell, []
-
-    def recording(grid, radius):
-        peaks.append(float(grid.probs.max()))
-        return best_cell(grid, radius)
-
-    def refused(grid, radius):
-        raise AssertionError("the tie-break search ran")
-
-    monkeypatch.setattr(planner, "best_cell", recording)
-    location = resolve_location(joint, scene, gsm, spec, rng=5)
-    peak = peaks[0]
-    assert 0.0 < location[1] <= peak < 1.0
-    assert resolve_location(joint, scene, gsm, spec, rng=5,
-                            above=float(np.nextafter(peak, 0.0))) == location
-    monkeypatch.setattr(planner, "best_cell", refused)
-    for above in (peak, 1.0):
-        assert resolve_location(joint, scene, gsm, spec, rng=5, above=above) is None
-    assert detect_merge_flaw(two_pickup_plan(), scene, gsm, spec, rng=5,
-                             threshold=peak) is None
 
 
 def test_merge_transform_structural_diff(gsm):
