@@ -80,7 +80,7 @@ class ARPlaceGrid:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("probs shape must be (nx, ny)")
-        if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):  # NaN fails too
+        if not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
 
     def same_geometry(self, other: "ARPlaceGrid") -> bool:

@@ -10,6 +10,7 @@ navigation cost map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,10 +31,10 @@ class GaussianBelief:
     """Gaussian belief over object displacement (dx_obj, dy_obj, dpsi_obj):
     distance from the table edge, lateral position along it, orientation.
 
-    The covariance is checked and factored once, by one eigendecomposition:
-    root = evecs * sqrt(clip(evals, 0)), so semidefinite beliefs are accepted
-    and root @ root.T is the covariance. mean, cov and root are read-only
-    float arrays."""
+    The covariance is checked and factored by one eigendecomposition, shared
+    by equal covariance bytes: root = evecs * sqrt(clip(evals, 0)), so
+    semidefinite beliefs pass and root @ root.T is the covariance. mean, cov
+    and root are read-only float arrays."""
 
     mean: np.ndarray  # (3,)
     cov: np.ndarray   # (3, 3)
@@ -53,11 +54,7 @@ class GaussianBelief:
         if not all(abs(c[i][j] - c[j][i]) <= 1e-12 + 1e-5 * abs(c[j][i])
                    for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))):
             raise ValueError("covariance must be symmetric")
-        evals, evecs = np.linalg.eigh(cov)
-        if evals[0] < -1e-12:
-            raise ValueError("covariance must be positive semidefinite")
-        root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        for name, a in (("mean", mean), ("cov", cov), ("root", root)):
+        for name, a in (("mean", mean), ("cov", cov), ("root", _factor(cov.tobytes()))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -77,6 +74,17 @@ class GaussianBelief:
         return self.mean + rng.standard_normal((n, 3)) @ self.root.T
 
 
+@functools.lru_cache(maxsize=32)
+def _factor(cov: bytes) -> np.ndarray:
+    """Read-only root of the 3x3 covariance whose C-order bytes are cov."""
+    evals, evecs = np.linalg.eigh(np.frombuffer(cov).reshape(3, 3))
+    if evals[0] < -1e-12:
+        raise ValueError("covariance must be positive semidefinite")
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    root.setflags(write=False)
+    return root
+
+
 _FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
 
 
@@ -84,8 +92,7 @@ def _count_below(v: np.ndarray, lines: np.ndarray, first, n: int, step: float) -
     """For each v[i], not NaN, the number of lines[first[i] + t], t < n,
     strictly below it, the n lines ascending about step apart. One division,
     then steps to the exact count against those floats; a quotient beyond the
-    float range clamps to 0 or n all the same. first is an index array or a
-    scalar."""
+    float range clamps to 0 or n all the same. first is an index array."""
     with np.errstate(over="ignore"):
         a = np.ceil((v - lines[first]) / step)
     a = np.fmin(np.fmax(a, 0), n).astype(np.intp)
@@ -113,7 +120,7 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
     [k1, k2), [k3, k4), ...; a difference array and a cumulative sum turn
     the spans into counts. Every membership decision equals
     points_in_polygon's on center_points() - [0, shift]. The work is m row
-    lookups per polygon plus one column lookup per crossing.
+    lookups per polygon plus one column lookup (searchsorted) per crossing.
     """
     xs, ys = spec.centers()
     nx, ny = spec.nx, spec.ny
@@ -140,7 +147,7 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
         y = y_rows[row]
         xint = bx[v] + (y - by[v]) * (bx[w] - bx[v]) / (by[w] - by[v])
         # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort(row * width + _count_below(xint, xs, 0, nx, spec.cell_size))
+        keys = np.sort(row * width + np.searchsorted(xs, xint))
         diff += np.bincount(keys[0::2] % size, minlength=size)
         diff -= np.bincount(keys[1::2] % size, minlength=size)
     return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
@@ -238,7 +245,7 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
                 num[dst] += w * (p[a0 + di:a1 + di, b0 + dj:b1 + dj] - p[a0:a1, b0:b1])
                 den[dst] += w
         out[i0:i1, j0:j1] = p[i0:i1, j0:j1] + num / den
-    return ARPlaceGrid(spec=grid.spec, probs=np.clip(out, 0.0, 1.0), frame=grid.frame)
+    return ARPlaceGrid(spec=grid.spec, probs=np.clip(out, 0.0, 1.0, out=out), frame=grid.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +317,11 @@ def best_cell(grid: ARPlaceGrid, smooth_radius: float = 0.0) -> tuple[tuple[int,
     (row, col) index.
 
     The cell is np.argmax of apply_robot_uncertainty(grid, smooth_radius),
-    which prefers the interior of plateaus over their corners: radius 0 (or
-    one whose square underflows) is the map itself, and a negative or
-    non-finite radius raises ValueError. The returned probability is read
-    from the unsmoothed map.
+    which prefers the interior of plateaus over their corners: radius 0 reads
+    the map itself, uncopied, and a negative or non-finite radius raises
+    ValueError. The returned probability is read from the unsmoothed map.
     """
-    flat = int(np.argmax(apply_robot_uncertainty(grid, smooth_radius).probs))
+    probs = grid.probs if smooth_radius == 0 else apply_robot_uncertainty(grid, smooth_radius).probs
+    flat = int(np.argmax(probs))
     ij = divmod(flat, grid.spec.ny)
     return ij, float(grid.probs[ij])

@@ -10,7 +10,6 @@ when their joint designator still resolves to a high success probability.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
@@ -173,13 +172,13 @@ class TimeModel:
         return 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     kind: str          # navigate | perceive | grasp
     detail: dict
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionTrace:
     time_model: TimeModel  # the one project ran under; it times the events
     events: list[TraceEvent] = field(default_factory=list)
@@ -290,7 +289,7 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
 # flaws and transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flaw:
     """Unoptimized-locations flaw: two pick-up tasks that can share a base."""
 
@@ -328,10 +327,19 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
     return None
 
 
+def _copy_plan(node: PlanNode, designators: dict) -> PlanNode:
+    """The tree copied node by node; tasks sharing a designator share its copy."""
+    d = node.location
+    if d is not None and d not in designators:
+        designators[d] = replace(d)
+    return PlanNode(node.kind, node.goal, designators.get(d),
+                    [_copy_plan(c, designators) for c in node.children])
+
+
 def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:
     """Return a new plan in which both flawed pick-up tasks share one
     resolved joint location designator; the plan passed in is unchanged."""
-    new_plan = copy.deepcopy(plan)
+    new_plan = _copy_plan(plan, {})
     tasks = _pickup_tasks(new_plan)
     try:
         nodes = [tasks[k] for k in flaw.tasks]

@@ -74,6 +74,27 @@ def test_belief_sample_is_the_clipped_eigen_root(cov):
     np.testing.assert_array_equal(draws, mean + z @ root.T)
 
 
+@pytest.mark.parametrize("cov", [
+    np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.002], [0.0, 0.002, 0.25]]),
+    np.array([[0.04, -0.0, 0.0], [-0.0, 0.09, 0.0], [0.0, 0.0, 0.25]]),
+    np.diag([0.01, -0.0, 0.04]),
+    np.asfortranarray([[0.04, 0.01 + 1e-13, 0.0], [0.01, 0.09, 0.0], [0.0, 0.0, 0.25]]),
+], ids=["full", "negative_zero_off_diagonal", "negative_zero_diagonal", "fortran_order"])
+def test_beliefs_of_equal_covariance_get_the_fresh_eigen_root(cov):
+    """Beliefs of one covariance, built after beliefs of its +0.0 twin and
+    of a neighbour 1e-13 off the diagonal, hold roots equal bit for bit to a
+    fresh eigh factor of that covariance, signs of zeros included, and
+    read-only."""
+    evals, evecs = np.linalg.eigh(cov)
+    want = (evecs * np.sqrt(np.clip(evals, 0.0, None))).tobytes()
+    GaussianBelief((0.0, 0.0, 0.0), cov + 0.0)
+    GaussianBelief((0.0, 0.0, 0.0), cov + 1e-13 * (1.0 - np.eye(3)))
+    beliefs = [GaussianBelief((0.1, 0.0, 0.2), cov), GaussianBelief((0.0, 0.3, 0.0), cov.copy())]
+    for belief in beliefs:
+        assert belief.root.tobytes() == want
+        assert not belief.root.flags.writeable
+
+
 def _rejected_as_asymmetric(cov) -> bool:
     try:
         GaussianBelief((0.0, 0.0, 0.0), cov)
@@ -311,7 +332,8 @@ def test_count_below_is_searchsorted_on_and_beside_the_lines():
     xs = GridSpec(-0.35, 0.0, 0.1, 17, 1).centers()[0]
     v = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
                         [-1e300, 1e300, -np.inf, np.inf, -0.0, 0.0]])
-    np.testing.assert_array_equal(_count_below(v, xs, 0, len(xs), 0.1),
+    first = np.zeros(len(v), dtype=np.intp)
+    np.testing.assert_array_equal(_count_below(v, xs, first, len(xs), 0.1),
                                   np.searchsorted(xs, v, side="left"))
 
 
@@ -786,7 +808,7 @@ def test_best_cell_is_the_argmax_of_the_full_smoothing(case):
     assert p == float(probs[ij])
 
 
-def test_a_plateau_map_resolves_without_smoothing():
+def test_the_first_plateau_cell_whose_window_is_all_maximum_wins():
     """A 13x14 plateau of 1.0 holds an all-1.0 window of 11x11 cells (reach
     5 at sigma 0.02 on 0.025-m cells): the first such cell smooths to 1.0
     and wins over the plateau's cells before it."""
@@ -798,7 +820,7 @@ def test_a_plateau_map_resolves_without_smoothing():
     assert best_cell(grid, 0.02) == (want, 1.0)
 
 
-def test_a_plateau_cell_whose_lower_neighbour_weighs_too_little_still_wins():
+def test_a_lower_neighbour_within_half_an_ulp_leaves_the_corner_cell_the_argmax():
     """At sigma 0.01 on 0.05-m cells the diagonal weight is exp(-25), about
     1.4e-11: the 1e-6 drop at (1, 1) moves (0, 0)'s smoothed value by less
     than half an ulp of 1.0, so (0, 0) smooths to 1.0 and is the argmax,
@@ -811,7 +833,7 @@ def test_a_plateau_cell_whose_lower_neighbour_weighs_too_little_still_wins():
     assert best_cell(grid, 0.01) == ((0, 0), 1.0)
 
 
-def test_a_corner_cell_is_renormalized_over_its_weights_on_the_grid():
+def test_a_corner_cell_renormalized_over_its_on_grid_weights_smooths_below_the_maximum():
     """A 20x9 map at 1.0 but for (1, 1) at 1 - 4.0e-6, at sigma 0.01 on
     0.05-m cells (reach 2, 3x3 offsets kept): (0, 0)'s one nonzero term,
     about -5.6e-17, divided by its weights on the grid (1 + 7.5e-6) lies
@@ -836,7 +858,7 @@ def test_a_cell_one_ulp_below_the_maximum_can_smooth_to_it():
     assert best_cell(grid, 0.02) == ((0, 0), 1.0 - 2.0 ** -53)
 
 
-def test_a_single_cell_maximum_takes_the_full_smoothing(monkeypatch):
+def test_best_cell_smooths_once_and_an_isolated_spike_loses(monkeypatch):
     """With one cell at the maximum no window is all maximum, and the
     argmax comes from apply_robot_uncertainty."""
     probs = np.full((20, 24), 0.5)
@@ -851,6 +873,23 @@ def test_a_single_cell_maximum_takes_the_full_smoothing(monkeypatch):
     assert calls == [0.02]
     assert ij == divmod(int(np.argmax(_full_grid_reference(grid, 0.02))), 24)
     assert ij != (2, 20) and p == 0.8
+
+
+def test_best_cell_at_radius_zero_reads_the_map_without_smoothing(monkeypatch):
+    """Radius 0 (and -0.0) takes the argmax of grid.probs itself: no
+    apply_robot_uncertainty call, so no copy of the map."""
+    probs = np.full((20, 24), 0.5)
+    probs[8:16, 6:18] = 0.8
+    probs[2, 20] = 0.9
+    grid = _grid(probs, spec=GridSpec(0.0, 0.0, 0.025, 20, 24))
+    calls = []
+    smooth = placemap.apply_robot_uncertainty
+    monkeypatch.setattr(placemap, "apply_robot_uncertainty",
+                        lambda g, s: calls.append(s) or smooth(g, s))
+    assert best_cell(grid, 0.0) == ((2, 20), 0.9)
+    assert best_cell(grid, -0.0) == ((2, 20), 0.9)
+    assert best_cell(grid) == ((2, 20), 0.9)
+    assert calls == []
 
 
 def test_best_cell_at_an_underflowing_radius_is_the_plain_argmax():

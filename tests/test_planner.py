@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,8 +9,8 @@ from arplace import planner
 from arplace.evaluation import make_two_cup_scene
 from arplace.grids import GridSpec
 from arplace.placemap import GaussianBelief
-from arplace.planner import (Designator, Flaw, PlanNode, SceneObject, TimeModel,
-                             UnresolvableDesignatorError, achieve_grasp,
+from arplace.planner import (Designator, ExecutionTrace, Flaw, PlanNode, SceneObject,
+                             TimeModel, TraceEvent, UnresolvableDesignatorError, achieve_grasp,
                              apply_merge_transform, at_location,
                              detect_merge_flaw, perceive, pickup_task,
                              plan_duration, plan_to_sexp, project,
@@ -349,3 +351,45 @@ def test_merge_transform_rejects_foreign_flaws():
     with pytest.raises(ValueError):
         apply_merge_transform(sequence(pickup_task("cup-a")), flaw)
 
+
+def _merge_reference(plan, flaw):
+    """apply_merge_transform as it was written on copy.deepcopy."""
+    new_plan = copy.deepcopy(plan)
+    shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
+    for k in flaw.tasks:
+        planner._pickup_tasks(new_plan)[k].location = shared
+    return new_plan
+
+
+def _sharing(plan):
+    """For each at_location node, the position of the first node holding
+    the same designator object."""
+    locations = [n.location for n in plan.walk() if n.kind == "at_location"]
+    return [next(k for k, d in enumerate(locations) if d is loc) for loc in locations]
+
+
+def test_merge_transform_keeps_a_shared_designator_shared():
+    """Tasks 0 and 1 share one designator; after tasks 2 and 3 merge they
+    still share one, a new one, as under copy.deepcopy's memo."""
+    d = Designator("joint_pick_up", ("cup-a", "cup-b"))
+    plan = sequence(at_location(d, perceive("cup-a"), achieve_grasp("cup-a")),
+                    at_location(d, perceive("cup-b"), achieve_grasp("cup-b")),
+                    pickup_task("cup-c"), pickup_task("cup-d"))
+    before = plan_to_sexp(plan)
+    flaw = Flaw((2, 3), ("cup-c", "cup-d"), proposed_location=((0.5, 0.1), 0.9))
+    merged = apply_merge_transform(plan, flaw)
+    reference = _merge_reference(plan, flaw)
+    assert _sharing(merged) == _sharing(reference) == [0, 0, 2, 2]
+    assert plan_to_sexp(merged) == plan_to_sexp(reference)
+    assert plan_to_sexp(plan) == before and _sharing(plan) == [0, 0, 2, 3]
+    originals = {id(n.location) for n in plan.walk() if n.kind == "at_location"}
+    assert not originals & {id(n.location) for n in merged.walk() if n.kind == "at_location"}
+    assert not {id(n) for n in plan.walk()} & {id(n) for n in merged.walk()}
+
+
+def test_trace_and_flaw_records_carry_no_instance_dict():
+    flaw = Flaw((0, 1), ("cup-a", "cup-b"), proposed_location=((0.5, 0.0), 0.9))
+    for obj in (TraceEvent("perceive", {"object": "cup-a"}), ExecutionTrace(TimeModel()), flaw):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flaw.tasks = (1, 2)
