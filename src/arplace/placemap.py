@@ -88,39 +88,19 @@ def _factor(cov: bytes) -> np.ndarray:
 _FILL_BLOCK = 256  # polygons rasterized together; bounds the working memory
 
 
-def _count_below(v: np.ndarray, lines: np.ndarray, first, n: int, step: float) -> np.ndarray:
-    """For each v[i], not NaN, the number of lines[first[i] + t], t < n,
-    strictly below it, the n lines ascending about step apart. One division,
-    then steps to the exact count against those floats; a quotient beyond the
-    float range clamps to 0 or n all the same. first is an index array."""
-    with np.errstate(over="ignore"):
-        a = np.ceil((v - lines[first]) / step)
-    a = np.fmin(np.fmax(a, 0), n).astype(np.intp)
-    while True:
-        up = (a < n) & (lines[first + np.minimum(a, n - 1)] < v)
-        down = (a > 0) & ~(lines[first + np.maximum(a - 1, 0)] < v)
-        if not (up.any() or down.any()):
-            return a
-        a += up
-        a -= down
+def _fill_counts(polygons: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """(nx, ny) number of polygons containing each cell center.
 
-
-def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """(nx, ny) number of polygons containing each cell center, polygon k
-    translated by shifts[k] along y.
-
-    Even-odd scanline fill. Row j of polygon k lies at ys[j] - shifts[k].
-    The number of rows strictly below each vertex is estimated by one
-    division and then stepped to the exact count against those floats, so
-    an edge crosses exactly the rows between the counts of its two end
-    points. Each crossing is intersected with its row using the float
-    expressions of classifier.points_in_polygon and becomes k, the number of
-    cell centers strictly to its left, counted by the same rule. Sorted per
-    (polygon, row), the crossings k1 <= k2 <= ... bound the inside spans
-    [k1, k2), [k3, k4), ...; a difference array and a cumulative sum turn
-    the spans into counts. Every membership decision equals
-    points_in_polygon's on center_points() - [0, shift]. The work is m row
-    lookups per polygon plus one column lookup (searchsorted) per crossing.
+    Even-odd scanline fill. Rows and columns are counted by one rule,
+    searchsorted on the grid's own centers (the number of ys or xs strictly
+    below a value): an edge crosses exactly the rows between the counts of
+    its two end points, and each crossing, intersected with its row by the
+    float expressions of classifier.points_in_polygon, becomes k, the number
+    of centers strictly to its left. Sorted per (polygon, row), the
+    crossings k1 <= k2 <= ... bound the inside spans [k1, k2), [k3, k4),
+    ...; a difference array and a cumulative sum turn the spans into counts.
+    Every membership decision equals points_in_polygon's on center_points(),
+    for one row lookup per vertex and one column lookup per crossing.
     """
     xs, ys = spec.centers()
     nx, ny = spec.nx, spec.ny
@@ -130,37 +110,33 @@ def _fill_counts(polygons: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np
     for start in range(0, len(polygons), _FILL_BLOCK):
         block = polygons[start:start + _FILL_BLOCK]
         nb, m = block.shape[:2]
-        # row j of polygon k is y_rows[k * ny + j]; vertex v is (bx[v], by[v])
-        y_rows = (ys[None, :] - shifts[start:start + _FILL_BLOCK, None]).ravel()
         bx, by = block[:, :, 0].ravel(), block[:, :, 1].ravel()
-        row0 = np.repeat(np.arange(nb) * ny, m)
-        a = _count_below(by, y_rows, row0, ny, spec.cell_size)
+        a = np.searchsorted(ys, by)
         # edge v runs to vertex nxt[v] and crosses the rows [lo, lo + span)
         nxt = np.arange(1, nb * m + 1)
         nxt[m - 1::m] -= m
         lo = np.minimum(a, a[nxt])
         span = np.abs(a - a[nxt])
         v = np.repeat(np.arange(nb * m), span)
-        # flat (polygon, row) index of each crossing, as in y_rows
-        row = np.repeat(row0 + lo - (np.cumsum(span) - span), span) + np.arange(len(v))
+        row = np.repeat(lo - (np.cumsum(span) - span), span) + np.arange(len(v))
         w = nxt[v]
-        y = y_rows[row]
+        y = ys[row]
         xint = bx[v] + (y - by[v]) * (bx[w] - bx[v]) / (by[w] - by[v])
         # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort(row * width + np.searchsorted(xs, xint))
+        keys = np.sort(((v // m) * ny + row) * width + np.searchsorted(xs, xint))
         diff += np.bincount(keys[0::2] % size, minlength=size)
         diff -= np.bincount(keys[1::2] % size, minlength=size)
     return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
 
 
-def sample_boundaries(gsm: GSMModel, belief, n_samples: int,
-                      rng) -> tuple[np.ndarray, np.ndarray]:
+def sample_boundaries(gsm: GSMModel, belief, n_samples: int, rng) -> np.ndarray:
     """Draw object poses from the belief and predict one boundary per draw.
 
-    Returns (polygons (n, m, 2), shifts (n,)): each polygon is reconstructed
-    in the object-relative frame and the sampled lateral displacement is kept
-    as a rigid translation along the table edge. Any belief object exposing
-    ``sample(rng, n) -> (n, 3)`` works; Gaussian is the shipped form.
+    Returns polygons (n, m, 2): each is reconstructed in the object-relative
+    frame and translated along the table edge by its draw's lateral
+    displacement (y is the prediction plus the draw, x the prediction). Any
+    belief object exposing ``sample(rng, n) -> (n, 3)`` works; Gaussian is
+    the shipped form.
 
     Before prediction the edge distance is clamped to [0, dx_hi] and the
     orientation to [dpsi_lo, dpsi_hi] of the regression's training bounds
@@ -176,15 +152,16 @@ def sample_boundaries(gsm: GSMModel, belief, n_samples: int,
     psi_lo, psi_hi = gsm.regression.training_bounds["dpsi_obj"]
     dx = np.maximum(np.minimum(draws[:, 0], dx_hi), 0.0)
     dpsi = wrap_angle(np.minimum(np.maximum(draws[:, 2], psi_lo), psi_hi))
-    return gsm.predict_landmarks(dx, dpsi), draws[:, 1].copy()
+    polygons = gsm.predict_landmarks(dx, dpsi)
+    polygons[:, :, 1] += draws[:, 1, None]
+    return polygons
 
 
 def compute_map(gsm: GSMModel, belief, grid_spec: GridSpec, n_samples: int = DEFAULT_N_SAMPLES,
                 rng=0, frame: str = "gsm") -> ARPlaceGrid:
     """Monte-Carlo success map: each cell holds the fraction of sampled,
-    shifted boundaries that contain its center."""
-    polygons, shifts = sample_boundaries(gsm, belief, n_samples, rng)
-    probs = _fill_counts(polygons, shifts, grid_spec) / n_samples
+    translated boundaries that contain its center."""
+    probs = _fill_counts(sample_boundaries(gsm, belief, n_samples, rng), grid_spec) / n_samples
     return ARPlaceGrid(spec=grid_spec, probs=probs, frame=frame)
 
 

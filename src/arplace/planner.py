@@ -60,6 +60,8 @@ class Designator:
         self.objects = tuple(self.objects)
         if not self.objects:
             raise ValueError("a designator must name at least one object")
+        if len(set(self.objects)) < len(self.objects):
+            raise ValueError(f"a designator names each object once, not {self.objects}")
 
 
 @dataclass
@@ -320,10 +322,11 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
             continue
         if set(a.location.objects) == set(b.location.objects):
             continue
-        joint = Designator("joint_pick_up", a.location.objects + b.location.objects)
+        joint = Designator("joint_pick_up",
+                           tuple(dict.fromkeys(a.location.objects + b.location.objects)))
         location = resolve_location(joint, scene, gsm, spec, rng)
         if location[1] > threshold:
-            return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
+            return Flaw((ka, kb), tuple(sorted(joint.objects)), location)
     return None
 
 

@@ -785,7 +785,7 @@ def test_extract_contour_matches_the_point_test_on_the_training_contours(pipelin
         values = model.decision_values(pts).reshape(spec.nx, spec.ny)
         for loop in _marching_squares(values, xs, ys):
             np.testing.assert_array_equal(
-                _fill_counts(loop[None], np.zeros(1), spec),
+                _fill_counts(loop[None], spec),
                 points_in_polygon(loop, pts).reshape(spec.nx, spec.ny))
         np.testing.assert_array_equal(extract_contour(model, spec),
                                       _extract_contour_reference(model, spec))

@@ -12,9 +12,9 @@ from arplace.classifier import points_in_polygon
 from arplace.evaluation import candidate_grid_spec
 from arplace.geometry import ObjectFeatures
 from arplace.grids import ARPlaceGrid, GridSpec
-from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _count_below, _fill_counts,
-                              apply_robot_uncertainty, best_cell, compute_map, cost_map,
-                              merge, resample_to, sample_boundaries, union_edges)
+from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts, apply_robot_uncertainty,
+                              best_cell, compute_map, cost_map, merge, resample_to,
+                              sample_boundaries, union_edges)
 
 SPEC = GridSpec(0.0, -0.4, 0.05, 8, 10)
 
@@ -211,15 +211,23 @@ def test_compute_map_point_belief_is_indicator(gsm):
 def test_sample_boundaries_clamps_to_training_range(gsm):
     lo, hi = gsm.regression.training_bounds["dpsi_obj"]
     belief = GaussianBelief((0.14, 0.0, hi + 5.0), np.zeros((3, 3)))
-    polygons, shifts = sample_boundaries(gsm, belief, 3, rng=0)
+    polygons = sample_boundaries(gsm, belief, 3, rng=0)
     want = gsm.boundary_for(ObjectFeatures(0.14, hi), warn_extrapolation=False)
     np.testing.assert_array_equal(polygons[0], want.landmarks)
 
 
 def test_sample_boundaries_shifts_by_lateral_mean(gsm):
-    belief = GaussianBelief((0.14, 0.25, 0.0), np.zeros((3, 3)))
-    polygons, shifts = sample_boundaries(gsm, belief, 2, rng=0)
-    assert shifts[0] == pytest.approx(0.25)
+    """Each boundary is the prediction translated by its draw: x is the
+    prediction's and y the prediction's plus the lateral draw, exactly, with
+    and without lateral variance."""
+    want = gsm.boundary_for(ObjectFeatures(0.14, 0.0)).landmarks
+    for cov in (np.zeros((3, 3)), np.diag([0.0, 0.04, 0.0])):
+        belief = GaussianBelief((0.14, 0.25, 0.0), cov)
+        polygons = sample_boundaries(gsm, belief, 4, rng=0)
+        lateral = belief.sample(np.random.default_rng(0), 4)[:, 1]
+        assert cov[1, 1] > 0 or (lateral == 0.25).all()
+        np.testing.assert_array_equal(polygons[:, :, 0], np.tile(want[:, 0], (4, 1)))
+        np.testing.assert_array_equal(polygons[:, :, 1], want[None, :, 1] + lateral[:, None])
 
 
 def test_sample_boundaries_edge_distance_clamp_policy(gsm):
@@ -230,7 +238,7 @@ def test_sample_boundaries_edge_distance_clamp_policy(gsm):
 
     def drawn(dx):
         belief = GaussianBelief((dx, 0.0, 0.2), np.zeros((3, 3)))
-        return sample_boundaries(gsm, belief, 1, rng=0)[0][0]
+        return sample_boundaries(gsm, belief, 1, rng=0)[0]
 
     def predicted(dx):
         return gsm.boundary_for(ObjectFeatures(dx, 0.2), warn_extrapolation=False).landmarks
@@ -246,11 +254,20 @@ def test_sample_boundaries_edge_distance_clamp_policy(gsm):
 # ---------------------------------------------------------------------------
 
 def _fill_oracle(polygons, shifts, spec):
+    """Per-point even-odd counts of the polygons, polygon k translated by
+    shifts[k] along y."""
     pts = spec.center_points()
     counts = np.zeros(len(pts), dtype=np.int64)
     for poly, shift in zip(polygons, shifts):
-        counts += points_in_polygon(poly, pts - np.array([0.0, shift]))
+        counts += points_in_polygon(poly + np.array([0.0, shift]), pts)
     return counts.reshape(spec.nx, spec.ny)
+
+
+def _translated(polygons, shifts):
+    """The polygons translated along y as sample_boundaries translates them."""
+    out = np.array(polygons, dtype=float)
+    out[:, :, 1] += shifts[:, None]
+    return out
 
 
 # centers on multiples of 0.25, exact in binary, so the cases below put
@@ -279,7 +296,7 @@ FILL_CASES = {
 def test_fill_matches_even_odd_oracle_on_degenerate_cases(name, shift):
     polygons = np.array(FILL_CASES[name], dtype=float)
     shifts = np.full(len(polygons), shift)
-    np.testing.assert_array_equal(_fill_counts(polygons, shifts, EXACT),
+    np.testing.assert_array_equal(_fill_counts(_translated(polygons, shifts), EXACT),
                                   _fill_oracle(polygons, shifts, EXACT))
 
 
@@ -288,53 +305,44 @@ def test_fill_matches_oracle_across_blocks():
     n = 2 * _FILL_BLOCK + 17
     polygons = rng.uniform(-0.2, 2.2, (n, 7, 2))
     shifts = rng.normal(0.0, 0.3, n)
-    np.testing.assert_array_equal(_fill_counts(polygons, shifts, EXACT),
+    np.testing.assert_array_equal(_fill_counts(_translated(polygons, shifts), EXACT),
                                   _fill_oracle(polygons, shifts, EXACT))
 
 
-def test_fill_matches_oracle_at_rows_where_one_division_miscounts():
-    """Vertices exactly on the float ys[r] - shift that row r of a shifted
-    polygon is compared at, and one float under and over it. On this 0.1 m
-    grid shifted by 0.25 the division (y - row 0) / cell counts a row too
-    many below some of them and one too few below others; the fill steps to
-    the exact count. Each vertex is the apex of a flat triangle whose base
-    lies one float on the other side of the row, so a wrong count adds or
-    drops a whole span."""
-    spec, shift = GridSpec(0.0, 0.1, 0.1, 6, 12), 0.25
-    ys = spec.centers()[1] - shift
-    rows = np.tile(ys, 3)
-    apex = np.concatenate([ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf)])
-    estimate = np.ceil((apex - ys[0]) / spec.cell_size)
-    exact = (ys[None, :] < apex[:, None]).sum(axis=1)
-    assert (estimate > exact).any() and (estimate < exact).any()
-    base = np.where(apex > rows, np.nextafter(rows, -np.inf), np.nextafter(rows, np.inf))
-    polygons = np.stack([np.stack([np.full_like(apex, 0.25), apex], axis=-1),
-                         np.stack([np.full_like(apex, 0.5), base], axis=-1),
-                         np.stack([np.zeros_like(apex), base], axis=-1)], axis=1)
-    shifts = np.full(len(polygons), shift)
-    np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
-                                  _fill_oracle(polygons, shifts, spec))
+def test_fill_matches_oracle_where_translated_vertices_land_on_rows():
+    """Apexes that the translation by shift puts exactly on a row center,
+    and one float under and over it. Each is the apex of a flat triangle
+    whose base the translation puts on the row itself, so a row counted on
+    the wrong side of an equal value adds or drops a whole span; an apex on
+    the row makes a triangle that lies on it and contains no center. Each
+    side is filled on its own, so an added and a dropped span cannot cancel."""
+    spec, shift = GridSpec(0.0, 0.5, 0.1, 6, 12), 0.25
+    ys = spec.centers()[1]
+    shifts = np.full(len(ys), shift)
+    for target in (ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf)):
+        apex, base = target - shift, ys - shift
+        # on this grid both differences are exact, so the translation hits the rows
+        assert (apex + shift == target).all() and (base + shift == ys).all()
+        polygons = np.stack([np.stack([np.full_like(apex, 0.25), apex], axis=-1),
+                             np.stack([np.full_like(apex, 0.5), base], axis=-1),
+                             np.stack([np.zeros_like(apex), base], axis=-1)], axis=1)
+        np.testing.assert_array_equal(_fill_counts(_translated(polygons, shifts), spec),
+                                      _fill_oracle(polygons, shifts, spec))
 
 
 def test_fill_of_point_belief_draws(gsm):
-    belief = GaussianBelief((0.14, 0.1, 0.1), np.zeros((3, 3)))
+    """Five draws of a belief fixed in edge distance and orientation: the
+    fill of the sampled boundaries is the point test's. Without lateral
+    variance every cell holds 0 or 5; with it the boundaries spread."""
     spec = GridSpec.covering(0.15, 1.05, -0.6, 0.6, 0.05)
-    polygons, shifts = sample_boundaries(gsm, belief, 5, rng=0)
-    counts = _fill_counts(polygons, shifts, spec)
-    np.testing.assert_array_equal(counts, _fill_oracle(polygons, shifts, spec))
-    assert set(np.unique(counts)) == {0, 5}
-
-
-def test_count_below_is_searchsorted_on_and_beside_the_lines():
-    """The count of lines strictly below each value, by one division and
-    steps, equals searchsorted(side="left") for values on the lines, one
-    float beside them, far outside and infinite."""
-    xs = GridSpec(-0.35, 0.0, 0.1, 17, 1).centers()[0]
-    v = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
-                        [-1e300, 1e300, -np.inf, np.inf, -0.0, 0.0]])
-    first = np.zeros(len(v), dtype=np.intp)
-    np.testing.assert_array_equal(_count_below(v, xs, first, len(xs), 0.1),
-                                  np.searchsorted(xs, v, side="left"))
+    for lateral_var in (0.0, 0.01):
+        belief = GaussianBelief((0.14, 0.1, 0.1), np.diag([0.0, lateral_var, 0.0]))
+        polygons = sample_boundaries(gsm, belief, 5, rng=0)
+        counts = _fill_counts(polygons, spec)
+        np.testing.assert_array_equal(counts, _fill_oracle(polygons, np.zeros(5), spec))
+        if lateral_var == 0.0:
+            assert set(np.unique(counts)) == {0, 5}
+    assert len(np.unique(counts)) > 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,7 +357,7 @@ def test_fill_matches_oracle_with_vertices_on_cell_centers(m, n, nx, ny, data):
     polygons = data.draw(arrays(np.float64, (n, m, 2), elements=centers))
     shifts = data.draw(arrays(np.float64, (n,), elements=st.integers(-3, 3).map(
         lambda k: 0.25 * k)))
-    np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
+    np.testing.assert_array_equal(_fill_counts(_translated(polygons, shifts), spec),
                                   _fill_oracle(polygons, shifts, spec))
 
 
@@ -375,7 +383,7 @@ def _fill_inputs(draw):
 @given(_fill_inputs())
 def test_fill_matches_oracle_on_random_polygons(case):
     polygons, shifts, spec = case
-    np.testing.assert_array_equal(_fill_counts(polygons, shifts, spec),
+    np.testing.assert_array_equal(_fill_counts(_translated(polygons, shifts), spec),
                                   _fill_oracle(polygons, shifts, spec))
 
 

@@ -276,7 +276,8 @@ def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
     for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
         if a.location is b.location or set(a.location.objects) == set(b.location.objects):
             continue
-        joint = Designator("joint_pick_up", a.location.objects + b.location.objects)
+        joint = Designator("joint_pick_up",
+                           tuple(dict.fromkeys(a.location.objects + b.location.objects)))
         location = resolve_location(joint, scene, gsm, spec, rng)
         if location[1] > threshold:
             return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
@@ -303,6 +304,28 @@ def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
         assert flaw == _detect_merge_flaw_reference(plan, scene, gsm, spec, seed, threshold)
         outcomes.add(flaw and flaw.tasks)
     assert outcomes == {(0, 1), (1, 2), None}
+
+
+def test_a_joint_designator_names_each_object_once(gsm):
+    """Three cups merged on tasks (0, 1) and then (0, 2): task 1 keeps the
+    (cup-a, cup-b) designator and tasks 0 and 2 share (cup-a, cup-b, cup-c),
+    so the next joint of tasks 0 and 1 names each of the three cups once and
+    resolves as that designator does. A designator that repeats a name,
+    whose map would be multiplied in again, is refused."""
+    scene = make_two_cup_scene(0.30)
+    scene.objects["cup-c"] = SceneObject("cup-c", (0.12, 0.30, 0.0),
+                                         GaussianBelief.isotropic((0.12, 0.30, 0.0), 0.005, 0.02))
+    plan = sequence(pickup_task("cup-a"), pickup_task("cup-b"), pickup_task("cup-c"))
+    for tasks, objects in (((0, 1), ("cup-a", "cup-b")), ((0, 2), ("cup-a", "cup-b", "cup-c"))):
+        plan = apply_merge_transform(plan, Flaw(tasks, objects, ((0.5, 0.0), 0.9)))
+    spec = _spec(0.6)
+    flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=5, threshold=0.5)
+    assert flaw.tasks == (0, 1) and flaw.objects == ("cup-a", "cup-b", "cup-c")
+    joint = Designator("joint_pick_up", ("cup-a", "cup-b", "cup-c"))
+    assert flaw.proposed_location == resolve_location(joint, scene, gsm, spec, rng=5)
+    for objects in (("cup-a", "cup-a"), ("cup-a", "cup-b", "cup-a")):
+        with pytest.raises(ValueError, match="each object once"):
+            Designator("joint_pick_up", objects)
 
 
 def test_merge_transform_structural_diff(gsm):
