@@ -4,8 +4,8 @@ Plans are small trees of sequence / at-location / perceive / achieve nodes.
 Location goals are designators: symbolic descriptions resolved against
 success-probability maps when needed. Projection simulates a plan against a
 scene and yields an event trace timed by a time model; the merge
-transformation rewrites two pick-up tasks to share a single base location
-when their joint designator still resolves to a high success probability.
+transformation gives every task on two pick-up tasks' designators one base
+location when their joint designator resolves to a high success probability.
 """
 
 from __future__ import annotations
@@ -309,9 +309,10 @@ def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
 
 def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
                       spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD) -> Flaw | None:
-    """Unoptimized-locations flaw: two pick-up tasks with distinct locations
-    whose joint designator resolves to a probability above the threshold.
-    The pairs are tried in plan order, each resolved on the next draws of
+    """Unoptimized-locations flaw: two pick-up tasks on distinct designators
+    (tasks share a location exactly when they hold one designator) whose
+    joint designator resolves to a probability above the threshold. The
+    pairs are tried in plan order, each resolved on the next draws of
     np.random.default_rng(rng)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
@@ -319,8 +320,6 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
     tasks = _pickup_tasks(plan)
     for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
         if a.location is b.location:
-            continue
-        if set(a.location.objects) == set(b.location.objects):
             continue
         joint = Designator("joint_pick_up",
                            tuple(dict.fromkeys(a.location.objects + b.location.objects)))
@@ -331,7 +330,8 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
 
 
 def _copy_plan(node: PlanNode, designators: dict) -> PlanNode:
-    """The tree copied node by node; tasks sharing a designator share its copy."""
+    """The tree copied node by node; tasks sharing a designator share its
+    copy, and an entry already in the map replaces its designator."""
     d = node.location
     if d is not None and d not in designators:
         designators[d] = replace(d)
@@ -340,19 +340,17 @@ def _copy_plan(node: PlanNode, designators: dict) -> PlanNode:
 
 
 def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:
-    """Return a new plan in which both flawed pick-up tasks share one
-    resolved joint location designator; the plan passed in is unchanged."""
-    new_plan = _copy_plan(plan, {})
-    tasks = _pickup_tasks(new_plan)
+    """Return a new plan in which every task that held either flawed pick-up
+    task's designator holds one resolved joint location designator; the
+    plan passed in is unchanged."""
+    tasks = _pickup_tasks(plan)
     try:
-        nodes = [tasks[k] for k in flaw.tasks]
+        flawed = [tasks[k].location for k in flaw.tasks]
     except IndexError:
         raise ValueError("flawed tasks are no longer present in the plan") from None
-    reached = tuple(sorted({name for n in nodes for name in n.location.objects}))
+    reached = tuple(sorted({name for d in flawed for name in d.objects}))
     if reached != flaw.objects:
         raise ValueError(f"flawed tasks reach {reached}, not the flaw's "
                          f"objects {flaw.objects}")
     shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
-    for n in nodes:
-        n.location = shared
-    return new_plan
+    return _copy_plan(plan, dict.fromkeys(flawed, shared))

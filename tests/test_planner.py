@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arplace import planner
-from arplace.evaluation import make_two_cup_scene
+from arplace.evaluation import make_two_cup_scene, plan_grid_spec
 from arplace.grids import GridSpec
 from arplace.placemap import GaussianBelief
 from arplace.planner import (Designator, ExecutionTrace, Flaw, PlanNode, SceneObject,
@@ -274,7 +274,7 @@ def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
     rng = np.random.default_rng(rng)
     tasks = planner._pickup_tasks(plan)
     for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
-        if a.location is b.location or set(a.location.objects) == set(b.location.objects):
+        if a.location is b.location:
             continue
         joint = Designator("joint_pick_up",
                            tuple(dict.fromkeys(a.location.objects + b.location.objects)))
@@ -307,17 +307,18 @@ def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
 
 
 def test_a_joint_designator_names_each_object_once(gsm):
-    """Three cups merged on tasks (0, 1) and then (0, 2): task 1 keeps the
-    (cup-a, cup-b) designator and tasks 0 and 2 share (cup-a, cup-b, cup-c),
-    so the next joint of tasks 0 and 1 names each of the three cups once and
-    resolves as that designator does. A designator that repeats a name,
-    whose map would be multiplied in again, is refused."""
+    """Tasks on overlapping (cup-a, cup-b) and (cup-b, cup-c) designators:
+    their joint names each of the three cups once and resolves as that
+    designator does. A designator that repeats a name, whose map would be
+    multiplied in again, is refused."""
     scene = make_two_cup_scene(0.30)
     scene.objects["cup-c"] = SceneObject("cup-c", (0.12, 0.30, 0.0),
                                          GaussianBelief.isotropic((0.12, 0.30, 0.0), 0.005, 0.02))
-    plan = sequence(pickup_task("cup-a"), pickup_task("cup-b"), pickup_task("cup-c"))
-    for tasks, objects in (((0, 1), ("cup-a", "cup-b")), ((0, 2), ("cup-a", "cup-b", "cup-c"))):
-        plan = apply_merge_transform(plan, Flaw(tasks, objects, ((0.5, 0.0), 0.9)))
+    plan = sequence(
+        at_location(Designator("pick_up", ("cup-a", "cup-b")),
+                    perceive("cup-a"), achieve_grasp("cup-a")),
+        at_location(Designator("pick_up", ("cup-b", "cup-c")),
+                    perceive("cup-c"), achieve_grasp("cup-c")))
     spec = _spec(0.6)
     flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=5, threshold=0.5)
     assert flaw.tasks == (0, 1) and flaw.objects == ("cup-a", "cup-b", "cup-c")
@@ -326,6 +327,83 @@ def test_a_joint_designator_names_each_object_once(gsm):
     for objects in (("cup-a", "cup-a"), ("cup-a", "cup-b", "cup-a")):
         with pytest.raises(ValueError, match="each object once"):
             Designator("joint_pick_up", objects)
+
+
+def _cup_scene(cups):
+    """Cups 0.12 m from the table edge at the given (y, psi), named cup-0,
+    cup-1, ..., with the beliefs of make_two_cup_scene."""
+    objects = {}
+    for k, (y, psi) in enumerate(cups):
+        truth = (0.12, float(y), float(psi))
+        objects[f"cup-{k}"] = SceneObject(f"cup-{k}", truth,
+                                          GaussianBelief.isotropic(truth, 0.005, 0.02))
+    return planner.Scene(objects, robot_xy=(1.5, 0.0))
+
+
+def _designators(plan):
+    return {id(n.location) for n in plan.walk() if n.kind == "at_location"}
+
+
+def test_merging_three_cups_ends_on_one_designator(gsm):
+    """Merges (0, 1) and then (0, 2) re-point every task that held a flawed
+    designator, so all three tasks end on one designator and no flaw is
+    left. Re-pointing only the two flawed tasks would leave task 1 behind
+    and take a third flaw that ends on two designators. Each merged plan
+    shares no node or designator object with its input."""
+    scene = _cup_scene([(-0.15, 0.04), (0.15, -0.04), (0.30, -0.04)])
+    plan = sequence(*(pickup_task(name) for name in scene.objects))
+    spec = plan_grid_spec(0.6)
+    flaws = []
+    for seed in range(4):
+        flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=seed, threshold=0.5)
+        if flaw is None:
+            break
+        flaws.append(flaw.tasks)
+        merged = apply_merge_transform(plan, flaw)
+        assert not {id(n) for n in plan.walk()} & {id(n) for n in merged.walk()}
+        assert not _designators(plan) & _designators(merged)
+        plan = merged
+    assert flaw is None and flaws == [(0, 1), (0, 2)]
+    assert len(_designators(plan)) == 1
+    assert plan.children[0].location.objects == ("cup-0", "cup-1", "cup-2")
+
+
+def test_tasks_on_distinct_designators_of_one_object_are_a_flaw(gsm):
+    """Two tasks on distinct designators share no location even when they
+    reach the same objects; after the merge they hold one and no flaw is
+    left."""
+    plan = sequence(pickup_task("cup-a"), pickup_task("cup-a"))
+    scene = make_two_cup_scene(0.30)
+    flaw = detect_merge_flaw(plan, scene, gsm, _spec(0.30), rng=0)
+    assert flaw is not None and flaw.tasks == (0, 1) and flaw.objects == ("cup-a",)
+    merged = apply_merge_transform(plan, flaw)
+    assert len(_designators(merged)) == 1
+    assert detect_merge_flaw(merged, scene, gsm, _spec(0.30), rng=0) is None
+
+
+def test_each_merge_removes_one_designator(gsm):
+    """On random three- and four-cup scenes and thresholds every applied
+    flaw lowers the number of distinct designators by one, so the merges
+    end within (designators - 1) steps."""
+    rng = np.random.default_rng(3)
+    merge_counts = []
+    for _ in range(20):
+        n = int(rng.integers(3, 5))
+        scene = _cup_scene(zip(np.sort(rng.uniform(-0.3, 0.3, n)), rng.uniform(-0.04, 0.04, n)))
+        plan = sequence(*(pickup_task(name) for name in scene.objects))
+        threshold = float(rng.uniform(0.3, 0.9))
+        seed = int(rng.integers(2 ** 31))
+        for step in range(n):
+            flaw = detect_merge_flaw(plan, scene, gsm, plan_grid_spec(0.6),
+                                     rng=(seed, step), threshold=threshold)
+            if flaw is None:
+                break
+            before = len(_designators(plan))
+            plan = apply_merge_transform(plan, flaw)
+            assert len(_designators(plan)) == before - 1
+        assert flaw is None
+        merge_counts.append(step)
+    assert {1, 2, 3} <= set(merge_counts)
 
 
 def test_merge_transform_structural_diff(gsm):
