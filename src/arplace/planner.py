@@ -220,19 +220,17 @@ def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
     return grid.spec.cell_center(i, j), p
 
 
-# a goal closer than this counts as "already there": navigation (and its
-# fixed overhead) is skipped, which is what makes merged locations pay off
-_ARRIVAL_TOL = 0.05
-
-
 def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
             spec: GridSpec, rng, time_model: TimeModel = TimeModel()) -> ExecutionTrace:
-    """Simulate a plan: navigation drives to resolved locations (skipped when
-    the robot is already there, with position noise on arrival), perception
-    snaps a belief to the true state and shrinks its covariance, and grasps
-    run against the true object state from the achieved base position. An
-    object that a location, perceive or achieve node names and the scene
-    lacks raises UnresolvableDesignatorError before any map is computed.
+    """Simulate a plan: an at-location node navigates to its designator's
+    resolved cell, with position noise on arrival, unless the robot's last
+    navigation was for that same designator. So each visit to a designator
+    is one navigation, and its tasks share one base and one arrival error,
+    which is what resolve_location conditions on. Perception snaps a belief
+    to the true state and shrinks its covariance, and grasps run against the
+    true object state from the achieved base position. An object that a
+    location, perceive or achieve node names and the scene lacks raises
+    UnresolvableDesignatorError before any map is computed.
 
     The plan and the scene passed in are never written: resolved cells are
     kept per projection and perception updates copies of the scene's objects,
@@ -250,24 +248,21 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
 
     trace = ExecutionTrace(time_model)
-    robot = tuple(scene.robot_xy)
+    robot, at = tuple(scene.robot_xy), None  # at: the last navigation's designator
     targets: dict[Designator, tuple[tuple[float, float], float]] = {}
     for node in plan.walk():  # pre-order: a location is reached before its children run
-        if node.kind == AT_LOCATION:
-            d = node.location
+        if node.kind == AT_LOCATION and node.location is not at:
+            at = d = node.location
             if d.resolved is None and d not in targets:
                 targets[d] = resolve_location(d, scene, gsm, spec,
                                               rng=rng.integers(2 ** 31))
             (tx, ty), _ = d.resolved or targets[d]
-            dist = float(np.hypot(tx - robot[0], ty - robot[1]))
-            if dist > _ARRIVAL_TOL:
-                sigma = world.nav_noise_sigma
-                achieved = (tx + sigma * rng.standard_normal(),
-                            ty + sigma * rng.standard_normal())
-                trace.events.append(TraceEvent("navigate", {
-                    "from": robot, "goal": (tx, ty), "achieved": achieved,
-                    "distance": dist}))
-                robot = achieved
+            sigma = world.nav_noise_sigma
+            achieved = (tx + sigma * rng.standard_normal(), ty + sigma * rng.standard_normal())
+            trace.events.append(TraceEvent("navigate", {
+                "from": robot, "goal": (tx, ty), "achieved": achieved,
+                "distance": float(np.hypot(tx - robot[0], ty - robot[1]))}))
+            robot = achieved
         elif node.kind == PERCEIVE:
             obj = scene.objects[node.goal[1]]
             cov = obj.belief.cov * _PERCEPTION_SHRINK

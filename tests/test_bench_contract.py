@@ -32,6 +32,17 @@ def test_first_operation_passes_its_check(workload, tmp_path):
     assert w.check(inp, out) is None
 
 
+@pytest.mark.parametrize("seed, k", [(509, 470), (336, 487), (424, 513)])
+def test_plan_operations_with_an_arrival_error_over_5_cm_pass_their_check(seed, k, tmp_path):
+    """The transformed plan's first navigation lands more than 5 cm from its
+    target in these operations. Its tasks share one designator, so it still
+    navigates once and saves a navigation over the flat plan."""
+    w = workloads.Plan(seed, str(tmp_path))
+    _, inp = w.make_input(k)
+    out = w.run(inp)
+    assert w.check(inp, out) is None
+
+
 def test_train_chain_reproduces_the_fixed_model(tmp_path):
     """gen-data then train on the benchmark's dataset seed writes the very
     bytes the fixed model's provenance record names."""

@@ -9,7 +9,8 @@ import pytest
 from arplace import evaluation
 from arplace.evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                                 chi_square, fixed_strategy_offset,
-                                make_two_cup_scene, robustness_experiment)
+                                make_two_cup_scene, merge_experiment, robustness_experiment,
+                                transformation_benefit)
 from arplace.geometry import ObjectFeatures
 from arplace.shapemodel import GSMModel
 from arplace.simworld import (CAUSES, default_robot_grid, first_failure, geometric_success,
@@ -113,6 +114,31 @@ def test_make_two_cup_scene_layout():
     assert b.truth[1] == pytest.approx(0.2)
     assert a.truth[2] == -b.truth[2] != 0.0  # handles toe in
     assert scene.robot_xy == (1.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# merge experiment under navigation noise
+# ---------------------------------------------------------------------------
+
+def test_merged_plans_navigate_once_whatever_the_arrival_noise(gsm, world):
+    """A merged plan's tasks hold one designator, so it navigates once
+    however far its arrival lands from the target: at σ 0.05 m every merged
+    separation of the transform report saves one navigation and at least
+    30% of the flat plan's duration."""
+    noisy = dataclasses.replace(world, nav_noise_sigma=0.05)
+    points = transformation_benefit([round(0.20 + 0.05 * k, 2) for k in range(9)],
+                                    gsm, noisy, seed=0).points
+    merged = [p for p in points if p.merged]
+    assert [p.separation for p in merged] == [0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
+    for p in merged:
+        assert (p.trace_a.count("navigate"), p.trace_b.count("navigate")) == (2, 1)
+        assert p.reduction >= 0.30
+
+
+def test_a_merge_navigates_once_under_metre_scale_arrival_noise(gsm, world):
+    point = merge_experiment(0.3, gsm, dataclasses.replace(world, nav_noise_sigma=1.0), (0,))
+    assert point.merged
+    assert point.trace_b.count("navigate") == 1
 
 
 # ---------------------------------------------------------------------------

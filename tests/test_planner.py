@@ -442,6 +442,43 @@ def test_merged_plan_navigates_once(gsm, world):
                              rng=np.random.default_rng(0)) is None
 
 
+def test_distinct_designators_on_one_cell_navigate_twice(gsm, world):
+    """Tasks share a location exactly when they hold one designator: two
+    pick-up designators of one cup resolve to the same cell and still cost
+    two navigations, so merging them saves one."""
+    plan = sequence(pickup_task("cup-a"), pickup_task("cup-a"))
+    scene, spec = make_two_cup_scene(0.3), plan_grid_spec(0.3)
+    flat = project(plan, scene, gsm, world, spec, rng=0)
+    goals = [e.detail["goal"] for e in flat.events if e.kind == "navigate"]
+    assert len(goals) == 2 and goals[0] == goals[1]
+    flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=0)
+    merged = project(apply_merge_transform(plan, flaw), scene, gsm, world, spec, rng=0)
+    assert merged.count("navigate") == 1
+    assert merged.count("grasp") == 2
+
+
+def test_a_designator_visited_again_after_another_navigates_again(gsm, world, monkeypatch):
+    """The rule is the last navigation's designator, not any designator
+    reached before: locations on d1, d2, d1 navigate three times, the third
+    to d1's cell again, which is resolved once."""
+    resolved = []
+
+    def counting(d, *args, **kwargs):
+        resolved.append(d)
+        return resolve_location(d, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "resolve_location", counting)
+    d1, d2 = Designator("pick_up", ("cup-a",)), Designator("pick_up", ("cup-b",))
+    plan = sequence(at_location(d1, perceive("cup-a")), at_location(d2, perceive("cup-b")),
+                    at_location(d1, achieve_grasp("cup-a")))
+    trace = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4), rng=0)
+    navs = [e.detail for e in trace.events if e.kind == "navigate"]
+    assert len(navs) == 3
+    assert navs[2]["goal"] == navs[0]["goal"] != navs[1]["goal"]
+    assert navs[2]["from"] == navs[1]["achieved"]
+    assert resolved == [d1, d2]
+
+
 def test_merge_transform_rejects_foreign_flaws():
     flaw = Flaw((0, 1), ("cup-a", "cup-b"), proposed_location=((0.5, 0.0), 0.9))
     assert apply_merge_transform(two_pickup_plan(), flaw) is not None
