@@ -26,12 +26,12 @@ from .evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                          transformation_benefit)
 from .geometry import ObjectFeatures
 from .grids import GridSizeError, GridSpec, load_grid_text, save_grid_text, save_pgm
-from .placemap import (MAX_MAP_SAMPLES, GaussianBelief, apply_robot_uncertainty,
-                       best_cell, compute_map, cost_map, merge)
-from .planner import plan_to_sexp
+from .placemap import (DEFAULT_N_SAMPLES, MAX_MAP_SAMPLES, GaussianBelief,
+                       apply_robot_uncertainty, best_cell, compute_map, cost_map, merge)
+from .planner import MERGE_THRESHOLD, plan_to_sexp
 from .shapemodel import (MAX_LANDMARKS, DegenerateShapeError, GSMModel,
                          RegressionRankError, finite_numbers, train_gsm)
-from .simworld import (Dataset, WorldConfig, default_object_grid,
+from .simworld import (CAUSES, Dataset, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, generate_dataset,
                        robot_bounds)
 
@@ -50,10 +50,10 @@ class PipelineConfig:
     cost_C: float = 40.0
     class_weight: float = 2.0
     n_landmarks: int = 20
-    n_samples: int = 100
+    n_samples: int = DEFAULT_N_SAMPLES
     cell_size: float = 0.025
     extraction_cell: float = 0.01
-    merge_threshold: float = 0.85
+    merge_threshold: float = MERGE_THRESHOLD
     energy_target: float = 0.95
     use_capability_filter: bool = True
     world: dict = dataclasses.field(default_factory=dict)
@@ -193,8 +193,9 @@ def cmd_gen_data(args, cfg: PipelineConfig) -> int:
                                seed=args.seed,
                                use_capability_filter=cfg.use_capability_filter)
     dataset.save_csv(args.out, header_lines=_header(cfg, args.seed))
-    print(f"wrote {len(dataset.cause)} trials "
-          f"({dataset.executed_count()} executed) to {args.out}")
+    counts = np.bincount(dataset.cause, minlength=len(CAUSES)).tolist()
+    print(f"wrote {len(dataset.cause)} trials ({dataset.executed_count()} executed) "
+          f"to {args.out}: " + " ".join(f"{c}={k}" for c, k in zip(CAUSES, counts)))
     return EXIT_OK
 
 

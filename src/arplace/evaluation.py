@@ -19,7 +19,7 @@ from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
                       plan_duration, project, two_pickup_plan)
 from .shapemodel import GSMModel
 from .simworld import (CAUSES, WorldConfig, default_robot_grid, first_failure, robot_bounds,
-                       run_trials)
+                       run_trials, trial_causes)
 
 
 def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[float, float]:
@@ -163,8 +163,8 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
             lm_draw = rng.random()
             # both strategies' achieved bases against the true object, one row each
             achieved = np.array([arplace_target, fixed_target]) + exec_noise
-            ok = first_failure(true_obj.dx_obj, true_obj.dpsi_obj, *achieved.T, world) == 0
-            successes += ok & (lm_draw >= world.local_minimum_rate)
+            stage = first_failure(true_obj.dx_obj, true_obj.dpsi_obj, *achieved.T, world)
+            successes += trial_causes(stage, lm_draw, world) == 0  # "none"
         a, f = successes.tolist()
         stat, p = chi_square(a, spec.trials_per_cell, f, spec.trials_per_cell)
         result.points.append(SweepPoint(sigma_obj=sigma, successes={"arplace": a, "fixed": f},

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import ObjectFeatures
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map, merge
 from .shapemodel import GSMModel
-from .simworld import WorldConfig, default_world, grasp_outcome
+from .simworld import CAUSES, WorldConfig, default_world, first_failure, trial_causes
 
 MERGE_THRESHOLD = 0.85
 # the robot position noise (m) that location queries condition their maps on:
@@ -228,9 +227,10 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     is one navigation, and its tasks share one base and one arrival error,
     which is what resolve_location conditions on. Perception snaps a belief
     to the true state and shrinks its covariance, and grasps run against the
-    true object state from the achieved base position. An object that a
-    location, perceive or achieve node names and the scene lacks raises
-    UnresolvableDesignatorError before any map is computed.
+    true object state from the achieved base position, each labeled by
+    simworld.trial_causes. An object that a location, perceive or achieve
+    node names and the scene lacks raises UnresolvableDesignatorError before
+    any map is computed.
 
     The plan and the scene passed in are never written: resolved cells are
     kept per projection and perception updates copies of the scene's objects,
@@ -271,13 +271,12 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
         elif node.kind == ACHIEVE:
             obj = scene.objects[node.goal[1]]
             dx, y, psi = obj.truth
-            feats = ObjectFeatures(dx_obj=max(dx, 0.0), dpsi_obj=psi)
-            cause = grasp_outcome(feats, robot[0], robot[1] - y, world)
-            success = cause == "none"
-            if success and rng.random() < world.local_minimum_rate:
-                success, cause = False, "local_minimum"
+            stage = first_failure(max(dx, 0.0), psi, robot[0], robot[1] - y, world)
+            # only a grasp whose stages all pass ("none") draws its uniform
+            u = rng.random() if stage == 0 else 1.0
+            cause = CAUSES[trial_causes(stage, u, world)]
             trace.events.append(TraceEvent("grasp", {
-                "object": obj.name, "success": success, "cause": cause,
+                "object": obj.name, "success": cause == "none", "cause": cause,
                 "robot": robot}))
     return trace
 

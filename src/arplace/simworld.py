@@ -222,6 +222,16 @@ def geometric_success(obj: ObjectFeatures, robot: RobotOffset, world: WorldConfi
     return grasp_outcome(obj, robot.dx_rob, robot.dy_rob, world) == "none"
 
 
+def trial_causes(stage, u, world: WorldConfig) -> np.ndarray:
+    """CAUSES codes of grasp trials whose first failing stages are stage
+    (first_failure codes) and whose local-minimum uniforms are u,
+    elementwise over broadcast arrays. The one local-minimum rule: a trial
+    whose stages all pass is local_minimum where its uniform is below
+    local_minimum_rate, and a failing stage keeps its cause whatever its
+    uniform."""
+    return np.where((stage == _NONE) & (u < world.local_minimum_rate), _LOCAL_MINIMUM, stage)
+
+
 def run_trials(dx_obj, dpsi_obj, x, y, world: WorldConfig, streams,
                check_reachability: bool = True) -> np.ndarray:
     """CAUSES codes of the trials: trial k commands the base position
@@ -230,9 +240,9 @@ def run_trials(dx_obj, dpsi_obj, x, y, world: WorldConfig, streams,
     check_reachability, a command that fails first_failure(margins=False)
     is "unreachable_theory" and never builds its generator. Every other
     trial draws normal(size=2) navigation noise, scaled by nav_noise_sigma,
-    then one uniform(); its achieved base's first failing stage is its
-    cause, or local_minimum where the uniform is below local_minimum_rate
-    and the robot hit neither table nor object."""
+    then one uniform(); trial_causes labels its achieved base's first
+    failing stage under that uniform, so only a trial whose stages all pass
+    can end in a local minimum."""
     n = len(streams)
     dx, dpsi, x, y = (np.asarray(a, dtype=float) for a in (dx_obj, dpsi_obj, x, y))
     if any(a.shape != (n,) for a in (dx, dpsi, x, y)):
@@ -245,9 +255,8 @@ def run_trials(dx_obj, dpsi_obj, x, y, world: WorldConfig, streams,
                             for rng in rngs], (-1, 3)).T
     outcome = first_failure(dx[run], dpsi[run], x[run] + world.nav_noise_sigma * ex,
                             y[run] + world.nav_noise_sigma * ey, world)
-    collided = (outcome == _TABLE_COLLISION) | (outcome == _OBJECT_COLLISION)
     codes = np.full(n, _UNREACHABLE)
-    codes[run] = np.where(~collided & (u < world.local_minimum_rate), _LOCAL_MINIMUM, outcome)
+    codes[run] = trial_causes(outcome, u, world)
     return codes
 
 

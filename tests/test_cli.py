@@ -536,11 +536,11 @@ def test_convolved_output_bytes_are_fixed(tmp_path, capsys, name):
 
 
 GEN_DATA_SHA256 = {
-    0: "c454f2e8f5091219998b64751df193dd6e414956f5e220101b1bc78010e36fc8",
-    3: "42a5b1c62ad47936f000d43d1b54602c8e4fe99065de01b1b0d161f67179e92a",
-    5: "429808a02037098d22e6d01097a6a7ea380057162ee335ae38396bc7ed72f2c8",
-    23: "584f6c9a566ae64bae65687754b2344491f9b68f8b0fec8a05cc9eabd8391e10",
-    42: "2df42da440062128f79a3a74279c7ce43fa7991cee2523af73cbbf727d66bc91",
+    0: "a5069a8ce3c777ae6c7c3cb1a133b8baea46766112756e30ecca29e892b6a35e",
+    3: "f3572e781112972268aef6ca6ebb91a8578d1de46b20c147cf2e4f577663ddb3",
+    5: "71a100631b8308a10685c55202e65b3258c0d56e33522cb89c4948a97766bf29",
+    23: "8402cf9a455208ce37bec507ad5f81396788281a91acdc360b33cbad7885795e",
+    42: "15e19fc906433a6901ba311d9487ea1fb74861bcd0ce328ef22588c2d663bb76",
 }
 
 

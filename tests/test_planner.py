@@ -9,12 +9,13 @@ from arplace import planner
 from arplace.evaluation import make_two_cup_scene, plan_grid_spec
 from arplace.grids import GridSpec
 from arplace.placemap import GaussianBelief
-from arplace.planner import (Designator, ExecutionTrace, Flaw, PlanNode, SceneObject,
+from arplace.planner import (Designator, ExecutionTrace, Flaw, PlanNode, Scene, SceneObject,
                              TimeModel, TraceEvent, UnresolvableDesignatorError, achieve_grasp,
                              apply_merge_transform, at_location,
                              detect_merge_flaw, perceive, pickup_task,
                              plan_duration, plan_to_sexp, project,
                              resolve_location, sequence, two_pickup_plan)
+from arplace.simworld import CAUSES, run_trials
 
 
 def _spec(sep):
@@ -531,3 +532,23 @@ def test_trace_and_flaw_records_carry_no_instance_dict():
         assert not hasattr(obj, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         flaw.tasks = (1, 2)
+
+
+def test_a_failing_grasp_keeps_its_stage_cause_under_a_local_minimum(gsm, world):
+    """At local_minimum_rate 1 and without arrival noise, a grasp that slips
+    from its base slips and one whose stages all pass ends in a local
+    minimum, in run_trials and in a projection trace alike."""
+    stuck = dataclasses.replace(world, local_minimum_rate=1.0, nav_noise_sigma=0.0)
+    bases = [(0.5, 0.3), (0.5, 0.0)]
+    codes = run_trials([0.12] * 2, [0.0] * 2, *zip(*bases), stuck, [0, 1],
+                       check_reachability=False)
+    assert [CAUSES[c] for c in codes.tolist()] == ["slip", "local_minimum"]
+    cup = (0.12, 0.0, 0.0)
+    scene = Scene({"cup-a": SceneObject("cup-a", cup, GaussianBelief.isotropic(cup, 0.005, 0.02))},
+                  robot_xy=(1.5, 0.0))
+    tasks = [pickup_task("cup-a") for _ in bases]
+    for task, base in zip(tasks, bases):
+        task.location.resolved = (base, 0.5)
+    trace = project(sequence(*tasks), scene, gsm, stuck, _spec(0.4), rng=0)
+    assert [(g["robot"], g["success"], g["cause"]) for g in trace.grasp_outcomes] == [
+        ((0.5, 0.3), False, "slip"), ((0.5, 0.0), False, "local_minimum")]

@@ -13,7 +13,7 @@ from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
 from arplace.simworld import (CAUSES, Dataset, default_object_grid, first_failure,
                               default_robot_grid, default_world, generate_dataset,
-                              grasp_outcome, run_trials)
+                              grasp_outcome, robot_bounds, run_trials)
 
 
 @pytest.fixture(scope="module")
@@ -280,16 +280,39 @@ def test_unreachable_commands_are_not_executed(w):
     assert stream.bit_generator.state == state  # nothing was drawn
 
 
-def test_only_trials_clear_of_table_and_object_can_stick(w):
-    """At local_minimum_rate 1 every executed trial that did not hit the
-    table or the object ends in a local minimum, and the collisions keep
-    their cause."""
-    stuck = dataclasses.replace(w, local_minimum_rate=1.0)
+def test_only_trials_whose_stages_all_pass_can_stick(w):
+    """At local_minimum_rate 1 every executed trial whose stages all pass
+    ends in a local minimum, and every failing stage keeps its cause: the
+    trials give the causes they give at rate 0, on the same draws, with
+    "none" renamed."""
     obj = ObjectFeatures(0.05, 0.0)
-    robs = [RobotOffset(x, y) for x in (0.11, 0.12, 0.125, 0.5) for y in (-0.02, 0.0, 0.02)]
-    causes = _run([obj] * len(robs) * 20, robs * 20, stuck, list(range(len(robs) * 20)),
-                  check_reachability=False)
-    assert set(causes) == {"table_collision", "object_collision", "local_minimum"}
+    robs = [RobotOffset(x, y) for x in (0.11, 0.12, 0.125, 0.4, 0.5, 1.2)
+            for y in (-0.4, -0.02, 0.0, 0.02)]
+    n = len(robs) * 20
+    stuck, free = (_run([obj] * n, robs * 20, dataclasses.replace(w, local_minimum_rate=rate),
+                        list(range(n)), check_reachability=False) for rate in (1.0, 0.0))
+    assert set(free) == set(CAUSES) - {"unreachable_theory", "local_minimum"}
+    assert stuck == ["local_minimum" if cause == "none" else cause for cause in free]
+
+
+def test_a_local_minimum_turns_only_the_grasps_that_pass(w):
+    """Noise-free trials on a 40 x 40 base grid over the default robot
+    grid's bounds, for the object at dx 0.12 m and psi 0: at rate 1 each
+    trial's cause is first_failure's, with "none" renamed local_minimum."""
+    world = dataclasses.replace(w, local_minimum_rate=1.0, nav_noise_sigma=0.0)
+    x_min, x_max, y_min, y_max = robot_bounds(default_robot_grid())
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(x_min, x_max, 40),
+                                           np.linspace(y_min, y_max, 40), indexing="ij"))
+    n = len(x)
+    codes = run_trials(np.full(n, 0.12), np.zeros(n), x, y, world, list(range(n)),
+                       check_reachability=False)
+    stages = first_failure(0.12, 0.0, x, y, world)
+    np.testing.assert_array_equal(codes, np.where(stages == 0, CAUSES.index("local_minimum"),
+                                                  stages))
+    counts = dict(zip(CAUSES, np.bincount(codes, minlength=len(CAUSES)).tolist()))
+    assert counts == {"none": 0, "unreachable_theory": 0, "table_collision": 0,
+                      "object_collision": 0, "empty_grip": 480, "slip": 900,
+                      "local_minimum": 220}
 
 
 def test_each_executed_trial_draws_two_normals_then_one_uniform(w):
@@ -376,7 +399,7 @@ def _trial_reference(obj, robot, world, rng, check_reachability):
     noise = rng.normal(0.0, 1.0, size=2) * world.nav_noise_sigma
     stuck = rng.uniform() < world.local_minimum_rate
     cause = _first_failure_reference(obj, robot.dx_rob + noise[0], robot.dy_rob + noise[1], world)
-    if cause not in ("table_collision", "object_collision") and stuck:
+    if cause == "none" and stuck:
         cause = "local_minimum"
     return obj, robot, cause
 
@@ -395,18 +418,19 @@ def _generate_dataset_reference(world, object_grid, robot_grid, seed, use_capabi
 @pytest.mark.parametrize("seed", [0, 42])
 def test_generate_dataset_matches_eager_generators(w, seed):
     """Filtered on the default grids, and unfiltered on two poses with bases
-    next to the table and the object, so that collisions, whose
-    local-minimum number decides nothing, occur among the trials."""
+    next to the table and the object, so that collisions occur among the
+    trials: like every failing stage, they keep their cause whatever their
+    local-minimum number."""
     objs, robs = default_object_grid(), default_robot_grid()
     data = generate_dataset(w, objs, robs, seed=seed)
-    assert _trials(data) == _generate_dataset_reference(w, objs, robs, seed, True)
+    filtered = _generate_dataset_reference(w, objs, robs, seed, True)
+    assert _trials(data) == filtered
     near = [RobotOffset(x, y) for x in (0.11, 0.12, 0.13) for y in (-0.05, 0.0, 0.05)]
     unfiltered = generate_dataset(w, objs[:2], robs + near, seed=seed,
                                   use_capability_filter=False)
     reference = _generate_dataset_reference(w, objs[:2], robs + near, seed, False)
     assert _trials(unfiltered) == reference
-    assert {"table_collision", "object_collision", "local_minimum", "none"} <= \
-        {cause for _, _, cause in reference}
+    assert {cause for _, _, cause in filtered + reference} == set(CAUSES)
 
 
 def test_capability_filter_preserves_executed_trials(w):
