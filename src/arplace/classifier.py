@@ -17,6 +17,10 @@ import numpy as np
 from .grids import GridSpec
 
 KKT_TOLERANCE = 1e-3     # convergence contract
+# default SVM constants: kernel width (m), box bound, and its factor on positive samples
+DEFAULT_KERNEL_SIGMA = 0.1
+DEFAULT_COST_C = 40.0
+DEFAULT_CLASS_WEIGHT = 2.0
 _SOLVE_EPS = 1e-10       # internal target, for order-independent solutions
 _MAX_PAIR_STEPS = 500_000
 _PAIR_ROWS = 256         # cached pair entries per fit: 1.7 MB of rows at n = 432
@@ -146,9 +150,9 @@ def _pair_entry(K: np.ndarray, i: int, j: int) -> tuple[np.ndarray, float]:
     return row, max(K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j), 1e-12)
 
 
-def train_svm(X, y, kernel_sigma: float = 0.1, cost_C: float = 40.0,
-              positive_class_weight: float = 2.0, *, kernel: _Kernel | None = None
-              ) -> SVMModel:
+def train_svm(X, y, kernel_sigma: float = DEFAULT_KERNEL_SIGMA, cost_C: float = DEFAULT_COST_C,
+              positive_class_weight: float = DEFAULT_CLASS_WEIGHT, *,
+              kernel: _Kernel | None = None) -> SVMModel:
     """Fit the dual soft-margin problem on the (n, 2) base positions X with
     labels y (+1 success, -1 failure) by repeatedly optimizing the maximal
     violating pair. Positive samples get box bound C * positive_class_weight.
@@ -448,8 +452,9 @@ def _start_at_max_x_crossing(loop: np.ndarray) -> np.ndarray:
     return np.vstack([start, rolled])
 
 
-def train_per_pose(dataset, kernel_sigma: float = 0.1, cost_C: float = 40.0,
-                   positive_class_weight: float = 2.0) -> dict:
+def train_per_pose(dataset, kernel_sigma: float = DEFAULT_KERNEL_SIGMA,
+                   cost_C: float = DEFAULT_COST_C,
+                   positive_class_weight: float = DEFAULT_CLASS_WEIGHT) -> dict:
     """One classifier per object pose of a simworld.Dataset, keyed in
     object_grid order; grid entries of equal value are one pose. A trial
     with cause code 0 ("none") is a positive sample, any other a negative."""

@@ -20,8 +20,9 @@ import typing
 import numpy as np
 
 from . import __version__
-from .classifier import EmptySuccessRegionError, check_svm_constants, train_per_pose
-from .evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
+from .classifier import (DEFAULT_CLASS_WEIGHT, DEFAULT_COST_C, DEFAULT_KERNEL_SIGMA,
+                         EmptySuccessRegionError, check_svm_constants, train_per_pose)
+from .evaluation import (DEFAULT_CELL_SIZE, SweepSpec, accuracy_curve, candidate_grid_spec,
                          merge_experiment, robustness_experiment,
                          transformation_benefit)
 from .geometry import ObjectFeatures
@@ -29,8 +30,9 @@ from .grids import GridSizeError, GridSpec, load_grid_text, save_grid_text, save
 from .placemap import (DEFAULT_N_SAMPLES, MAX_MAP_SAMPLES, GaussianBelief,
                        apply_robot_uncertainty, best_cell, compute_map, cost_map, merge)
 from .planner import MERGE_THRESHOLD, plan_to_sexp
-from .shapemodel import (MAX_LANDMARKS, DegenerateShapeError, GSMModel,
-                         RegressionRankError, finite_numbers, train_gsm)
+from .shapemodel import (DEFAULT_ENERGY_TARGET, DEFAULT_N_LANDMARKS, MAX_LANDMARKS,
+                         DegenerateShapeError, GSMModel, RegressionRankError,
+                         finite_numbers, train_gsm)
 from .simworld import (CAUSES, Dataset, WorldConfig, default_object_grid,
                        default_robot_grid, default_world, generate_dataset,
                        robot_bounds)
@@ -46,15 +48,15 @@ EXIT_MODULE_ERROR = 5
 class PipelineConfig:
     """Hyperparameters of the whole pipeline, overridable from a JSON file."""
 
-    kernel_sigma: float = 0.1
-    cost_C: float = 40.0
-    class_weight: float = 2.0
-    n_landmarks: int = 20
+    kernel_sigma: float = DEFAULT_KERNEL_SIGMA
+    cost_C: float = DEFAULT_COST_C
+    class_weight: float = DEFAULT_CLASS_WEIGHT
+    n_landmarks: int = DEFAULT_N_LANDMARKS
     n_samples: int = DEFAULT_N_SAMPLES
-    cell_size: float = 0.025
+    cell_size: float = DEFAULT_CELL_SIZE
     extraction_cell: float = 0.01
     merge_threshold: float = MERGE_THRESHOLD
-    energy_target: float = 0.95
+    energy_target: float = DEFAULT_ENERGY_TARGET
     use_capability_filter: bool = True
     world: dict = dataclasses.field(default_factory=dict)
 

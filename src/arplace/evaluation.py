@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import EmptySuccessRegionError, check_svm_constants, train_svm
+from .classifier import (DEFAULT_CLASS_WEIGHT, DEFAULT_COST_C, DEFAULT_KERNEL_SIGMA,
+                         EmptySuccessRegionError, check_svm_constants, train_svm)
 from .geometry import ObjectFeatures
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
@@ -20,6 +21,9 @@ from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
 from .shapemodel import GSMModel
 from .simworld import (CAUSES, WorldConfig, default_robot_grid, first_failure, robot_bounds,
                        run_trials, trial_causes)
+
+# default side (m) of a map cell
+DEFAULT_CELL_SIZE = 0.025
 
 
 def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[float, float]:
@@ -54,7 +58,7 @@ class SweepSpec:
     trials_per_cell: int = 100
     dx_range: tuple[float, float] = (0.07, 0.21)
     dpsi_range: tuple[float, float] = (-0.45, 0.45)
-    cell_size: float = 0.025
+    cell_size: float = DEFAULT_CELL_SIZE
     n_map_samples: int = 250
     smooth_radius: float = 0.03
 
@@ -103,12 +107,12 @@ def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, f
     return float(np.mean(x[ok])) + mean_obj.dx_obj, float(np.mean(y[ok]))
 
 
-def candidate_grid_spec(cell_size: float = 0.025) -> GridSpec:
+def candidate_grid_spec(cell_size: float = DEFAULT_CELL_SIZE) -> GridSpec:
     """Map grid over the rectangle of the default candidate base positions."""
     return GridSpec.covering(*robot_bounds(default_robot_grid()), cell_size)
 
 
-def plan_grid_spec(separation: float, cell_size: float = 0.025) -> GridSpec:
+def plan_grid_spec(separation: float, cell_size: float = DEFAULT_CELL_SIZE) -> GridSpec:
     """Map grid of a two-cup scene: the x range of the default candidate
     base positions, and 0.6 m beyond either cup along the table edge."""
     x_min, x_max, _, _ = robot_bounds(default_robot_grid())
@@ -199,9 +203,9 @@ def _random_trials(object_pose: ObjectFeatures, n: int, world: WorldConfig, seed
 
 def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
                    sizes: list[int], use_capability_filter: bool,
-                   seed: int = 0, n_test: int = 150, kernel_sigma: float = 0.1,
-                   cost_C: float = 40.0,
-                   positive_class_weight: float = 2.0) -> list[AccuracyPoint]:
+                   seed: int = 0, n_test: int = 150,
+                   kernel_sigma: float = DEFAULT_KERNEL_SIGMA, cost_C: float = DEFAULT_COST_C,
+                   positive_class_weight: float = DEFAULT_CLASS_WEIGHT) -> list[AccuracyPoint]:
     """Held-out classifier accuracy as the training set grows, each size
     trained by train_svm with the given SVM constants.
 
@@ -283,7 +287,7 @@ def make_two_cup_scene(separation: float) -> Scene:
 
 
 def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
-                     rng_base: tuple, cell_size: float = 0.025,
+                     rng_base: tuple, cell_size: float = DEFAULT_CELL_SIZE,
                      threshold: float = MERGE_THRESHOLD) -> TransformPoint:
     """Project the flat two-pick-up plan on a two-cup scene, look for an
     unoptimized-locations flaw, and — when it fires — project the
@@ -298,7 +302,7 @@ def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
                            plan_duration(trace_a, trace_a.time_model))
     point.flaw = detect_merge_flaw(plan, scene, gsm, spec,
                                    rng=np.random.default_rng(rng_base + (1,)),
-                                   threshold=threshold)
+                                   threshold=threshold, world=world)
     if point.flaw is not None:
         point.plan_b = apply_merge_transform(plan, point.flaw)
         point.trace_b = project(point.plan_b, scene, gsm, world, spec,
@@ -309,7 +313,7 @@ def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
 
 def transformation_benefit(distances: list[float], gsm: GSMModel,
                            world: WorldConfig, seed: int = 0,
-                           cell_size: float = 0.025,
+                           cell_size: float = DEFAULT_CELL_SIZE,
                            threshold: float = MERGE_THRESHOLD) -> TransformResult:
     """The merge experiment at each cup separation; separation k draws from
     rng_base (seed, k). Every separation's plan grid is built first, so one

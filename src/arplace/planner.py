@@ -19,12 +19,9 @@ import numpy as np
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map, merge
 from .shapemodel import GSMModel
-from .simworld import CAUSES, WorldConfig, default_world, first_failure, trial_causes
+from .simworld import CAUSES, WorldConfig, first_failure, trial_causes
 
 MERGE_THRESHOLD = 0.85
-# the robot position noise (m) that location queries condition their maps on:
-# the default world's navigation noise, for project and detect_merge_flaw alike
-_NAV_NOISE_SIGMA = default_world().nav_noise_sigma
 # perception scales the belief covariance of the object it observes by this
 _PERCEPTION_SHRINK = 0.5
 
@@ -197,16 +194,17 @@ def plan_duration(trace: ExecutionTrace, time_model: TimeModel) -> float:
     return sum(time_model.event_duration(e) for e in trace.events)
 
 
-def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
+def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel, world: WorldConfig,
                      spec: GridSpec, rng) -> tuple[tuple[float, float], float]:
     """The best cell of the joint success map of the objects the designator
-    must reach, conditioned on the default world's navigation noise, as
-    (world-frame center, probability): one world-frame map per object on a
-    seed drawn from np.random.default_rng(rng) in designator order,
-    multiplied cellwise, then apply_robot_uncertainty. The grasps share one
-    base and one arrival error, so the product is what is conditioned: the
-    probability is the chance that every grasp succeeds from the cell after
-    a noisy arrival. The designator is left unchanged."""
+    must reach, conditioned on the world's navigation noise, as (world-frame
+    center, probability): one world-frame map per object on a seed drawn
+    from np.random.default_rng(rng) in designator order, multiplied
+    cellwise, then apply_robot_uncertainty at world.nav_noise_sigma, the
+    noise project applies on arrival. The grasps share one base and one
+    arrival error, so the product is what is conditioned: the probability
+    is the chance that every grasp succeeds from the cell after a noisy
+    arrival. The designator is left unchanged."""
     missing = [n for n in designator.objects if n not in scene.objects]
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
@@ -215,7 +213,7 @@ def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel,
         compute_map(gsm, scene.objects[name].belief, spec,
                     rng=rng.integers(2 ** 31), frame="world")
         for name in designator.objects])
-    (i, j), p = best_cell(apply_robot_uncertainty(grid, _NAV_NOISE_SIGMA))
+    (i, j), p = best_cell(apply_robot_uncertainty(grid, world.nav_noise_sigma))
     return grid.spec.cell_center(i, j), p
 
 
@@ -224,10 +222,11 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     """Simulate a plan: an at-location node navigates to its designator's
     resolved cell, with position noise on arrival, unless the robot's last
     navigation was for that same designator. So each visit to a designator
-    is one navigation, and its tasks share one base and one arrival error,
-    which is what resolve_location conditions on. Perception snaps a belief
-    to the true state and shrinks its covariance, and grasps run against the
-    true object state from the achieved base position, each labeled by
+    is one navigation, and its tasks share one base and one arrival error
+    of world.nav_noise_sigma, which is what resolve_location, passed the
+    same world, conditions on. Perception snaps a belief to the true state
+    and shrinks its covariance, and grasps run against the true object
+    state from the achieved base position, each labeled by
     simworld.trial_causes. An object that a location, perceive or achieve
     node names and the scene lacks raises UnresolvableDesignatorError before
     any map is computed.
@@ -254,7 +253,7 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
         if node.kind == AT_LOCATION and node.location is not at:
             at = d = node.location
             if d.resolved is None and d not in targets:
-                targets[d] = resolve_location(d, scene, gsm, spec,
+                targets[d] = resolve_location(d, scene, gsm, world, spec,
                                               rng=rng.integers(2 ** 31))
             (tx, ty), _ = d.resolved or targets[d]
             sigma = world.nav_noise_sigma
@@ -302,12 +301,14 @@ def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
 
 
 def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
-                      spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD) -> Flaw | None:
+                      spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD, *,
+                      world: WorldConfig = WorldConfig()) -> Flaw | None:
     """Unoptimized-locations flaw: two pick-up tasks on distinct designators
     (tasks share a location exactly when they hold one designator) whose
-    joint designator resolves to a probability above the threshold. The
-    pairs are tried in plan order, each resolved on the next draws of
-    np.random.default_rng(rng)."""
+    joint designator resolves to a probability above the threshold in the
+    world the plan will be projected in (the default world if none is
+    given). The pairs are tried in plan order, each resolved on the next
+    draws of np.random.default_rng(rng)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     rng = np.random.default_rng(rng)
@@ -317,7 +318,7 @@ def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
             continue
         joint = Designator("joint_pick_up",
                            tuple(dict.fromkeys(a.location.objects + b.location.objects)))
-        location = resolve_location(joint, scene, gsm, spec, rng)
+        location = resolve_location(joint, scene, gsm, world, spec, rng)
         if location[1] > threshold:
             return Flaw((ka, kb), tuple(sorted(joint.objects)), location)
     return None

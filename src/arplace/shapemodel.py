@@ -32,6 +32,9 @@ MAX_REACH = 1e100
 # time: train on the seed-42 dataset takes about 10 s at this count and 58 s at 512
 # (2 vCPUs); train_gsm's traced peak at 512 is 18 MB. Library calls take any count.
 MAX_LANDMARKS = 256
+# default landmark count, and the energy fraction the deformation modes must capture
+DEFAULT_N_LANDMARKS = 20
+DEFAULT_ENERGY_TARGET = 0.95
 # rows of landmark polygons predicted together; bounds the working memory
 _PREDICT_BLOCK = 256
 
@@ -204,8 +207,8 @@ def _gaps_ok(fractions: np.ndarray, min_gap: float) -> bool:
     return min(map(operator.sub, f[1:], f)) >= min_gap
 
 
-def optimize_landmarks(contours: list[np.ndarray], m: int = 20,
-                       energy_target: float = 0.95
+def optimize_landmarks(contours: list[np.ndarray], m: int = DEFAULT_N_LANDMARKS,
+                       energy_target: float = DEFAULT_ENERGY_TARGET
                        ) -> tuple[np.ndarray, int, float, np.ndarray]:
     """Greedy landmark placement: shared arc-length fractions start uniform
     and slide per landmark over candidate offsets (+-1, 2, 4 base steps),
@@ -471,7 +474,8 @@ def finite_numbers(value, what: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def train_gsm(svms: dict[ObjectFeatures, SVMModel], extraction_grid: GridSpec,
-              n_landmarks: int = 20, energy_target: float = 0.95) -> GSMModel:
+              n_landmarks: int = DEFAULT_N_LANDMARKS,
+              energy_target: float = DEFAULT_ENERGY_TARGET) -> GSMModel:
     """Build the generalized model from per-pose classifiers: extract each
     decision boundary, place shared landmarks, fit the two-mode distribution
     model, and regress the mode coefficients on object features.

@@ -9,9 +9,10 @@ import pytest
 from arplace import evaluation
 from arplace.evaluation import (SweepSpec, accuracy_curve, candidate_grid_spec,
                                 chi_square, fixed_strategy_offset,
-                                make_two_cup_scene, merge_experiment, robustness_experiment,
-                                transformation_benefit)
+                                make_two_cup_scene, merge_experiment, plan_grid_spec,
+                                robustness_experiment, transformation_benefit)
 from arplace.geometry import ObjectFeatures
+from arplace.planner import project
 from arplace.shapemodel import GSMModel
 from arplace.simworld import (CAUSES, default_robot_grid, first_failure, geometric_success,
                               grasp_outcome)
@@ -122,23 +123,30 @@ def test_make_two_cup_scene_layout():
 
 def test_merged_plans_navigate_once_whatever_the_arrival_noise(gsm, world):
     """A merged plan's tasks hold one designator, so it navigates once
-    however far its arrival lands from the target: at σ 0.05 m every merged
-    separation of the transform report saves one navigation and at least
-    30% of the flat plan's duration."""
+    however far its arrival lands from the target: at σ 0.05 m the merge
+    decision reads that noise, so only the three closest separations of the
+    transform report merge, and each saves one navigation and at least 30%
+    of the flat plan's duration."""
     noisy = dataclasses.replace(world, nav_noise_sigma=0.05)
     points = transformation_benefit([round(0.20 + 0.05 * k, 2) for k in range(9)],
                                     gsm, noisy, seed=0).points
     merged = [p for p in points if p.merged]
-    assert [p.separation for p in merged] == [0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
+    assert [p.separation for p in merged] == [0.20, 0.25, 0.30]
     for p in merged:
         assert (p.trace_a.count("navigate"), p.trace_b.count("navigate")) == (2, 1)
         assert p.reduction >= 0.30
 
 
 def test_a_merge_navigates_once_under_metre_scale_arrival_noise(gsm, world):
-    point = merge_experiment(0.3, gsm, dataclasses.replace(world, nav_noise_sigma=1.0), (0,))
+    """Under σ 1.0 m no joint location is likely enough to merge, but a plan
+    merged in the default world still navigates once when projected there."""
+    noisy = dataclasses.replace(world, nav_noise_sigma=1.0)
+    assert not merge_experiment(0.3, gsm, noisy, (0,)).merged
+    point = merge_experiment(0.3, gsm, world, (0,))
     assert point.merged
-    assert point.trace_b.count("navigate") == 1
+    trace = project(point.plan_b, make_two_cup_scene(0.3), gsm, noisy, plan_grid_spec(0.3),
+                    rng=np.random.default_rng(2))
+    assert (trace.count("navigate"), trace.count("grasp")) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

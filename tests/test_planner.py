@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from arplace import planner
+from arplace import placemap, planner
 from arplace.evaluation import make_two_cup_scene, plan_grid_spec
 from arplace.grids import GridSpec
 from arplace.placemap import GaussianBelief
@@ -15,7 +15,7 @@ from arplace.planner import (Designator, ExecutionTrace, Flaw, PlanNode, Scene, 
                              detect_merge_flaw, perceive, pickup_task,
                              plan_duration, plan_to_sexp, project,
                              resolve_location, sequence, two_pickup_plan)
-from arplace.simworld import CAUSES, run_trials
+from arplace.simworld import CAUSES, WorldConfig, run_trials
 
 
 def _spec(sep):
@@ -189,18 +189,37 @@ def test_project_nested_plan(gsm, world, monkeypatch):
     assert len(resolved) == 4
 
 
-def test_resolve_location_rejects_unknown_objects(gsm):
+def test_resolve_location_rejects_unknown_objects(gsm, world):
     scene = make_two_cup_scene(0.4)
     with pytest.raises(UnresolvableDesignatorError):
-        resolve_location(Designator("pick_up", ("ghost",)), scene, gsm,
+        resolve_location(Designator("pick_up", ("ghost",)), scene, gsm, world,
                          _spec(0.4), rng=0)
 
 
-def test_resolve_location_leaves_the_designator_unchanged(gsm):
+def test_resolve_location_leaves_the_designator_unchanged(gsm, world):
     d = Designator("pick_up", ("cup-a",))
-    (x, y), p = resolve_location(d, make_two_cup_scene(0.4), gsm, _spec(0.4), rng=0)
+    (x, y), p = resolve_location(d, make_two_cup_scene(0.4), gsm, world, _spec(0.4), rng=0)
     assert d.resolved is None
     assert 0.0 < p <= 1.0 and y < 0.0  # cup-a sits at y = -0.2
+
+
+def test_resolve_location_conditions_on_the_worlds_navigation_noise(gsm, world):
+    """The joint map is conditioned on the navigation noise of the world
+    passed in, the noise that project applies on arrival: in a σ-0.05 world
+    the cell and probability are best_cell of the product conditioned at
+    0.05 m on the same draws, and the probability is not the default
+    world's."""
+    noisy = dataclasses.replace(world, nav_noise_sigma=0.05)
+    scene, spec = make_two_cup_scene(0.4), _spec(0.4)
+    joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
+    draws = np.random.default_rng(7)
+    product = placemap.merge(*(
+        placemap.compute_map(gsm, scene.objects[name].belief, spec,
+                             rng=draws.integers(2 ** 31), frame="world")
+        for name in joint.objects))
+    (i, j), p = placemap.best_cell(placemap.apply_robot_uncertainty(product, 0.05))
+    assert resolve_location(joint, scene, gsm, noisy, spec, rng=7) == (spec.cell_center(i, j), p)
+    assert resolve_location(joint, scene, gsm, world, spec, rng=7)[1] != p
 
 
 def test_plan_duration_matches_trace_clock(gsm, world):
@@ -253,7 +272,7 @@ def test_merge_flaw_resolves_the_joint_designator(gsm):
                              rng=np.random.default_rng(0))
     joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
     assert flaw.proposed_location == resolve_location(
-        joint, scene, gsm, _spec(0.30), rng=np.random.default_rng(0))
+        joint, scene, gsm, WorldConfig(), _spec(0.30), rng=np.random.default_rng(0))
 
 
 def test_merge_flaw_rejects_unknown_objects(gsm):
@@ -269,6 +288,20 @@ def test_merge_flaw_absent_for_distant_cups(gsm):
     assert flaw is None
 
 
+@pytest.mark.parametrize("separation, k", [(0.40, 4), (0.45, 5)])
+def test_merge_flaw_reads_the_worlds_navigation_noise(gsm, world, separation, k):
+    """On the draws of the transform report's separation k at seed 0, the
+    cups merge in the default world (σ 0.01 m), and in a σ-0.05 world, whose
+    arrival error spreads a shared base over both cups' failure regions, the
+    joint probability falls below the threshold and no flaw is found."""
+    scene, spec = make_two_cup_scene(separation), plan_grid_spec(separation)
+    flaws = [detect_merge_flaw(two_pickup_plan(), scene, gsm, spec,
+                               rng=np.random.default_rng((0, k, 1)), world=w)
+             for w in (world, dataclasses.replace(world, nav_noise_sigma=0.05))]
+    assert flaws[0] is not None and flaws[0].proposed_location[1] > planner.MERGE_THRESHOLD
+    assert flaws[1] is None
+
+
 def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
     """detect_merge_flaw spelled out: every joint designator is resolved,
     and its cell's probability decides."""
@@ -279,7 +312,7 @@ def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
             continue
         joint = Designator("joint_pick_up",
                            tuple(dict.fromkeys(a.location.objects + b.location.objects)))
-        location = resolve_location(joint, scene, gsm, spec, rng)
+        location = resolve_location(joint, scene, gsm, WorldConfig(), spec, rng)
         if location[1] > threshold:
             return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
     return None
@@ -324,7 +357,8 @@ def test_a_joint_designator_names_each_object_once(gsm):
     flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=5, threshold=0.5)
     assert flaw.tasks == (0, 1) and flaw.objects == ("cup-a", "cup-b", "cup-c")
     joint = Designator("joint_pick_up", ("cup-a", "cup-b", "cup-c"))
-    assert flaw.proposed_location == resolve_location(joint, scene, gsm, spec, rng=5)
+    assert flaw.proposed_location == resolve_location(joint, scene, gsm, WorldConfig(), spec,
+                                                      rng=5)
     for objects in (("cup-a", "cup-a"), ("cup-a", "cup-b", "cup-a")):
         with pytest.raises(ValueError, match="each object once"):
             Designator("joint_pick_up", objects)
