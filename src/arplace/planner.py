@@ -3,9 +3,10 @@
 Plans are small trees of sequence / at-location / perceive / achieve nodes.
 Location goals are designators: symbolic descriptions resolved against
 success-probability maps when needed. Projection simulates a plan against a
-scene and yields an event trace timed by a time model; the merge
-transformation gives every task on two pick-up tasks' designators one base
-location when their joint designator resolves to a high success probability.
+scene and yields an event trace timed by a time model. A flaw names two
+pick-up designators whose joint designator resolves to a high success
+probability; the merge transformation gives every task on either one base
+location.
 """
 
 from __future__ import annotations
@@ -286,11 +287,16 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
 
 @dataclass(frozen=True, slots=True)
 class Flaw:
-    """Unoptimized-locations flaw: two pick-up tasks that can share a base."""
+    """Unoptimized-locations flaw: two pick-up designators whose tasks can
+    share one base, and the joint cell they would share."""
 
-    tasks: tuple[int, int]             # positions in pick-up task order
-    objects: tuple[str, ...]           # the objects they reach, sorted
+    locations: tuple[Designator, Designator]
     proposed_location: tuple[tuple[float, float], float]  # joint cell, p
+
+    @property
+    def objects(self) -> tuple[str, ...]:
+        """The objects the two designators reach, sorted."""
+        return tuple(sorted({name for d in self.locations for name in d.objects}))
 
 
 def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
@@ -303,24 +309,22 @@ def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
 def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
                       spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD, *,
                       world: WorldConfig = WorldConfig()) -> Flaw | None:
-    """Unoptimized-locations flaw: two pick-up tasks on distinct designators
-    (tasks share a location exactly when they hold one designator) whose
-    joint designator resolves to a probability above the threshold in the
-    world the plan will be projected in (the default world if none is
-    given). The pairs are tried in plan order, each resolved on the next
-    draws of np.random.default_rng(rng)."""
+    """Unoptimized-locations flaw: two distinct pick-up designators (tasks
+    share a location exactly when they hold one designator) whose joint
+    designator resolves to a probability above the threshold in the world
+    the plan will be projected in (the default world if none is given).
+    Each pair of designators is tried once, in the order their first tasks
+    appear in the plan, and resolved on the next draws of
+    np.random.default_rng(rng)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     rng = np.random.default_rng(rng)
-    tasks = _pickup_tasks(plan)
-    for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
-        if a.location is b.location:
-            continue
-        joint = Designator("joint_pick_up",
-                           tuple(dict.fromkeys(a.location.objects + b.location.objects)))
+    designators = dict.fromkeys(task.location for task in _pickup_tasks(plan))
+    for a, b in itertools.combinations(designators, 2):
+        joint = Designator("joint_pick_up", tuple(dict.fromkeys(a.objects + b.objects)))
         location = resolve_location(joint, scene, gsm, world, spec, rng)
         if location[1] > threshold:
-            return Flaw((ka, kb), tuple(sorted(joint.objects)), location)
+            return Flaw((a, b), location)
     return None
 
 
@@ -335,17 +339,11 @@ def _copy_plan(node: PlanNode, designators: dict) -> PlanNode:
 
 
 def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:
-    """Return a new plan in which every task that held either flawed pick-up
-    task's designator holds one resolved joint location designator; the
-    plan passed in is unchanged."""
-    tasks = _pickup_tasks(plan)
-    try:
-        flawed = [tasks[k].location for k in flaw.tasks]
-    except IndexError:
-        raise ValueError("flawed tasks are no longer present in the plan") from None
-    reached = tuple(sorted({name for d in flawed for name in d.objects}))
-    if reached != flaw.objects:
-        raise ValueError(f"flawed tasks reach {reached}, not the flaw's "
-                         f"objects {flaw.objects}")
+    """Return a new plan in which every task that held either of the flaw's
+    designators holds one resolved joint location designator; the plan
+    passed in is unchanged. A plan that does not hold both designators
+    raises ValueError."""
+    if not {node.location for node in plan.walk()} >= set(flaw.locations):
+        raise ValueError("the plan does not hold the flaw's designators")
     shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
-    return _copy_plan(plan, dict.fromkeys(flawed, shared))
+    return _copy_plan(plan, dict.fromkeys(flaw.locations, shared))

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -253,11 +252,11 @@ def test_plan_duration_matches_trace_clock(gsm, world):
 # ---------------------------------------------------------------------------
 
 def test_merge_flaw_fires_for_close_cups(gsm):
-    scene = make_two_cup_scene(0.30)
-    flaw = detect_merge_flaw(two_pickup_plan(), scene, gsm, _spec(0.30),
+    scene, plan = make_two_cup_scene(0.30), two_pickup_plan()
+    flaw = detect_merge_flaw(plan, scene, gsm, _spec(0.30),
                              rng=np.random.default_rng(0))
     assert flaw is not None
-    assert flaw.tasks == (0, 1)
+    assert flaw.locations == _task_locations(plan)
     assert flaw.objects == ("cup-a", "cup-b")
     (x, y), p = flaw.proposed_location
     assert p > 0.85
@@ -303,25 +302,29 @@ def test_merge_flaw_reads_the_worlds_navigation_noise(gsm, world, separation, k)
 
 
 def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
-    """detect_merge_flaw spelled out: every joint designator is resolved,
-    and its cell's probability decides."""
+    """detect_merge_flaw spelled out: the joint designator of every pair of
+    distinct pick-up designators, in the order of their first tasks, is
+    resolved once, and its cell's probability decides."""
     rng = np.random.default_rng(rng)
-    tasks = planner._pickup_tasks(plan)
-    for (ka, a), (kb, b) in itertools.combinations(enumerate(tasks), 2):
-        if a.location is b.location:
-            continue
-        joint = Designator("joint_pick_up",
-                           tuple(dict.fromkeys(a.location.objects + b.location.objects)))
-        location = resolve_location(joint, scene, gsm, WorldConfig(), spec, rng)
-        if location[1] > threshold:
-            return Flaw((ka, kb), tuple(sorted(set(joint.objects))), location)
+    designators = []
+    for task in planner._pickup_tasks(plan):
+        if not any(task.location is d for d in designators):
+            designators.append(task.location)
+    for k, a in enumerate(designators):
+        for b in designators[k + 1:]:
+            joint = Designator("joint_pick_up", tuple(dict.fromkeys(a.objects + b.objects)))
+            location = resolve_location(joint, scene, gsm, WorldConfig(), spec, rng)
+            if location[1] > threshold:
+                return Flaw((a, b), location)
     return None
 
 
 def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
     """Three cups, so that a pair without a flaw leaves the generator to the
     next pair: on random separations and thresholds the flaw, or None, is
-    the one of the search that runs best_cell on every joint map."""
+    the one of the search that runs best_cell on every joint map, named by
+    the positions of its designators' first tasks. On the plan each flaw
+    merges, two designators are left and the search agrees again."""
     rng = np.random.default_rng(29)
     outcomes = set()
     for _ in range(16):
@@ -336,7 +339,11 @@ def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
         seed = int(rng.integers(2 ** 31))
         flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=seed, threshold=threshold)
         assert flaw == _detect_merge_flaw_reference(plan, scene, gsm, spec, seed, threshold)
-        outcomes.add(flaw and flaw.tasks)
+        outcomes.add(flaw and _positions(plan, flaw))
+        if flaw is not None:
+            merged = apply_merge_transform(plan, flaw)
+            assert detect_merge_flaw(merged, scene, gsm, spec, rng=seed, threshold=threshold) == \
+                _detect_merge_flaw_reference(merged, scene, gsm, spec, seed, threshold)
     assert outcomes == {(0, 1), (1, 2), None}
 
 
@@ -355,7 +362,8 @@ def test_a_joint_designator_names_each_object_once(gsm):
                     perceive("cup-c"), achieve_grasp("cup-c")))
     spec = _spec(0.6)
     flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=5, threshold=0.5)
-    assert flaw.tasks == (0, 1) and flaw.objects == ("cup-a", "cup-b", "cup-c")
+    assert flaw.locations == _task_locations(plan)
+    assert flaw.objects == ("cup-a", "cup-b", "cup-c")
     joint = Designator("joint_pick_up", ("cup-a", "cup-b", "cup-c"))
     assert flaw.proposed_location == resolve_location(joint, scene, gsm, WorldConfig(), spec,
                                                       rng=5)
@@ -379,12 +387,23 @@ def _designators(plan):
     return {id(n.location) for n in plan.walk() if n.kind == "at_location"}
 
 
+def _task_locations(plan):
+    """The designator of each at_location node, in plan order."""
+    return tuple(n.location for n in plan.walk() if n.kind == "at_location")
+
+
+def _positions(plan, flaw):
+    """The position of the first task holding each of the flaw's designators
+    (designators compare by identity)."""
+    return tuple(map(_task_locations(plan).index, flaw.locations))
+
+
 def test_merging_three_cups_ends_on_one_designator(gsm):
-    """Merges (0, 1) and then (0, 2) re-point every task that held a flawed
-    designator, so all three tasks end on one designator and no flaw is
-    left. Re-pointing only the two flawed tasks would leave task 1 behind
-    and take a third flaw that ends on two designators. Each merged plan
-    shares no node or designator object with its input."""
+    """The first merge names the designators of tasks 0 and 1, the second
+    the joint designator they now share and task 2's. Every task that held
+    a flawed designator is re-pointed, so all three tasks end on one
+    designator and no flaw is left. Each merged plan shares no node or
+    designator object with its input."""
     scene = _cup_scene([(-0.15, 0.04), (0.15, -0.04), (0.30, -0.04)])
     plan = sequence(*(pickup_task(name) for name in scene.objects))
     spec = plan_grid_spec(0.6)
@@ -393,7 +412,7 @@ def test_merging_three_cups_ends_on_one_designator(gsm):
         flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=seed, threshold=0.5)
         if flaw is None:
             break
-        flaws.append(flaw.tasks)
+        flaws.append(_positions(plan, flaw))
         merged = apply_merge_transform(plan, flaw)
         assert not {id(n) for n in plan.walk()} & {id(n) for n in merged.walk()}
         assert not _designators(plan) & _designators(merged)
@@ -403,6 +422,33 @@ def test_merging_three_cups_ends_on_one_designator(gsm):
     assert plan.children[0].location.objects == ("cup-0", "cup-1", "cup-2")
 
 
+def test_each_pair_of_designators_is_resolved_once(gsm, monkeypatch):
+    """On the plan that merged cups 0 and 1, tasks 0 and 1 hold one
+    designator, so the plan has one pair of designators: every detection
+    resolves its joint designator once, on one draw, also when no flaw is
+    found. Trying task pairs (0, 2) and (1, 2) would resolve it again on
+    fresh draws after every failed try."""
+    scene = _cup_scene([(-0.15, 0.04), (0.15, -0.04), (0.30, -0.04)])
+    plan = sequence(*(pickup_task(name) for name in scene.objects))
+    spec = plan_grid_spec(0.9)
+    flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=0, threshold=0.9)
+    assert flaw.objects == ("cup-0", "cup-1")
+    merged = apply_merge_transform(plan, flaw)
+    resolved = []
+
+    def counting(d, *args, **kwargs):
+        resolved.append(d.objects)
+        return resolve_location(d, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "resolve_location", counting)
+    flaws = []
+    for seed in range(10):
+        resolved.clear()
+        flaws.append(detect_merge_flaw(merged, scene, gsm, spec, rng=seed, threshold=0.9))
+        assert resolved == [("cup-0", "cup-1", "cup-2")]
+    assert None in flaws
+
+
 def test_tasks_on_distinct_designators_of_one_object_are_a_flaw(gsm):
     """Two tasks on distinct designators share no location even when they
     reach the same objects; after the merge they hold one and no flaw is
@@ -410,7 +456,8 @@ def test_tasks_on_distinct_designators_of_one_object_are_a_flaw(gsm):
     plan = sequence(pickup_task("cup-a"), pickup_task("cup-a"))
     scene = make_two_cup_scene(0.30)
     flaw = detect_merge_flaw(plan, scene, gsm, _spec(0.30), rng=0)
-    assert flaw is not None and flaw.tasks == (0, 1) and flaw.objects == ("cup-a",)
+    assert flaw is not None and flaw.objects == ("cup-a",)
+    assert flaw.locations == _task_locations(plan)
     merged = apply_merge_transform(plan, flaw)
     assert len(_designators(merged)) == 1
     assert detect_merge_flaw(merged, scene, gsm, _spec(0.30), rng=0) is None
@@ -450,7 +497,7 @@ def test_merge_transform_structural_diff(gsm):
     # original untouched
     orig_tasks = [n for n in plan.walk() if n.kind == "at_location"]
     assert orig_tasks[0].location is not orig_tasks[1].location
-    assert flaw.tasks == (0, 1)
+    assert flaw.locations == _task_locations(plan)
     # transformed plan: same kinds and goals, one shared resolved designator
     assert [(n.kind, n.goal) for n in merged.walk()] == \
         [(n.kind, n.goal) for n in plan.walk()]
@@ -492,6 +539,33 @@ def test_distinct_designators_on_one_cell_navigate_twice(gsm, world):
     assert merged.count("grasp") == 2
 
 
+def test_a_designator_resolved_after_perceiving_reads_the_perceived_belief(gsm, world,
+                                                                          monkeypatch):
+    """Perception snaps the belief to the true state and halves its
+    covariance, and a designator first resolved after its object is
+    perceived reads that belief: of two pick-up designators of one cup, the
+    first is resolved on the prior, whose mean is off the truth, and the
+    second on the belief the first task's perceive left."""
+    beliefs = []
+
+    def recording(d, scene, *args, **kwargs):
+        beliefs.append(scene.objects["cup-a"].belief)
+        return resolve_location(d, scene, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "resolve_location", recording)
+    truth = (0.12, -0.15, 0.04)
+    prior = GaussianBelief.isotropic((0.14, -0.10, 0.0), 0.02, 0.1)
+    scene = Scene({"cup-a": SceneObject("cup-a", truth, prior)}, robot_xy=(1.5, 0.0))
+    project(sequence(pickup_task("cup-a"), pickup_task("cup-a")), scene, gsm, world,
+            _spec(0.3), rng=0)
+    assert len(beliefs) == 2
+    assert beliefs[0].mean.tolist() == prior.mean.tolist()
+    assert beliefs[0].cov.tolist() == prior.cov.tolist()
+    assert beliefs[1].mean.tolist() == list(truth)
+    assert beliefs[1].cov.tolist() == (prior.cov / 2).tolist()
+    assert scene.objects["cup-a"].belief is prior
+
+
 def test_a_designator_visited_again_after_another_navigates_again(gsm, world, monkeypatch):
     """The rule is the last navigation's designator, not any designator
     reached before: locations on d1, d2, d1 navigate three times, the third
@@ -515,23 +589,33 @@ def test_a_designator_visited_again_after_another_navigates_again(gsm, world, mo
 
 
 def test_merge_transform_rejects_foreign_flaws():
-    flaw = Flaw((0, 1), ("cup-a", "cup-b"), proposed_location=((0.5, 0.0), 0.9))
-    assert apply_merge_transform(two_pickup_plan(), flaw) is not None
-    # the tasks at the bound positions must reach exactly the flaw's objects
-    with pytest.raises(ValueError):
-        apply_merge_transform(two_pickup_plan("cup-a", "cup-c"), flaw)
-    # and the positions must exist
-    with pytest.raises(ValueError):
-        apply_merge_transform(sequence(pickup_task("cup-a")), flaw)
+    """A flaw applies only to a plan that holds both its designators: not to
+    a plan of the same objects on other designators, nor to one that holds
+    only one of them."""
+    plan = two_pickup_plan()
+    flaw = Flaw(_task_locations(plan), proposed_location=((0.5, 0.0), 0.9))
+    assert flaw.objects == ("cup-a", "cup-b")
+    assert apply_merge_transform(plan, flaw) is not None
+    for foreign in (two_pickup_plan(), sequence(plan.children[0], pickup_task("cup-b"))):
+        with pytest.raises(ValueError, match="does not hold"):
+            apply_merge_transform(foreign, flaw)
+
+
+def test_a_flaw_does_not_apply_to_the_plan_it_merged(gsm):
+    """The merged plan holds a copy of the joint designator, not the two the
+    flaw names, so the flaw cannot merge it again."""
+    plan = two_pickup_plan()
+    flaw = detect_merge_flaw(plan, make_two_cup_scene(0.30), gsm, _spec(0.30), rng=0)
+    merged = apply_merge_transform(plan, flaw)
+    with pytest.raises(ValueError, match="does not hold"):
+        apply_merge_transform(merged, flaw)
 
 
 def _merge_reference(plan, flaw):
-    """apply_merge_transform as it was written on copy.deepcopy."""
-    new_plan = copy.deepcopy(plan)
+    """apply_merge_transform written on copy.deepcopy: its memo maps both
+    flawed designators to one joint designator."""
     shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
-    for k in flaw.tasks:
-        planner._pickup_tasks(new_plan)[k].location = shared
-    return new_plan
+    return copy.deepcopy(plan, dict.fromkeys(map(id, flaw.locations), shared))
 
 
 def _sharing(plan):
@@ -549,7 +633,7 @@ def test_merge_transform_keeps_a_shared_designator_shared():
                     at_location(d, perceive("cup-b"), achieve_grasp("cup-b")),
                     pickup_task("cup-c"), pickup_task("cup-d"))
     before = plan_to_sexp(plan)
-    flaw = Flaw((2, 3), ("cup-c", "cup-d"), proposed_location=((0.5, 0.1), 0.9))
+    flaw = Flaw(_task_locations(plan)[2:], proposed_location=((0.5, 0.1), 0.9))
     merged = apply_merge_transform(plan, flaw)
     reference = _merge_reference(plan, flaw)
     assert _sharing(merged) == _sharing(reference) == [0, 0, 2, 2]
@@ -561,11 +645,11 @@ def test_merge_transform_keeps_a_shared_designator_shared():
 
 
 def test_trace_and_flaw_records_carry_no_instance_dict():
-    flaw = Flaw((0, 1), ("cup-a", "cup-b"), proposed_location=((0.5, 0.0), 0.9))
+    flaw = Flaw(_task_locations(two_pickup_plan()), proposed_location=((0.5, 0.0), 0.9))
     for obj in (TraceEvent("perceive", {"object": "cup-a"}), ExecutionTrace(TimeModel()), flaw):
         assert not hasattr(obj, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
-        flaw.tasks = (1, 2)
+        flaw.locations = flaw.locations[::-1]
 
 
 def test_a_failing_grasp_keeps_its_stage_cause_under_a_local_minimum(gsm, world):
