@@ -19,6 +19,5 @@ from .planner import (Designator, ExecutionTrace, Flaw, PlanNode, Scene,
                       SceneObject, TimeModel, apply_merge_transform,
                       detect_merge_flaw, plan_duration, plan_to_sexp, project,
                       two_pickup_plan)
-from .evaluation import (SweepResult, SweepSpec, accuracy_curve, chi_square,
-                         merge_experiment, robustness_experiment,
-                         transformation_benefit)
+from .evaluation import (SweepSpec, accuracy_curve, chi_square, merge_experiment,
+                         robustness_experiment, transformation_benefit)

@@ -301,11 +301,11 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         gsm = _read("model", GSMModel.load, args.model)
         sweep = SweepSpec(cell_size=cfg.cell_size, n_map_samples=cfg.n_samples)
         try:
-            res = robustness_experiment(sweep, gsm, world, seed=args.seed)
+            points = robustness_experiment(sweep, gsm, world, seed=args.seed)
         except EmptySuccessRegionError as e:  # no fixed offset in this world
             raise BadConfigError(f"config world {cfg.world}: {e}")
         lines.append("sigma_obj arplace fixed chi2 p")
-        for p in res.points:
+        for p in points:
             lines.append(f"{p.sigma_obj:.2f} {p.rate('arplace'):.3f} "
                          f"{p.rate('fixed'):.3f} {p.chi2_stat:.4f} "
                          f"{p.p_value:.6g}")
@@ -323,11 +323,10 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     elif args.experiment == "transform":
         gsm = _read("model", GSMModel.load, args.model)
         distances = [round(0.20 + 0.05 * k, 2) for k in range(9)]
-        res = transformation_benefit(distances, gsm, world, seed=args.seed,
-                                     cell_size=cfg.cell_size,
-                                     threshold=cfg.merge_threshold)
+        points = transformation_benefit(distances, gsm, world, seed=args.seed,
+                                        cell_size=cfg.cell_size, threshold=cfg.merge_threshold)
         lines.append("separation merged probability duration_a duration_b")
-        for p in res.points:
+        for p in points:
             prob = "-" if p.merged_probability is None else f"{p.merged_probability:.3f}"
             db = "-" if p.duration_b is None else f"{p.duration_b:.2f}"
             lines.append(f"{p.separation:.2f} {int(p.merged)} {prob} "

@@ -6,7 +6,7 @@ filter, and the duration benefit of the location-merging plan transformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,18 +79,6 @@ class SweepPoint:
         return self.successes[strategy] / self.n_trials
 
 
-@dataclass
-class SweepResult:
-    spec: SweepSpec
-    points: list[SweepPoint] = field(default_factory=list)
-
-    def point_for(self, sigma: float) -> SweepPoint:
-        for p in self.points:
-            if abs(p.sigma_obj - sigma) < 1e-12:
-                return p
-        raise KeyError(f"no sweep point at sigma={sigma}")
-
-
 def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, float]:
     """Centroid of the noise-free success cells for the mean object pose,
     evaluated over the standard candidate grid — the hand-coded constant
@@ -121,9 +109,10 @@ def plan_grid_spec(separation: float, cell_size: float = DEFAULT_CELL_SIZE) -> G
 
 
 def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
-                          seed: int = 0) -> SweepResult:
+                          seed: int = 0) -> list[SweepPoint]:
     """Compare target selection from the success map against a fixed offset
-    from the perceived object position, under increasing perception noise.
+    from the perceived object position, under increasing perception noise:
+    one point per spec.sigma_obj_values entry, in that order.
 
     Both strategies see the same perceived pose and the same execution noise
     stream in every trial; only the chosen base target differs. The grasp
@@ -131,7 +120,7 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
     """
     grid_spec = candidate_grid_spec(spec.cell_size)
     fixed_offset = fixed_strategy_offset(world, spec)
-    result = SweepResult(spec=spec)
+    points = []
     for s_idx, sigma in enumerate(spec.sigma_obj_values):
         successes = np.zeros(2, dtype=int)  # arplace, fixed
         for t in range(spec.trials_per_cell):
@@ -171,15 +160,18 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
             successes += trial_causes(stage, lm_draw, world) == 0  # "none"
         a, f = successes.tolist()
         stat, p = chi_square(a, spec.trials_per_cell, f, spec.trials_per_cell)
-        result.points.append(SweepPoint(sigma_obj=sigma, successes={"arplace": a, "fixed": f},
-                                        n_trials=spec.trials_per_cell,
-                                        chi2_stat=stat, p_value=p))
-    return result
+        points.append(SweepPoint(sigma_obj=sigma, successes={"arplace": a, "fixed": f},
+                                 n_trials=spec.trials_per_cell, chi2_stat=stat, p_value=p))
+    return points
 
 
 # ---------------------------------------------------------------------------
 # accuracy versus training-set size
 # ---------------------------------------------------------------------------
+
+# held-out trials that score each accuracy curve
+N_TEST = 150
+
 
 @dataclass
 class AccuracyPoint:
@@ -203,11 +195,12 @@ def _random_trials(object_pose: ObjectFeatures, n: int, world: WorldConfig, seed
 
 def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
                    sizes: list[int], use_capability_filter: bool,
-                   seed: int = 0, n_test: int = 150,
+                   seed: int = 0,
                    kernel_sigma: float = DEFAULT_KERNEL_SIGMA, cost_C: float = DEFAULT_COST_C,
                    positive_class_weight: float = DEFAULT_CLASS_WEIGHT) -> list[AccuracyPoint]:
-    """Held-out classifier accuracy as the training set grows, each size
-    trained by train_svm with the given SVM constants.
+    """Held-out classifier accuracy on N_TEST trials as the training set
+    grows, one point per entry of sizes, in that order, each size trained by
+    train_svm with the given SVM constants.
 
     With the capability filter on, theoretically unreachable commands are
     labeled failures without running the simulated trial, cutting the
@@ -220,14 +213,14 @@ def accuracy_curve(world: WorldConfig, object_pose: ObjectFeatures,
     if sorted(sizes) != list(sizes):
         raise ValueError("sizes must be ascending")
     check_svm_constants(kernel_sigma, cost_C, positive_class_weight)
-    test_X, test_codes = _random_trials(object_pose, n_test, world, seed, 0)
+    test_X, test_codes = _random_trials(object_pose, N_TEST, world, seed, 0)
     # trial idx draws from (seed, 3, idx), so each size trains on a prefix
     X, codes = _random_trials(object_pose, max(sizes), world, seed, 2, use_capability_filter)
     y = np.where(codes == 0, 1.0, -1.0)  # code 0 is "none", a success
     executed = codes != CAUSES.index("unreachable_theory")
     points = []
     for size in sizes:
-        pred = np.full(n_test, y[0] > 0)  # train_svm refuses a prefix of one class
+        pred = np.full(N_TEST, y[0] > 0)  # train_svm refuses a prefix of one class
         if np.any(y[:size] != y[0]):
             model = train_svm(X[:size], y[:size], kernel_sigma, cost_C, positive_class_weight)
             pred = model.decision_values(test_X) > 0
@@ -267,11 +260,6 @@ class TransformPoint:
         if self.duration_b is None or self.duration_a <= 0:
             return None
         return 1.0 - self.duration_b / self.duration_a
-
-
-@dataclass
-class TransformResult:
-    points: list[TransformPoint] = field(default_factory=list)
 
 
 def make_two_cup_scene(separation: float) -> Scene:
@@ -314,14 +302,12 @@ def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
 def transformation_benefit(distances: list[float], gsm: GSMModel,
                            world: WorldConfig, seed: int = 0,
                            cell_size: float = DEFAULT_CELL_SIZE,
-                           threshold: float = MERGE_THRESHOLD) -> TransformResult:
-    """The merge experiment at each cup separation; separation k draws from
-    rng_base (seed, k). Every separation's plan grid is built first, so one
-    above grids.MAX_GRID_CELLS raises GridSizeError before any map."""
+                           threshold: float = MERGE_THRESHOLD) -> list[TransformPoint]:
+    """The merge experiment at each cup separation, one point per entry of
+    distances, in that order; separation k draws from rng_base (seed, k).
+    Every separation's plan grid is built first, so one above
+    grids.MAX_GRID_CELLS raises GridSizeError before any map."""
     for sep in distances:
         plan_grid_spec(sep, cell_size)
-    result = TransformResult()
-    for k, sep in enumerate(distances):
-        result.points.append(merge_experiment(sep, gsm, world, (seed, k), cell_size,
-                                              threshold))
-    return result
+    return [merge_experiment(sep, gsm, world, (seed, k), cell_size, threshold)
+            for k, sep in enumerate(distances)]

@@ -104,8 +104,9 @@ class CostGrid:
 
 
 def save_grid_text(grid, path, header_lines: list[str] | None = None):
-    """Text format: optional '#' comment lines, a 4-line geometry header
-    (origin_x, origin_y, cell_size, nx ny), then nx rows of ny values."""
+    """Text format: optional '#' comment lines, a 5-line header (origin_x,
+    origin_y, cell_size, nx ny, then the frame: gsm or world), then nx rows
+    of ny values."""
     values = grid.probs if isinstance(grid, ARPlaceGrid) else grid.costs
     s = grid.spec
     with open(path, "w") as f:
@@ -115,6 +116,7 @@ def save_grid_text(grid, path, header_lines: list[str] | None = None):
         f.write(f"origin_y {s.origin_y:.17g}\n")
         f.write(f"cell_size {s.cell_size:.17g}\n")
         f.write(f"nx_ny {s.nx} {s.ny}\n")
+        f.write(f"frame {grid.frame}\n")
         for i in range(s.nx):
             f.write(" ".join(f"{v:.17g}" for v in values[i]) + "\n")
 
@@ -135,10 +137,12 @@ def _parse_line(no: int, text: str, count: int, kind=float) -> list:
 
 
 def load_grid_text(path) -> ARPlaceGrid:
-    """Read the save_grid_text format as a "gsm" frame map (the format does
-    not store the frame). A file whose header keys, row count (nx) or row
-    lengths (ny) do not match, with a value that is not a finite number, or
-    whose header GridSpec refuses, raises ValueError naming the line."""
+    """Read the save_grid_text format as a map of the frame its header
+    names; a file without the frame line, as written before the format
+    stored it, reads as a "gsm" map. A file whose header keys, row count
+    (nx) or row lengths (ny) do not match, whose frame is neither gsm nor
+    world, with a value that is not a finite number, or whose header
+    GridSpec refuses, raises ValueError naming the line."""
     with open(path) as f:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(f, 1)
                  if not ln.startswith("#")]
@@ -158,13 +162,19 @@ def load_grid_text(path) -> ARPlaceGrid:
     except ValueError as e:  # GridSizeError stays one
         raise type(e)(f"line {header['cell_size' if cell_size <= 0 else 'nx_ny'][0]}: {e}")
     rows = lines[len(_GRID_HEADER):]
+    last, frame = header["nx_ny"][0], "gsm"
+    if rows and rows[0][1].partition(" ")[0] == "frame":
+        (last, text), rows = rows[0], rows[1:]
+        frame = text.partition(" ")[2]
+        if frame not in ("gsm", "world"):
+            raise ValueError(f"line {last}: expected frame gsm or world, found {frame!r}")
     if len(rows) < nx:
-        last = rows[-1][0] if rows else header["nx_ny"][0]
-        raise ValueError(f"line {last}: file ends after {len(rows)} of {nx} rows")
+        raise ValueError(f"line {rows[-1][0] if rows else last}: file ends after "
+                         f"{len(rows)} of {nx} rows")
     if len(rows) > nx:
         raise ValueError(f"line {rows[nx][0]}: row beyond the {nx} rows of the header")
     values = np.array([_parse_line(no, ln, ny) for no, ln in rows])
-    return ARPlaceGrid(spec=spec, probs=values)
+    return ARPlaceGrid(spec=spec, probs=values, frame=frame)
 
 
 def save_pgm(grid: ARPlaceGrid, path, header_lines: list[str] | None = None):

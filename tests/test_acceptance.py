@@ -95,11 +95,12 @@ def test_criterion_6_robustness_to_perception_noise(gsm, world):
     t0 = time.perf_counter()
     result = robustness_experiment(SweepSpec(), gsm, world, seed=7)
     elapsed = time.perf_counter() - t0
-    clean = result.point_for(0.0)
+    by_sigma = {p.sigma_obj: p for p in result}
+    clean = by_sigma[0.0]
     assert clean.rate("arplace") >= 0.95
     assert clean.rate("fixed") >= 0.95
     for sigma in (0.05, 0.10):
-        point = result.point_for(sigma)
+        point = by_sigma[sigma]
         assert point.rate("arplace") > point.rate("fixed")
         assert point.p_value < 0.05
     assert elapsed < 600.0
@@ -113,7 +114,7 @@ def test_criterion_7_merge_transformation_benefit(gsm, world):
     close = [0.20, 0.30, 0.40, 0.45]
     far = [0.50, 0.55, 0.60]
     result = transformation_benefit(close + far, gsm, world, seed=0)
-    for p in result.points:
+    for p in result:
         if p.separation in close:
             assert p.merged, f"no merge at separation {p.separation}"
             assert p.merged_probability > 0.85

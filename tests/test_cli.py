@@ -13,7 +13,7 @@ import pytest
 from arplace import cli, placemap, planner, simworld
 from arplace.classifier import train_per_pose, train_svm
 from arplace.cli import BadConfigError, PipelineConfig, build_parser, main
-from arplace.evaluation import (SweepPoint, SweepResult, SweepSpec, accuracy_curve,
+from arplace.evaluation import (SweepPoint, SweepSpec, TransformPoint, accuracy_curve,
                                 candidate_grid_spec, merge_experiment, plan_grid_spec,
                                 transformation_benefit)
 from arplace.grids import (MAX_GRID_CELLS, ARPlaceGrid, GridSizeError, GridSpec,
@@ -256,14 +256,16 @@ def test_bad_belief_exit_code(artifacts, tmp_path, capsys, name):
 
 
 # (edit of the saved file's lines, the line the error must name); line 1 is
-# a comment, lines 2-5 the header and lines 6-8 the three rows of four values
+# a comment, lines 2-6 the header (line 6 the frame) and lines 7-9 the three
+# rows of four values
 BAD_GRIDS = {
     "truncated_header": (lambda ls: ls[:3], "line 3:"),
     "truncated_rows": (lambda ls: ls[:7], "line 7:"),
     "short_row": (lambda ls: ls[:6] + ["0.5 0.5 0.5\n"] + ls[7:], "line 7:"),
-    "extra_row": (lambda ls: ls + ["0.5 0.5 0.5 0.5\n"], "line 9:"),
+    "extra_row": (lambda ls: ls + ["0.5 0.5 0.5 0.5\n"], "line 10:"),
     "wrong_header_key": (lambda ls: ls[:2] + ["origin_z 0\n"] + ls[3:], "line 3:"),
-    "nan_cell": (lambda ls: ls[:5] + ["0.5 nan 0.5 0.5\n"] + ls[6:], "line 6:"),
+    "unknown_frame": (lambda ls: ls[:5] + ["frame robot\n"] + ls[6:], "line 6:"),
+    "nan_cell": (lambda ls: ls[:6] + ["0.5 nan 0.5 0.5\n"] + ls[7:], "line 7:"),
     "infinite_origin": (lambda ls: ls[:1] + ["origin_x inf\n"] + ls[2:], "line 2:"),
     "oversized_header": (lambda ls: ls[:4] + ["nx_ny 1001 1000\n"] + ls[5:],
                          f"limit of {MAX_GRID_CELLS}"),
@@ -292,6 +294,21 @@ def test_merging_maps_of_another_geometry_exit_code(tmp_path, capsys):
     rc = main(["merge", str(a), str(b), "--seed", "0", "--out", str(tmp_path / "out")])
     assert rc == 3
     assert str(b) in capsys.readouterr().err
+
+
+def test_merging_a_world_map_with_a_gsm_map_exit_code(tmp_path, capsys):
+    """The grid file stores its frame: a world-frame map, the kind the
+    planner builds, merges with a world map into a world map, and not with
+    a gsm map of the same lattice."""
+    spec = GridSpec(0.0, 0.0, 0.1, 3, 4)
+    gsm_map, world_map, out = tmp_path / "gsm.txt", tmp_path / "world.txt", tmp_path / "out"
+    save_grid_text(ARPlaceGrid(spec, np.full((3, 4), 0.5)), gsm_map)
+    save_grid_text(ARPlaceGrid(spec, np.full((3, 4), 0.5), frame="world"), world_map)
+    assert main(["merge", str(world_map), str(world_map), "--seed", "0", "--out", str(out)]) == 0
+    assert load_grid_text(out).frame == "world"
+    rc = main(["merge", str(gsm_map), str(world_map), "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert str(world_map) in capsys.readouterr().err
 
 
 # (edit of the trained model's JSON object, text the error must name)
@@ -511,16 +528,19 @@ def test_eval_accuracy_bytes_are_fixed(tmp_path, capsys):
 BENCH_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "gsm_seed42.json"
 
 # outputs whose bytes pass through the robot-noise convolution, on the fixed
-# benchmark model: a map conditioned on robot noise, and plans whose merged
+# benchmark model: a map conditioned on robot noise, the robustness sweep,
+# whose trials pick their targets on such maps, and plans whose merged
 # locations are resolved on joint maps conditioned on the navigation noise
 CONVOLVED_OUTPUTS = {
     "map_robot_sigma": (["map", "--belief", "belief.json", "--robot-sigma", "0.05",
                          "--seed", "1"],
-                        "807bef3882ab464f176515e0f1fe371cbc5d57fb84cf21e7be40791accc4c559"),
+                        "08055ce0a8312eb3a8732fca16106d9c033f0c6b729ec10e3a77e860f65bb75d"),
     "plan_separation_0.45": (["plan", "--separation", "0.45", "--seed", "0"],
                              "33a32ddfbf57a37a4d47cc36c4900dbd5c5b372367c8c03e4e12fa5098049c27"),
     "eval_transform": (["eval", "transform", "--seed", "0"],
                        "06b7dc40b4809439eaa1a42d83c387dd47110bfd6071de8f6f3d84b6caef338c"),
+    "eval_robustness": (["eval", "robustness", "--seed", "7"],
+                        "977dbb1493c482fcce1749865c92a5fd245cbd8db4fb1b2e39cb2d4f0fd1a3b9"),
 }
 
 
@@ -884,7 +904,7 @@ def test_plan_command_is_the_merge_experiment_point(artifacts, tmp_path, capsys)
     (x, y), p = point.flaw.proposed_location
     assert f"joint probability {p:.3f} at ({x:.3f}, {y:.3f})" in text
 
-    swept = transformation_benefit([0.55, 0.30], gsm, world, seed=3).points[1]
+    swept = transformation_benefit([0.55, 0.30], gsm, world, seed=3)[1]
     alone = merge_experiment(0.30, gsm, world, (3, 1))
     assert swept.flaw.proposed_location == alone.flaw.proposed_location
     assert (swept.duration_a, swept.duration_b) == (alone.duration_a, alone.duration_b)
@@ -931,9 +951,8 @@ def test_eval_robustness_reports_one_row_per_sweep_point(artifacts, tmp_path, ca
 
     def sweep(spec, gsm, world, seed):
         calls.append((spec, world, seed))
-        return SweepResult(spec, [
-            SweepPoint(0.0, {"arplace": 97, "fixed": 95}, 100, 0.1712, 0.679),
-            SweepPoint(0.15, {"arplace": 80, "fixed": 41}, 100, 31.27, 2.2e-08)])
+        return [SweepPoint(0.0, {"arplace": 97, "fixed": 95}, 100, 0.1712, 0.679),
+                SweepPoint(0.15, {"arplace": 80, "fixed": 41}, 100, 31.27, 2.2e-08)]
 
     monkeypatch.setattr(cli, "robustness_experiment", sweep)
     out = tmp_path / "rob.txt"
@@ -944,6 +963,29 @@ def test_eval_robustness_reports_one_row_per_sweep_point(artifacts, tmp_path, ca
         "sigma_obj arplace fixed chi2 p",
         "0.00 0.970 0.950 0.1712 0.679",
         "0.15 0.800 0.410 31.2700 2.2e-08"]
+
+
+def test_eval_report_rows_follow_the_order_of_the_experiment_points(artifacts, tmp_path,
+                                                                    capsys, monkeypatch):
+    """eval robustness and eval transform write one row per point of the
+    list the experiment returns, in the list's order."""
+    def sweep(spec, gsm, world, seed):
+        return [SweepPoint(s, {"arplace": 1, "fixed": 1}, 1, 0.0, 1.0)
+                for s in reversed(spec.sigma_obj_values)]
+
+    def transform(distances, gsm, world, seed, cell_size, threshold):
+        return [TransformPoint(d, None, 48.0) for d in reversed(distances)]
+
+    monkeypatch.setattr(cli, "robustness_experiment", sweep)
+    monkeypatch.setattr(cli, "transformation_benefit", transform)
+    for experiment, column in (("robustness", ["0.20", "0.15", "0.10", "0.05", "0.00"]),
+                               ("transform", [f"{0.60 - 0.05 * k:.2f}" for k in range(9)])):
+        out = tmp_path / f"{experiment}.txt"
+        assert main(["eval", experiment, "--model", str(artifacts["model"]), "--seed", "0",
+                     "--out", str(out)]) == 0
+        rows = [ln.split()[0] for ln in out.read_text().splitlines()[2:]
+                if not ln.startswith("note:")]
+        assert rows == column, experiment
 
 
 def _default(fn, name):

@@ -129,7 +129,7 @@ def test_merged_plans_navigate_once_whatever_the_arrival_noise(gsm, world):
     of the flat plan's duration."""
     noisy = dataclasses.replace(world, nav_noise_sigma=0.05)
     points = transformation_benefit([round(0.20 + 0.05 * k, 2) for k in range(9)],
-                                    gsm, noisy, seed=0).points
+                                    gsm, noisy, seed=0)
     merged = [p for p in points if p.merged]
     assert [p.separation for p in merged] == [0.20, 0.25, 0.30]
     for p in merged:
@@ -150,6 +150,25 @@ def test_a_merge_navigates_once_under_metre_scale_arrival_noise(gsm, world):
 
 
 # ---------------------------------------------------------------------------
+# the experiments' point lists
+# ---------------------------------------------------------------------------
+
+def test_each_experiment_returns_one_point_per_input_in_input_order(gsm, world):
+    """The sweep, the merge experiment and the accuracy curve each return a
+    list of one point per sigma, separation or training size, in the order
+    of their input."""
+    spec = SweepSpec(sigma_obj_values=(0.10, 0.0, 0.05), trials_per_cell=3, n_map_samples=20)
+    assert [p.sigma_obj for p in robustness_experiment(spec, gsm, world, seed=1)] == \
+        [0.10, 0.0, 0.05]
+    distances = [0.55, 0.20, 0.40]
+    assert [p.separation for p in transformation_benefit(distances, gsm, world, seed=1)] == \
+        distances
+    sizes = [20, 40]
+    assert [p.size for p in accuracy_curve(world, ObjectFeatures(0.11, 0.2), sizes, True)] == \
+        sizes
+
+
+# ---------------------------------------------------------------------------
 # robustness sweep behavior
 # ---------------------------------------------------------------------------
 
@@ -158,8 +177,8 @@ def test_sweep_is_deterministic_per_seed(gsm, world):
                      n_map_samples=40)
     a = robustness_experiment(spec, gsm, world, seed=3)
     b = robustness_experiment(spec, gsm, world, seed=3)
-    assert [p.successes for p in a.points] == [p.successes for p in b.points]
-    assert a.point_for(0.1).n_trials == 10
+    assert [p.successes for p in a] == [p.successes for p in b]
+    assert [p.n_trials for p in a] == [10, 10]
 
 
 def test_fixed_strategy_degrades_monotonically_without_execution_noise(gsm, world):
@@ -172,7 +191,7 @@ def test_fixed_strategy_degrades_monotonically_without_execution_noise(gsm, worl
     n_seeds = 10
     for seed in range(n_seeds):
         res = robustness_experiment(spec, gsm, world, seed=seed)
-        rates += [p.rate("fixed") for p in res.points]
+        rates += [p.rate("fixed") for p in res]
     rates /= n_seeds
     assert rates[0] > rates[1] > rates[2]
 
@@ -208,7 +227,7 @@ def test_sweep_outcomes_equal_grasp_outcome_per_strategy(world, monkeypatch, see
         assert [CAUSES[c] for c in codes.tolist()] == want
         causes.update(want)
     assert {"none", "slip"} <= causes
-    assert sum(p.successes["arplace"] + p.successes["fixed"] for p in result.points) <= \
+    assert sum(p.successes["arplace"] + p.successes["fixed"] for p in result) <= \
         sum(int(np.count_nonzero(codes == 0)) for _, (_, _, _, _, codes) in trials)
 
 
@@ -231,8 +250,9 @@ def test_accuracy_curve_filter_reduces_executed_trials(world):
 
 
 def test_accuracy_curve_runs_each_training_trial_once(world, monkeypatch):
-    """All sizes share one run of the max(sizes) training trials: each trial
-    stream is used once. The report bytes are pinned in test_cli."""
+    """All sizes share one run of the max(sizes) training trials, after the
+    150 held-out trials: each trial stream is used once. The report bytes
+    are pinned in test_cli."""
     streams = []
     real = evaluation.run_trials
 
@@ -242,8 +262,8 @@ def test_accuracy_curve_runs_each_training_trial_once(world, monkeypatch):
 
     monkeypatch.setattr(evaluation, "run_trials", counted)
     accuracy_curve(world, ObjectFeatures(0.11, 0.2), [20, 50, 100],
-                   use_capability_filter=True, seed=0, n_test=30)
-    assert len(streams) == 30 + 100
+                   use_capability_filter=True, seed=0)
+    assert len(streams) == 150 + 100
     assert len(set(streams)) == len(streams)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,37 @@ def test_text_round_trip_is_exact(tmp_path):
     assert back.spec == grid.spec
     assert back.frame == grid.frame
     np.testing.assert_array_equal(back.probs, grid.probs)
+
+
+def test_text_round_trip_keeps_a_world_frame(tmp_path):
+    """A world-frame map, the kind the planner builds, reloads as one."""
+    grid = dataclasses.replace(_grid(), frame="world")
+    path = tmp_path / "g.txt"
+    save_grid_text(grid, path)
+    back = load_grid_text(path)
+    assert (back.spec, back.frame) == (grid.spec, "world")
+    np.testing.assert_array_equal(back.probs, grid.probs)
+
+
+def test_a_grid_file_without_the_frame_line_reads_as_gsm(tmp_path):
+    """Files written before the format stored the frame hold gsm maps."""
+    path = tmp_path / "g.txt"
+    save_grid_text(dataclasses.replace(_grid(), frame="world"), path, header_lines=["test grid"])
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[5] == "frame world\n"
+    path.write_text("".join(lines[:5] + lines[6:]))
+    back = load_grid_text(path)
+    assert (back.spec, back.frame) == (_grid().spec, "gsm")
+    np.testing.assert_array_equal(back.probs, _grid().probs)
+
+
+@pytest.mark.parametrize("value", ["robot", "", "GSM", "world world", " world"])
+def test_load_grid_text_names_the_line_of_an_unknown_frame(tmp_path, value):
+    path = tmp_path / "g.txt"
+    save_grid_text(_grid(), path, header_lines=["test grid"])
+    path.write_text(path.read_text().replace("frame gsm\n", f"frame {value}\n"))
+    with pytest.raises(ValueError, match="^line 6: expected frame gsm or world"):
+        load_grid_text(path)
 
 
 def test_text_save_is_deterministic(tmp_path):

@@ -205,7 +205,7 @@ def test_fuzzed_belief_never_exits_5(files, tmp_path, raw):
 # ---------------------------------------------------------------------------
 
 GRID_TOKENS = (st.sampled_from(["0", "1", "0.5", "-1", "2", "nan", "inf", "1e308", "5e-324",
-                                "0x10", "", "abc", "origin_x", "nx_ny", "#"])
+                                "0x10", "", "abc", "origin_x", "nx_ny", "frame", "world", "#"])
                | st.integers(-3, 1001).map(str))
 
 
@@ -215,7 +215,7 @@ GRID_TOKENS = (st.sampled_from(["0", "1", "0.5", "-1", "2", "nan", "inf", "1e308
 @example(lines=[(1, ["1e308"])])  # a cost map whose distances overflow
 @example(lines=[(3, ["1e308"])])  # cell centers beyond the float range
 def test_fuzzed_grid_never_exits_5(tmp_path, lines):
-    """Lines of a good 3 x 4 grid file (a comment, four header lines and
+    """Lines of a good 3 x 4 grid file (a comment, five header lines and
     three rows) replaced by random tokens."""
     good = tmp_path / "good.txt"
     save_grid_text(ARPlaceGrid(GridSpec(0.0, 0.0, 0.1, 3, 4), np.full((3, 4), 0.5)),
@@ -223,7 +223,7 @@ def test_fuzzed_grid_never_exits_5(tmp_path, lines):
     text = good.read_text().splitlines()
     for no, tokens in lines:
         if no < len(text):
-            key = text[no].split(" ")[0] if 1 <= no <= 4 else ""
+            key = text[no].split(" ")[0] if 1 <= no <= 5 else ""
             text[no] = " ".join(([key] if key and tokens[:1] != ["#"] else []) + tokens)
         else:
             text.append(" ".join(tokens))
