@@ -52,15 +52,18 @@ def chi_square(successes_a: int, n_a: int, successes_b: int, n_b: int) -> tuple[
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The robustness sweep. Fields are what callers vary; class attributes
+    are the fixed protocol, which no constructor call can change."""
+
     sigma_obj_values: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
     sigma_rob: float = 0.05
-    psi_noise_factor: float = 3.5
     trials_per_cell: int = 100
-    dx_range: tuple[float, float] = (0.07, 0.21)
-    dpsi_range: tuple[float, float] = (-0.45, 0.45)
     cell_size: float = DEFAULT_CELL_SIZE
     n_map_samples: int = 250
-    smooth_radius: float = 0.03
+    psi_noise_factor = 3.5
+    dx_range = (0.07, 0.21)
+    dpsi_range = (-0.45, 0.45)
+    smooth_radius = 0.03
 
     def __post_init__(self):
         if self.trials_per_cell < 1:
@@ -79,14 +82,13 @@ class SweepPoint:
         return self.successes[strategy] / self.n_trials
 
 
-def fixed_strategy_offset(world: WorldConfig, spec: SweepSpec) -> tuple[float, float]:
-    """Centroid of the noise-free success cells for the mean object pose,
-    evaluated over the standard candidate grid — the hand-coded constant
-    offset the baseline strategy applies in the frame of every perceived
-    object (rotated by the perceived orientation)."""
-    mean_obj = ObjectFeatures(
-        dx_obj=0.5 * (spec.dx_range[0] + spec.dx_range[1]),
-        dpsi_obj=0.5 * (spec.dpsi_range[0] + spec.dpsi_range[1]))
+def fixed_strategy_offset(world: WorldConfig) -> tuple[float, float]:
+    """Centroid of the noise-free success cells for the mean object pose of
+    SweepSpec's ranges over the standard candidate grid — the hand-coded
+    constant offset the baseline strategy applies in the frame of every
+    perceived object (rotated by the perceived orientation)."""
+    mean_obj = ObjectFeatures(dx_obj=0.5 * sum(SweepSpec.dx_range),
+                              dpsi_obj=0.5 * sum(SweepSpec.dpsi_range))
     x, y = np.array([(r.dx_rob, r.dy_rob) for r in default_robot_grid()]).T
     ok = first_failure(mean_obj.dx_obj, mean_obj.dpsi_obj, x, y, world) == 0  # "none"
     if not ok.any():
@@ -119,7 +121,7 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
     itself runs against the true object state.
     """
     grid_spec = candidate_grid_spec(spec.cell_size)
-    fixed_offset = fixed_strategy_offset(world, spec)
+    fixed_offset = fixed_strategy_offset(world)
     points = []
     for s_idx, sigma in enumerate(spec.sigma_obj_values):
         successes = np.zeros(2, dtype=int)  # arplace, fixed
@@ -136,8 +138,7 @@ def robustness_experiment(spec: SweepSpec, gsm: GSMModel, world: WorldConfig,
 
             belief = GaussianBelief(
                 (max(dx_perc, 0.0), 0.0, psi_perc),
-                np.diag([sigma ** 2, 0.0,
-                         (sigma * spec.psi_noise_factor) ** 2]))
+                np.diag([sigma ** 2, 0.0, (sigma * spec.psi_noise_factor) ** 2]))
             grid = compute_map(gsm, belief, grid_spec,
                                n_samples=spec.n_map_samples,
                                rng=rng.integers(2 ** 31), frame="world")
@@ -255,12 +256,6 @@ class TransformPoint:
     def merged_probability(self) -> float | None:
         return None if self.flaw is None else self.flaw.proposed_location[1]
 
-    @property
-    def reduction(self) -> float | None:
-        if self.duration_b is None or self.duration_a <= 0:
-            return None
-        return 1.0 - self.duration_b / self.duration_a
-
 
 def make_two_cup_scene(separation: float) -> Scene:
     """Two cups 0.12 m from the table edge, handles turned 0.04 rad toward
@@ -286,8 +281,7 @@ def merge_experiment(separation: float, gsm: GSMModel, world: WorldConfig,
     plan = two_pickup_plan()
     trace_a = project(plan, scene, gsm, world, spec,
                       rng=np.random.default_rng(rng_base + (0,)))
-    point = TransformPoint(separation, trace_a,
-                           plan_duration(trace_a, trace_a.time_model))
+    point = TransformPoint(separation, trace_a, plan_duration(trace_a, trace_a.time_model))
     point.flaw = detect_merge_flaw(plan, scene, gsm, spec,
                                    rng=np.random.default_rng(rng_base + (1,)),
                                    threshold=threshold, world=world)

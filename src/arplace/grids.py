@@ -14,6 +14,7 @@ import numpy as np
 
 # most cells of any grid, 8 MB per float map; GridSpec refuses more
 MAX_GRID_CELLS = 1_000_000
+_FRAMES = ("gsm", "world")  # a grid of any other frame is refused where it is made
 
 
 class GridSizeError(ValueError):
@@ -77,6 +78,8 @@ class ARPlaceGrid:
     frame: str = "gsm"  # "gsm" (object-relative) or "world"
 
     def __post_init__(self):
+        if self.frame not in _FRAMES:
+            raise ValueError(f"frame must be gsm or world, not {self.frame!r}")
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("probs shape must be (nx, ny)")
@@ -96,6 +99,8 @@ class CostGrid:
     frame: str = "gsm"
 
     def __post_init__(self):
+        if self.frame not in _FRAMES:
+            raise ValueError(f"frame must be gsm or world, not {self.frame!r}")
         self.costs = np.asarray(self.costs, dtype=float)
         if self.costs.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("costs shape must be (nx, ny)")
@@ -166,7 +171,7 @@ def load_grid_text(path) -> ARPlaceGrid:
     if rows and rows[0][1].partition(" ")[0] == "frame":
         (last, text), rows = rows[0], rows[1:]
         frame = text.partition(" ")[2]
-        if frame not in ("gsm", "world"):
+        if frame not in _FRAMES:
             raise ValueError(f"line {last}: expected frame gsm or world, found {frame!r}")
     if len(rows) < nx:
         raise ValueError(f"line {rows[-1][0] if rows else last}: file ends after "

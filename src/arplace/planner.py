@@ -110,8 +110,8 @@ def pickup_task(object_name: str) -> PlanNode:
     return at_location(loc, perceive(object_name), achieve_grasp(object_name))
 
 
-def two_pickup_plan(name_a: str = "cup-a", name_b: str = "cup-b") -> PlanNode:
-    return sequence(pickup_task(name_a), pickup_task(name_b))
+def two_pickup_plan() -> PlanNode:
+    return sequence(pickup_task("cup-a"), pickup_task("cup-b"))
 
 
 # ---------------------------------------------------------------------------

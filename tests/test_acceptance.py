@@ -118,7 +118,7 @@ def test_criterion_7_merge_transformation_benefit(gsm, world):
         if p.separation in close:
             assert p.merged, f"no merge at separation {p.separation}"
             assert p.merged_probability > 0.85
-            assert p.reduction >= 0.30
+            assert 1.0 - p.duration_b / p.duration_a >= 0.30
             assert 48.0 * 0.9 <= p.duration_a <= 48.0 * 1.1
             assert 32.0 * 0.9 <= p.duration_b <= 32.0 * 1.1
         else:

@@ -450,6 +450,14 @@ def test_boundary_signed_area_and_centroid():
     np.testing.assert_allclose(square.landmarks.mean(axis=0), [0.5, 0.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("landmarks", [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0, 0.0]] * 3,
+                                       [0.0] * 6],
+                         ids=["two_landmarks", "3d_landmarks", "flat"])
+def test_boundary_refuses_fewer_than_3_landmarks_in_2d(landmarks):
+    with pytest.raises(ValueError, match="at least 3 2D landmarks"):
+        Boundary(np.array(landmarks))
+
+
 # ---------------------------------------------------------------------------
 # contour extraction
 # ---------------------------------------------------------------------------

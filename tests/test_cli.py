@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from arplace import cli, placemap, planner, simworld
-from arplace.classifier import train_per_pose, train_svm
+from arplace.classifier import SVMConvergenceError, train_per_pose, train_svm
 from arplace.cli import BadConfigError, PipelineConfig, build_parser, main
 from arplace.evaluation import (SweepPoint, SweepSpec, TransformPoint, accuracy_curve,
                                 candidate_grid_spec, merge_experiment, plan_grid_spec,
@@ -813,6 +813,20 @@ def test_train_rejects_an_untrainable_dataset(artifacts, tmp_path, capsys, name)
     assert rc == 3
     assert str(bad) in err and reason in err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_train_exits_5_when_an_svm_does_not_converge(artifacts, tmp_path, capsys, monkeypatch):
+    """A solver limit is an internal error (exit 5), not a bad input: the
+    message names the exception, and no model is written."""
+    def no_convergence(*args, **kwargs):
+        raise SVMConvergenceError(0.5)
+
+    monkeypatch.setattr(cli, "train_per_pose", no_convergence)
+    model = tmp_path / "model.json"
+    rc = main(["train", "--data", str(artifacts["data"]), "--seed", "0", "--out", str(model)])
+    assert rc == 5
+    assert "error: SVMConvergenceError: SVM did not converge" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_map_merge_cost_pipeline(artifacts, tmp_path, capsys):

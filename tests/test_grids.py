@@ -44,6 +44,8 @@ def test_grid_shape_validation():
         ARPlaceGrid(spec=spec, probs=np.full((3, 2), 1.5), frame="gsm")
     with pytest.raises(ValueError):
         ARPlaceGrid(spec=spec, probs=np.full((3, 2), np.nan), frame="gsm")
+    with pytest.raises(ValueError, match="costs shape must be"):
+        CostGrid(spec=spec, costs=np.zeros((2, 3)), frame="gsm")
     for origin_x, cell_size in ((np.nan, 0.1), (np.inf, 0.1), (0.0, np.nan), (0.0, np.inf)):
         with pytest.raises(ValueError):
             GridSpec(origin_x, 0.0, cell_size, 3, 2)
@@ -162,3 +164,18 @@ def test_cost_grid_rejects_negative_costs():
     spec = GridSpec(0.0, 0.0, 0.1, 2, 2)
     with pytest.raises(ValueError):
         CostGrid(spec=spec, costs=np.full((2, 2), -1.0), frame="gsm")
+
+
+@pytest.mark.parametrize("frame", ["robot", "", "GSM", " world", None])
+def test_a_grid_refuses_a_frame_other_than_gsm_or_world(tmp_path, frame):
+    """A map or a cost grid of another frame is refused where it is made,
+    so save_grid_text never writes a file that load_grid_text refuses."""
+    spec = GridSpec(0.0, 0.0, 0.1, 2, 2)
+    with pytest.raises(ValueError, match="frame must be gsm or world"):
+        ARPlaceGrid(spec, np.zeros((2, 2)), frame=frame)
+    with pytest.raises(ValueError, match="frame must be gsm or world"):
+        CostGrid(spec, np.zeros((2, 2)), frame=frame)
+    for good in ("gsm", "world"):
+        save_grid_text(ARPlaceGrid(spec, np.zeros((2, 2)), frame=good), tmp_path / "g.txt")
+        assert load_grid_text(tmp_path / "g.txt").frame == good
+        assert CostGrid(spec, np.zeros((2, 2)), frame=good).frame == good

@@ -73,8 +73,6 @@ def _referenced_names(path: Path) -> list[tuple[str, int]]:
 NO_CALLER_NEEDED = {
     # acceptance criterion 5 checks the map algebra with it
     "placemap.union_edges",
-    # acceptance criterion 7 checks the duration reduction with it
-    "evaluation.TransformPoint.reduction",
 }
 
 

@@ -208,6 +208,20 @@ def test_compute_map_point_belief_is_indicator(gsm):
     np.testing.assert_array_equal(grid.probs.ravel(), want)
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_compute_map_refuses_fewer_than_one_sample(gsm, n_samples):
+    belief = GaussianBelief.isotropic((0.14, 0.0, 0.0), 0.02, 0.1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        compute_map(gsm, belief, SPEC, n_samples=n_samples, rng=0)
+
+
+@pytest.mark.parametrize("frame", ["nonsense", "", "robot"])
+def test_compute_map_refuses_a_frame_other_than_gsm_or_world(gsm, frame):
+    belief = GaussianBelief.isotropic((0.14, 0.0, 0.0), 0.02, 0.1)
+    with pytest.raises(ValueError, match="frame must be gsm or world"):
+        compute_map(gsm, belief, SPEC, n_samples=5, rng=0, frame=frame)
+
+
 def test_sample_boundaries_clamps_to_training_range(gsm):
     lo, hi = gsm.regression.training_bounds["dpsi_obj"]
     belief = GaussianBelief((0.14, 0.0, hi + 5.0), np.zeros((3, 3)))
@@ -699,6 +713,17 @@ def test_union_rejects_misaligned_lattices():
         union_edges([a, b])
 
 
+def test_union_refuses_no_maps_and_maps_of_another_cell_size_or_frame():
+    a = _grid(np.zeros((8, 10)))
+    with pytest.raises(ValueError, match="at least one map"):
+        union_edges([])
+    coarse = GridSpec(SPEC.origin_x, SPEC.origin_y, 2 * SPEC.cell_size, 8, 10)
+    with pytest.raises(ValueError, match="share the cell size"):
+        union_edges([a, _grid(np.zeros((8, 10)), spec=coarse)])
+    with pytest.raises(ValueError, match="share the reference frame"):
+        union_edges([a, _grid(np.zeros((8, 10)), frame="world")])
+
+
 def test_merge_rejects_mismatched_geometry_or_frame():
     a = _grid(np.zeros((8, 10)))
     with pytest.raises(ValueError):
@@ -735,6 +760,12 @@ def test_cost_map_formula_oracle():
         want = (1.0 - a.probs[i, j]) * 5.0 + \
             np.hypot(x - robot[0], y - robot[1]) / 0.25
         assert cg.costs[i, j] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("speed", [0.0, -0.3])
+def test_cost_map_refuses_a_speed_that_is_not_positive(speed):
+    with pytest.raises(ValueError, match="speed must be positive"):
+        cost_map(_grid(np.zeros((8, 10))), (1.0, 0.5), nav_speed_mps=speed)
 
 
 def test_best_cell_and_tie_break():

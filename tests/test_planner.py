@@ -78,6 +78,18 @@ def test_leaf_nodes_carry_no_children(kind):
         PlanNode(kind, goal=("object-pose", "cup-a"), children=[perceive("cup-b")])
 
 
+@pytest.mark.parametrize("kind, with_location, match", [
+    ("teleport", False, "unknown node kind 'teleport'"),
+    ("at_location", False, "at_location requires a location designator"),
+    ("sequence", True, "only at_location carries a location"),
+    ("perceive", True, "only at_location carries a location"),
+])
+def test_plan_node_kind_and_location_rules(kind, with_location, match):
+    location = Designator("pick_up", ("cup-a",)) if with_location else None
+    with pytest.raises(ValueError, match=match):
+        PlanNode(kind, location=location)
+
+
 # ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
@@ -135,7 +147,7 @@ def test_project_leaves_the_plan_unchanged(gsm, world):
 
 def test_project_rejects_unknown_objects(gsm, world):
     scene = make_two_cup_scene(0.4)
-    plan = two_pickup_plan("cup-a", "cup-z")
+    plan = sequence(pickup_task("cup-a"), pickup_task("cup-z"))
     with pytest.raises(UnresolvableDesignatorError):
         project(plan, scene, gsm, world, _spec(0.4),
                 rng=np.random.default_rng(0))
@@ -276,8 +288,16 @@ def test_merge_flaw_resolves_the_joint_designator(gsm):
 
 def test_merge_flaw_rejects_unknown_objects(gsm):
     with pytest.raises(UnresolvableDesignatorError):
-        detect_merge_flaw(two_pickup_plan("cup-a", "cup-z"), make_two_cup_scene(0.30),
-                          gsm, _spec(0.30), rng=np.random.default_rng(0))
+        detect_merge_flaw(sequence(pickup_task("cup-a"), pickup_task("cup-z")),
+                          make_two_cup_scene(0.30), gsm, _spec(0.30),
+                          rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_merge_flaw_refuses_a_threshold_outside_0_1(gsm, threshold):
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+        detect_merge_flaw(two_pickup_plan(), make_two_cup_scene(0.30), gsm, _spec(0.30),
+                          rng=0, threshold=threshold)
 
 
 def test_merge_flaw_absent_for_distant_cups(gsm):

@@ -132,6 +132,12 @@ def test_optimize_landmarks_raises_when_target_unreachable():
         optimize_landmarks(contours, m=8, energy_target=0.999999)
 
 
+def test_optimize_landmarks_refuses_fewer_than_4_landmarks():
+    contours = [_circle(r) for r in (0.2, 0.25, 0.3)]
+    with pytest.raises(ValueError, match="at least 4 landmarks"):
+        optimize_landmarks(contours, m=3)
+
+
 def _gaps_ok_reference(fractions, min_gap):
     """The gap test as array calls: the answers _gaps_ok must give."""
     f = np.sort(fractions % 1.0)
@@ -426,6 +432,16 @@ def test_fit_regression_rejects_rank_deficient_poses():
         fit_regression(np.zeros((8, 1)), feats)
 
 
+def test_fit_regression_refuses_fewer_than_6_poses():
+    """The quadratic has six coefficients per mode: five poses are one too few."""
+    rng = np.random.default_rng(8)
+    feats = _random_features(6, rng)
+    B = rng.normal(0.0, 1.0, (6, 2))
+    with pytest.raises(ValueError, match="at least 6 poses"):
+        fit_regression(B[:5], feats[:5])
+    assert fit_regression(B, feats).W.shape == (2, 3, 3)
+
+
 def _predict_reference(W, dx, dpsi):
     """(n, d) coefficients by the per-term loop: acc + W[k, i, j] * q_i * q_j
     for i, j in order, from acc = 0."""
@@ -560,3 +576,11 @@ def test_training_memory_stays_within_its_budget(pipeline):
         tracemalloc.stop()
     assert len(svms) == 16
     assert peak <= TRAINING_MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gsm_model_refuses_other_than_two_modes(gsm, d):
+    pdm = dataclasses.replace(gsm.pdm, modes=np.tile(gsm.pdm.modes[:, :1], (1, d)),
+                              eigenvalues=np.full(d, gsm.pdm.eigenvalues[0]))
+    with pytest.raises(ValueError, match=f"exactly {GSM_MODES} modes"):
+        GSMModel(pdm=pdm, regression=gsm.regression)

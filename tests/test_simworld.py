@@ -13,7 +13,7 @@ from arplace.cli import PipelineConfig
 from arplace.geometry import ObjectFeatures, RobotOffset, wrap_angle
 from arplace.simworld import (CAUSES, Dataset, default_object_grid, first_failure,
                               default_robot_grid, default_world, generate_dataset,
-                              grasp_outcome, robot_bounds, run_trials)
+                              grasp_outcome, robot_bounds, run_trials, WorldConfig)
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +443,12 @@ def test_capability_filter_preserves_executed_trials(w):
         assert rf == ru or (rf[2] == "unreachable_theory" and ru[2] != "none")
 
 
+def test_generate_dataset_refuses_an_empty_grid(w):
+    for objs, robs in (([], default_robot_grid()), (default_object_grid(), [])):
+        with pytest.raises(ValueError, match="grids must be non-empty"):
+            generate_dataset(w, objs, robs, seed=0)
+
+
 def test_dataset_csv_round_trip(w, tmp_path):
     data = generate_dataset(w, default_object_grid()[:1],
                             default_robot_grid()[::13], seed=2)
@@ -452,6 +458,10 @@ def test_dataset_csv_round_trip(w, tmp_path):
     assert _trials(back) == _trials(data)
     assert back.object_grid == data.object_grid
     assert back.robot_grid == data.robot_grid
+    # blank rows, inside the data and at its end, are skipped
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
+    assert _trials(Dataset.load_csv(path, w)) == _trials(data)
 
 
 def test_dataset_csv_columns_are_found_by_name(w, tmp_path):
@@ -506,6 +516,17 @@ def test_world_config_json_round_trip(w, tmp_path):
     changed = dataclasses.replace(w, robot_radius=0.12, local_minimum_rate=0.0)
     path.write_text(json.dumps({"world": dataclasses.asdict(changed)}))
     assert PipelineConfig.from_file(path).world_config(0) == changed
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"robot_radius": 0.0}, "robot_radius must be positive"),
+    ({"local_minimum_rate": 1.5}, r"local_minimum_rate must be in \[0, 1\]"),
+    ({"nav_noise_sigma": -0.01}, "nav_noise_sigma must be finite and non-negative"),
+    ({"reach_min": 1.0}, "need 0 < reach_min < reach_max"),
+], ids=["robot_radius_0", "local_minimum_rate_1.5", "negative_sigma", "reach_min_beyond_max"])
+def test_world_config_refuses_a_world_outside_its_ranges(change, match):
+    with pytest.raises(ValueError, match=match):
+        WorldConfig(**change)
 
 
 def _save_csv_reference(data, path, header_lines):
