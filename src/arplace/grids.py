@@ -69,6 +69,12 @@ class GridSpec:
         return cls(x_min, y_min, cell_size, nx, ny)
 
 
+def check_frame(frame: str) -> None:
+    """Raise ValueError unless frame is gsm or world, the frames a grid holds."""
+    if frame not in _FRAMES:
+        raise ValueError(f"frame must be gsm or world, not {frame!r}")
+
+
 @dataclass
 class ARPlaceGrid:
     """Per-cell probability that the manipulation action succeeds."""
@@ -78,8 +84,7 @@ class ARPlaceGrid:
     frame: str = "gsm"  # "gsm" (object-relative) or "world"
 
     def __post_init__(self):
-        if self.frame not in _FRAMES:
-            raise ValueError(f"frame must be gsm or world, not {self.frame!r}")
+        check_frame(self.frame)
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("probs shape must be (nx, ny)")
@@ -99,8 +104,7 @@ class CostGrid:
     frame: str = "gsm"
 
     def __post_init__(self):
-        if self.frame not in _FRAMES:
-            raise ValueError(f"frame must be gsm or world, not {self.frame!r}")
+        check_frame(self.frame)
         self.costs = np.asarray(self.costs, dtype=float)
         if self.costs.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("costs shape must be (nx, ny)")

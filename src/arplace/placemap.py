@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import wrap_angle
-from .grids import ARPlaceGrid, CostGrid, GridSpec
+from .grids import ARPlaceGrid, CostGrid, GridSpec, check_frame
 from .shapemodel import GSMModel
 
 DEFAULT_N_SAMPLES = 100
@@ -100,7 +100,9 @@ def _fill_counts(polygons: np.ndarray, spec: GridSpec) -> np.ndarray:
     crossings k1 <= k2 <= ... bound the inside spans [k1, k2), [k3, k4),
     ...; a difference array and a cumulative sum turn the spans into counts.
     Every membership decision equals points_in_polygon's on center_points(),
-    for one row lookup per vertex and one column lookup per crossing.
+    for one row lookup per vertex and one column lookup per crossing. Each
+    crossing's edge end points are gathered once, and a sorted key less its
+    polygon's base is its cell in the difference array.
     """
     xs, ys = spec.centers()
     nx, ny = spec.nx, spec.ny
@@ -115,17 +117,22 @@ def _fill_counts(polygons: np.ndarray, spec: GridSpec) -> np.ndarray:
         # edge v runs to vertex nxt[v] and crosses the rows [lo, lo + span)
         nxt = np.arange(1, nb * m + 1)
         nxt[m - 1::m] -= m
-        lo = np.minimum(a, a[nxt])
-        span = np.abs(a - a[nxt])
+        an = a[nxt]
+        lo = np.minimum(a, an)
+        span = np.abs(a - an)
         v = np.repeat(np.arange(nb * m), span)
         row = np.repeat(lo - (np.cumsum(span) - span), span) + np.arange(len(v))
         w = nxt[v]
-        y = ys[row]
-        xint = bx[v] + (y - by[v]) * (bx[w] - bx[v]) / (by[w] - by[v])
-        # sorting (polygon, row, k) keys puts each row's crossings in pairs
-        keys = np.sort(((v // m) * ny + row) * width + np.searchsorted(xs, xint))
-        diff += np.bincount(keys[0::2] % size, minlength=size)
-        diff -= np.bincount(keys[1::2] % size, minlength=size)
+        x0, y0 = bx[v], by[v]
+        xint = x0 + (ys[row] - y0) * (bx[w] - x0) / (by[w] - y0)
+        # sorting (polygon, row, k) keys puts each row's crossings in pairs; the
+        # polygon v // m never decreases along v, so each polygon's keys keep
+        # their stretch of the sorted array, and less base a key is its cell
+        base = (v // m) * size
+        keys = np.sort(base + row * width + np.searchsorted(xs, xint))
+        keys -= base
+        diff += np.bincount(keys[0::2], minlength=size)
+        diff -= np.bincount(keys[1::2], minlength=size)
     return np.ascontiguousarray(np.cumsum(diff.reshape(ny, width), axis=1)[:, :nx].T)
 
 
@@ -160,7 +167,9 @@ def sample_boundaries(gsm: GSMModel, belief, n_samples: int, rng) -> np.ndarray:
 def compute_map(gsm: GSMModel, belief, grid_spec: GridSpec, n_samples: int = DEFAULT_N_SAMPLES,
                 rng=0, frame: str = "gsm") -> ARPlaceGrid:
     """Monte-Carlo success map: each cell holds the fraction of sampled,
-    translated boundaries that contain its center."""
+    translated boundaries that contain its center. A frame other than gsm or
+    world raises ValueError before anything is drawn."""
+    check_frame(frame)
     probs = _fill_counts(sample_boundaries(gsm, belief, n_samples, rng), grid_spec) / n_samples
     return ARPlaceGrid(spec=grid_spec, probs=probs, frame=frame)
 
@@ -181,7 +190,8 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
     non-finite sigma raises ValueError.
 
     The sum runs only over the box of cells within the kernel's reach of a
-    step of the map (a cell that differs from its neighbour before it).
+    step of the map (a cell that compares unequal to its neighbour before it
+    on either axis; for finite values that is a non-zero difference).
     Outside the box every p_j - p_k is +0.0, so those cells pass through as
     p_k + 0.0, the value the full sum gives; inside it each cell takes the
     same terms in the same order.
@@ -201,8 +211,8 @@ def apply_robot_uncertainty(grid: ARPlaceGrid, sigma: float) -> ARPlaceGrid:
     # the later cell of each pair of neighbours that differ: a cell whose reach
     # holds none of these sees one value in all of its reach
     step = np.zeros(p.shape, dtype=bool)
-    step[1:] = np.diff(p, axis=0) != 0
-    step[:, 1:] |= np.diff(p, axis=1) != 0
+    step[1:] = p[1:] != p[:-1]
+    step[:, 1:] |= p[:, 1:] != p[:, :-1]
     rows, cols = np.flatnonzero(step.any(axis=1)), np.flatnonzero(step.any(axis=0))
     if len(rows):
         # the box [i0, i1) x [j0, j1): every cell within reach of a step
@@ -278,9 +288,10 @@ def union_edges(maps: list[ARPlaceGrid]) -> ARPlaceGrid:
 def cost_map(grid: ARPlaceGrid, robot_xy: tuple[float, float],
              retry_penalty_s: float = 5.0, nav_speed_mps: float = 0.3) -> CostGrid:
     """Expected-cost map: (1 - P) * retry_penalty + distance / speed. A cost
-    beyond the float range raises ValueError, as CostGrid refuses it."""
-    if nav_speed_mps <= 0:
-        raise ValueError("speed must be positive")
+    beyond the float range raises ValueError, as CostGrid refuses it, and so
+    does a speed that is not finite and positive."""
+    if not (math.isfinite(nav_speed_mps) and nav_speed_mps > 0):
+        raise ValueError(f"speed must be positive and finite, found {nav_speed_mps}")
     pts = grid.spec.center_points()
     with np.errstate(over="ignore"):
         d = np.linalg.norm(pts - np.asarray(robot_xy, dtype=float), axis=1)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from arplace.grids import ARPlaceGrid, GridSpec
 from arplace.placemap import (_FILL_BLOCK, GaussianBelief, _fill_counts, apply_robot_uncertainty,
                               best_cell, compute_map, cost_map, merge, resample_to,
                               sample_boundaries, union_edges)
+from arplace.shapemodel import PDM, GSMModel, RegressionModel
 
 SPEC = GridSpec(0.0, -0.4, 0.05, 8, 10)
 
@@ -217,9 +219,17 @@ def test_compute_map_refuses_fewer_than_one_sample(gsm, n_samples):
 
 @pytest.mark.parametrize("frame", ["nonsense", "", "robot"])
 def test_compute_map_refuses_a_frame_other_than_gsm_or_world(gsm, frame):
-    belief = GaussianBelief.isotropic((0.14, 0.0, 0.0), 0.02, 0.1)
+    """The frame is checked before sample_boundaries draws from the belief."""
+    draws = []
+
+    class RecordingBelief:
+        def sample(self, rng, n):
+            draws.append(n)
+            return GaussianBelief.isotropic((0.14, 0.0, 0.0), 0.02, 0.1).sample(rng, n)
+
     with pytest.raises(ValueError, match="frame must be gsm or world"):
-        compute_map(gsm, belief, SPEC, n_samples=5, rng=0, frame=frame)
+        compute_map(gsm, RecordingBelief(), SPEC, n_samples=5, rng=0, frame=frame)
+    assert draws == []
 
 
 def test_sample_boundaries_clamps_to_training_range(gsm):
@@ -614,6 +624,105 @@ def test_robot_uncertainty_box_is_exact_at_wide_and_extreme_sigmas(sigma):
 
 
 # ---------------------------------------------------------------------------
+# known answer: a rigid rectangle, translated by the lateral draw
+# ---------------------------------------------------------------------------
+
+H = 0.025
+ORACLE_SPEC = GridSpec(0.0, 0.0, H, 48, 48)
+# centers lie at i * H, so edges at half-integer multiples of H fall midway
+# between them (edges on centers would put a half-cell offset in the oracle)
+RECT = (16.5 * H, 30.5 * H, 20.5 * H, 26.5 * H)  # x0, x1, y0, y1
+ORACLE_DRAWS = 20_000
+# Bonferroni over the grid's rows at a family error of 1e-3 (4.26): the draws
+# only translate the rectangle in y, so all cells of a row inside [x0, x1]
+# hold one estimate, and the rows are the independent tests
+Z_MAX = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * ORACLE_SPEC.ny))
+_PHI = np.vectorize(NormalDist().cdf)
+# (lateral mean, lateral sigma); dx and psi vary but cannot matter
+ORACLE_BELIEFS = {"sigma_0.02": (0.0, 0.02), "sigma_0.05": (0.0, 0.05),
+                  "sigma_0.10": (0.0, 0.10), "mean_0.04_sigma_0.05": (0.04, 0.05)}
+
+
+def _rectangle_model(m=20):
+    """GSMModel whose regression weights are all zero, so every draw
+    predicts the mean shape: RECT traced by m landmarks, m/4 per side."""
+    x0, x1, y0, y1 = RECT
+    t = np.arange(m // 4) / (m // 4)
+    xs = np.concatenate([x0 + (x1 - x0) * t, np.full_like(t, x1),
+                         x1 - (x1 - x0) * t, np.full_like(t, x0)])
+    ys = np.concatenate([np.full_like(t, y0), y0 + (y1 - y0) * t,
+                         np.full_like(t, y1), y1 - (y1 - y0) * t])
+    pdm = PDM(mean=np.concatenate([xs, ys]), modes=np.eye(2 * m)[:, :2],
+              eigenvalues=np.array([1.0, 0.5]), energy=1.0)
+    bounds = {"dx_obj": [0.05, 0.2], "dpsi_obj": [-0.5, 0.5]}
+    return GSMModel(pdm, RegressionModel(W=np.zeros((2, 3, 3)), r_squared=np.ones(2),
+                                         training_bounds=bounds))
+
+
+def _oracle_map(mu, sigma, seed):
+    belief = GaussianBelief((0.1, mu, 0.1), np.diag([0.03 ** 2, sigma ** 2, 0.3 ** 2]))
+    return compute_map(_rectangle_model(), belief, ORACLE_SPEC, n_samples=ORACLE_DRAWS, rng=seed)
+
+
+def _inside(lo, hi, v, mu, sigma):
+    """P(lo + d < v < hi + d) for d ~ N(mu, sigma^2)."""
+    return _PHI((v - lo - mu) / sigma) - _PHI((v - hi - mu) / sigma)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(ORACLE_BELIEFS))
+def test_map_of_a_rigid_rectangle_matches_the_closed_form(name, seed):
+    """The map against 1[x0 < x < x1] (Phi((y - y0 - mu)/sigma) -
+    Phi((y - y1 - mu)/sigma)). Where the count's normal approximation holds
+    (n p (1 - p) >= 5), each cell's z against the binomial standard error
+    sqrt(p (1 - p) / n) lies within Z_MAX; in the tails the count lies
+    within 10 of n p, and cells outside [x0, x1] are exactly 0. The shift's
+    sign shows at mu = 0.04: flipped, the map lies 2 mu (3.2 cells) off."""
+    mu, sigma = ORACLE_BELIEFS[name]
+    probs = _oracle_map(mu, sigma, seed).probs
+    xs, ys = ORACLE_SPEC.centers()
+    x0, x1, y0, y1 = RECT
+    p = np.outer((x0 < xs) & (xs < x1), _inside(y0, y1, ys, mu, sigma))
+    var = p * (1.0 - p)
+    normal = ORACLE_DRAWS * var >= 5.0
+    assert normal.sum() >= 100
+    z = (probs - p)[normal] / np.sqrt(var[normal] / ORACLE_DRAWS)
+    assert np.abs(z).max() <= Z_MAX
+    assert np.abs(probs - p)[~normal].max() * ORACLE_DRAWS <= 10.0
+    np.testing.assert_array_equal(probs[(xs < x0) | (xs > x1)], 0.0)
+
+
+@pytest.mark.parametrize("mu, sigma_y, sigma_r", [(0.0, 0.05, 0.05), (0.0, 0.10, 0.05),
+                                                  (0.04, 0.05, 0.05)])
+def test_robot_noise_on_a_rigid_rectangle_matches_the_product_form(mu, sigma_y, sigma_r):
+    """Interior cells of the conditioned map, those whose kernel reach of
+    ceil(6 sigma_r / h) cells lies on the grid, against
+    (Phi((x - x0)/sigma_r) - Phi((x - x1)/sigma_r)) times the y factor of
+    the map with sigma_y^2 + sigma_r^2 in place of sigma_y^2. The kernel is
+    separable, so the tolerance adds one bound per axis:
+    - x: the average over the cells that tile [x0, x1] is the midpoint rule
+      for the kernel's integral, within (h^2 / 24) int |phi''| =
+      (h^2 / 24) 4 e^(-1/2) / (sigma_r^2 sqrt(2 pi)) (0.0101 here);
+    - y: it is the mean over the n draws of each draw's smoothed indicator,
+      a value in [0, 1], so within Z_MAX 0.5 / sqrt(n) (0.0150) of its
+      expectation; with sigma_y and sigma_r at least 2h, that expectation,
+      a lattice sum of a smooth function, differs from the integral by
+      less than 1e-10 (Poisson summation).
+    The grid-edge cells are left out: there the renormalized kernel is cut."""
+    h = ORACLE_SPEC.cell_size
+    out = apply_robot_uncertainty(_oracle_map(mu, sigma_y, 0), sigma_r).probs
+    xs, ys = ORACLE_SPEC.centers()
+    x0, x1, y0, y1 = RECT
+    want = np.outer(_inside(x0, x1, xs, 0.0, sigma_r),
+                    _inside(y0, y1, ys, mu, math.hypot(sigma_y, sigma_r)))
+    r = math.ceil(6.0 * sigma_r / h)
+    interior = (slice(r, ORACLE_SPEC.nx - r), slice(r, ORACLE_SPEC.ny - r))
+    tol = (h * h / 24.0 * 4.0 * math.exp(-0.5) / (sigma_r ** 2 * math.sqrt(2.0 * math.pi))
+           + Z_MAX * 0.5 / math.sqrt(ORACLE_DRAWS))
+    assert np.abs(out - want)[interior].max() <= tol
+
+
+# ---------------------------------------------------------------------------
 # map algebra (exact identities)
 # ---------------------------------------------------------------------------
 
@@ -762,7 +871,7 @@ def test_cost_map_formula_oracle():
         assert cg.costs[i, j] == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("speed", [0.0, -0.3])
+@pytest.mark.parametrize("speed", [0.0, -0.3, math.nan, math.inf])
 def test_cost_map_refuses_a_speed_that_is_not_positive(speed):
     with pytest.raises(ValueError, match="speed must be positive"):
         cost_map(_grid(np.zeros((8, 10))), (1.0, 0.5), nav_speed_mps=speed)
