@@ -15,9 +15,8 @@ from .shapemodel import (PDM, GSMModel, RegressionModel, assemble_H, fit_pdm,
 from .placemap import (GaussianBelief, apply_robot_uncertainty, best_cell,
                        compute_map, cost_map, merge, sample_boundaries,
                        union_edges)
-from .planner import (Designator, ExecutionTrace, Flaw, PlanNode, Scene,
-                      SceneObject, TimeModel, apply_merge_transform,
-                      detect_merge_flaw, plan_duration, plan_to_sexp, project,
-                      two_pickup_plan)
+from .planner import (Designator, ExecutionTrace, Flaw, Scene, SceneObject, Task,
+                      TimeModel, apply_merge_transform, detect_merge_flaw,
+                      plan_duration, plan_to_sexp, project, two_pickup_plan)
 from .evaluation import (SweepSpec, accuracy_curve, chi_square, merge_experiment,
                          robustness_experiment, transformation_benefit)

@@ -15,9 +15,9 @@ from .classifier import (DEFAULT_CLASS_WEIGHT, DEFAULT_COST_C, DEFAULT_KERNEL_SI
 from .geometry import ObjectFeatures
 from .grids import GridSpec
 from .placemap import GaussianBelief, apply_robot_uncertainty, best_cell, compute_map
-from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, PlanNode, Scene,
-                      SceneObject, apply_merge_transform, detect_merge_flaw,
-                      plan_duration, project, two_pickup_plan)
+from .planner import (MERGE_THRESHOLD, ExecutionTrace, Flaw, Scene, SceneObject, Task,
+                      apply_merge_transform, detect_merge_flaw, plan_duration, project,
+                      two_pickup_plan)
 from .shapemodel import GSMModel
 from .simworld import (CAUSES, WorldConfig, default_robot_grid, first_failure, robot_bounds,
                        run_trials, trial_causes)
@@ -244,7 +244,7 @@ class TransformPoint:
     trace_a: ExecutionTrace
     duration_a: float
     flaw: Flaw | None = None
-    plan_b: PlanNode | None = None
+    plan_b: tuple[Task, ...] | None = None
     trace_b: ExecutionTrace | None = None
     duration_b: float | None = None
 

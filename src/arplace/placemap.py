@@ -45,15 +45,8 @@ class GaussianBelief:
         cov = np.array(self.cov, dtype=float)
         if mean.shape != (3,) or cov.shape != (3, 3):
             raise ValueError("belief needs a 3-vector mean and 3x3 covariance")
-        # checked on the 12 Python floats, which round as the arrays would
-        c = cov.tolist()
-        if not all(map(math.isfinite, mean.tolist() + c[0] + c[1] + c[2])):
+        if not all(map(math.isfinite, mean.tolist())):
             raise ValueError("belief mean and covariance must be finite")
-        # np.allclose(cov, cov.T, atol=1e-12) spelled out, for finite entries;
-        # a diagonal entry always passes
-        if not all(abs(c[i][j] - c[j][i]) <= 1e-12 + 1e-5 * abs(c[j][i])
-                   for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))):
-            raise ValueError("covariance must be symmetric")
         for name, a in (("mean", mean), ("cov", cov), ("root", _factor(cov.tobytes()))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -76,8 +69,16 @@ class GaussianBelief:
 
 @functools.lru_cache(maxsize=32)
 def _factor(cov: bytes) -> np.ndarray:
-    """Read-only root of the 3x3 covariance whose C-order bytes are cov."""
-    evals, evecs = np.linalg.eigh(np.frombuffer(cov).reshape(3, 3))
+    """Read-only root of the 3x3 covariance whose C-order bytes are cov,
+    after checking that it is finite, symmetric and positive semidefinite;
+    a refusal raises ValueError and is not cached."""
+    c = np.frombuffer(cov).reshape(3, 3)
+    if not np.isfinite(c).all():
+        raise ValueError("belief mean and covariance must be finite")
+    with np.errstate(over="ignore"):  # entries of opposite sign near the float limit
+        if not np.allclose(c, c.T, atol=1e-12):
+            raise ValueError("covariance must be symmetric")
+    evals, evecs = np.linalg.eigh(c)
     if evals[0] < -1e-12:
         raise ValueError("covariance must be positive semidefinite")
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))

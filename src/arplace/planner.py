@@ -1,12 +1,13 @@
 """Miniature transformational planner.
 
-Plans are small trees of sequence / at-location / perceive / achieve nodes.
-Location goals are designators: symbolic descriptions resolved against
-success-probability maps when needed. Projection simulates a plan against a
-scene and yields an event trace timed by a time model. A flaw names two
-pick-up designators whose joint designator resolves to a high success
-probability; the merge transformation gives every task on either one base
-location.
+A plan is a tuple of pick-up tasks, run in order; each is at-location(d)
+{ perceive(o); achieve(entity-picked-up o) } for a location designator d
+that names the object o. Designators are symbolic location descriptions
+resolved against success-probability maps when needed. Projection simulates
+a plan against a scene and yields an event trace timed by a time model. A
+flaw names two pick-up designators whose joint designator resolves to a high
+success probability; the merge transformation gives every task on either one
+base location.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ MERGE_THRESHOLD = 0.85
 # perception scales the belief covariance of the object it observes by this
 _PERCEPTION_SHRINK = 0.5
 
-SEQUENCE = "sequence"
-AT_LOCATION = "at_location"
-PERCEIVE = "perceive"
-ACHIEVE = "achieve"
-_KINDS = (SEQUENCE, AT_LOCATION, PERCEIVE, ACHIEVE)
-
 
 class UnresolvableDesignatorError(RuntimeError):
     pass
@@ -39,19 +34,15 @@ class UnresolvableDesignatorError(RuntimeError):
 
 @dataclass(eq=False)
 class Designator:
-    """Symbolic location description: what it is for, which objects it must
-    reach, and optionally a world-frame cell with its success probability
-    fixed in advance (as the merge transformation does). Designators compare
-    and hash by identity: two tasks share a location only if they hold the
-    same designator."""
+    """Symbolic pick-up location: which objects it must reach, and optionally
+    a world-frame cell with its success probability fixed in advance (as the
+    merge transformation does). Designators compare and hash by identity:
+    two tasks share a location only if they hold the same designator."""
 
-    purpose: str                       # pick_up | joint_pick_up
     objects: tuple[str, ...]
     resolved: tuple[tuple[float, float], float] | None = None
 
     def __post_init__(self):
-        if self.purpose not in ("pick_up", "joint_pick_up"):
-            raise ValueError(f"unknown designator purpose {self.purpose!r}")
         if isinstance(self.objects, str):
             raise ValueError("objects must be a sequence of names, not one string")
         self.objects = tuple(self.objects)
@@ -61,77 +52,47 @@ class Designator:
             raise ValueError(f"a designator names each object once, not {self.objects}")
 
 
-@dataclass
-class PlanNode:
-    """Plan tree node. `goal` is a symbolic tuple such as
-    ('entity-picked-up', 'cup-a'); at_location nodes carry the location
-    designator their children run under."""
+@dataclass(frozen=True, slots=True)
+class Task:
+    """Pick up obj from the base its location designator resolves to, a
+    designator that names obj."""
 
-    kind: str
-    goal: tuple | None = None
-    location: Designator | None = None
-    children: list["PlanNode"] = field(default_factory=list)
+    location: Designator
+    obj: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.kind == AT_LOCATION and self.location is None:
-            raise ValueError("at_location requires a location designator")
-        if self.kind != AT_LOCATION and self.location is not None:
-            raise ValueError("only at_location carries a location")
-        if self.kind in (PERCEIVE, ACHIEVE) and self.children:
-            raise ValueError(f"{self.kind} carries no children")
-
-    def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        if self.obj not in self.location.objects:
+            raise ValueError(f"the task's location does not name {self.obj!r}")
 
 
-def sequence(*children: PlanNode) -> PlanNode:
-    return PlanNode(SEQUENCE, children=list(children))
+def pickup_task(object_name: str) -> Task:
+    """The pick-up of one object at a designator of its own."""
+    return Task(Designator((object_name,)), object_name)
 
 
-def at_location(location: Designator, *children: PlanNode) -> PlanNode:
-    return PlanNode(AT_LOCATION, location=location, children=list(children))
-
-
-def perceive(object_name: str) -> PlanNode:
-    return PlanNode(PERCEIVE, goal=("object-pose", object_name))
-
-
-def achieve_grasp(object_name: str) -> PlanNode:
-    return PlanNode(ACHIEVE, goal=("entity-picked-up", object_name))
-
-
-def pickup_task(object_name: str) -> PlanNode:
-    """at-location(pick_up obj) { perceive(obj); achieve(entity-picked-up obj) }"""
-    loc = Designator("pick_up", (object_name,))
-    return at_location(loc, perceive(object_name), achieve_grasp(object_name))
-
-
-def two_pickup_plan() -> PlanNode:
-    return sequence(pickup_task("cup-a"), pickup_task("cup-b"))
+def two_pickup_plan() -> tuple[Task, ...]:
+    return (pickup_task("cup-a"), pickup_task("cup-b"))
 
 
 # ---------------------------------------------------------------------------
 # plan serialization (s-expressions)
 # ---------------------------------------------------------------------------
 
-def plan_to_sexp(node: PlanNode) -> str:
-    parts = [node.kind.replace("_", "-")]
-    if node.goal is not None:
-        parts.append("(" + " ".join(str(v) for v in node.goal) + ")")
-    d = node.location
-    if d is not None:
-        fields = [f"a location (to {d.purpose.replace('_', '-')})",
+def plan_to_sexp(plan: tuple[Task, ...]) -> str:
+    """(sequence (at-location (a location ...) (perceive (object-pose o))
+    (achieve (entity-picked-up o))) ...), one at-location per task; a
+    designator of one object is to pick-up, one of several to joint-pick-up."""
+    tasks = []
+    for task in plan:
+        d = task.location
+        fields = [f"a location (to {'pick-up' if len(d.objects) == 1 else 'joint-pick-up'})",
                   "(objects " + " ".join(d.objects) + ")"]
         if d.resolved is not None:
             (x, y), p = d.resolved
             fields.append(f"(resolved {x:.17g} {y:.17g} {p:.17g})")
-        parts.append("(" + " ".join(fields) + ")")
-    parts.extend(plan_to_sexp(c) for c in node.children)
-    return "(" + " ".join(parts) + ")"
+        tasks.append(f" (at-location ({' '.join(fields)}) (perceive (object-pose {task.obj}))"
+                     f" (achieve (entity-picked-up {task.obj})))")
+    return "(sequence" + "".join(tasks) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +179,19 @@ def resolve_location(designator: Designator, scene: Scene, gsm: GSMModel, world:
     return grid.spec.cell_center(i, j), p
 
 
-def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
+def project(plan: tuple[Task, ...], scene: Scene, gsm: GSMModel, world: WorldConfig,
             spec: GridSpec, rng, time_model: TimeModel = TimeModel()) -> ExecutionTrace:
-    """Simulate a plan: an at-location node navigates to its designator's
+    """Simulate a plan task by task: navigate to the location designator's
     resolved cell, with position noise on arrival, unless the robot's last
-    navigation was for that same designator. So each visit to a designator
-    is one navigation, and its tasks share one base and one arrival error
-    of world.nav_noise_sigma, which is what resolve_location, passed the
-    same world, conditions on. Perception snaps a belief to the true state
-    and shrinks its covariance, and grasps run against the true object
-    state from the achieved base position, each labeled by
-    simworld.trial_causes. An object that a location, perceive or achieve
-    node names and the scene lacks raises UnresolvableDesignatorError before
-    any map is computed.
+    navigation was for that same designator; perceive the object; grasp it.
+    So each visit to a designator is one navigation, and its tasks share one
+    base and one arrival error of world.nav_noise_sigma, which is what
+    resolve_location, passed the same world, conditions on. Perception snaps
+    a belief to the true state and shrinks its covariance, and grasps run
+    against the true object state from the achieved base position, each
+    labeled by simworld.trial_causes. An object that a designator names and
+    the scene lacks raises UnresolvableDesignatorError before any map is
+    computed.
 
     The plan and the scene passed in are never written: resolved cells are
     kept per projection and perception updates copies of the scene's objects,
@@ -240,19 +201,17 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
     rng = np.random.default_rng(rng)
     scene = Scene({name: replace(obj) for name, obj in scene.objects.items()},
                   scene.robot_xy)
-    named = {name for node in plan.walk()
-             for name in (node.location.objects if node.kind == AT_LOCATION else
-                          node.goal[1:] if node.kind in (PERCEIVE, ACHIEVE) else ())}
-    missing = sorted(named - scene.objects.keys())
+    missing = sorted({name for task in plan for name in task.location.objects}
+                     - scene.objects.keys())
     if missing:
         raise UnresolvableDesignatorError(f"unknown objects {missing}")
 
     trace = ExecutionTrace(time_model)
     robot, at = tuple(scene.robot_xy), None  # at: the last navigation's designator
     targets: dict[Designator, tuple[tuple[float, float], float]] = {}
-    for node in plan.walk():  # pre-order: a location is reached before its children run
-        if node.kind == AT_LOCATION and node.location is not at:
-            at = d = node.location
+    for task in plan:
+        if task.location is not at:
+            at = d = task.location
             if d.resolved is None and d not in targets:
                 targets[d] = resolve_location(d, scene, gsm, world, spec,
                                               rng=rng.integers(2 ** 31))
@@ -263,21 +222,17 @@ def project(plan: PlanNode, scene: Scene, gsm: GSMModel, world: WorldConfig,
                 "from": robot, "goal": (tx, ty), "achieved": achieved,
                 "distance": float(np.hypot(tx - robot[0], ty - robot[1]))}))
             robot = achieved
-        elif node.kind == PERCEIVE:
-            obj = scene.objects[node.goal[1]]
-            cov = obj.belief.cov * _PERCEPTION_SHRINK
-            obj.belief = GaussianBelief(obj.truth, cov)
-            trace.events.append(TraceEvent("perceive", {"object": obj.name}))
-        elif node.kind == ACHIEVE:
-            obj = scene.objects[node.goal[1]]
-            dx, y, psi = obj.truth
-            stage = first_failure(max(dx, 0.0), psi, robot[0], robot[1] - y, world)
-            # only a grasp whose stages all pass ("none") draws its uniform
-            u = rng.random() if stage == 0 else 1.0
-            cause = CAUSES[trial_causes(stage, u, world)]
-            trace.events.append(TraceEvent("grasp", {
-                "object": obj.name, "success": cause == "none", "cause": cause,
-                "robot": robot}))
+        obj = scene.objects[task.obj]
+        obj.belief = GaussianBelief(obj.truth, obj.belief.cov * _PERCEPTION_SHRINK)
+        trace.events.append(TraceEvent("perceive", {"object": obj.name}))
+        dx, y, psi = obj.truth
+        stage = first_failure(max(dx, 0.0), psi, robot[0], robot[1] - y, world)
+        # only a grasp whose stages all pass ("none") draws its uniform
+        u = rng.random() if stage == 0 else 1.0
+        cause = CAUSES[trial_causes(stage, u, world)]
+        trace.events.append(TraceEvent("grasp", {
+            "object": obj.name, "success": cause == "none", "cause": cause,
+            "robot": robot}))
     return trace
 
 
@@ -293,57 +248,38 @@ class Flaw:
     locations: tuple[Designator, Designator]
     proposed_location: tuple[tuple[float, float], float]  # joint cell, p
 
-    @property
-    def objects(self) -> tuple[str, ...]:
-        """The objects the two designators reach, sorted."""
-        return tuple(sorted({name for d in self.locations for name in d.objects}))
 
-
-def _pickup_tasks(plan: PlanNode) -> list[PlanNode]:
-    return [node for node in plan.walk()
-            if node.kind == AT_LOCATION
-            and any(c.kind == ACHIEVE and c.goal[0] == "entity-picked-up"
-                    for c in node.children)]
-
-
-def detect_merge_flaw(plan: PlanNode, scene: Scene, gsm: GSMModel,
+def detect_merge_flaw(plan: tuple[Task, ...], scene: Scene, gsm: GSMModel,
                       spec: GridSpec, rng, threshold: float = MERGE_THRESHOLD, *,
                       world: WorldConfig = WorldConfig()) -> Flaw | None:
-    """Unoptimized-locations flaw: two distinct pick-up designators (tasks
-    share a location exactly when they hold one designator) whose joint
-    designator resolves to a probability above the threshold in the world
-    the plan will be projected in (the default world if none is given).
-    Each pair of designators is tried once, in the order their first tasks
-    appear in the plan, and resolved on the next draws of
-    np.random.default_rng(rng)."""
+    """Unoptimized-locations flaw: two distinct designators (tasks share a
+    location exactly when they hold one designator) whose joint designator
+    resolves to a probability above the threshold in the world the plan
+    will be projected in (the default world if none is given). Each pair of
+    designators is tried once, in the order their first tasks appear in the
+    plan, and resolved on the next draws of np.random.default_rng(rng)."""
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie in (0, 1)")
     rng = np.random.default_rng(rng)
-    designators = dict.fromkeys(task.location for task in _pickup_tasks(plan))
-    for a, b in itertools.combinations(designators, 2):
-        joint = Designator("joint_pick_up", tuple(dict.fromkeys(a.objects + b.objects)))
+    for a, b in itertools.combinations(dict.fromkeys(task.location for task in plan), 2):
+        joint = Designator(tuple(dict.fromkeys(a.objects + b.objects)))
         location = resolve_location(joint, scene, gsm, world, spec, rng)
         if location[1] > threshold:
             return Flaw((a, b), location)
     return None
 
 
-def _copy_plan(node: PlanNode, designators: dict) -> PlanNode:
-    """The tree copied node by node; tasks sharing a designator share its
-    copy, and an entry already in the map replaces its designator."""
-    d = node.location
-    if d is not None and d not in designators:
-        designators[d] = replace(d)
-    return PlanNode(node.kind, node.goal, designators.get(d),
-                    [_copy_plan(c, designators) for c in node.children])
-
-
-def apply_merge_transform(plan: PlanNode, flaw: Flaw) -> PlanNode:
-    """Return a new plan in which every task that held either of the flaw's
-    designators holds one resolved joint location designator; the plan
-    passed in is unchanged. A plan that does not hold both designators
-    raises ValueError."""
-    if not {node.location for node in plan.walk()} >= set(flaw.locations):
+def apply_merge_transform(plan: tuple[Task, ...], flaw: Flaw) -> tuple[Task, ...]:
+    """A new plan in which every task that held either of the flaw's
+    designators holds one resolved joint designator of the sorted objects
+    both reach, and every other designator is copied once, so tasks that
+    shared one share its copy; the plan passed in is unchanged. A plan that
+    does not hold both designators raises ValueError."""
+    if not {task.location for task in plan} >= set(flaw.locations):
         raise ValueError("the plan does not hold the flaw's designators")
-    shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
-    return _copy_plan(plan, dict.fromkeys(flaw.locations, shared))
+    objects = tuple(sorted({name for d in flaw.locations for name in d.objects}))
+    copies = dict.fromkeys(flaw.locations, Designator(objects, flaw.proposed_location))
+    for task in plan:
+        if task.location not in copies:
+            copies[task.location] = replace(task.location)
+    return tuple(Task(copies[task.location], task.obj) for task in plan)

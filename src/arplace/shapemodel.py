@@ -295,7 +295,8 @@ class RegressionModel:
         """(n, d) mode coefficients q^T W_k q, q = [dx, dpsi, 1], for n
         feature rows, without a range check. Elementwise products only, so a
         row's coefficients do not depend on the number of rows."""
-        q = np.stack((dx_obj, dpsi_obj, np.ones_like(dx_obj)))
+        q = np.ones((3, len(dx_obj)))
+        q[0], q[1] = dx_obj, dpsi_obj
         # term 3i + j of mode k is (W[k, i, j] * q_i) * q_j, added in that order:
         # a sum over the term axis would let NumPy pair the terms another way
         terms = self.W[:, :, :, None] * q[:, None, :]

@@ -8,12 +8,11 @@ from arplace import placemap, planner
 from arplace.evaluation import make_two_cup_scene, plan_grid_spec
 from arplace.grids import GridSpec
 from arplace.placemap import GaussianBelief
-from arplace.planner import (Designator, ExecutionTrace, Flaw, PlanNode, Scene, SceneObject,
-                             TimeModel, TraceEvent, UnresolvableDesignatorError, achieve_grasp,
-                             apply_merge_transform, at_location,
-                             detect_merge_flaw, perceive, pickup_task,
-                             plan_duration, plan_to_sexp, project,
-                             resolve_location, sequence, two_pickup_plan)
+from arplace.planner import (Designator, ExecutionTrace, Flaw, Scene, SceneObject, Task,
+                             TimeModel, TraceEvent, UnresolvableDesignatorError,
+                             apply_merge_transform, detect_merge_flaw, pickup_task,
+                             plan_duration, plan_to_sexp, project, resolve_location,
+                             two_pickup_plan)
 from arplace.simworld import CAUSES, WorldConfig, run_trials
 
 
@@ -28,19 +27,23 @@ def _spec(sep):
 
 def test_two_pickup_plan_shape():
     plan = two_pickup_plan()
-    kinds = [n.kind for n in plan.walk()]
-    assert kinds == ["sequence", "at_location", "perceive", "achieve",
-                     "at_location", "perceive", "achieve"]
-    tasks = [n for n in plan.walk() if n.kind == "at_location"]
-    assert tasks[0].location.objects == ("cup-a",)
-    assert tasks[1].location.objects == ("cup-b",)
-    assert tasks[0].location is not tasks[1].location
+    assert type(plan) is tuple and all(type(task) is Task for task in plan)
+    assert [task.obj for task in plan] == ["cup-a", "cup-b"]
+    assert [task.location.objects for task in plan] == [("cup-a",), ("cup-b",)]
+    assert plan[0].location is not plan[1].location
+
+
+def test_task_refuses_an_object_its_location_does_not_name():
+    d = Designator(("cup-a", "cup-b"))
+    assert [Task(d, name).obj for name in ("cup-a", "cup-b")] == ["cup-a", "cup-b"]
+    for name in ("cup-c", "cup", ""):
+        with pytest.raises(ValueError, match="does not name"):
+            Task(d, name)
 
 
 def test_sexp_writes_structure_and_resolved_location():
     plan = two_pickup_plan()
-    task = next(n for n in plan.walk() if n.kind == "at_location")
-    task.location.resolved = ((0.5, -0.25), 0.9375)
+    plan[0].location.resolved = ((0.5, -0.25), 0.9375)
     assert plan_to_sexp(plan) == (
         "(sequence"
         " (at-location (a location (to pick-up) (objects cup-a)"
@@ -50,44 +53,47 @@ def test_sexp_writes_structure_and_resolved_location():
         " (perceive (object-pose cup-b)) (achieve (entity-picked-up cup-b))))")
 
 
+def _at_location(to, objects, obj):
+    return (f" (at-location (a location (to {to}) (objects {objects}) (resolved 0.5 0 0.9375))"
+            f" (perceive (object-pose {obj})) (achieve (entity-picked-up {obj})))")
+
+
+def test_sexp_writes_pick_up_for_one_object_and_joint_pick_up_for_several():
+    """A designator of one object is to pick-up, one of several to
+    joint-pick-up: the merged two- and three-cup plans hold one joint
+    designator, and merging two designators of one cup leaves a pick-up."""
+    cell = ((0.5, 0.0), 0.9375)
+    plan = two_pickup_plan()
+    merged = apply_merge_transform(plan, Flaw(_task_locations(plan), cell))
+    assert plan_to_sexp(merged) == "(sequence" + "".join(
+        _at_location("joint-pick-up", "cup-a cup-b", obj) for obj in ("cup-a", "cup-b")) + ")"
+    three = (*plan, pickup_task("cup-c"))
+    merged = apply_merge_transform(three, Flaw(_task_locations(plan), cell))
+    merged = apply_merge_transform(merged, Flaw(_task_locations(merged)[1:], cell))
+    assert plan_to_sexp(merged) == "(sequence" + "".join(
+        _at_location("joint-pick-up", "cup-a cup-b cup-c", obj)
+        for obj in ("cup-a", "cup-b", "cup-c")) + ")"
+    same = (pickup_task("cup-a"), pickup_task("cup-a"))
+    merged = apply_merge_transform(same, Flaw(_task_locations(same), cell))
+    assert plan_to_sexp(merged) == "(sequence" + 2 * _at_location("pick-up", "cup-a", "cup-a") + ")"
+    assert plan_to_sexp(()) == "(sequence)"
+
+
 def test_designator_validation():
-    with pytest.raises(ValueError):
-        Designator("teleport", ("cup-a",))
-    with pytest.raises(ValueError):  # nothing builds put-down locations
-        Designator("put_down", ("cup-a",))
-    for purpose in ("pick_up", "joint_pick_up"):  # an empty one has no map to resolve
-        with pytest.raises(ValueError, match="at least one object"):
-            Designator(purpose, ())
-    d = Designator("pick_up", ["cup-a"])
+    with pytest.raises(ValueError, match="at least one object"):  # it has no map to resolve
+        Designator(())
+    d = Designator(["cup-a"])
     assert d.objects == ("cup-a",)
     # designators are compared and hashed by identity
-    assert d == d and d != Designator("pick_up", ("cup-a",))
+    assert d == d and d != Designator(("cup-a",))
     assert {d: 1}[d] == 1
 
 
 def test_designator_refuses_a_bare_string():
     """A string is a sequence of characters, not of object names."""
     with pytest.raises(ValueError, match="not one string"):
-        Designator("pick_up", "cup-a")
-    assert Designator("pick_up", ("cup-a",)).objects == ("cup-a",)
-
-
-@pytest.mark.parametrize("kind", ["perceive", "achieve"])
-def test_leaf_nodes_carry_no_children(kind):
-    with pytest.raises(ValueError, match="carries no children"):
-        PlanNode(kind, goal=("object-pose", "cup-a"), children=[perceive("cup-b")])
-
-
-@pytest.mark.parametrize("kind, with_location, match", [
-    ("teleport", False, "unknown node kind 'teleport'"),
-    ("at_location", False, "at_location requires a location designator"),
-    ("sequence", True, "only at_location carries a location"),
-    ("perceive", True, "only at_location carries a location"),
-])
-def test_plan_node_kind_and_location_rules(kind, with_location, match):
-    location = Designator("pick_up", ("cup-a",)) if with_location else None
-    with pytest.raises(ValueError, match=match):
-        PlanNode(kind, location=location)
+        Designator("cup-a")
+    assert Designator(("cup-a",)).objects == ("cup-a",)
 
 
 # ---------------------------------------------------------------------------
@@ -147,68 +153,36 @@ def test_project_leaves_the_plan_unchanged(gsm, world):
 
 def test_project_rejects_unknown_objects(gsm, world):
     scene = make_two_cup_scene(0.4)
-    plan = sequence(pickup_task("cup-a"), pickup_task("cup-z"))
+    plan = (pickup_task("cup-a"), pickup_task("cup-z"))
     with pytest.raises(UnresolvableDesignatorError):
         project(plan, scene, gsm, world, _spec(0.4),
                 rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("leaf", [perceive, achieve_grasp])
-def test_project_checks_every_named_object_before_any_map(gsm, world, monkeypatch, leaf):
-    """An object that only a perceive or achieve node names is checked with
-    the location designators, before the first map."""
+def test_project_checks_every_named_object_before_any_map(gsm, world, monkeypatch):
+    """An object that a later task's designator names is checked before the
+    first map, and so is one that only a resolved designator names, which
+    no map is computed for."""
     maps = []
     monkeypatch.setattr(planner, "compute_map", lambda *a, **k: maps.append(a))
-    plan = sequence(pickup_task("cup-a"), leaf("cup-z"))
-    with pytest.raises(UnresolvableDesignatorError, match=r"\['cup-z'\]"):
-        project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
-                rng=np.random.default_rng(0))
+    resolved = Designator(("cup-a", "cup-z"), resolved=((0.5, 0.0), 0.9))
+    for plan in ((pickup_task("cup-a"), pickup_task("cup-z")),
+                 (Task(resolved, "cup-a"), Task(resolved, "cup-z"))):
+        with pytest.raises(UnresolvableDesignatorError, match=r"\['cup-z'\]"):
+            project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
+                    rng=np.random.default_rng(0))
     assert maps == []
-
-
-def test_project_nested_plan(gsm, world, monkeypatch):
-    """Projection runs the plan in pre-order: an at-location navigates
-    before its children, an inner location is not left when it ends, and a
-    designator shared by two tasks is resolved once and reached once."""
-    resolved = []
-
-    def counting(d, *args, **kwargs):
-        resolved.append(d)
-        return resolve_location(d, *args, **kwargs)
-
-    monkeypatch.setattr(planner, "resolve_location", counting)
-    # cup-a's location holds an inner location for cup-b, whose designator
-    # a second task shares
-    outer, shared = Designator("pick_up", ("cup-a",)), Designator("pick_up", ("cup-b",))
-    plan = sequence(
-        at_location(outer, perceive("cup-a"), at_location(shared, perceive("cup-b")),
-                    achieve_grasp("cup-a")),
-        at_location(shared, achieve_grasp("cup-b")))
-    a = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
-                rng=np.random.default_rng(3))
-    assert [(e.kind, e.detail.get("object")) for e in a.events] == [
-        ("navigate", None), ("perceive", "cup-a"), ("navigate", None),
-        ("perceive", "cup-b"), ("grasp", "cup-a"), ("grasp", "cup-b")]
-    assert resolved == [outer, shared]  # designators compare by identity
-    # both grasps run from where the inner location left the robot
-    inner_base = a.events[2].detail["achieved"]
-    assert [g["robot"] for g in a.grasp_outcomes] == [inner_base, inner_base]
-    b = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
-                rng=np.random.default_rng(3))
-    assert [(e.kind, e.detail) for e in a.events] == \
-        [(e.kind, e.detail) for e in b.events]
-    assert len(resolved) == 4
 
 
 def test_resolve_location_rejects_unknown_objects(gsm, world):
     scene = make_two_cup_scene(0.4)
     with pytest.raises(UnresolvableDesignatorError):
-        resolve_location(Designator("pick_up", ("ghost",)), scene, gsm, world,
+        resolve_location(Designator(("ghost",)), scene, gsm, world,
                          _spec(0.4), rng=0)
 
 
 def test_resolve_location_leaves_the_designator_unchanged(gsm, world):
-    d = Designator("pick_up", ("cup-a",))
+    d = Designator(("cup-a",))
     (x, y), p = resolve_location(d, make_two_cup_scene(0.4), gsm, world, _spec(0.4), rng=0)
     assert d.resolved is None
     assert 0.0 < p <= 1.0 and y < 0.0  # cup-a sits at y = -0.2
@@ -222,7 +196,7 @@ def test_resolve_location_conditions_on_the_worlds_navigation_noise(gsm, world):
     world's."""
     noisy = dataclasses.replace(world, nav_noise_sigma=0.05)
     scene, spec = make_two_cup_scene(0.4), _spec(0.4)
-    joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
+    joint = Designator(("cup-a", "cup-b"))
     draws = np.random.default_rng(7)
     product = placemap.merge(*(
         placemap.compute_map(gsm, scene.objects[name].belief, spec,
@@ -269,7 +243,6 @@ def test_merge_flaw_fires_for_close_cups(gsm):
                              rng=np.random.default_rng(0))
     assert flaw is not None
     assert flaw.locations == _task_locations(plan)
-    assert flaw.objects == ("cup-a", "cup-b")
     (x, y), p = flaw.proposed_location
     assert p > 0.85
     assert abs(y) < 0.2  # between the cups
@@ -281,14 +254,14 @@ def test_merge_flaw_resolves_the_joint_designator(gsm):
     scene = make_two_cup_scene(0.30)
     flaw = detect_merge_flaw(two_pickup_plan(), scene, gsm, _spec(0.30),
                              rng=np.random.default_rng(0))
-    joint = Designator("joint_pick_up", ("cup-a", "cup-b"))
+    joint = Designator(("cup-a", "cup-b"))
     assert flaw.proposed_location == resolve_location(
         joint, scene, gsm, WorldConfig(), _spec(0.30), rng=np.random.default_rng(0))
 
 
 def test_merge_flaw_rejects_unknown_objects(gsm):
     with pytest.raises(UnresolvableDesignatorError):
-        detect_merge_flaw(sequence(pickup_task("cup-a"), pickup_task("cup-z")),
+        detect_merge_flaw((pickup_task("cup-a"), pickup_task("cup-z")),
                           make_two_cup_scene(0.30), gsm, _spec(0.30),
                           rng=np.random.default_rng(0))
 
@@ -327,12 +300,12 @@ def _detect_merge_flaw_reference(plan, scene, gsm, spec, rng, threshold):
     resolved once, and its cell's probability decides."""
     rng = np.random.default_rng(rng)
     designators = []
-    for task in planner._pickup_tasks(plan):
+    for task in plan:
         if not any(task.location is d for d in designators):
             designators.append(task.location)
     for k, a in enumerate(designators):
         for b in designators[k + 1:]:
-            joint = Designator("joint_pick_up", tuple(dict.fromkeys(a.objects + b.objects)))
+            joint = Designator(tuple(dict.fromkeys(a.objects + b.objects)))
             location = resolve_location(joint, scene, gsm, WorldConfig(), spec, rng)
             if location[1] > threshold:
                 return Flaw((a, b), location)
@@ -354,7 +327,7 @@ def test_merge_flaw_equals_the_search_on_every_joint_map(gsm):
         truth = (0.12, sep / 2 + gap, 0.0)
         scene.objects["cup-c"] = SceneObject("cup-c", truth,
                                              GaussianBelief.isotropic(truth, 0.005, 0.02))
-        plan = sequence(pickup_task("cup-a"), pickup_task("cup-b"), pickup_task("cup-c"))
+        plan = (pickup_task("cup-a"), pickup_task("cup-b"), pickup_task("cup-c"))
         spec = _spec(sep + 2 * gap)
         seed = int(rng.integers(2 ** 31))
         flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=seed, threshold=threshold)
@@ -375,21 +348,19 @@ def test_a_joint_designator_names_each_object_once(gsm):
     scene = make_two_cup_scene(0.30)
     scene.objects["cup-c"] = SceneObject("cup-c", (0.12, 0.30, 0.0),
                                          GaussianBelief.isotropic((0.12, 0.30, 0.0), 0.005, 0.02))
-    plan = sequence(
-        at_location(Designator("pick_up", ("cup-a", "cup-b")),
-                    perceive("cup-a"), achieve_grasp("cup-a")),
-        at_location(Designator("pick_up", ("cup-b", "cup-c")),
-                    perceive("cup-c"), achieve_grasp("cup-c")))
+    plan = (Task(Designator(("cup-a", "cup-b")), "cup-a"),
+            Task(Designator(("cup-b", "cup-c")), "cup-c"))
     spec = _spec(0.6)
     flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=5, threshold=0.5)
     assert flaw.locations == _task_locations(plan)
-    assert flaw.objects == ("cup-a", "cup-b", "cup-c")
-    joint = Designator("joint_pick_up", ("cup-a", "cup-b", "cup-c"))
+    merged = apply_merge_transform(plan, flaw)
+    assert [task.location.objects for task in merged] == [("cup-a", "cup-b", "cup-c")] * 2
+    joint = Designator(("cup-a", "cup-b", "cup-c"))
     assert flaw.proposed_location == resolve_location(joint, scene, gsm, WorldConfig(), spec,
                                                       rng=5)
     for objects in (("cup-a", "cup-a"), ("cup-a", "cup-b", "cup-a")):
         with pytest.raises(ValueError, match="each object once"):
-            Designator("joint_pick_up", objects)
+            Designator(objects)
 
 
 def _cup_scene(cups):
@@ -404,12 +375,12 @@ def _cup_scene(cups):
 
 
 def _designators(plan):
-    return {id(n.location) for n in plan.walk() if n.kind == "at_location"}
+    return {id(task.location) for task in plan}
 
 
 def _task_locations(plan):
-    """The designator of each at_location node, in plan order."""
-    return tuple(n.location for n in plan.walk() if n.kind == "at_location")
+    """The designator of each task, in plan order."""
+    return tuple(task.location for task in plan)
 
 
 def _positions(plan, flaw):
@@ -422,10 +393,10 @@ def test_merging_three_cups_ends_on_one_designator(gsm):
     """The first merge names the designators of tasks 0 and 1, the second
     the joint designator they now share and task 2's. Every task that held
     a flawed designator is re-pointed, so all three tasks end on one
-    designator and no flaw is left. Each merged plan shares no node or
+    designator and no flaw is left. Each merged plan shares no task or
     designator object with its input."""
     scene = _cup_scene([(-0.15, 0.04), (0.15, -0.04), (0.30, -0.04)])
-    plan = sequence(*(pickup_task(name) for name in scene.objects))
+    plan = tuple(pickup_task(name) for name in scene.objects)
     spec = plan_grid_spec(0.6)
     flaws = []
     for seed in range(4):
@@ -434,12 +405,12 @@ def test_merging_three_cups_ends_on_one_designator(gsm):
             break
         flaws.append(_positions(plan, flaw))
         merged = apply_merge_transform(plan, flaw)
-        assert not {id(n) for n in plan.walk()} & {id(n) for n in merged.walk()}
+        assert not set(map(id, plan)) & set(map(id, merged))
         assert not _designators(plan) & _designators(merged)
         plan = merged
     assert flaw is None and flaws == [(0, 1), (0, 2)]
     assert len(_designators(plan)) == 1
-    assert plan.children[0].location.objects == ("cup-0", "cup-1", "cup-2")
+    assert plan[0].location.objects == ("cup-0", "cup-1", "cup-2")
 
 
 def test_each_pair_of_designators_is_resolved_once(gsm, monkeypatch):
@@ -449,10 +420,10 @@ def test_each_pair_of_designators_is_resolved_once(gsm, monkeypatch):
     found. Trying task pairs (0, 2) and (1, 2) would resolve it again on
     fresh draws after every failed try."""
     scene = _cup_scene([(-0.15, 0.04), (0.15, -0.04), (0.30, -0.04)])
-    plan = sequence(*(pickup_task(name) for name in scene.objects))
+    plan = tuple(pickup_task(name) for name in scene.objects)
     spec = plan_grid_spec(0.9)
     flaw = detect_merge_flaw(plan, scene, gsm, spec, rng=0, threshold=0.9)
-    assert flaw.objects == ("cup-0", "cup-1")
+    assert flaw.locations == _task_locations(plan)[:2]
     merged = apply_merge_transform(plan, flaw)
     resolved = []
 
@@ -473,11 +444,10 @@ def test_tasks_on_distinct_designators_of_one_object_are_a_flaw(gsm):
     """Two tasks on distinct designators share no location even when they
     reach the same objects; after the merge they hold one and no flaw is
     left."""
-    plan = sequence(pickup_task("cup-a"), pickup_task("cup-a"))
+    plan = (pickup_task("cup-a"), pickup_task("cup-a"))
     scene = make_two_cup_scene(0.30)
     flaw = detect_merge_flaw(plan, scene, gsm, _spec(0.30), rng=0)
-    assert flaw is not None and flaw.objects == ("cup-a",)
-    assert flaw.locations == _task_locations(plan)
+    assert flaw is not None and flaw.locations == _task_locations(plan)
     merged = apply_merge_transform(plan, flaw)
     assert len(_designators(merged)) == 1
     assert detect_merge_flaw(merged, scene, gsm, _spec(0.30), rng=0) is None
@@ -492,7 +462,7 @@ def test_each_merge_removes_one_designator(gsm):
     for _ in range(20):
         n = int(rng.integers(3, 5))
         scene = _cup_scene(zip(np.sort(rng.uniform(-0.3, 0.3, n)), rng.uniform(-0.04, 0.04, n)))
-        plan = sequence(*(pickup_task(name) for name in scene.objects))
+        plan = tuple(pickup_task(name) for name in scene.objects)
         threshold = float(rng.uniform(0.3, 0.9))
         seed = int(rng.integers(2 ** 31))
         for step in range(n):
@@ -515,17 +485,13 @@ def test_merge_transform_structural_diff(gsm):
                              rng=np.random.default_rng(0))
     merged = apply_merge_transform(plan, flaw)
     # original untouched
-    orig_tasks = [n for n in plan.walk() if n.kind == "at_location"]
-    assert orig_tasks[0].location is not orig_tasks[1].location
+    assert plan[0].location is not plan[1].location
     assert flaw.locations == _task_locations(plan)
-    # transformed plan: same kinds and goals, one shared resolved designator
-    assert [(n.kind, n.goal) for n in merged.walk()] == \
-        [(n.kind, n.goal) for n in plan.walk()]
-    new_tasks = [n for n in merged.walk() if n.kind == "at_location"]
-    assert new_tasks[0].location is new_tasks[1].location
-    shared = new_tasks[0].location
-    assert shared.purpose == "joint_pick_up"
-    assert set(shared.objects) == {"cup-a", "cup-b"}
+    # transformed plan: the same objects in order, one shared resolved designator
+    assert [task.obj for task in merged] == [task.obj for task in plan]
+    assert merged[0].location is merged[1].location
+    shared = merged[0].location
+    assert shared.objects == ("cup-a", "cup-b")
     assert shared.resolved == flaw.proposed_location
 
 
@@ -548,7 +514,7 @@ def test_distinct_designators_on_one_cell_navigate_twice(gsm, world):
     """Tasks share a location exactly when they hold one designator: two
     pick-up designators of one cup resolve to the same cell and still cost
     two navigations, so merging them saves one."""
-    plan = sequence(pickup_task("cup-a"), pickup_task("cup-a"))
+    plan = (pickup_task("cup-a"), pickup_task("cup-a"))
     scene, spec = make_two_cup_scene(0.3), plan_grid_spec(0.3)
     flat = project(plan, scene, gsm, world, spec, rng=0)
     goals = [e.detail["goal"] for e in flat.events if e.kind == "navigate"]
@@ -576,7 +542,7 @@ def test_a_designator_resolved_after_perceiving_reads_the_perceived_belief(gsm, 
     truth = (0.12, -0.15, 0.04)
     prior = GaussianBelief.isotropic((0.14, -0.10, 0.0), 0.02, 0.1)
     scene = Scene({"cup-a": SceneObject("cup-a", truth, prior)}, robot_xy=(1.5, 0.0))
-    project(sequence(pickup_task("cup-a"), pickup_task("cup-a")), scene, gsm, world,
+    project((pickup_task("cup-a"), pickup_task("cup-a")), scene, gsm, world,
             _spec(0.3), rng=0)
     assert len(beliefs) == 2
     assert beliefs[0].mean.tolist() == prior.mean.tolist()
@@ -588,8 +554,8 @@ def test_a_designator_resolved_after_perceiving_reads_the_perceived_belief(gsm, 
 
 def test_a_designator_visited_again_after_another_navigates_again(gsm, world, monkeypatch):
     """The rule is the last navigation's designator, not any designator
-    reached before: locations on d1, d2, d1 navigate three times, the third
-    to d1's cell again, which is resolved once."""
+    reached before: tasks on d1, d2, d1 navigate three times, the third to
+    d1's cell again, which is resolved once."""
     resolved = []
 
     def counting(d, *args, **kwargs):
@@ -597,10 +563,10 @@ def test_a_designator_visited_again_after_another_navigates_again(gsm, world, mo
         return resolve_location(d, *args, **kwargs)
 
     monkeypatch.setattr(planner, "resolve_location", counting)
-    d1, d2 = Designator("pick_up", ("cup-a",)), Designator("pick_up", ("cup-b",))
-    plan = sequence(at_location(d1, perceive("cup-a")), at_location(d2, perceive("cup-b")),
-                    at_location(d1, achieve_grasp("cup-a")))
+    d1, d2 = Designator(("cup-a",)), Designator(("cup-b",))
+    plan = (Task(d1, "cup-a"), Task(d2, "cup-b"), Task(d1, "cup-a"))
     trace = project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4), rng=0)
+    assert [e.kind for e in trace.events] == ["navigate", "perceive", "grasp"] * 3
     navs = [e.detail for e in trace.events if e.kind == "navigate"]
     assert len(navs) == 3
     assert navs[2]["goal"] == navs[0]["goal"] != navs[1]["goal"]
@@ -614,9 +580,8 @@ def test_merge_transform_rejects_foreign_flaws():
     only one of them."""
     plan = two_pickup_plan()
     flaw = Flaw(_task_locations(plan), proposed_location=((0.5, 0.0), 0.9))
-    assert flaw.objects == ("cup-a", "cup-b")
     assert apply_merge_transform(plan, flaw) is not None
-    for foreign in (two_pickup_plan(), sequence(plan.children[0], pickup_task("cup-b"))):
+    for foreign in (two_pickup_plan(), (plan[0], pickup_task("cup-b"))):
         with pytest.raises(ValueError, match="does not hold"):
             apply_merge_transform(foreign, flaw)
 
@@ -632,26 +597,26 @@ def test_a_flaw_does_not_apply_to_the_plan_it_merged(gsm):
 
 
 def _merge_reference(plan, flaw):
-    """apply_merge_transform written on copy.deepcopy: its memo maps both
-    flawed designators to one joint designator."""
-    shared = Designator("joint_pick_up", flaw.objects, resolved=flaw.proposed_location)
-    return copy.deepcopy(plan, dict.fromkeys(map(id, flaw.locations), shared))
+    """apply_merge_transform written on copy.deepcopy: one memo, shared by
+    the copies of every task's designator, maps both flawed designators to
+    one joint designator of the sorted objects they reach."""
+    objects = tuple(sorted({name for d in flaw.locations for name in d.objects}))
+    memo = dict.fromkeys(map(id, flaw.locations), Designator(objects, flaw.proposed_location))
+    return tuple(Task(copy.deepcopy(task.location, memo), task.obj) for task in plan)
 
 
 def _sharing(plan):
-    """For each at_location node, the position of the first node holding
-    the same designator object."""
-    locations = [n.location for n in plan.walk() if n.kind == "at_location"]
+    """For each task, the position of the first task holding the same
+    designator object."""
+    locations = _task_locations(plan)
     return [next(k for k, d in enumerate(locations) if d is loc) for loc in locations]
 
 
 def test_merge_transform_keeps_a_shared_designator_shared():
     """Tasks 0 and 1 share one designator; after tasks 2 and 3 merge they
     still share one, a new one, as under copy.deepcopy's memo."""
-    d = Designator("joint_pick_up", ("cup-a", "cup-b"))
-    plan = sequence(at_location(d, perceive("cup-a"), achieve_grasp("cup-a")),
-                    at_location(d, perceive("cup-b"), achieve_grasp("cup-b")),
-                    pickup_task("cup-c"), pickup_task("cup-d"))
+    d = Designator(("cup-a", "cup-b"))
+    plan = (Task(d, "cup-a"), Task(d, "cup-b"), pickup_task("cup-c"), pickup_task("cup-d"))
     before = plan_to_sexp(plan)
     flaw = Flaw(_task_locations(plan)[2:], proposed_location=((0.5, 0.1), 0.9))
     merged = apply_merge_transform(plan, flaw)
@@ -659,17 +624,20 @@ def test_merge_transform_keeps_a_shared_designator_shared():
     assert _sharing(merged) == _sharing(reference) == [0, 0, 2, 2]
     assert plan_to_sexp(merged) == plan_to_sexp(reference)
     assert plan_to_sexp(plan) == before and _sharing(plan) == [0, 0, 2, 3]
-    originals = {id(n.location) for n in plan.walk() if n.kind == "at_location"}
-    assert not originals & {id(n.location) for n in merged.walk() if n.kind == "at_location"}
-    assert not {id(n) for n in plan.walk()} & {id(n) for n in merged.walk()}
+    assert not _designators(plan) & _designators(merged)
+    assert not set(map(id, plan)) & set(map(id, merged))
 
 
 def test_trace_and_flaw_records_carry_no_instance_dict():
+    task = pickup_task("cup-a")
     flaw = Flaw(_task_locations(two_pickup_plan()), proposed_location=((0.5, 0.0), 0.9))
-    for obj in (TraceEvent("perceive", {"object": "cup-a"}), ExecutionTrace(TimeModel()), flaw):
+    for obj in (TraceEvent("perceive", {"object": "cup-a"}), ExecutionTrace(TimeModel()), task,
+                flaw):
         assert not hasattr(obj, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         flaw.locations = flaw.locations[::-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.obj = "cup-b"
 
 
 def test_a_failing_grasp_keeps_its_stage_cause_under_a_local_minimum(gsm, world):
@@ -687,6 +655,6 @@ def test_a_failing_grasp_keeps_its_stage_cause_under_a_local_minimum(gsm, world)
     tasks = [pickup_task("cup-a") for _ in bases]
     for task, base in zip(tasks, bases):
         task.location.resolved = (base, 0.5)
-    trace = project(sequence(*tasks), scene, gsm, stuck, _spec(0.4), rng=0)
+    trace = project(tuple(tasks), scene, gsm, stuck, _spec(0.4), rng=0)
     assert [(g["robot"], g["success"], g["cause"]) for g in trace.grasp_outcomes] == [
         ((0.5, 0.3), False, "slip"), ((0.5, 0.0), False, "local_minimum")]
