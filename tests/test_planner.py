@@ -159,19 +159,25 @@ def test_project_rejects_unknown_objects(gsm, world):
                 rng=np.random.default_rng(0))
 
 
-def test_project_checks_every_named_object_before_any_map(gsm, world, monkeypatch):
+@pytest.mark.parametrize("step, hooked", [("perceive", "GaussianBelief"),
+                                           ("achieve_grasp", "first_failure")],
+                         ids=["perceive", "achieve_grasp"])
+def test_project_checks_every_named_object_before_any_map(gsm, world, monkeypatch, step,
+                                                          hooked):
     """An object that a later task's designator names is checked before the
-    first map, and so is one that only a resolved designator names, which
-    no map is computed for."""
-    maps = []
-    monkeypatch.setattr(planner, "compute_map", lambda *a, **k: maps.append(a))
+    first map and before the first task's perceive or grasp step runs, and
+    so is one that only a resolved designator names, which no map is
+    computed for."""
+    calls = []
+    monkeypatch.setattr(planner, "compute_map", lambda *a, **k: calls.append("map"))
+    monkeypatch.setattr(planner, hooked, lambda *a, **k: calls.append(step))
     resolved = Designator(("cup-a", "cup-z"), resolved=((0.5, 0.0), 0.9))
     for plan in ((pickup_task("cup-a"), pickup_task("cup-z")),
                  (Task(resolved, "cup-a"), Task(resolved, "cup-z"))):
         with pytest.raises(UnresolvableDesignatorError, match=r"\['cup-z'\]"):
             project(plan, make_two_cup_scene(0.4), gsm, world, _spec(0.4),
                     rng=np.random.default_rng(0))
-    assert maps == []
+    assert calls == []
 
 
 def test_resolve_location_rejects_unknown_objects(gsm, world):
